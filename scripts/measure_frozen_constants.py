@@ -14,21 +14,16 @@ from qcforge.analysis import (DavidParams, _closed_exceedances, check_david,
                               dilatation_profile, fit_david, level_ratio,
                               THEOREM_A_CASES)
 from qcforge.cantor import frostman_profile, make_gauge
-from qcforge.homeo import (HierarchicalMap, invert, max_dilatation_per_level,
-                           standard_homeo, theoremB_homeo)
+from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
+                           theoremB_homeo)
 from qcforge.qcmaps import annulus_extension_any, twist_extension
-
-
-def sub_map(m, n):
-    return HierarchicalMap(n, m.source, m.target, m.direction, m.kind,
-                           m.levels[:n])
 
 
 def min_k0(m, depths=range(6, 13)):
     """Smallest cutoff making the (1, 1, K0) check pass at all depths."""
     need = 1.0
     for n in depths:
-        prof = dilatation_profile(sub_map(m, n), "domain")
+        prof = dilatation_profile(m.truncate(n), "domain")
         for K0 in [1.0] + [k for k, _ in _closed_exceedances(prof)]:
             if check_david(prof, DavidParams(1.0, 1.0, max(1.0, K0)))[0]:
                 need = max(need, max(1.0, K0))

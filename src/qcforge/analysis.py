@@ -19,8 +19,9 @@ import numpy as np
 
 from .cantor import GaugeSequence, dimension_bounds, make_gauge
 from .errors import DegenerateFitError, DomainError
+from .frozen import FROZEN_K0
 from .homeo import HierarchicalMap, invert, max_dilatation_per_level, \
-    standard_homeo, theoremB_homeo
+    standard_homeo, theoremB_homeo, twist_parameter
 
 __all__ = [
     "DilatationProfile",
@@ -89,7 +90,7 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
         raise DomainError(f"side must be 'domain' or 'image', got {side!r}")
     masses: dict[float, float] = {}
     for lv in m.levels:
-        sscale, dscale = lv.template_scales()
+        sscale, dscale = lv.scales
         scale2 = (sscale if side == "domain" else dscale) ** 2
         per_template = lv.instance_count() // len(lv.templates)
         for t in lv.templates:
@@ -232,11 +233,23 @@ THEOREM_A_CASES = {
 def _david_sweep(m: HierarchicalMap, depths, K0: float):
     out = []
     for n in depths:
-        sub = HierarchicalMap(n, m.source, m.target, m.direction, m.kind,
-                              m.levels[:n])
-        prof = dilatation_profile(sub, "domain")
+        prof = dilatation_profile(m.truncate(n), "domain")
         flag, margin = check_david(prof, DavidParams(1.0, 1.0, K0))
         out.append({"depth": n, "passed": flag, "margin": margin})
+    return out
+
+
+def _david(fwd: HierarchicalMap, case: str, n_max: int,
+           k0_forward: float | None, k0_inverse: float | None) -> dict:
+    """Checks at depths 3..n_max of the map and of its inverse, each with
+    the frozen cutoff of its direction unless one is given."""
+    out = {}
+    for direction, m, k0 in (("forward", fwd, k0_forward),
+                             ("inverse", invert(fwd), k0_inverse)):
+        if k0 is None:
+            k0 = FROZEN_K0[(case, direction)]
+        out[direction] = {"K0": k0,
+                          "checks": _david_sweep(m, range(3, n_max + 1), k0)}
     return out
 
 
@@ -252,16 +265,8 @@ def theoremA_report(case: str, n_max: int, nu: float = 1.0,
         raise DomainError(f"n_max must be >= 3, got {n_max}")
     gauges, rate_desc, rate = THEOREM_A_CASES[case]
     src, dst = gauges(nu)
-    if k0_forward is None or k0_inverse is None:
-        from .frozen import FROZEN_K0
-        k0_forward = k0_forward if k0_forward is not None \
-            else FROZEN_K0[(case, "forward")]
-        k0_inverse = k0_inverse if k0_inverse is not None \
-            else FROZEN_K0[(case, "inverse")]
     fwd = standard_homeo(src, dst, n_max)
-    inv = invert(fwd)
     klist = max_dilatation_per_level(fwd)
-    depths = range(3, n_max + 1)
     sb = dimension_bounds(src, 50)
     db = dimension_bounds(dst, 50)
     return {
@@ -279,12 +284,7 @@ def theoremA_report(case: str, n_max: int, nu: float = 1.0,
             "target": {"gauge": dst.describe(), "lower": db.lower,
                        "upper": db.upper},
         },
-        "david": {
-            "forward": {"K0": k0_forward,
-                        "checks": _david_sweep(fwd, depths, k0_forward)},
-            "inverse": {"K0": k0_inverse,
-                        "checks": _david_sweep(inv, depths, k0_inverse)},
-        },
+        "david": _david(fwd, case, n_max, k0_forward, k0_inverse),
     }
 
 
@@ -294,17 +294,8 @@ def theoremB_report(n_max: int, k0_forward: float | None = None,
     8-adic-to-square-nest map."""
     if n_max < 3:
         raise DomainError(f"n_max must be >= 3, got {n_max}")
-    if k0_forward is None or k0_inverse is None:
-        from .frozen import FROZEN_K0
-        k0_forward = k0_forward if k0_forward is not None \
-            else FROZEN_K0[("theoremB", "forward")]
-        k0_inverse = k0_inverse if k0_inverse is not None \
-            else FROZEN_K0[("theoremB", "inverse")]
     fwd = theoremB_homeo(n_max)
-    inv = invert(fwd)
     klist = max_dilatation_per_level(fwd)
-    depths = range(3, n_max + 1)
-    from .homeo import twist_parameter
     return {
         "case": "theoremB",
         "rate": "sqrt k",
@@ -313,10 +304,5 @@ def theoremB_report(n_max: int, k0_forward: float | None = None,
              "ratio": K / math.sqrt(k)}
             for k, K in klist
         ],
-        "david": {
-            "forward": {"K0": k0_forward,
-                        "checks": _david_sweep(fwd, depths, k0_forward)},
-            "inverse": {"K0": k0_inverse,
-                        "checks": _david_sweep(inv, depths, k0_inverse)},
-        },
+        "david": _david(fwd, "theoremB", n_max, k0_forward, k0_inverse),
     }

@@ -27,10 +27,12 @@ from .errors import DepthLimitError, DomainError, ValidationError
 __all__ = [
     "GaugeSequence",
     "CantorLevel",
+    "Construction",
     "DimensionEstimate",
     "make_gauge",
     "build_level",
     "build_sigma_level",
+    "nest_centers",
     "dimension_bounds",
     "box_dimension",
     "pointwise_box_dimension",
@@ -45,7 +47,12 @@ GAUGE_KINDS = ("geometric", "slow", "fast", "sqrt", "custom")
 
 def depth_guard() -> int:
     """Materialization depth limit (4^n square lists); env-overridable."""
-    return int(os.environ.get("QCFORGE_DEPTH_GUARD", "14"))
+    text = os.environ.get("QCFORGE_DEPTH_GUARD", "14")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError("QCFORGE_DEPTH_GUARD must be an integer, "
+                              f"got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,8 @@ def make_gauge(kind: str, nu: float | None = None,
     the asymptotics of n/log n and n log n.
     """
     if kind == "geometric":
-        if nu is None or nu <= 0:
-            raise ValidationError("geometric gauge needs nu > 0")
+        if nu is None or not math.isfinite(nu) or nu <= 0:
+            raise ValidationError("geometric gauge needs a finite nu > 0")
         return GaugeSequence("geometric", nu=float(nu))
     if kind in ("slow", "fast", "sqrt"):
         return GaugeSequence(kind)
@@ -145,12 +152,6 @@ class CantorLevel:
     def total_area(self) -> float:
         return self.count * self.side * self.side
 
-    def squares(self) -> Iterable[tuple[float, float, float]]:
-        """Yield (cx, cy, side) triples."""
-        s = self.side
-        for cx, cy in self.centers:
-            yield (float(cx), float(cy), s)
-
     def translated(self, dx: float, dy: float) -> "CantorLevel":
         return CantorLevel(self.family, self.level, self.side,
                            self.centers + np.array([dx, dy]))
@@ -164,7 +165,10 @@ class CantorLevel:
         }
 
 
-_QUAD = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+# child-minus-parent center directions in units of the parent side, in digit
+# order: SW, SE, NE, NW for the square nest, left to right for the 8-adic row
+_NEST_DIRECTIONS = ((-0.25, -0.25), (0.25, -0.25), (0.25, 0.25), (-0.25, 0.25))
+_ROW_DIRECTIONS = tuple(((2 * j - 5) / 8.0, 0.0) for j in (1, 2, 3, 4))
 
 
 def _check_depth(n: int):
@@ -177,33 +181,65 @@ def _check_depth(n: int):
             "(set QCFORGE_DEPTH_GUARD to raise it)")
 
 
-def build_level(gauge: GaugeSequence, n: int) -> CantorLevel:
-    """Level n of the square-nest family for the given gauge.
-
-    Child centers sit at the four quarter points of their parent, at offset
-    2^-(k+1) d_{k-1} from the parent center, which realizes the inset a_k
-    exactly.
-    """
-    _check_depth(n)
+def nest_centers(offsets_per_level: Iterable[Sequence[tuple[float, float]]]
+                 ) -> np.ndarray:
+    """Centers reached from the origin by adding one child offset per level,
+    in digit-path order (shape (prod of child counts, 2))."""
     centers = np.zeros((1, 2))
-    for k in range(1, n + 1):
-        off = 2.0 ** (-(k + 1)) * gauge.d(k - 1)
-        centers = (centers[:, None, :] + _QUAD[None, :, :] * off).reshape(-1, 2)
-    side = 2.0 ** (-n) * gauge.d(n)
-    return CantorLevel("lambda", n, side, centers)
+    for offs in offsets_per_level:
+        centers = (centers[:, None, :]
+                   + np.asarray(offs)[None, :, :]).reshape(-1, 2)
+    return centers
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One of the two Cantor constructions, with its level geometry.
+
+    Square nest ("lambda"): level-k squares have side 2^-k d_k and the
+    children sit at their parent's quarter points, which realizes the inset
+    a_k = 2^-(k+1) (d_{k-1} - d_k).  8-adic row ("sigma"): side 8^-k, the
+    children spaced along the parent's horizontal midline.
+    """
+
+    family: str  # "lambda" or "sigma"
+    gauge: GaugeSequence | None = None
+
+    def side(self, n: int) -> float:
+        if self.family == "sigma":
+            return 8.0 ** (-n)
+        return 2.0 ** (-n) * self.gauge.d(n)
+
+    def offsets(self, k: int) -> tuple[tuple[float, float], ...]:
+        """Child-minus-parent center offsets of level k, in digit order."""
+        p = self.side(k - 1)
+        dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
+        return tuple((qx * p, qy * p) for qx, qy in dirs)
+
+    def level(self, n: int) -> CantorLevel:
+        _check_depth(n)
+        centers = nest_centers(self.offsets(k) for k in range(1, n + 1))
+        return CantorLevel(self.family, n, self.side(n), centers)
+
+    def level_area(self, n: int) -> float:
+        if self.family == "sigma":
+            return 16.0 ** (-n)
+        return self.gauge.d(n) ** 2
+
+    def describe(self) -> str:
+        if self.family == "sigma":
+            return "sigma"
+        return f"lambda({self.gauge.describe()})"
+
+
+def build_level(gauge: GaugeSequence, n: int) -> CantorLevel:
+    """Level n of the square-nest family for the given gauge."""
+    return Construction("lambda", gauge).level(n)
 
 
 def build_sigma_level(n: int) -> CantorLevel:
     """Level n of the linear 8-adic family (squares centered on the x-axis)."""
-    _check_depth(n)
-    centers = np.zeros((1, 2))
-    offs = np.array([(2 * j - 5) / 8.0 for j in (1, 2, 3, 4)])
-    for k in range(1, n + 1):
-        scale = 8.0 ** (-(k - 1))
-        new = centers[:, None, :].repeat(4, axis=1).reshape(-1, 2).copy()
-        new[:, 0] += np.tile(offs * scale, centers.shape[0])
-        centers = new
-    return CantorLevel("sigma", n, 8.0 ** (-n), centers)
+    return Construction("sigma").level(n)
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,6 @@ class AffineMap:
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    @property
-    def jacobian(self) -> float:
-        """Jacobian determinant; equals |dz|^2 - |dzbar|^2."""
-        return self.det
-
     def apply(self, p: Point) -> Point:
         return Point(
             self.m11 * p.x + self.m12 * p.y + self.tx,
@@ -89,19 +84,6 @@ class AffineMap:
     def identity() -> "AffineMap":
         return AffineMap(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
-    @staticmethod
-    def translation(tx: float, ty: float) -> "AffineMap":
-        return AffineMap(1.0, 0.0, 0.0, 1.0, tx, ty)
-
-    @staticmethod
-    def scaling(s: float, center: Point | None = None) -> "AffineMap":
-        """Central similarity with ratio s (> 0) about `center` (default origin)."""
-        if s <= 0:
-            raise DomainError(f"scaling ratio must be positive, got {s}")
-        if center is None:
-            return AffineMap(s, 0.0, 0.0, s, 0.0, 0.0)
-        return AffineMap(s, 0.0, 0.0, s, center.x * (1 - s), center.y * (1 - s))
-
 
 def _wirtinger(a: AffineMap) -> tuple[complex, complex]:
     """Complex derivatives (dz, dzbar) of the affine map."""
@@ -114,12 +96,16 @@ def dilatation(a: AffineMap) -> float:
     """Real dilatation K = (|dz| + |dzbar|) / (|dz| - |dzbar|).
 
     K >= 1, with K = 1 exactly for similarities.  Raises OrientationError
-    for non-positive determinants.
+    for non-positive determinants, GeometryError when |dz| <= |dzbar| in
+    floating point all the same.
     """
     if a.det <= 0:
         raise OrientationError(f"determinant {a.det} is not positive")
     dz, dzbar = _wirtinger(a)
     p, q = abs(dz), abs(dzbar)
+    if p <= q:
+        raise GeometryError(f"dilatation of a map with determinant {a.det} "
+                            "is not finite in floating point")
     return (p + q) / (p - q)
 
 

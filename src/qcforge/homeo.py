@@ -1,9 +1,10 @@
 """Level-indexed assembly of the quasiconformal approximants.
 
 A `HierarchicalMap` represents the depth-n approximant between two Cantor
-constructions: a similarity on every deepest-level square, and one
-piecewise-affine gasket template per level, placed by similarities.  All
-level-k gaskets are congruent, so dilatation data lives once per level and
+constructions: a similarity on every deepest-level square, and per level a
+few piecewise-affine gasket templates with their placements (template,
+source offset, target offset) in every parent.  All level-k gaskets are
+congruent, so dilatation data lives once per level and
 exact area profiles remain cheap at depths far beyond what square lists
 could materialize.
 
@@ -25,11 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cantor import CantorLevel, GaugeSequence, build_level, \
-    build_sigma_level, depth_guard, make_gauge
+from .cantor import Construction, GaugeSequence, depth_guard, make_gauge, \
+    nest_centers
+# re-exported: qcforge.homeo.build_level / build_sigma_level stay importable
+from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError
-from .geometry import Point, Triangle
-from .qcmaps import PiecewiseAffineMap, annulus_extension_any, \
+from .geometry import Point
+from .qcmaps import PiecewiseAffineMap, annulus_extension_any, conjugate, \
     invert_piecewise, twist_extension
 
 __all__ = [
@@ -46,38 +49,10 @@ __all__ = [
     "curve_box_dimension",
 ]
 
-# child-offset directions, in units of parent side
-_QUADRANT = ((-0.25, -0.25), (0.25, -0.25), (0.25, 0.25), (-0.25, 0.25))
-_SIGMA_ROW = ((-0.375, 0.0), (-0.125, 0.0), (0.125, 0.0), (0.375, 0.0))
-_NW_SW_NE_SE = ((-0.25, 0.25), (-0.25, -0.25), (0.25, 0.25), (0.25, -0.25))
-
-
-@dataclass(frozen=True)
-class Construction:
-    """Which Cantor construction a map side lives on."""
-
-    family: str  # "lambda" or "sigma"
-    gauge: GaugeSequence | None = None
-
-    def side(self, n: int) -> float:
-        if self.family == "sigma":
-            return 8.0 ** (-n)
-        return 2.0 ** (-n) * self.gauge.d(n)
-
-    def level(self, n: int) -> CantorLevel:
-        if self.family == "sigma":
-            return build_sigma_level(n)
-        return build_level(self.gauge, n)
-
-    def level_area(self, n: int) -> float:
-        if self.family == "sigma":
-            return 16.0 ** (-n)
-        return self.gauge.d(n) ** 2
-
-    def describe(self) -> str:
-        if self.family == "sigma":
-            return "sigma"
-        return f"lambda({self.gauge.describe()})"
+# target children of an 8-adic parent, left to right: NW, SW, NE, SE, as
+# indices into the square nest's digit order (SW, SE, NE, NW)
+_NW_SW_NE_SE = (3, 0, 2, 1)
+_ORIGIN = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -89,11 +64,26 @@ class _Side:
     offsets: tuple[tuple[float, float], ...]  # child center - parent center
 
 
+def _side(c: Construction, k: int, order=(0, 1, 2, 3)) -> _Side:
+    offsets = c.offsets(k)
+    return _Side(c.side(k - 1), c.side(k), tuple(offsets[i] for i in order))
+
+
 @dataclass(frozen=True)
 class _Level:
+    """Level k of a map: its templates, and where each template instance of
+    a parent's gasket sits.
+
+    `placements` lists (template index, source offset, target offset): the
+    instance covers parent center + offset + scale * template domain on
+    each side, with `scales` = (source, target).
+    """
+
     k: int
-    kind: str  # "quadrant": one annulus per child; "half": two twists per parent
     templates: tuple[PiecewiseAffineMap, ...]
+    placements: tuple[tuple[int, tuple[float, float], tuple[float, float]],
+                      ...]
+    scales: tuple[float, float]
     src: _Side
     dst: _Side
 
@@ -103,16 +93,7 @@ class _Level:
 
     def instance_count(self) -> int:
         """Total template instances at this level."""
-        parents = 4 ** (self.k - 1)
-        if self.kind == "quadrant":
-            return 4 * parents
-        return 2 * parents
-
-    def template_scales(self) -> tuple[float, float]:
-        """(src, dst) normalization scales of the template coordinates."""
-        if self.kind == "quadrant":
-            return (self.src.parent_side / 2.0, self.dst.parent_side / 2.0)
-        return (self.src.parent_side, self.dst.parent_side)
+        return len(self.placements) * 4 ** (self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -124,16 +105,17 @@ class HierarchicalMap:
     kind: str  # "standard" or "theoremB"
     levels: tuple[_Level, ...]
 
+    def truncate(self, n: int) -> "HierarchicalMap":
+        """The depth-n approximant: the first n levels of this map."""
+        if not 0 <= n <= self.depth:
+            raise DomainError(f"need 0 <= n <= {self.depth}, got {n}")
+        return replace(self, depth=n, levels=self.levels[:n])
+
     def corresponding_centers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Aligned (source, target) level-k square centers, in digit-path order."""
-        src = np.zeros((1, 2))
-        dst = np.zeros((1, 2))
-        for lv in self.levels[:k]:
-            so = np.array(lv.src.offsets)
-            do = np.array(lv.dst.offsets)
-            src = (src[:, None, :] + so[None, :, :]).reshape(-1, 2)
-            dst = (dst[:, None, :] + do[None, :, :]).reshape(-1, 2)
-        return src, dst
+        levels = self.levels[:k]
+        return (nest_centers(lv.src.offsets for lv in levels),
+                nest_centers(lv.dst.offsets for lv in levels))
 
     def summary_json_obj(self) -> dict:
         return {
@@ -179,23 +161,20 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
     """Depth-n approximant of the standard homeomorphism between the
     square-nest constructions of two gauges."""
     _check_homeo_depth(n)
+    source, target = Construction("lambda", src), Construction("lambda", dst)
     levels = []
     for k in range(1, n + 1):
         alpha = (1.0 - src.d(k) / src.d(k - 1)) / 2.0
         beta = (1.0 - dst.d(k) / dst.d(k - 1)) / 2.0
         template = annulus_extension_any(alpha, beta)
-        sp = 2.0 ** (-(k - 1)) * src.d(k - 1)
-        dp = 2.0 ** (-(k - 1)) * dst.d(k - 1)
+        s, t = _side(source, k), _side(target, k)
+        # one annulus per child, around it in its quarter of the parent
         levels.append(_Level(
-            k, "quadrant", (template,),
-            _Side(sp, 2.0 ** (-k) * src.d(k),
-                  tuple((qx * sp, qy * sp) for qx, qy in _QUADRANT)),
-            _Side(dp, 2.0 ** (-k) * dst.d(k),
-                  tuple((qx * dp, qy * dp) for qx, qy in _QUADRANT)),
-        ))
-    return HierarchicalMap(n, Construction("lambda", src),
-                           Construction("lambda", dst),
-                           "forward", "standard", tuple(levels))
+            k, (template,),
+            tuple((0, so, to) for so, to in zip(s.offsets, t.offsets)),
+            (s.parent_side / 2.0, t.parent_side / 2.0), s, t))
+    return HierarchicalMap(n, source, target, "forward", "standard",
+                           tuple(levels))
 
 
 def _rot_pi(p: Point) -> Point:
@@ -204,13 +183,7 @@ def _rot_pi(p: Point) -> Point:
 
 def _rotate_template(t: PiecewiseAffineMap) -> PiecewiseAffineMap:
     """Conjugate a template by the half-turn about the origin."""
-    pairs = []
-    for i, (cell, m) in enumerate(t.pieces):
-        img = t.image_triangle(i)
-        pairs.append((Triangle(*(_rot_pi(v) for v in cell.vertices)),
-                      Triangle(*(_rot_pi(v) for v in img.vertices))))
-    from .qcmaps import _from_triangle_pairs
-    return _from_triangle_pairs(pairs, "composite", t.params)
+    return conjugate(t, _rot_pi)
 
 
 def twist_parameter(k: int, gauge: GaugeSequence | None = None) -> float:
@@ -225,31 +198,27 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     square-nest set with gauge d_k = 2^{-sqrt k}."""
     _check_homeo_depth(n)
     gauge = make_gauge("sqrt")
+    source, target = Construction("sigma"), Construction("lambda", gauge)
     levels = []
     for k in range(1, n + 1):
-        a = twist_parameter(k, gauge)
-        right = twist_extension(a)
+        right = twist_extension(twist_parameter(k, gauge))
         left = _rotate_template(right)
-        sp = 8.0 ** (-(k - 1))
-        dp = 2.0 ** (-(k - 1)) * gauge.d(k - 1)
+        s, t = _side(source, k), _side(target, k, _NW_SW_NE_SE)
+        # two twists per parent, right and left half of it
         levels.append(_Level(
-            k, "half", (right, left),
-            _Side(sp, 8.0 ** (-k),
-                  tuple((ox * sp, oy * sp) for ox, oy in _SIGMA_ROW)),
-            _Side(dp, 2.0 ** (-k) * gauge.d(k),
-                  tuple((ox * dp, oy * dp) for ox, oy in _NW_SW_NE_SE)),
-        ))
-    return HierarchicalMap(n, Construction("sigma"),
-                           Construction("lambda", gauge),
-                           "forward", "theoremB", tuple(levels))
+            k, (right, left),
+            ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN)),
+            (s.parent_side, t.parent_side), s, t))
+    return HierarchicalMap(n, source, target, "forward", "theoremB",
+                           tuple(levels))
 
 
 def invert(m: HierarchicalMap) -> HierarchicalMap:
     """Cell-wise affine inverse; per-level dilatations are preserved."""
     levels = tuple(
-        replace(lv,
-                templates=tuple(invert_piecewise(t) for t in lv.templates),
-                src=lv.dst, dst=lv.src)
+        _Level(lv.k, tuple(invert_piecewise(t) for t in lv.templates),
+               tuple((i, to, so) for i, so, to in lv.placements),
+               lv.scales[::-1], lv.dst, lv.src)
         for lv in m.levels
     )
     return HierarchicalMap(m.depth, m.target, m.source,
@@ -286,23 +255,15 @@ def evaluate(m: HierarchicalMap, z: Point, tol: float = 1e-12) -> EvalResult:
                 child = j
                 break
         if child < 0:
-            sscale, dscale = lv.template_scales()
-            if lv.kind == "quadrant":
-                ox, oy = min(
-                    lv.src.offsets,
-                    key=lambda o: max(abs(z.x - sc.x - o[0]),
-                                      abs(z.y - sc.y - o[1])))
-                j = lv.src.offsets.index((ox, oy))
+            # the first placement whose template box holds the point
+            sscale, dscale = lv.scales
+            for ti, (ox, oy), (dox, doy) in lv.placements:
                 u = Point((z.x - sc.x - ox) / sscale, (z.y - sc.y - oy) / sscale)
-                t = lv.templates[0]
-                v = t.apply(u, tol=1e-9)
-                dox, doy = lv.dst.offsets[j]
-                w = Point(dc.x + dox + v.x * dscale, dc.y + doy + v.y * dscale)
-            else:
-                u = Point((z.x - sc.x) / sscale, (z.y - sc.y) / sscale)
-                t = lv.templates[0] if u.x >= 0 else lv.templates[1]
-                v = t.apply(u, tol=1e-9)
-                w = Point(dc.x + v.x * dscale, dc.y + v.y * dscale)
+                x0, x1, y0, y1 = lv.templates[ti].bbox
+                if x0 - tol <= u.x <= x1 + tol and y0 - tol <= u.y <= y1 + tol:
+                    break
+            v = lv.templates[ti].apply(u, tol=1e-9)
+            w = Point(dc.x + dox + v.x * dscale, dc.y + doy + v.y * dscale)
             return EvalResult(w, 0.0)
         ox, oy = lv.src.offsets[child]
         dox, doy = lv.dst.offsets[child]

@@ -15,7 +15,7 @@ Two constructions:
   left hole goes to the top hole and the right one to the bottom hole by an
   axis-respecting affine map.  The decomposition is a collar around an
   intermediate box (carrying a quarter-turn) plus two "pants legs", one per
-  hole, each an 8-triangle annulus whose spokes wrap one quadrant.  Max
+  hole, each an 8-triangle annulus whose spokes wrap a quarter turn.  Max
   dilatation is comparable to 1/a.
 
 Both constructions return a `PiecewiseAffineMap`; `validate` checks edge
@@ -25,10 +25,12 @@ continuity, orientation, area coverage, and the declared boundary data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .errors import DomainError, GeometryError
-from .geometry import AffineMap, Point, Triangle, affine_three_point, \
-    dilatation, invert_affine
+from .geometry import AffineMap, Point, Triangle, _signed_area2, \
+    affine_three_point, dilatation, invert_affine
 
 __all__ = [
     "PiecewiseAffineMap",
@@ -37,6 +39,7 @@ __all__ = [
     "twist_extension",
     "validate",
     "invert_piecewise",
+    "conjugate",
 ]
 
 
@@ -65,8 +68,12 @@ class PiecewiseAffineMap:
         cell, m = self.pieces[i]
         return Triangle(*(m(v) for v in cell.vertices))
 
-    def domain_area(self) -> float:
-        return sum(cell.area for cell, _ in self.pieces)
+    @cached_property
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) of the domain."""
+        xs = [v.x for cell, _ in self.pieces for v in cell.vertices]
+        ys = [v.y for cell, _ in self.pieces for v in cell.vertices]
+        return (min(xs), max(xs), min(ys), max(ys))
 
     def image_area(self) -> float:
         return sum(self.image_triangle(i).area for i in range(len(self.pieces)))
@@ -126,8 +133,15 @@ def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
                               pmap.cell_dilatations)
 
 
-def _ccw(a: Point, b: Point, c: Point) -> float:
-    return (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)
+def conjugate(pmap: PiecewiseAffineMap,
+              similarity: Callable[[Point], Point]) -> PiecewiseAffineMap:
+    """s o pmap o s^-1 for a similarity s: cells and their images both moved
+    by s.  Dilatations are preserved."""
+    pairs = [(Triangle(*(similarity(v) for v in cell.vertices)),
+              Triangle(*(similarity(v)
+                         for v in pmap.image_triangle(i).vertices)))
+             for i, (cell, _) in enumerate(pmap.pieces)]
+    return _from_triangle_pairs(pairs, "composite", pmap.params)
 
 
 def _quad_pairs(src, dst):
@@ -138,7 +152,7 @@ def _quad_pairs(src, dst):
     """
     for a, b in (((0, 1, 2), (0, 2, 3)), ((0, 1, 3), (1, 2, 3))):
         ok = all(
-            _ccw(q[i], q[j], q[k]) > 0
+            _signed_area2(q[i], q[j], q[k]) > 0
             for q in (src, dst)
             for i, j, k in (a, b)
         )
