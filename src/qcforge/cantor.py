@@ -161,7 +161,7 @@ class CantorLevel:
             "family": self.family,
             "level": self.level,
             "side": self.side,
-            "squares": [[float(cx), float(cy)] for cx, cy in self.centers],
+            "squares": self.centers,
         }
 
 
@@ -298,15 +298,27 @@ def count_boxes(level: CantorLevel, box: float | None = None) -> int:
     lo = np.floor((level.centers - half) / box).astype(np.int64)
     hi = np.ceil((level.centers + half) / box).astype(np.int64) - 1
     hi = np.maximum(hi, lo)
-    keys = set()
     span = int((hi - lo).max()) + 1
+    ii, jj = [], []
     for di in range(span):
         for dj in range(span):
-            ii = lo[:, 0] + di
-            jj = lo[:, 1] + dj
-            ok = (ii <= hi[:, 0]) & (jj <= hi[:, 1])
-            keys.update(map(int, ii[ok] * np.int64(1_000_000_007) + jj[ok]))
-    return len(keys)
+            i, j = lo[:, 0] + di, lo[:, 1] + dj
+            ok = (i <= hi[:, 0]) & (j <= hi[:, 1])
+            ii.append(i[ok])
+            jj.append(j[ok])
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    # one integer per box: row-major index in the boxes' bounding range,
+    # unless that range has 2^63 boxes or more
+    i0, j0 = int(lo[:, 0].min()), int(lo[:, 1].min())
+    width = int(hi[:, 1].max()) - j0 + 1
+    if (int(hi[:, 0].max()) - i0 + 1) * width < 2 ** 63:
+        keys = np.sort((ii - i0) * width + (jj - j0))
+        new = keys[1:] != keys[:-1]
+    else:
+        order = np.lexsort((jj, ii))
+        ii, jj = ii[order], jj[order]
+        new = (ii[1:] != ii[:-1]) | (jj[1:] != jj[:-1])
+    return 1 + int(np.count_nonzero(new))
 
 
 def count_segment_boxes(vertices: np.ndarray, box: float) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import analysis, cantor, export, frozen, homeo, qcmaps
 from .errors import QCForgeError
 
@@ -131,8 +133,7 @@ def _run_cantor(args) -> int:
     else:
         level = cantor.build_level(args.gauge, args.depth)
     if args.format == "csv":
-        text = export.rows_to_csv(
-            ("cx", "cy"), ((x, y) for x, y in level.centers))
+        text = export.rows_to_csv(("cx", "cy"), level.centers)
     else:
         text = export.json_dumps(level.to_json_obj())
     _emit(text, args.out)
@@ -246,8 +247,8 @@ def _run_curve(args) -> int:
     if args.format == "json":
         text = export.json_dumps({
             "depth": args.depth,
-            "vertices": [{"t": t, "x": v.x, "y": v.y}
-                         for t, v in zip(pl.params, pl.vertices)],
+            "vertices": np.rec.fromarrays([pl.params, *pl.vertices.T],
+                                          names="t,x,y"),
         })
     else:
         text = export.polyline_csv(pl)

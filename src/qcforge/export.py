@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
+
 __all__ = [
     "format_float",
+    "format_rows",
     "json_dumps",
     "rows_to_csv",
     "polyline_csv",
@@ -29,6 +32,23 @@ def format_float(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return f"{int(v)}"
     return f"{v:.17g}"
+
+
+def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float) -> str:
+    """`sep`.join(row % tuple(map(cell, r)) for r in a) for a 2-D float
+    array and a `row` template with one %s per column.
+
+    With the default `cell` the text is byte-identical to rendering every
+    value with `format_float`.  A finite array takes one %-format call:
+    adding 0.0 turns -0.0 into 0.0, which prints as "0" like int(-0.0), and
+    %.17g prints every integral |v| < 1e16 as its integer digits.  An array
+    with a non-finite value is rendered value by value with `cell`.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size and np.isfinite(a).all():
+        return sep.join([row.replace("%s", "%.17g")] * len(a)) \
+            % tuple((a + 0.0).ravel().tolist())
+    return sep.join([row] * len(a)) % tuple(map(cell, a.ravel().tolist()))
 
 
 def _dump(obj, out: list):
@@ -53,6 +73,19 @@ def _dump(obj, out: list):
             out.append(":")
             _dump(v, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray):
+        # a 2-D array as a list of lists; a record array as a list of
+        # objects keyed by its field names, all of them float64
+        names = obj.dtype.names
+        if names:
+            keys = []
+            for k in names:
+                _dump(k, keys)
+            row = "{" + ",".join(k + ":%s" for k in keys) + "}"
+            obj = obj.view(np.float64).reshape(len(obj), len(names))
+        else:
+            row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
+        out.append("[" + format_rows(obj, row, ",") + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -79,17 +112,21 @@ def _csv_cell(v) -> str:
 
 
 def rows_to_csv(header: tuple[str, ...], rows) -> str:
+    """CSV text of `rows`: an iterable of tuples, or a 2-D float array."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        if len(rows):
+            lines.append(format_rows(rows, ",".join(["%s"] * rows.shape[1]),
+                                     "\n", _csv_cell))
+    else:
+        for row in rows:
+            lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def polyline_csv(polyline) -> str:
-    return rows_to_csv(
-        ("t", "x", "y"),
-        ((t, v.x, v.y)
-         for t, v in zip(polyline.params, polyline.vertices)))
+    return rows_to_csv(("t", "x", "y"),
+                       np.column_stack([polyline.params, polyline.vertices]))
 
 
 def profile_csv(profile, params=None) -> str:

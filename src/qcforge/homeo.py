@@ -141,11 +141,11 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class Polyline:
-    vertices: tuple[Point, ...]
-    params: tuple[float, ...]  # source x-coordinates in [-1/2, 1/2]
+    vertices: np.ndarray  # shape (n, 2)
+    params: np.ndarray  # shape (n,): source x-coordinates in [-1/2, 1/2]
 
     def as_array(self) -> np.ndarray:
-        return np.array([(v.x, v.y) for v in self.vertices])
+        return self.vertices
 
 
 def _check_homeo_depth(n: int):
@@ -317,7 +317,9 @@ def _curve_plan(lv: _Level):
     centers = [ox / sp for ox, _ in lv.src.offsets]
     holes = tuple((c - child_half, c + child_half) for c in centers)
     items = []
-    for ti, (lo, hi) in ((1, (-0.5, 0.0)), (0, (0.0, 0.5))):
+    # each placement's template covers its x-range of the midline
+    for ti, _, _ in lv.placements:
+        lo, hi = lv.templates[ti].bbox[:2]
         in_range = tuple(h for h in holes if h[0] >= lo - 1e-12
                          and h[1] <= hi + 1e-12)
         for x0, x1, idx in _midline_segments(lv.templates[ti], lo, hi,
@@ -329,56 +331,77 @@ def _curve_plan(lv: _Level):
     return items
 
 
+def _merge_mask(rows: np.ndarray, eps: float) -> np.ndarray:
+    """Rows kept when, walking in order, a row within `eps` of the last kept
+    row in every coordinate is dropped."""
+    n = len(rows)
+    keep = np.ones(n, dtype=bool)
+    # A dropped row and the rows between it and its anchor (the last kept
+    # row) all lie within eps of the anchor, so each lies within 2 eps of
+    # its predecessor (4 eps leaves room for rounding).  A row farther than
+    # that from its predecessor is kept, and starts a cluster.
+    near = np.concatenate(([False], np.all(
+        np.abs(np.diff(rows, axis=0)) <= 4.0 * eps, axis=1)))
+    cluster = np.cumsum(~near) - 1
+    starts = np.flatnonzero(~near)
+    rank = np.arange(n) - starts[cluster]
+    anchor = starts.copy()
+    # one pass per rank within a cluster, over all clusters at once
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        i = np.flatnonzero(rank == r)
+        c = cluster[i]
+        kept = ~np.all(np.abs(rows[i] - rows[anchor[c]]) <= eps, axis=1)
+        keep[i] = kept
+        anchor[c[kept]] = i[kept]
+    return keep
+
+
 def curve_polyline(m: HierarchicalMap, tol: float = 1e-12) -> Polyline:
     """Image of the horizontal midline under a depth-n approximant of the
     8-adic-to-square-nest map, with a vertex at every cell-boundary crossing.
 
     Parameters are the source x-coordinates in [-1/2, 1/2], so adjacent
-    vertices always bound one affine (or deepest-similarity) piece.
+    vertices always bound one affine (or deepest-similarity) piece.  The
+    walk is built bottom up: each level's (t, x, y) rows for all its parents
+    at once, the children's blocks spliced in between the gasket segments.
     """
     if m.kind != "theoremB" or m.direction != "forward":
         raise DomainError("midline tracing needs the forward 8-adic map")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    plans = [_curve_plan(lv) for lv in m.levels]
-    out: list[tuple[float, float, float]] = []
-    # never merge across a deepest-level square, however small
-    eps = min(tol, m.source.side(m.depth) * 1e-3)
-
-    def emit(t, x, y):
-        if out and abs(t - out[-1][0]) <= eps \
-                and abs(x - out[-1][1]) <= eps \
-                and abs(y - out[-1][2]) <= eps:
-            return
-        out.append((t, x, y))
-
-    def rec(k: int, sc: Point, dc: Point):
-        if k == m.depth:
-            s = m.source.side(k) / 2.0
-            ratio = 1.0 if k == 0 else \
-                m.levels[-1].dst.child_side / m.levels[-1].src.child_side
-            emit(sc.x - s, dc.x - s * ratio, dc.y)
-            emit(sc.x + s, dc.x + s * ratio, dc.y)
-            return
-        lv = m.levels[k]
+    n = m.depth
+    # both ends of every deepest square's midline, mapped by its similarity
+    sc, dc = m.corresponding_centers(n)
+    s = m.source.side(n) / 2.0
+    ratio = 1.0 if n == 0 else \
+        m.levels[-1].dst.child_side / m.levels[-1].src.child_side
+    block = np.stack([
+        np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
+        np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
+    ], axis=1)  # (parents, rows per parent, (t, x, y))
+    for lv in reversed(m.levels):
+        sc, dc = m.corresponding_centers(lv.k - 1)
+        base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
+        children = block.reshape(len(base), len(lv.src.offsets), -1, 3)
         sp, dp = lv.src.parent_side, lv.dst.parent_side
-        for start, tag, payload in plans[k]:
+        parts = []
+        for start, tag, payload in _curve_plan(lv):
             if tag == "child":
-                j = payload
-                ox, oy = lv.src.offsets[j]
-                dox, doy = lv.dst.offsets[j]
-                rec(k + 1, Point(sc.x + ox, sc.y + oy),
-                    Point(dc.x + dox, dc.y + doy))
-            else:
-                x1, ti, idx = payload
-                cell_map = lv.templates[ti].pieces[idx][1]
-                for x in (start, x1):
-                    v = cell_map(Point(x, 0.0))
-                    emit(sc.x + x * sp, dc.x + v.x * dp, dc.y + v.y * dp)
-
-    rec(0, Point(0.0, 0.0), Point(0.0, 0.0))
-    return Polyline(tuple(Point(x, y) for _, x, y in out),
-                    tuple(t for t, _, _ in out))
+                parts.append(children[:, payload])
+                continue
+            x1, ti, idx = payload
+            cell_map = lv.templates[ti].pieces[idx][1]
+            ends = []
+            for x in (start, x1):
+                v = cell_map(Point(x, 0.0))
+                ends.append((x * sp, v.x * dp, v.y * dp))
+            parts.append(base + np.array(ends)[None])
+        block = np.concatenate(parts, axis=1)
+    rows = block.reshape(-1, 3)
+    # never merge across a deepest-level square, however small
+    eps = min(tol, m.source.side(n) * 1e-3)
+    rows = rows[_merge_mask(rows, eps)]
+    return Polyline(rows[:, 1:].copy(), rows[:, 0].copy())
 
 
 def curve_box_dimension(m: HierarchicalMap, level: int | None = None) -> float:

@@ -162,6 +162,42 @@ def test_count_boxes_unit_square():
         count_boxes(lv, 0.0)
 
 
+def _boxes_by_set(lv, box):
+    """Reference count: the set of (i, j) index pairs of the boxes met."""
+    half = lv.side / 2.0
+    keys = set()
+    for cx, cy in lv.centers.tolist():
+        i0, j0 = math.floor((cx - half) / box), math.floor((cy - half) / box)
+        i1 = max(math.ceil((cx + half) / box) - 1, i0)
+        j1 = max(math.ceil((cy + half) / box) - 1, j0)
+        keys.update((i, j) for i in range(i0, i1 + 1)
+                    for j in range(j0, j1 + 1))
+    return len(keys)
+
+
+def test_count_boxes_keys_are_injective():
+    # boxes (0, 1_000_000_007) and (1, 0) shared one key in an earlier hash
+    lv = CantorLevel("lambda", 1, 5e-11,
+                     np.array([[0.5e-10, 0.1000000007 + 0.5e-10],
+                               [1.5e-10, 0.5e-10]]))
+    assert count_boxes(lv, 1e-10) == 2
+    # index ranges whose product passes 2^63 take the pairwise sort
+    far = CantorLevel("lambda", 1, 5e-11, np.array([[-0.4, -0.4], [0.4, 0.4],
+                                                    [0.4, -0.4]]))
+    assert count_boxes(far, 1e-10) == _boxes_by_set(far, 1e-10)
+
+
+@pytest.mark.parametrize("kind,n", [("geometric", 5), ("fast", 4),
+                                    ("sqrt", 5), ("sigma", 4)])
+def test_count_boxes_matches_the_set_of_index_pairs(kind, n):
+    lv = build_sigma_level(n) if kind == "sigma" else \
+        build_level(make_gauge(kind, 1.0 if kind == "geometric" else None), n)
+    for box in (lv.side, lv.side * 3.3, lv.side / 2.7, 0.0371):
+        assert count_boxes(lv, box) == _boxes_by_set(lv, box)
+        moved = lv.translated(-0.123, 0.0456)
+        assert count_boxes(moved, box) == _boxes_by_set(moved, box)
+
+
 def test_pointwise_box_dimension():
     assert pointwise_box_dimension(16, 0.25) == pytest.approx(2.0)
     assert pointwise_box_dimension(4, 0.25) == pytest.approx(1.0)

@@ -1,0 +1,127 @@
+"""The array-native midline curve against the scalar recursion it replaced.
+
+`_reference_polyline` walks the squares depth first, one `Point` per
+vertex, with each level's plan built from the two hard-coded twist halves;
+the package builds the same walk level by level from the placements.  Both
+add the same offsets in the same order, so every bit must agree.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from qcforge.cli import run
+from qcforge.geometry import Point
+from qcforge.homeo import (_merge_mask, _midline_segments, curve_polyline,
+                           theoremB_homeo)
+
+
+def _reference_plan(lv):
+    sp = lv.src.parent_side
+    child_half = lv.src.child_side / (2.0 * sp)
+    centers = [ox / sp for ox, _ in lv.src.offsets]
+    holes = tuple((c - child_half, c + child_half) for c in centers)
+    items = []
+    for ti, (lo, hi) in ((1, (-0.5, 0.0)), (0, (0.0, 0.5))):
+        in_range = tuple(h for h in holes if h[0] >= lo - 1e-12
+                         and h[1] <= hi + 1e-12)
+        for x0, x1, idx in _midline_segments(lv.templates[ti], lo, hi,
+                                             in_range):
+            items.append((x0, "seg", (x1, ti, idx)))
+    for j, c in enumerate(centers):
+        items.append((c - child_half, "child", j))
+    items.sort(key=lambda it: it[0])
+    return items
+
+
+def _reference_polyline(m, tol=1e-12):
+    plans = [_reference_plan(lv) for lv in m.levels]
+    out = []
+    eps = min(tol, m.source.side(m.depth) * 1e-3)
+
+    def emit(t, x, y):
+        if out and abs(t - out[-1][0]) <= eps \
+                and abs(x - out[-1][1]) <= eps \
+                and abs(y - out[-1][2]) <= eps:
+            return
+        out.append((t, x, y))
+
+    def rec(k, sc, dc):
+        if k == m.depth:
+            s = m.source.side(k) / 2.0
+            ratio = 1.0 if k == 0 else \
+                m.levels[-1].dst.child_side / m.levels[-1].src.child_side
+            emit(sc.x - s, dc.x - s * ratio, dc.y)
+            emit(sc.x + s, dc.x + s * ratio, dc.y)
+            return
+        lv = m.levels[k]
+        sp, dp = lv.src.parent_side, lv.dst.parent_side
+        for start, tag, payload in plans[k]:
+            if tag == "child":
+                ox, oy = lv.src.offsets[payload]
+                dox, doy = lv.dst.offsets[payload]
+                rec(k + 1, Point(sc.x + ox, sc.y + oy),
+                    Point(dc.x + dox, dc.y + doy))
+            else:
+                x1, ti, idx = payload
+                cell_map = lv.templates[ti].pieces[idx][1]
+                for x in (start, x1):
+                    v = cell_map(Point(x, 0.0))
+                    emit(sc.x + x * sp, dc.x + v.x * dp, dc.y + v.y * dp)
+
+    rec(0, Point(0.0, 0.0), Point(0.0, 0.0))
+    return np.array(out).reshape(-1, 3)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_curve_matches_scalar_recursion_bit_for_bit(depth):
+    m = theoremB_homeo(depth)
+    pl = curve_polyline(m)
+    ref = _reference_polyline(m)
+    assert pl.vertices.shape == (len(ref), 2)
+    assert pl.params.shape == (len(ref),)
+    assert np.array_equal(_bits(pl.params), _bits(ref[:, 0]))
+    assert np.array_equal(_bits(pl.vertices), _bits(ref[:, 1:]))
+
+
+def _reference_merge(rows, eps):
+    kept = [0]
+    for i in range(1, len(rows)):
+        if not np.all(np.abs(rows[i] - rows[kept[-1]]) <= eps):
+            kept.append(i)
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_compares_with_the_last_kept_row(seed):
+    # steps of 0.6 eps chain rows whose neighbours are all within eps while
+    # the chain is not: every second row of a chain is kept
+    rng = np.random.default_rng(seed)
+    steps = rng.choice([0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 5.0], size=(400, 3))
+    rows = np.cumsum(steps * rng.choice([-1.0, 1.0], size=(400, 3)), axis=0)
+    keep = _merge_mask(rows, 1.0)
+    assert np.flatnonzero(keep).tolist() == _reference_merge(rows, 1.0)
+
+
+def test_cli_curve_csv_and_json_parse_back_to_the_rows(capsys):
+    pl = curve_polyline(theoremB_homeo(3))
+    rows = np.column_stack([pl.params, pl.vertices])
+    assert run(["curve", "--depth", "3", "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    table = list(csv.reader(io.StringIO(text)))
+    assert table[0] == ["t", "x", "y"]
+    assert np.array_equal(_bits(np.array(table[1:], dtype=float)),
+                          _bits(rows))
+    assert run(["curve", "--depth", "3", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["depth"] == 3
+    assert all(list(v) == ["t", "x", "y"] for v in obj["vertices"])
+    parsed = np.array([(v["t"], v["x"], v["y"]) for v in obj["vertices"]])
+    assert np.array_equal(_bits(parsed), _bits(rows))
