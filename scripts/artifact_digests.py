@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Print one line `job rc bytes blake2b` per CLI artifact, for byte-identity
+checks between two checkouts.
+
+Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
+
+The jobs are every CLI job of the three benchmark workloads at each seed
+(from perfbench/inputs.py), `curve --depth 0..7` and the depth-0 profile in
+both formats, and inputs that must exit 1.  Each runs in process through
+`qcforge.cli.run`, writing into a temporary directory; a job that writes no
+artifact is digested by its stderr text instead.  Run it in both checkouts
+and `diff` the outputs.  The package and perfbench are imported from the
+checkout the script lives in.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from unittest import mock
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from inputs import WORKLOADS, make_workload  # noqa: E402
+from qcforge import cli  # noqa: E402
+
+# (name, argv, extra environment)
+FIXED = (
+    [(f"curve-{d}.{fmt}", ("curve", "--depth", str(d), "--format", fmt), {})
+     for d in range(8) for fmt in ("csv", "json")]
+    + [(f"profile-0.{fmt}", ("profile", "--case", "slow-to-fast",
+                             "--depth", "0", "--format", fmt), {})
+       for fmt in ("csv", "json")]
+    + [("exit1-nan-gauge", ("cantor", "--gauge", "geometric:nan",
+                            "--depth", "1"), {}),
+       ("exit1-depth-guard", ("cantor", "--gauge", "slow", "--depth", "1"),
+        {"QCFORGE_DEPTH_GUARD": "abc"}),
+       ("exit1-degenerate-annulus",
+        ("david", "--case", "slow-to-geometric:50", "--depth", "10"), {}),
+       ("exit1-flat-annulus",
+        ("annulus", "--a", "0.1", "--b", "0.4999999999999999"), {})]
+)
+
+
+def jobs(seeds):
+    for seed in seeds:
+        for w in WORKLOADS:
+            for job in make_workload(w, seed).jobs:
+                if job.is_cli:
+                    yield f"{w}-{seed}/{job.name}", job.argv, {}
+    yield from FIXED
+
+
+def digest(argv, env, path) -> tuple[int, bytes]:
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err):
+        rc = cli.run(list(argv) + ["--out", path])
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        os.remove(path)
+    else:
+        data = err.getvalue().encode()
+    return rc, data
+
+
+def main():
+    seeds = [int(s) for s in sys.argv[1:]]
+    if not seeds:
+        sys.exit("usage: python3 scripts/artifact_digests.py SEED [SEED ...]")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "artifact")
+        for name, argv, env in jobs(seeds):
+            rc, data = digest(argv, env, path)
+            print(name, rc, len(data),
+                  hashlib.blake2b(data, digest_size=16).hexdigest())
+
+
+if __name__ == "__main__":
+    main()

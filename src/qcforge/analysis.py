@@ -239,23 +239,18 @@ def _david_sweep(m: HierarchicalMap, depths, K0: float):
     return out
 
 
-def _david(fwd: HierarchicalMap, case: str, n_max: int,
-           k0_forward: float | None, k0_inverse: float | None) -> dict:
+def _david(fwd: HierarchicalMap, case: str, n_max: int) -> dict:
     """Checks at depths 3..n_max of the map and of its inverse, each with
-    the frozen cutoff of its direction unless one is given."""
+    the frozen cutoff of its direction."""
     out = {}
-    for direction, m, k0 in (("forward", fwd, k0_forward),
-                             ("inverse", invert(fwd), k0_inverse)):
-        if k0 is None:
-            k0 = FROZEN_K0[(case, direction)]
+    for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
+        k0 = FROZEN_K0[(case, direction)]
         out[direction] = {"K0": k0,
                           "checks": _david_sweep(m, range(3, n_max + 1), k0)}
     return out
 
 
-def theoremA_report(case: str, n_max: int, nu: float = 1.0,
-                    k0_forward: float | None = None,
-                    k0_inverse: float | None = None) -> dict:
+def theoremA_report(case: str, n_max: int, nu: float = 1.0) -> dict:
     """Growth-rate ratios, David checks in both directions, and endpoint
     dimension bounds for one slow/geometric/fast gauge pairing."""
     if case not in THEOREM_A_CASES:
@@ -284,12 +279,11 @@ def theoremA_report(case: str, n_max: int, nu: float = 1.0,
             "target": {"gauge": dst.describe(), "lower": db.lower,
                        "upper": db.upper},
         },
-        "david": _david(fwd, case, n_max, k0_forward, k0_inverse),
+        "david": _david(fwd, case, n_max),
     }
 
 
-def theoremB_report(n_max: int, k0_forward: float | None = None,
-                    k0_inverse: float | None = None) -> dict:
+def theoremB_report(n_max: int) -> dict:
     """Twist parameters, K_k / sqrt(k) ratios, and David checks for the
     8-adic-to-square-nest map."""
     if n_max < 3:
@@ -304,5 +298,5 @@ def theoremB_report(n_max: int, k0_forward: float | None = None,
              "ratio": K / math.sqrt(k)}
             for k, K in klist
         ],
-        "david": _david(fwd, "theoremB", n_max, k0_forward, k0_inverse),
+        "david": _david(fwd, "theoremB", n_max),
     }

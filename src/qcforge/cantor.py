@@ -63,42 +63,35 @@ class GaugeSequence:
     nu: float | None = None
     table: tuple[float, ...] | None = None
 
-    def d(self, n: int) -> float:
+    def _exponent(self, n: int) -> float:
+        """e_n with d_n = 2^-e_n, for the built-in kinds."""
         if n < 0:
             raise DomainError(f"gauge index must be >= 0, got {n}")
         k = self.kind
         if k == "geometric":
-            return 2.0 ** (-self.nu * n)
+            return self.nu * n
         if k == "slow":
-            return 2.0 ** (-n / math.log(n + math.e))
+            return n / math.log(n + math.e)
         if k == "fast":
-            return 2.0 ** (-n * math.log(n + 1))
+            return n * math.log(n + 1)
         if k == "sqrt":
-            return 2.0 ** (-math.sqrt(n))
-        if k == "custom":
-            if n >= len(self.table):
-                raise DomainError(f"custom gauge table has no entry {n}")
-            return self.table[n]
+            return math.sqrt(n)
         raise DomainError(f"unknown gauge kind {k!r}")
 
-    def __call__(self, n: int) -> float:
-        return self.d(n)
+    def d(self, n: int) -> float:
+        if self.kind != "custom":
+            return 2.0 ** -self._exponent(n)
+        if n < 0:
+            raise DomainError(f"gauge index must be >= 0, got {n}")
+        if n >= len(self.table):
+            raise DomainError(f"custom gauge table has no entry {n}")
+        return self.table[n]
 
     def neg_log_d(self, n: int) -> float:
         """-log d_n, computed from the exponent (no underflow at large n)."""
-        if n < 0:
-            raise DomainError(f"gauge index must be >= 0, got {n}")
-        k = self.kind
-        ln2 = math.log(2.0)
-        if k == "geometric":
-            return self.nu * n * ln2
-        if k == "slow":
-            return n / math.log(n + math.e) * ln2
-        if k == "fast":
-            return n * math.log(n + 1) * ln2
-        if k == "sqrt":
-            return math.sqrt(n) * ln2
-        return -math.log(self.d(n))
+        if self.kind == "custom":
+            return -math.log(self.d(n))
+        return self._exponent(n) * math.log(2.0)
 
     def describe(self) -> str:
         if self.kind == "geometric":
@@ -355,29 +348,20 @@ def pointwise_box_dimension(count: int, scale: float) -> float:
     return math.log(count) / (-math.log(scale))
 
 
-def box_dimension(level_source: Callable[[int], object],
+def box_dimension(level_source: Callable[[int], CantorLevel],
                   depths: Sequence[int]) -> DimensionEstimate:
-    """Least-squares box-counting estimate over several depths.
-
-    `level_source(n)` returns either a CantorLevel (counted at its own
-    square side) or a (vertices, scale) pair for a polyline.
-    """
+    """Least-squares box-counting estimate over several depths, each level
+    `level_source(n)` counted at its own square side."""
     if len(depths) < 2:
         raise ValidationError("box counting needs at least two depths")
     logN = []
     logS = []
     scales = []
     for n in depths:
-        obj = level_source(n)
-        if isinstance(obj, CantorLevel):
-            cnt = count_boxes(obj)
-            scale = obj.side
-        else:
-            vertices, scale = obj
-            cnt = count_segment_boxes(np.asarray(vertices), scale)
-        logN.append(math.log(cnt))
-        logS.append(-math.log(scale))
-        scales.append(scale)
+        level = level_source(n)
+        logN.append(math.log(count_boxes(level)))
+        logS.append(-math.log(level.side))
+        scales.append(level.side)
     slope = float(np.polyfit(logS, logN, 1)[0])
     pair = [(b - a) / (d - c)
             for a, b, c, d in zip(logN, logN[1:], logS, logS[1:])]

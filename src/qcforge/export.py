@@ -104,23 +104,16 @@ def json_dumps(obj) -> str:
     return "".join(out)
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        s = format_float(v)
-        return s.strip('"')
-    return str(v)
+def _csv_cell(v: float) -> str:
+    return format_float(v).strip('"')
 
 
-def rows_to_csv(header: tuple[str, ...], rows) -> str:
-    """CSV text of `rows`: an iterable of tuples, or a 2-D float array."""
+def rows_to_csv(header: tuple[str, ...], rows: np.ndarray) -> str:
+    """CSV text of a 2-D float array."""
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
-        if len(rows):
-            lines.append(format_rows(rows, ",".join(["%s"] * rows.shape[1]),
-                                     "\n", _csv_cell))
-    else:
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+    if len(rows):
+        lines.append(format_rows(rows, ",".join(["%s"] * rows.shape[1]),
+                                 "\n", _csv_cell))
     return "\n".join(lines) + "\n"
 
 
@@ -129,15 +122,12 @@ def polyline_csv(polyline) -> str:
                        np.column_stack([polyline.params, polyline.vertices]))
 
 
-def profile_csv(profile, params=None) -> str:
-    """Columns (K, exceedance_area, bound_C_alpha, truncation); the bound
-    column is empty without params."""
-    rows = []
-    for k, area in profile.entries:
-        bound = params.bound(k) if params is not None else ""
-        rows.append((k, area, bound, profile.truncation_bound))
+def profile_csv(profile, params) -> str:
+    """Columns (K, exceedance_area, bound_C_alpha, truncation)."""
+    rows = np.array([(k, area, params.bound(k), profile.truncation_bound)
+                     for k, area in profile.entries], dtype=np.float64)
     return rows_to_csv(("K", "exceedance_area", "bound_C_alpha",
-                        "truncation"), rows)
+                        "truncation"), rows.reshape(-1, 4))
 
 
 def write_text(path: str, text: str):

@@ -53,6 +53,9 @@ __all__ = [
 # indices into the square nest's digit order (SW, SE, NE, NW)
 _NW_SW_NE_SE = (3, 0, 2, 1)
 _ORIGIN = (0.0, 0.0)
+# relative widening of child squares and absolute widening of template boxes
+# in point location; the merge distance of curve vertices
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,6 @@ class Polyline:
     vertices: np.ndarray  # shape (n, 2)
     params: np.ndarray  # shape (n,): source x-coordinates in [-1/2, 1/2]
 
-    def as_array(self) -> np.ndarray:
-        return self.vertices
-
 
 def _check_homeo_depth(n: int):
     if n < 0:
@@ -186,10 +186,9 @@ def _rotate_template(t: PiecewiseAffineMap) -> PiecewiseAffineMap:
     return conjugate(t, _rot_pi)
 
 
-def twist_parameter(k: int, gauge: GaugeSequence | None = None) -> float:
-    """Level-k twist parameter (1 - d_k/d_{k-1}) / 4."""
-    if gauge is None:
-        gauge = make_gauge("sqrt")
+def twist_parameter(k: int) -> float:
+    """Level-k twist parameter (1 - d_k/d_{k-1}) / 4 of the sqrt gauge."""
+    gauge = make_gauge("sqrt")
     return (1.0 - gauge.d(k) / gauge.d(k - 1)) / 4.0
 
 
@@ -201,7 +200,7 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     source, target = Construction("sigma"), Construction("lambda", gauge)
     levels = []
     for k in range(1, n + 1):
-        right = twist_extension(twist_parameter(k, gauge))
+        right = twist_extension(twist_parameter(k))
         left = _rotate_template(right)
         s, t = _side(source, k), _side(target, k, _NW_SW_NE_SE)
         # two twists per parent, right and left half of it
@@ -230,7 +229,7 @@ def max_dilatation_per_level(m: HierarchicalMap) -> list[tuple[int, float]]:
     return [(lv.k, lv.max_dilatation) for lv in m.levels]
 
 
-def evaluate(m: HierarchicalMap, z: Point, tol: float = 1e-12) -> EvalResult:
+def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     """Limit-map evaluation by level descent.
 
     Points outside the level-0 square are fixed; points resolving into a
@@ -238,42 +237,40 @@ def evaluate(m: HierarchicalMap, z: Point, tol: float = 1e-12) -> EvalResult:
     deepest-level square get the square similarity together with an error
     bound (the image square's diameter).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     s0 = m.source.side(0) / 2.0
     if max(abs(z.x), abs(z.y)) > s0:
         return EvalResult(z, 0.0)
     if m.depth == 0:
         return EvalResult(z, m.target.side(0) * math.sqrt(2.0))
-    sc = Point(0.0, 0.0)
+    # the descent works in one frame: r is z minus the current source
+    # square's centre, dc the absolute centre of its image
+    rx, ry = z.x, z.y
     dc = Point(0.0, 0.0)
     for lv in m.levels:
-        half = lv.src.child_side / 2.0 * (1.0 + tol)
-        child = -1
-        for j, (ox, oy) in enumerate(lv.src.offsets):
-            if max(abs(z.x - (sc.x + ox)), abs(z.y - (sc.y + oy))) <= half:
-                child = j
+        half = lv.src.child_side / 2.0 * (1.0 + _TOL)
+        for child, (ox, oy) in enumerate(lv.src.offsets):
+            if max(abs(rx - ox), abs(ry - oy)) <= half:
                 break
-        if child < 0:
+        else:
             # the first placement whose template box holds the point
             sscale, dscale = lv.scales
             for ti, (ox, oy), (dox, doy) in lv.placements:
-                u = Point((z.x - sc.x - ox) / sscale, (z.y - sc.y - oy) / sscale)
+                u = Point((rx - ox) / sscale, (ry - oy) / sscale)
                 x0, x1, y0, y1 = lv.templates[ti].bbox
-                if x0 - tol <= u.x <= x1 + tol and y0 - tol <= u.y <= y1 + tol:
+                if (x0 - _TOL <= u.x <= x1 + _TOL
+                        and y0 - _TOL <= u.y <= y1 + _TOL):
                     break
             v = lv.templates[ti].apply(u, tol=1e-9)
             w = Point(dc.x + dox + v.x * dscale, dc.y + doy + v.y * dscale)
             return EvalResult(w, 0.0)
-        ox, oy = lv.src.offsets[child]
+        rx, ry = rx - ox, ry - oy
         dox, doy = lv.dst.offsets[child]
-        sc = Point(sc.x + ox, sc.y + oy)
         dc = Point(dc.x + dox, dc.y + doy)
     # z survived every level: apply the deepest-square similarity, with the
     # image square's diameter as the distance to the limit map
     lv = m.levels[-1]
     ratio = lv.dst.child_side / lv.src.child_side
-    w = Point(dc.x + (z.x - sc.x) * ratio, dc.y + (z.y - sc.y) * ratio)
+    w = Point(dc.x + rx * ratio, dc.y + ry * ratio)
     return EvalResult(w, lv.dst.child_side * math.sqrt(2.0))
 
 
@@ -356,7 +353,7 @@ def _merge_mask(rows: np.ndarray, eps: float) -> np.ndarray:
     return keep
 
 
-def curve_polyline(m: HierarchicalMap, tol: float = 1e-12) -> Polyline:
+def curve_polyline(m: HierarchicalMap) -> Polyline:
     """Image of the horizontal midline under a depth-n approximant of the
     8-adic-to-square-nest map, with a vertex at every cell-boundary crossing.
 
@@ -367,8 +364,6 @@ def curve_polyline(m: HierarchicalMap, tol: float = 1e-12) -> Polyline:
     """
     if m.kind != "theoremB" or m.direction != "forward":
         raise DomainError("midline tracing needs the forward 8-adic map")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     n = m.depth
     # both ends of every deepest square's midline, mapped by its similarity
     sc, dc = m.corresponding_centers(n)
@@ -399,7 +394,7 @@ def curve_polyline(m: HierarchicalMap, tol: float = 1e-12) -> Polyline:
         block = np.concatenate(parts, axis=1)
     rows = block.reshape(-1, 3)
     # never merge across a deepest-level square, however small
-    eps = min(tol, m.source.side(n) * 1e-3)
+    eps = min(_TOL, m.source.side(n) * 1e-3)
     rows = rows[_merge_mask(rows, eps)]
     return Polyline(rows[:, 1:].copy(), rows[:, 0].copy())
 

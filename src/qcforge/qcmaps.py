@@ -133,15 +133,21 @@ def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
                               pmap.cell_dilatations)
 
 
+def _moved_pairs(pairs, similarity: Callable[[Point], Point]):
+    """(cell, image) triangle pairs with both triangles moved by the
+    similarity s, so that each pair's affine map becomes s o map o s^-1."""
+    return [(Triangle(*map(similarity, src.vertices)),
+             Triangle(*map(similarity, dst.vertices))) for src, dst in pairs]
+
+
 def conjugate(pmap: PiecewiseAffineMap,
               similarity: Callable[[Point], Point]) -> PiecewiseAffineMap:
     """s o pmap o s^-1 for a similarity s: cells and their images both moved
     by s.  Dilatations are preserved."""
-    pairs = [(Triangle(*(similarity(v) for v in cell.vertices)),
-              Triangle(*(similarity(v)
-                         for v in pmap.image_triangle(i).vertices)))
+    pairs = [(cell, pmap.image_triangle(i))
              for i, (cell, _) in enumerate(pmap.pieces)]
-    return _from_triangle_pairs(pairs, "composite", pmap.params)
+    return _from_triangle_pairs(_moved_pairs(pairs, similarity), "composite",
+                                pmap.params)
 
 
 def _quad_pairs(src, dst):
@@ -261,9 +267,7 @@ def twist_extension(a: float) -> PiecewiseAffineMap:
     pairs.extend(left_pairs)
 
     # right leg: conjugate by the half-turn about (1/4, 0)
-    for src, dst in left_pairs:
-        pairs.append((Triangle(*(_rot_half(v) for v in src.vertices)),
-                      Triangle(*(_rot_half(v) for v in dst.vertices))))
+    pairs.extend(_moved_pairs(left_pairs, _rot_half))
 
     return _from_triangle_pairs(pairs, "twist", [("a", a)])
 
@@ -274,8 +278,6 @@ class ValidationReport:
     oriented: bool
     surjective_area_defect: float
     boundary_ok: bool
-    max_dilatation: float
-    dilatation_by_cell: tuple[tuple[int, float], ...]
 
     @property
     def ok(self) -> bool:
@@ -327,7 +329,7 @@ def _boundary_ok_twist(pmap: PiecewiseAffineMap, tol: float) -> bool:
 def validate(pmap: PiecewiseAffineMap, target_area: float,
              tol: float = 1e-9) -> ValidationReport:
     """Homeomorphism checks: edge continuity, orientation, area coverage,
-    declared boundary data, and the dilatation profile by cell."""
+    and declared boundary data."""
     # group cell edges by exact endpoint coordinates
     edges: dict[frozenset, list[tuple[int, Point, Point]]] = {}
     for i, (cell, m) in enumerate(pmap.pieces):
@@ -358,6 +360,4 @@ def validate(pmap: PiecewiseAffineMap, target_area: float,
     else:
         boundary_ok = True
 
-    by_cell = tuple(enumerate(pmap.cell_dilatations))
-    return ValidationReport(continuous, oriented, defect, boundary_ok,
-                            pmap.max_dilatation, by_cell)
+    return ValidationReport(continuous, oriented, defect, boundary_ok)

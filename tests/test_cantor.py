@@ -36,6 +36,21 @@ def test_gauges_strictly_decreasing():
         assert all(b < a for a, b in zip(vals, vals[1:])), g.describe()
 
 
+def test_builtin_gauges_match_the_readme_formulas_bit_for_bit():
+    readme = {
+        "slow": lambda n: 2.0 ** (-n / math.log(n + math.e)),
+        "fast": lambda n: 2.0 ** (-n * math.log(n + 1)),
+        "sqrt": lambda n: 2.0 ** (-math.sqrt(n)),
+    }
+    for nu in (0.5, 1.0, 1.37, 2.0, 50.0):
+        readme[f"geometric:{nu:g}"] = lambda n, nu=nu: 2.0 ** (-nu * n)
+    for name, formula in readme.items():
+        kind, _, nu = name.partition(":")
+        g = make_gauge(kind, float(nu) if nu else None)
+        for n in range(201):
+            assert g.d(n) == formula(n), (name, n)
+
+
 def test_neg_log_d_matches_log():
     for g in ALL_GAUGES:
         for n in (0, 1, 5, 12):

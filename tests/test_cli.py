@@ -111,6 +111,17 @@ def test_profile_csv(capsys):
     assert len(lines) > 3
 
 
+def test_profile_depth_zero_has_no_entries(capsys):
+    argv = ["profile", "--case", "slow-to-fast", "--depth", "0"]
+    code, out = _capture(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert out == "K,exceedance_area,bound_C_alpha,truncation\n"
+    code, out = _capture(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert '"entries":[]' in out
+    assert json.loads(out)["entries"] == []
+
+
 def test_curve_csv(capsys):
     code, out = _capture(capsys, ["curve", "--depth", "1",
                                   "--format", "csv"])

@@ -95,6 +95,16 @@ def test_roundtrip_within_error_bounds():
         assert back.point.dist(z) <= fwd.error_bound + back.error_bound + 1e-9
 
 
+def test_evaluate_deep_point_between_child_and_gasket():
+    # level-13 squares of this map are 5.7e-15 wide; the child test and the
+    # gasket lookup once rounded this point differently, so it fell in
+    # neither and evaluate raised DomainError
+    fwd = standard_homeo(make_gauge("slow"), make_gauge("fast"), 14)
+    z = Point(0.18437152827265096, -0.34252745171565646)
+    r = evaluate(invert(fwd), z)
+    assert evaluate(fwd, r.point).point.dist(z) < 1e-15
+
+
 def test_inverse_levels_exact():
     m = standard_homeo(SQRT, make_gauge("geometric", 2.0), 7)
     mi = invert(m)
@@ -191,7 +201,7 @@ def test_curve_parameters_monotone_and_continuous():
     assert np.all(np.diff(ts) > 0)
     # each edge is the image of one affine piece: the source midpoint must
     # map onto the segment midpoint
-    V = pl.as_array()
+    V = pl.vertices
     for i in range(0, len(ts) - 1, 7):
         r = evaluate(m, Point(0.5 * (ts[i] + ts[i + 1]), 0.0))
         mid = 0.5 * (V[i] + V[i + 1])
@@ -206,7 +216,7 @@ def test_curve_visits_target_squares_in_order():
     half_s = m.source.side(n) / 2.0
     half_d = m.target.side(n) / 2.0
     ts = np.array(pl.params)
-    V = pl.as_array()
+    V = pl.vertices
     order = np.argsort(src[:, 0])  # source squares left to right = t order
     for i in order:
         lo, hi = src[i][0] - half_s, src[i][0] + half_s
