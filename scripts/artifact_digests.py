@@ -5,8 +5,10 @@ checks between two checkouts.
 Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
 
 The jobs are every CLI job of the three benchmark workloads at each seed
-(from perfbench/inputs.py), `curve --depth 0..7` and the depth-0 profile in
-both formats, and inputs that must exit 1.  Each runs in process through
+(from perfbench/inputs.py), `curve --depth 0..7`, the depth-0 profile in
+both formats, deep maps (theoremB at depth 64, depth-100 reports and
+profiles), maps that invert their templates at some levels only, and
+inputs that must exit 1.  Each runs in process through
 `qcforge.cli.run`, writing into a temporary directory; a job that writes no
 artifact is digested by its stderr text instead.  Run it in both checkouts
 and `diff` the outputs.  The package and perfbench are imported from the
@@ -34,6 +36,24 @@ FIXED = (
     + [(f"profile-0.{fmt}", ("profile", "--case", "slow-to-fast",
                              "--depth", "0", "--format", fmt), {})
        for fmt in ("csv", "json")]
+    # deep and mixed-orientation maps: templates inverted at some levels
+    # only, instance counts past 2^63
+    + [("report-theoremB-64", ("report", "--case", "theoremB",
+                               "--depth", "64"), {}),
+       ("report-slow-to-geometric-100", ("report", "--case",
+                                         "slow-to-geometric:1",
+                                         "--depth", "100"), {})]
+    + [(f"profile-100-inverse-image.{fmt}",
+        ("profile", "--case", "slow-to-fast", "--depth", "100", "--direction",
+         "inverse", "--side", "image", "--format", fmt), {})
+       for fmt in ("csv", "json")]
+    + [(f"homeo-{a}-to-{b}", ("homeo", "--src", f"geometric:{a}", "--dst",
+                              f"geometric:{b}", "--depth", "40"), {})
+       for a, b in (("0.25", "4"), ("4", "0.25"))]
+    + [("david-geometric-to-fast-inverse",
+        ("david", "--case", "geometric-to-fast:1", "--depth", "3",
+         "--direction", "inverse"), {}),
+       ("homeo-theorem-b-1", ("homeo", "--theorem-b", "--depth", "1"), {})]
     + [("exit1-nan-gauge", ("cantor", "--gauge", "geometric:nan",
                             "--depth", "1"), {}),
        ("exit1-depth-guard", ("cantor", "--gauge", "slow", "--depth", "1"),

@@ -83,33 +83,46 @@ class DavidParams:
         return self.C * math.exp(-self.alpha * K)
 
 
+def _prefix_profiles(m: HierarchicalMap, side: str, depths):
+    """Exceedance profiles of m.truncate(n) for ascending n in `depths`,
+    each extending the per-dilatation masses of the one before.
+
+    A level adds, per template cell in (template, cell) order, the cell's
+    area times the placement scale squared times the template's instance
+    count to the mass of the cell's dilatation.
+    """
+    masses: dict[float, float] = {}
+    construction = m.source if side == "domain" else m.target
+    built = 0
+    for n in depths:
+        for lv in m.levels[built:n]:
+            sscale, dscale = lv.scales
+            scale2 = (sscale if side == "domain" else dscale) ** 2
+            per_template = float(lv.instance_count() // len(lv.templates))
+            for t in lv.templates:
+                area = t.domain_areas if side == "domain" else t.image_areas
+                for K, mass in zip(t.dilatations.tolist(),
+                                   (area * scale2 * per_template).tolist()):
+                    masses[K] = masses.get(K, 0.0) + mass
+        built = n
+        ks = sorted(masses)
+        # strict exceedance at each threshold = suffix sum above it
+        entries = []
+        suffix = 0.0
+        for k in reversed(ks):
+            entries.append((k, suffix))
+            suffix += masses[k]
+        entries.reverse()
+        yield DilatationProfile(tuple(entries), suffix,
+                                construction.level_area(n), side)
+
+
 def dilatation_profile(m: HierarchicalMap, side: str = "domain"
                        ) -> DilatationProfile:
     """Exact exceedance profile, aggregated per congruence class."""
     if side not in ("domain", "image"):
         raise DomainError(f"side must be 'domain' or 'image', got {side!r}")
-    masses: dict[float, float] = {}
-    for lv in m.levels:
-        sscale, dscale = lv.scales
-        scale2 = (sscale if side == "domain" else dscale) ** 2
-        per_template = lv.instance_count() // len(lv.templates)
-        for t in lv.templates:
-            for i, (cell, _) in enumerate(t.pieces):
-                K = t.cell_dilatations[i]
-                area = cell.area if side == "domain" \
-                    else t.image_triangle(i).area
-                masses[K] = masses.get(K, 0.0) + area * scale2 * per_template
-    ks = sorted(masses)
-    # strict exceedance at each threshold = suffix sum above it
-    entries = []
-    suffix = 0.0
-    for k in reversed(ks):
-        entries.append((k, suffix))
-        suffix += masses[k]
-    entries.reverse()
-    construction = m.source if side == "domain" else m.target
-    trunc = construction.level_area(m.depth)
-    return DilatationProfile(tuple(entries), suffix, trunc, side)
+    return next(_prefix_profiles(m, side, (m.depth,)))
 
 
 def _closed_exceedances(profile: DilatationProfile):
@@ -230,23 +243,24 @@ THEOREM_A_CASES = {
 }
 
 
-def _david_sweep(m: HierarchicalMap, depths, K0: float):
+def _david_sweep(m: HierarchicalMap, K0: float):
+    """(C, alpha) = (1, 1) checks of the domain profile at depths 3..depth,
+    in one pass over the levels."""
     out = []
-    for n in depths:
-        prof = dilatation_profile(m.truncate(n), "domain")
+    depths = range(3, m.depth + 1)
+    for n, prof in zip(depths, _prefix_profiles(m, "domain", depths)):
         flag, margin = check_david(prof, DavidParams(1.0, 1.0, K0))
         out.append({"depth": n, "passed": flag, "margin": margin})
     return out
 
 
-def _david(fwd: HierarchicalMap, case: str, n_max: int) -> dict:
-    """Checks at depths 3..n_max of the map and of its inverse, each with
+def _david(fwd: HierarchicalMap, case: str) -> dict:
+    """Checks at depths 3..depth of the map and of its inverse, each with
     the frozen cutoff of its direction."""
     out = {}
     for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
         k0 = FROZEN_K0[(case, direction)]
-        out[direction] = {"K0": k0,
-                          "checks": _david_sweep(m, range(3, n_max + 1), k0)}
+        out[direction] = {"K0": k0, "checks": _david_sweep(m, k0)}
     return out
 
 
@@ -279,7 +293,7 @@ def theoremA_report(case: str, n_max: int, nu: float = 1.0) -> dict:
             "target": {"gauge": dst.describe(), "lower": db.lower,
                        "upper": db.upper},
         },
-        "david": _david(fwd, case, n_max),
+        "david": _david(fwd, case),
     }
 
 
@@ -298,5 +312,5 @@ def theoremB_report(n_max: int) -> dict:
              "ratio": K / math.sqrt(k)}
             for k, K in klist
         ],
-        "david": _david(fwd, "theoremB", n_max),
+        "david": _david(fwd, "theoremB"),
     }

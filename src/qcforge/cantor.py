@@ -354,6 +354,9 @@ def box_dimension(level_source: Callable[[int], CantorLevel],
     `level_source(n)` counted at its own square side."""
     if len(depths) < 2:
         raise ValidationError("box counting needs at least two depths")
+    if len(set(depths)) < len(depths):
+        raise ValidationError(f"box counting needs distinct depths, got "
+                              f"{','.join(map(str, depths))}")
     logN = []
     logS = []
     scales = []

@@ -8,7 +8,8 @@ congruent, so dilatation data lives once per level and
 exact area profiles remain cheap at depths far beyond what square lists
 could materialize.
 
-Two builders:
+Two builders, each making the templates of all its levels in one batched
+pass:
 
 * `standard_homeo(src, dst, n)`: square-nest family to square-nest family,
   with an annulus extension per level (inner inset (1 - d_k/d_{k-1})/2 on
@@ -32,8 +33,11 @@ from .cantor import Construction, GaugeSequence, depth_guard, make_gauge, \
 from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError
 from .geometry import Point
-from .qcmaps import PiecewiseAffineMap, annulus_extension_any, conjugate, \
-    invert_piecewise, twist_extension
+from .qcmaps import PiecewiseAffineMap, annulus_templates, \
+    conjugate_templates, invert_templates, twist_templates
+# re-exported: the single-template builders stay reachable from here
+from .qcmaps import annulus_extension_any, invert_piecewise, \
+    twist_extension  # noqa: F401
 
 __all__ = [
     "Construction",
@@ -129,7 +133,7 @@ class HierarchicalMap:
                 {
                     "level": lv.k,
                     "max_K": lv.max_dilatation,
-                    "gasket_cells": sum(len(t.pieces) for t in lv.templates),
+                    "gasket_cells": sum(len(t.cells) for t in lv.templates),
                 }
                 for lv in self.levels
             ],
@@ -162,11 +166,20 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
     square-nest constructions of two gauges."""
     _check_homeo_depth(n)
     source, target = Construction("lambda", src), Construction("lambda", dst)
+    d = np.array([[g.d(k) for k in range(n + 1)] for g in (src, dst)])
+    # levels 1..top have d_k > 0 on both sides; d_{top+1} is 0 on one side
+    zero = (d == 0.0).any(axis=0)
+    top = int(np.argmax(zero)) - 1 if zero.any() else n
+    alpha, beta = (1.0 - d[:, 1:top + 1] / d[:, :top]) / 2.0
+    # the earlier levels raise their errors first
+    templates = annulus_templates(alpha, beta)
+    if top < n:
+        k = top + 1
+        g = src if d[0, k] == 0.0 else dst
+        raise DepthLimitError(f"gauge {g.describe()} underflows at level {k}: "
+                              f"d_{k} is 0 in floating point")
     levels = []
-    for k in range(1, n + 1):
-        alpha = (1.0 - src.d(k) / src.d(k - 1)) / 2.0
-        beta = (1.0 - dst.d(k) / dst.d(k - 1)) / 2.0
-        template = annulus_extension_any(alpha, beta)
+    for k, template in enumerate(templates, 1):
         s, t = _side(source, k), _side(target, k)
         # one annulus per child, around it in its quarter of the parent
         levels.append(_Level(
@@ -177,13 +190,10 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
                            tuple(levels))
 
 
-def _rot_pi(p: Point) -> Point:
-    return Point(-p.x, -p.y)
-
-
-def _rotate_template(t: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """Conjugate a template by the half-turn about the origin."""
-    return conjugate(t, _rot_pi)
+def _rotate_template(templates: list[PiecewiseAffineMap]
+                     ) -> list[PiecewiseAffineMap]:
+    """Conjugate templates by the half-turn about the origin."""
+    return conjugate_templates(templates, np.negative)
 
 
 def twist_parameter(k: int) -> float:
@@ -198,10 +208,10 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     _check_homeo_depth(n)
     gauge = make_gauge("sqrt")
     source, target = Construction("sigma"), Construction("lambda", gauge)
+    rights = twist_templates([twist_parameter(k) for k in range(1, n + 1)])
+    lefts = _rotate_template(rights)
     levels = []
-    for k in range(1, n + 1):
-        right = twist_extension(twist_parameter(k))
-        left = _rotate_template(right)
+    for k, right, left in zip(range(1, n + 1), rights, lefts):
         s, t = _side(source, k), _side(target, k, _NW_SW_NE_SE)
         # two twists per parent, right and left half of it
         levels.append(_Level(
@@ -214,8 +224,10 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
 
 def invert(m: HierarchicalMap) -> HierarchicalMap:
     """Cell-wise affine inverse; per-level dilatations are preserved."""
+    inverses = iter(invert_templates(
+        [t for lv in m.levels for t in lv.templates]))
     levels = tuple(
-        _Level(lv.k, tuple(invert_piecewise(t) for t in lv.templates),
+        _Level(lv.k, tuple(next(inverses) for _ in lv.templates),
                tuple((i, to, so) for i, so, to in lv.placements),
                lv.scales[::-1], lv.dst, lv.src)
         for lv in m.levels

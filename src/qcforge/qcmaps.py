@@ -20,43 +20,76 @@ Two constructions:
 
 Both constructions return a `PiecewiseAffineMap`; `validate` checks edge
 continuity, orientation, area coverage, and the declared boundary data.
+
+Cell geometry is built for a whole stack of parameters at once, one row per
+level.  `annulus_templates`, `twist_templates`, `invert_templates` and
+`conjugate_templates` also solve every cell of the stack in one pass; the
+single-template builders solve cell by cell with the scalar kernels of
+`geometry`, the reference those passes match bit for bit.  A stack raises
+the error that building it level by level would meet first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
-from .errors import DomainError, GeometryError
-from .geometry import AffineMap, Point, Triangle, _signed_area2, \
-    affine_three_point, dilatation, invert_affine
+import numpy as np
+
+from .errors import DomainError, GeometryError, OrientationError
+from .geometry import AffineMap, Point, Triangle, affine_three_point, \
+    dilatation, invert_affine
 
 __all__ = [
     "PiecewiseAffineMap",
     "ValidationReport",
     "annulus_extension",
+    "annulus_extension_any",
     "twist_extension",
     "validate",
     "invert_piecewise",
     "conjugate",
+    "annulus_templates",
+    "twist_templates",
+    "invert_templates",
+    "conjugate_templates",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseAffineMap:
-    """A triangulated region with one affine map per cell."""
+    """A triangulated region with one affine map per cell.
 
-    pieces: tuple[tuple[Triangle, AffineMap], ...]
+    `cells` and `images` are (n, 3, 2) arrays of ccw triangles, `maps` the
+    (n, 6) rows (m11, m12, m21, m22, tx, ty).  Dilatations and both areas
+    are computed once, when the map is built; an inverse carries its
+    dilatations over, so that it reports bitwise-identical K values.
+    """
+
+    cells: np.ndarray
+    maps: np.ndarray
+    dilatations: np.ndarray
+    images: np.ndarray
+    domain_areas: np.ndarray
+    image_areas: np.ndarray
     domain_kind: str  # "annulus", "twist", or "composite"
     params: tuple[tuple[str, float], ...] = ()
-    # per-cell dilatations; carried through inversion so that the inverse
-    # reports bitwise-identical K values
-    cell_dilatations: tuple[float, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def cell_dilatations(self) -> tuple[float, ...]:
+        return tuple(self.dilatations.tolist())
 
     @property
     def max_dilatation(self) -> float:
-        return max(self.cell_dilatations) if self.cell_dilatations else 1.0
+        return max(self.cell_dilatations) if len(self.cells) else 1.0
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[Triangle, AffineMap], ...]:
+        """(cell, map) pairs as geometry objects, built on first use."""
+        return tuple((Triangle(*(Point(x, y) for x, y in cell)), AffineMap(*m))
+                     for cell, m in zip(self.cells.tolist(),
+                                        self.maps.tolist()))
 
     def param(self, name: str) -> float:
         for k, v in self.params:
@@ -64,19 +97,15 @@ class PiecewiseAffineMap:
                 return v
         raise KeyError(name)
 
-    def image_triangle(self, i: int) -> Triangle:
-        cell, m = self.pieces[i]
-        return Triangle(*(m(v) for v in cell.vertices))
-
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the domain."""
-        xs = [v.x for cell, _ in self.pieces for v in cell.vertices]
-        ys = [v.y for cell, _ in self.pieces for v in cell.vertices]
+        xs = self.cells[..., 0].ravel().tolist()
+        ys = self.cells[..., 1].ravel().tolist()
         return (min(xs), max(xs), min(ys), max(ys))
 
     def image_area(self) -> float:
-        return sum(self.image_triangle(i).area for i in range(len(self.pieces)))
+        return sum(self.image_areas.tolist())
 
     def locate(self, p: Point, tol: float = 1e-12) -> int:
         """Index of a cell containing p (first match); -1 if none."""
@@ -97,96 +126,179 @@ class PiecewiseAffineMap:
             kind += "(" + ",".join(f"{k}={v:g}" for k, v in self.params) + ")"
         return {
             "domain_kind": kind,
-            "pieces": [
-                {
-                    "cell": [[v.x, v.y] for v in cell.vertices],
-                    "map": [m.m11, m.m12, m.m21, m.m22, m.tx, m.ty],
-                }
-                for cell, m in self.pieces
-            ],
+            "pieces": [{"cell": cell, "map": m} for cell, m in
+                       zip(self.cells.tolist(), self.maps.tolist())],
         }
 
 
-def _from_triangle_pairs(pairs, domain_kind, params) -> PiecewiseAffineMap:
-    pieces = []
-    dils = []
-    for src, dst in pairs:
-        m = affine_three_point(src, dst)
-        pieces.append((src, m))
+# -- array kernels -----------------------------------------------------------
+# Each repeats the operation order of its scalar counterpart in `geometry`,
+# so that both give the same bits.
+
+def _signed_area2(t: np.ndarray) -> np.ndarray:
+    """Twice the signed areas of (..., 3, 2) triangles."""
+    a, b, c = t[..., 0, :], t[..., 1, :], t[..., 2, :]
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]))
+
+
+def _orient(t: np.ndarray) -> np.ndarray:
+    """Triangles stored as `Triangle` stores them: the last two vertices
+    swapped where the input is clockwise."""
+    return np.where((_signed_area2(t) < 0)[..., None, None],
+                    t[..., [0, 2, 1], :], t)
+
+
+def _apply(maps: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(..., n, 6) maps applied to their (..., n, 3, 2) vertices."""
+    m = [maps[..., None, j] for j in range(6)]
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack([m[0] * x + m[1] * y + m[4],
+                     m[2] * x + m[3] * y + m[5]], axis=-1)
+
+
+def _solve(src: np.ndarray, dst: np.ndarray):
+    """The affine maps sending each src triangle to its dst triangle, their
+    dilatations, and a fault code per cell: 1 non-finite entry, 2
+    non-positive determinant, 3 dilatation not finite in floating point."""
+    a, b, c = src[..., 0, :], src[..., 1, :], src[..., 2, :]
+    u, v, w = dst[..., 0, :], dst[..., 1, :], dst[..., 2, :]
+    e1x, e1y = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    e2x, e2y = c[..., 0] - a[..., 0], c[..., 1] - a[..., 1]
+    f1x, f1y = v[..., 0] - u[..., 0], v[..., 1] - u[..., 1]
+    f2x, f2y = w[..., 0] - u[..., 0], w[..., 1] - u[..., 1]
+    d = e1x * e2y - e2x * e1y
+    m11 = (f1x * e2y - f2x * e1y) / d
+    m12 = (f2x * e1x - f1x * e2x) / d
+    m21 = (f1y * e2y - f2y * e1y) / d
+    m22 = (f2y * e1x - f1y * e2x) / d
+    tx = u[..., 0] - (m11 * a[..., 0] + m12 * a[..., 1])
+    ty = u[..., 1] - (m21 * a[..., 0] + m22 * a[..., 1])
+    maps = np.stack([m11, m12, m21, m22, tx, ty], axis=-1)
+    det = m11 * m22 - m12 * m21
+    p = np.hypot((m11 + m22) / 2.0, (m21 - m12) / 2.0)
+    q = np.hypot((m11 - m22) / 2.0, (m21 + m12) / 2.0)
+    code = np.select([~np.isfinite(maps).all(axis=-1), det <= 0, p <= q],
+                     [1, 2, 3], 0)
+    return maps, (p + q) / (p - q), code
+
+
+# (exception, message) of each fault code of `_solve` and `_invert`; {det}
+# is the determinant of the cell's map
+_SOLVE_FAULTS = (
+    (GeometryError, "non-finite affine map entry"),
+    (OrientationError, "determinant {det} is not positive"),
+    (GeometryError, "dilatation of a map with determinant {det} is not "
+                    "finite in floating point"))
+_INVERT_FAULTS = (
+    (GeometryError, "degenerate (collinear) triangle"),
+    (OrientationError, "determinant {det} is not positive"),
+    (GeometryError, "non-finite affine map entry"))
+
+
+def _no_diagonal(level, i):
+    return GeometryError("no valid diagonal for matched quads")
+
+
+def _degenerate(level, i):
+    return GeometryError("degenerate (collinear) triangle")
+
+
+def _cell_error(maps: np.ndarray, code: np.ndarray, faults):
+    def error(level: int, i: int):
+        m11, m12, m21, m22 = maps[level, i, :4].tolist()
+        kind, text = faults[code[level, i] - 1]
+        return kind(text.format(det=m11 * m22 - m12 * m21))
+    return error
+
+
+def _invert(maps: np.ndarray, images: np.ndarray):
+    """Inverse maps, and a fault code per cell: 1 degenerate image
+    triangle, 2 non-positive determinant, 3 non-finite entry."""
+    m11, m12, m21, m22, tx, ty = (maps[..., j] for j in range(6))
+    d = m11 * m22 - m12 * m21
+    n11, n12, n21, n22 = m22 / d, -m12 / d, -m21 / d, m11 / d
+    inv = np.stack([n11, n12, n21, n22, -(n11 * tx + n12 * ty),
+                    -(n21 * tx + n22 * ty)], axis=-1)
+    code = np.select([_signed_area2(images) == 0.0, d <= 0,
+                      ~np.isfinite(inv).all(axis=-1)], [1, 2, 3], 0)
+    return inv, code
+
+
+def _raise_first(checks):
+    """Raise the error that building level by level, each level step by
+    step, meets first.  `checks` lists (faults, error) in the order of one
+    level's steps: faults is a (levels, items) array, nonzero where an item
+    fails, and error(level, item) makes the exception."""
+    found = [(int(np.argmax(faults.any(axis=1))), i)
+             for i, (faults, _) in enumerate(checks) if faults.any()]
+    if found:
+        level, i = min(found)
+        faults, error = checks[i]
+        raise error(level, int(np.argmax(faults[level] != 0)))
+
+
+def _templates(cells, maps, dils, kinds, params) -> list[PiecewiseAffineMap]:
+    """One map per row of a stack, with its images and areas."""
+    images = _orient(_apply(maps, cells))
+    dom, img = 0.5 * _signed_area2(cells), 0.5 * _signed_area2(images)
+    return [PiecewiseAffineMap(cells[i], maps[i], dils[i], images[i], dom[i],
+                               img[i], kind, p)
+            for i, (kind, p) in enumerate(zip(kinds, params))]
+
+
+def _from_cells(src: np.ndarray, dst: np.ndarray, domain_kind: str,
+                params) -> PiecewiseAffineMap:
+    """One template from matched (n, 3, 2) cells, solved cell by cell with
+    the scalar kernels."""
+    maps, dils = [], []
+    for s, d in zip(src.tolist(), dst.tolist()):
+        m = affine_three_point(Triangle(*(Point(*v) for v in s)),
+                               Triangle(*(Point(*v) for v in d)))
+        maps.append((m.m11, m.m12, m.m21, m.m22, m.tx, m.ty))
         dils.append(dilatation(m))
-    return PiecewiseAffineMap(tuple(pieces), domain_kind, tuple(params),
-                              tuple(dils))
+    return _templates(src[None], np.array(maps)[None], np.array(dils)[None],
+                      [domain_kind], [params])[0]
 
 
-def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """Cell-wise affine inversion; per-cell dilatations are preserved."""
-    pieces = []
-    for i, (cell, m) in enumerate(pmap.pieces):
-        pieces.append((pmap.image_triangle(i), invert_affine(m)))
-    if pmap.domain_kind == "annulus":
-        params = (("a", pmap.param("b")), ("b", pmap.param("a")))
-        kind = "annulus"
-    else:
-        params = pmap.params
-        kind = "composite"
-    return PiecewiseAffineMap(tuple(pieces), kind, params,
-                              pmap.cell_dilatations)
+# -- cell geometry, batched over levels ---------------------------------------
+
+# quad k of a ring pair joins outer corners k, k+1 to inner corners k+1, k
+# (outer corners are ring vertices 0-3, inner ones 4-7)
+_QUADS = [[k, (k + 1) % 4, 4 + (k + 1) % 4, 4 + k] for k in range(4)]
+# the two diagonal splits of a quad, in the order they are tried
+_SPLITS = [[[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]]
 
 
-def _moved_pairs(pairs, similarity: Callable[[Point], Point]):
-    """(cell, image) triangle pairs with both triangles moved by the
-    similarity s, so that each pair's affine map becomes s o map o s^-1."""
-    return [(Triangle(*map(similarity, src.vertices)),
-             Triangle(*map(similarity, dst.vertices))) for src, dst in pairs]
+def _square_corners(cx, cy, side) -> np.ndarray:
+    """(..., 4, 2) ccw corners of squares from their centers and sides."""
+    h = np.asarray(side) / 2.0
+    return np.stack([np.stack([cx - h, cy - h], -1),
+                     np.stack([cx + h, cy - h], -1),
+                     np.stack([cx + h, cy + h], -1),
+                     np.stack([cx - h, cy + h], -1)], axis=-2)
 
 
-def conjugate(pmap: PiecewiseAffineMap,
-              similarity: Callable[[Point], Point]) -> PiecewiseAffineMap:
-    """s o pmap o s^-1 for a similarity s: cells and their images both moved
-    by s.  Dilatations are preserved."""
-    pairs = [(cell, pmap.image_triangle(i))
-             for i, (cell, _) in enumerate(pmap.pieces)]
-    return _from_triangle_pairs(_moved_pairs(pairs, similarity), "composite",
-                                pmap.params)
+def _annulus_cells(outer_src, inner_src, outer_dst, inner_dst):
+    """Spoke decomposition between 4-gon annuli with matched ccw corners,
+    each (L, 4, 2): matched cells (L, 8, 3, 2), and the quads (L, 4) where
+    no diagonal keeps all four triangles ccw."""
+    tris, ok = [], True
+    for outer, inner in ((outer_src, inner_src), (outer_dst, inner_dst)):
+        t = np.concatenate([outer, inner], axis=-2)[:, _QUADS][:, :, _SPLITS]
+        tris.append(t)  # (L, quad, split, triangle, vertex, xy)
+        ok = ok & (_signed_area2(t) > 0).all(axis=-1)
+    split = np.where(ok[..., 0], 0, 1)[..., None, None, None, None]
+    src, dst = (np.take_along_axis(t, split, axis=2).reshape(-1, 8, 3, 2)
+                for t in tris)
+    return src, dst, ~ok.any(axis=-1)
 
 
-def _quad_pairs(src, dst):
-    """Split matched quads (ccw vertex lists of 4) into two triangle pairs.
-
-    Picks a diagonal for which all four triangles are strictly ccw; the
-    quads may be non-convex, in which case only one diagonal works.
-    """
-    for a, b in (((0, 1, 2), (0, 2, 3)), ((0, 1, 3), (1, 2, 3))):
-        ok = all(
-            _signed_area2(q[i], q[j], q[k]) > 0
-            for q in (src, dst)
-            for i, j, k in (a, b)
-        )
-        if ok:
-            return [
-                (Triangle(src[a[0]], src[a[1]], src[a[2]]),
-                 Triangle(dst[a[0]], dst[a[1]], dst[a[2]])),
-                (Triangle(src[b[0]], src[b[1]], src[b[2]]),
-                 Triangle(dst[b[0]], dst[b[1]], dst[b[2]])),
-            ]
-    raise GeometryError("no valid diagonal for matched quads")
-
-
-def _annulus_pairs(outer_src, inner_src, outer_dst, inner_dst):
-    """Spoke decomposition between two 4-gon annuli with matched corners."""
-    pairs = []
-    for k in range(4):
-        k1 = (k + 1) % 4
-        src = [outer_src[k], outer_src[k1], inner_src[k1], inner_src[k]]
-        dst = [outer_dst[k], outer_dst[k1], inner_dst[k1], inner_dst[k]]
-        pairs.extend(_quad_pairs(src, dst))
-    return pairs
-
-
-def _square_corners(cx: float, cy: float, side: float) -> list[Point]:
-    h = side / 2.0
-    return [Point(cx - h, cy - h), Point(cx + h, cy - h),
-            Point(cx + h, cy + h), Point(cx - h, cy + h)]
+def _annulus_geometry(a: np.ndarray, b: np.ndarray):
+    """Cells of the annulus templates A_a -> A_b, one per row of a and b."""
+    outer = np.broadcast_to(_square_corners(0.0, 0.0, 1.0), (len(a), 4, 2))
+    return _annulus_cells(outer, _square_corners(0.0, 0.0, 1.0 - 2 * a),
+                          outer, _square_corners(0.0, 0.0, 1.0 - 2 * b))
 
 
 def annulus_extension(a: float, b: float) -> PiecewiseAffineMap:
@@ -197,14 +309,9 @@ def annulus_extension(a: float, b: float) -> PiecewiseAffineMap:
     """
     if not (0 < a <= b < 0.5):
         raise DomainError(f"need 0 < a <= b < 1/2, got a={a}, b={b}")
-    return _from_triangle_pairs(
-        _annulus_pairs(
-            _square_corners(0, 0, 1.0),
-            _square_corners(0, 0, 1.0 - 2 * a),
-            _square_corners(0, 0, 1.0),
-            _square_corners(0, 0, 1.0 - 2 * b),
-        ),
-        "annulus", [("a", a), ("b", b)])
+    src, dst, bad = _annulus_geometry(np.array([a]), np.array([b]))
+    _raise_first([(bad, _no_diagonal)])
+    return _from_cells(src[0], dst[0], "annulus", (("a", a), ("b", b)))
 
 
 def annulus_extension_any(a: float, b: float) -> PiecewiseAffineMap:
@@ -217,8 +324,34 @@ def annulus_extension_any(a: float, b: float) -> PiecewiseAffineMap:
     return invert_piecewise(annulus_extension(b, a))
 
 
+def annulus_templates(alpha, beta) -> list[PiecewiseAffineMap]:
+    """`annulus_extension_any(alpha[i], beta[i])` for every i, in one pass:
+    rows with alpha > beta are built swapped and inverted under a mask."""
+    alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
+    bad_range = ~((0 < alpha) & (alpha < 0.5) & (0 < beta) & (beta < 0.5))
+    with np.errstate(all="ignore"):
+        src, dst, no_diag = _annulus_geometry(np.minimum(alpha, beta),
+                                              np.maximum(alpha, beta))
+        maps, dils, code = _solve(src, dst)
+        images = _orient(_apply(maps, src))
+        inv, inv_code = _invert(maps, images)
+    flip = alpha > beta
+    _raise_first([
+        (bad_range[:, None],
+         lambda i, _: DomainError(f"need a, b in (0, 1/2), got "
+                                  f"a={alpha[i].item()}, b={beta[i].item()}")),
+        (no_diag, _no_diagonal),
+        (code, _cell_error(maps, code, _SOLVE_FAULTS)),
+        (inv_code * flip[:, None],
+         _cell_error(maps, inv_code, _INVERT_FAULTS))])
+    f = flip[:, None, None]
+    return _templates(np.where(f[..., None], images, src),
+                      np.where(f, inv, maps), dils, ["annulus"] * len(alpha),
+                      [(("a", x), ("b", y))
+                       for x, y in zip(alpha.tolist(), beta.tolist())])
+
+
 # twist geometry constants (domain side)
-_TWIST_RECT = (0.0, 0.5, -0.5, 0.5)   # x0, x1, y0, y1
 _TWIST_HOLE_SIDE = 0.125
 _TWIST_HOLE_CENTERS = ((0.125, 0.0), (0.375, 0.0))
 # intermediate box around both holes in the domain; proportions chosen to
@@ -226,9 +359,45 @@ _TWIST_HOLE_CENTERS = ((0.125, 0.0), (0.375, 0.0))
 _G_X0, _G_X1, _G_H = 1.0 / 24, 11.0 / 24, 3.0 / 16
 
 
-def _rot_half(p: Point) -> Point:
-    """Rotation by pi about (1/4, 0); symmetry of both twist regions."""
-    return Point(0.5 - p.x, -p.y)
+def _twist_geometry(a: np.ndarray):
+    """Cells (L, 24, 3, 2) of the twist templates, one per row of a, and
+    the checks their scalar construction makes, in its order."""
+    L = len(a)
+
+    def ring(*corners):  # (L, 4, 2) from four (x, y) pairs of scalars/rows
+        xy = np.broadcast_arrays(*(c for corner in corners for c in corner), a)
+        return np.stack(xy[:-1], axis=-1).reshape(L, 4, 2)
+
+    # rectangle corners and the domain intermediate box (ccw)
+    P = ring((0.0, -0.5), (0.5, -0.5), (0.5, 0.5), (0.0, 0.5))
+    A = ring((_G_X0, -_G_H), (_G_X1, -_G_H), (_G_X1, _G_H), (_G_X0, _G_H))
+    # image intermediate box: the holes' bounding box inflated by a/2,
+    # its corners taken a quarter turn on (A_k -> B_{k-1})
+    p0, p1 = a / 2.0, 0.5 - a / 2.0
+    q0, q1 = -0.5 + a / 2.0, 0.5 - a / 2.0
+    Bshift = ring((p0, q1), (p0, q0), (p1, q0), (p1, q1))
+    outer_src, outer_dst, bad_outer = _annulus_cells(P, A, P, Bshift)
+    # left pants leg: [g0, 1/4] x [-h, h] minus the left hole, onto the top
+    # half of the image box minus the top hole
+    leg_src = ring((_G_X0, -_G_H), (0.25, -_G_H), (0.25, _G_H), (_G_X0, _G_H))
+    leg_dst = ring((p0, q1), (p0, 0.0), (p1, 0.0), (p1, q1))
+    hole_src = np.broadcast_to(
+        _square_corners(0.125, 0.0, _TWIST_HOLE_SIDE), (L, 4, 2))
+    hole_dst = _square_corners(0.25, 0.25, 0.5 - 2 * a)
+    left_src, left_dst, bad_leg = _annulus_cells(leg_src, hole_src,
+                                                 leg_dst, hole_dst)
+    # right leg: the left one turned by pi about (1/4, 0)
+    moved = [np.stack([0.5 - t[..., 0], -t[..., 1]], axis=-1)
+             for t in (left_src, left_dst)]
+    flat = (_signed_area2(moved[0]) == 0) | (_signed_area2(moved[1]) == 0)
+    src = np.concatenate([outer_src, left_src, _orient(moved[0])], axis=1)
+    dst = np.concatenate([outer_dst, left_dst, _orient(moved[1])], axis=1)
+    bad_range = ~((0 < a) & (a < 0.2))
+    return src, dst, [
+        (bad_range[:, None],
+         lambda i, _: DomainError(f"need 0 < a < 1/5, got a={a[i].item()}")),
+        (bad_outer, _no_diagonal), (bad_leg, _no_diagonal),
+        (flat, _degenerate)]
 
 
 def twist_extension(a: float) -> PiecewiseAffineMap:
@@ -240,36 +409,85 @@ def twist_extension(a: float) -> PiecewiseAffineMap:
     """
     if not (0 < a < 0.2):
         raise DomainError(f"need 0 < a < 1/5, got a={a}")
+    src, dst, checks = _twist_geometry(np.array([a]))
+    _raise_first(checks)
+    return _from_cells(src[0], dst[0], "twist", (("a", a),))
 
-    # rectangle corners (ccw)
-    P = [Point(0.0, -0.5), Point(0.5, -0.5), Point(0.5, 0.5), Point(0.0, 0.5)]
-    # domain intermediate box corners (ccw from bottom-left)
-    A = [Point(_G_X0, -_G_H), Point(_G_X1, -_G_H),
-         Point(_G_X1, _G_H), Point(_G_X0, _G_H)]
-    # image intermediate box: inflate the holes' bounding box by a/2
-    p0, p1 = a / 2.0, 0.5 - a / 2.0
-    q0, q1 = -0.5 + a / 2.0, 0.5 - a / 2.0
-    B = [Point(p0, q0), Point(p1, q0), Point(p1, q1), Point(p0, q1)]
-    # quarter-turn (clockwise) corner correspondence: A_k -> B_{k-1}
-    Bshift = [B[3], B[0], B[1], B[2]]
 
-    pairs = _annulus_pairs(P, A, P, Bshift)
+def twist_templates(a) -> list[PiecewiseAffineMap]:
+    """`twist_extension(a[i])` for every i, in one pass."""
+    a = np.asarray(a, float)
+    with np.errstate(all="ignore"):
+        src, dst, checks = _twist_geometry(a)
+        maps, dils, code = _solve(src, dst)
+    _raise_first(checks + [(code, _cell_error(maps, code, _SOLVE_FAULTS))])
+    return _templates(src, maps, dils, ["twist"] * len(a),
+                      [(("a", x),) for x in a.tolist()])
 
-    # left pants leg: [g0, 1/4] x [-h, h] minus the left hole, onto the top
-    # half of the image box minus the top hole
-    cut_b, cut_t = Point(0.25, -_G_H), Point(0.25, _G_H)
-    leg_outer_src = [A[0], cut_b, cut_t, A[3]]
-    leg_outer_dst = [B[3], Point(p0, 0.0), Point(p1, 0.0), B[2]]
-    hole_src = _square_corners(0.125, 0.0, _TWIST_HOLE_SIDE)
-    hole_dst = _square_corners(0.25, 0.25, 0.5 - 2 * a)
-    left_pairs = _annulus_pairs(leg_outer_src, hole_src,
-                                leg_outer_dst, hole_dst)
-    pairs.extend(left_pairs)
 
-    # right leg: conjugate by the half-turn about (1/4, 0)
-    pairs.extend(_moved_pairs(left_pairs, _rot_half))
+def _inverse_kind(pmap: PiecewiseAffineMap):
+    if pmap.domain_kind == "annulus":
+        return "annulus", (("a", pmap.param("b")), ("b", pmap.param("a")))
+    return "composite", pmap.params
 
-    return _from_triangle_pairs(pairs, "twist", [("a", a)])
+
+def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
+    """Cell-wise affine inversion, cell by cell with the scalar kernel;
+    per-cell dilatations are preserved."""
+    flat = _signed_area2(pmap.images) == 0.0
+    inv = []
+    for i, m in enumerate(pmap.maps.tolist()):
+        if flat[i]:
+            raise _degenerate(0, i)
+        n = invert_affine(AffineMap(*m))
+        inv.append((n.m11, n.m12, n.m21, n.m22, n.tx, n.ty))
+    kind, params = _inverse_kind(pmap)
+    return _templates(pmap.images[None], np.array(inv)[None],
+                      pmap.dilatations[None], [kind], [params])[0]
+
+
+def invert_templates(templates: Sequence[PiecewiseAffineMap]
+                     ) -> list[PiecewiseAffineMap]:
+    """`invert_piecewise` of same-size templates, in one pass."""
+    if not templates:
+        return []
+    images = np.stack([t.images for t in templates])
+    maps = np.stack([t.maps for t in templates])
+    with np.errstate(all="ignore"):
+        inv, code = _invert(maps, images)
+    _raise_first([(code, _cell_error(maps, code, _INVERT_FAULTS))])
+    kinds, params = zip(*map(_inverse_kind, templates))
+    return _templates(images, inv,
+                      np.stack([t.dilatations for t in templates]),
+                      kinds, params)
+
+
+def conjugate_templates(templates: Sequence[PiecewiseAffineMap],
+                        similarity: Callable[[np.ndarray], np.ndarray]
+                        ) -> list[PiecewiseAffineMap]:
+    """s o t o s^-1 of same-size templates t, for a similarity s acting on
+    (..., 2) arrays: each cell and its image moved by s, then solved again,
+    in one pass.  Dilatations are preserved up to rounding."""
+    if not templates:
+        return []
+    cells = np.stack([t.cells for t in templates])
+    images = np.stack([t.images for t in templates])
+    moved = [similarity(cells), similarity(images)]
+    flat = np.any([_signed_area2(t) == 0.0 for t in (images, *moved)], axis=0)
+    with np.errstate(all="ignore"):
+        src, dst = _orient(moved[0]), _orient(moved[1])
+        maps, dils, code = _solve(src, dst)
+    _raise_first([(flat, _degenerate),
+                  (code, _cell_error(maps, code, _SOLVE_FAULTS))])
+    return _templates(src, maps, dils, ["composite"] * len(templates),
+                      [t.params for t in templates])
+
+
+def conjugate(pmap: PiecewiseAffineMap,
+              similarity: Callable[[np.ndarray], np.ndarray]
+              ) -> PiecewiseAffineMap:
+    """s o pmap o s^-1 for a similarity s acting on (..., 2) arrays."""
+    return conjugate_templates([pmap], similarity)[0]
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@ import math
 
 import pytest
 
-from qcforge.analysis import (DavidParams, DilatationProfile, check_david,
+from qcforge.analysis import (THEOREM_A_CASES, DavidParams,
+                              DilatationProfile, _david_sweep,
+                              _prefix_profiles, check_david,
                               dilatation_profile, fit_david, level_ratio,
                               p_of_K, qc_dimension_bounds, theoremA_report,
                               theoremB_report)
 from qcforge.cantor import make_gauge
 from qcforge.errors import DegenerateFitError, DomainError
 from qcforge.frozen import (DAVID_FIT_ALPHA_BAND, DIL_RATIO_BAND, FROZEN_K0)
+from qcforge.geometry import Triangle
 from qcforge.homeo import (HierarchicalMap, invert, max_dilatation_per_level,
                            standard_homeo, theoremB_homeo)
 
@@ -199,3 +202,47 @@ def test_theoremB_report_shape():
     assert [e["level"] for e in rep["levels"]] == [1, 2, 3, 4, 5, 6]
     assert rep["levels"][0]["twist_a"] == pytest.approx(0.125)
     assert all(c["passed"] for c in rep["david"]["forward"]["checks"])
+
+
+def _cellwise_profile(m, side):
+    """The profile summed cell by cell from `Triangle` areas, each mass
+    scaled by the exact integer instance count."""
+    masses = {}
+    for lv in m.levels:
+        sscale, dscale = lv.scales
+        scale2 = (sscale if side == "domain" else dscale) ** 2
+        per_template = lv.instance_count() // len(lv.templates)
+        for t in lv.templates:
+            for (cell, amap), K in zip(t.pieces, t.cell_dilatations):
+                area = cell.area if side == "domain" else \
+                    Triangle(*(amap(v) for v in cell.vertices)).area
+                masses[K] = masses.get(K, 0.0) + area * scale2 * per_template
+    entries, suffix = [], 0.0
+    for k in sorted(masses, reverse=True):
+        entries.append((k, suffix))
+        suffix += masses[k]
+    construction = m.source if side == "domain" else m.target
+    return DilatationProfile(tuple(reversed(entries)), suffix,
+                             construction.level_area(m.depth), side)
+
+
+@pytest.mark.parametrize("case", [*THEOREM_A_CASES, "theoremB"])
+def test_incremental_sweep_matches_reprofiling(case):
+    if case == "theoremB":
+        fwd = theoremB_homeo(48)
+    else:
+        fwd = standard_homeo(*THEOREM_A_CASES[case][0](1.0), 48)
+    for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
+        params = DavidParams(1.0, 1.0, FROZEN_K0[(case, direction)])
+        want = []
+        for n in range(3, 49):
+            passed, margin = check_david(dilatation_profile(m.truncate(n)),
+                                         params)
+            want.append({"depth": n, "passed": passed, "margin": margin})
+        assert _david_sweep(m, params.K0) == want
+        # from n = 32 on, a level's 4^(n-1) instances pass 2^63
+        depths = (1, 31, 32, 48)
+        for side in ("domain", "image"):
+            for n, prof in zip(depths, _prefix_profiles(m, side, depths)):
+                assert prof == dilatation_profile(m.truncate(n), side)
+                assert prof == _cellwise_profile(m.truncate(n), side)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qcforge.analysis import dilatation_profile
-from qcforge.cantor import depth_guard, make_gauge
+from qcforge.cantor import box_dimension, build_sigma_level, depth_guard, \
+    make_gauge
 from qcforge.cli import run
 from qcforge.errors import ValidationError
 from qcforge.geometry import Point
@@ -40,6 +41,26 @@ def test_non_integer_depth_guard(monkeypatch, tmp_path, capsys):
 ])
 def test_degenerate_dilatation_is_an_error(argv, tmp_path):
     assert run(argv + ["--out", str(tmp_path / "out.json")]) == 1
+
+
+def test_repeated_box_depths_are_rejected(tmp_path, capsys):
+    with pytest.raises(ValidationError):
+        box_dimension(build_sigma_level, [3, 4, 3])
+    out = tmp_path / "dims.json"
+    assert run(["dims", "--family", "sigma", "--box-depths", "4,4",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: box counting needs distinct depths, got 4,4\n"
+    assert not out.exists()
+
+
+def test_gauge_underflow_is_named(tmp_path, capsys):
+    # d_203 of the fast gauge is 2^-1079.6, which is 0 in double precision
+    assert run(["homeo", "--src", "geometric:1", "--dst", "fast", "--depth",
+                "205", "--out", str(tmp_path / "homeo.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: gauge fast underflows at level 203: d_203 is 0 in " \
+        "floating point\n"
 
 
 @pytest.mark.parametrize("build", [
