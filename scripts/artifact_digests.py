@@ -61,7 +61,12 @@ FIXED = (
        ("exit1-degenerate-annulus",
         ("david", "--case", "slow-to-geometric:50", "--depth", "10"), {}),
        ("exit1-flat-annulus",
-        ("annulus", "--a", "0.1", "--b", "0.4999999999999999"), {})]
+        ("annulus", "--a", "0.1", "--b", "0.4999999999999999"), {}),
+       ("exit1-instance-overflow",
+        ("profile", "--case", "theoremB", "--depth", "600"), {}),
+       ("exit1-negative-samples",
+        ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
+         "--samples", "-1"), {})]
 )
 
 

@@ -1,30 +1,33 @@
 #!/usr/bin/env python3
-"""Generate the scenario reports and the midline curve as JSON/CSV files.
+"""Write the scenario reports and the midline curve as JSON/CSV files, one
+`qcforge report` or `qcforge curve` run each.
 
 Usage: python3 scripts/theorem_reports.py [outdir]   (default: ./reports)
+
+A report whose David verdict fails (exit code 2) is still written; the
+script stops only on exit code 1, an input error.
 """
 
 import os
 import sys
 
-from qcforge.analysis import theoremA_report, theoremB_report
-from qcforge.export import json_dumps, polyline_csv, write_text
-from qcforge.homeo import curve_polyline, theoremB_homeo
+from qcforge import cli
+
+# (file name, CLI arguments)
+RUNS = ([(f"{case}.json", ("report", "--case", case, "--depth", "12"))
+         for case in ("slow_to_geometric", "geometric_to_fast",
+                      "slow_to_fast", "theoremB")]
+        + [("curve_depth6.csv", ("curve", "--depth", "6", "--format", "csv"))])
 
 
 def main():
     outdir = sys.argv[1] if len(sys.argv) > 1 else "reports"
     os.makedirs(outdir, exist_ok=True)
-    for case in ("slow_to_geometric", "geometric_to_fast", "slow_to_fast"):
-        report = theoremA_report(case, 12)
-        write_text(os.path.join(outdir, f"{case}.json"), json_dumps(report))
-        print(f"{case}: wrote {case}.json")
-    report = theoremB_report(12)
-    write_text(os.path.join(outdir, "theoremB.json"), json_dumps(report))
-    print("theoremB: wrote theoremB.json")
-    pl = curve_polyline(theoremB_homeo(6))
-    write_text(os.path.join(outdir, "curve_depth6.csv"), polyline_csv(pl))
-    print(f"curve: {len(pl.vertices)} vertices -> curve_depth6.csv")
+    for name, argv in RUNS:
+        rc = cli.run([*argv, "--out", os.path.join(outdir, name)])
+        if rc == 1:
+            sys.exit(f"{' '.join(argv)}: exit code 1")
+        print(f"wrote {name} (exit code {rc})")
 
 
 if __name__ == "__main__":

@@ -2,19 +2,18 @@
 correspondences, and exact dilatation statistics of the resulting maps."""
 
 from .analysis import (DavidParams, DilatationProfile, check_david,
-                       dilatation_profile, fit_david, level_ratio, p_of_K,
+                       dilatation_profile, fit_david, level_ratio,
                        qc_dimension_bounds, theoremA_report, theoremB_report)
 from .cantor import (CantorLevel, Construction, DimensionEstimate,
                      GaugeSequence, box_dimension, build_level,
                      build_sigma_level, count_boxes, count_segment_boxes,
                      depth_guard, dimension_bounds, frostman_check,
-                     frostman_profile, make_gauge, pointwise_box_dimension)
+                     frostman_profile, make_gauge)
 from .errors import (DegenerateFitError, DepthLimitError, DomainError,
                      GeometryError, OrientationError, QCForgeError,
                      ValidationError)
 from .geometry import (AffineMap, Point, Triangle, affine_three_point,
-                       beltrami, compose, dilatation, dilatation_three_point,
-                       invert_affine)
+                       dilatation, dilatation_three_point, invert_affine)
 from .homeo import (EvalResult, HierarchicalMap, Polyline, curve_box_dimension,
                     curve_polyline, evaluate, invert,
                     max_dilatation_per_level, standard_homeo, theoremB_homeo,

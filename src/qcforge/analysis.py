@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import GaugeSequence, dimension_bounds, make_gauge
-from .errors import DegenerateFitError, DomainError
+from .errors import DegenerateFitError, DepthLimitError, DomainError
 from .frozen import FROZEN_K0
 from .homeo import HierarchicalMap, invert, max_dilatation_per_level, \
     standard_homeo, theoremB_homeo, twist_parameter
@@ -30,7 +30,6 @@ __all__ = [
     "check_david",
     "fit_david",
     "qc_dimension_bounds",
-    "p_of_K",
     "level_ratio",
     "theoremA_report",
     "theoremB_report",
@@ -98,7 +97,13 @@ def _prefix_profiles(m: HierarchicalMap, side: str, depths):
         for lv in m.levels[built:n]:
             sscale, dscale = lv.scales
             scale2 = (sscale if side == "domain" else dscale) ** 2
-            per_template = float(lv.instance_count() // len(lv.templates))
+            try:
+                per_template = float(lv.instance_count()
+                                     // len(lv.templates))
+            except OverflowError:
+                raise DepthLimitError(
+                    f"instance count overflows at level {lv.k}: it is not "
+                    "finite in floating point") from None
             for t in lv.templates:
                 area = t.domain_areas if side == "domain" else t.image_areas
                 for K, mass in zip(t.dilatations.tolist(),
@@ -207,14 +212,6 @@ def qc_dimension_bounds(K: float, alpha: float) -> tuple[float, float]:
     lo = 2.0 / (2.0 * K * t + 1.0)
     hi = 2.0 / (2.0 * t / K + 1.0)
     return (lo, hi)
-
-
-def p_of_K(K: float) -> float:
-    """Critical integrability exponent K / (K - 1) of the Jacobian of a
-    K-quasiconformal map."""
-    if K <= 1:
-        raise DomainError(f"need K > 1, got {K}")
-    return K / (K - 1.0)
 
 
 def level_ratio(src: GaugeSequence, dst: GaugeSequence, k: int) -> float:

@@ -35,15 +35,11 @@ __all__ = [
     "nest_centers",
     "dimension_bounds",
     "box_dimension",
-    "pointwise_box_dimension",
     "count_boxes",
     "frostman_check",
     "frostman_profile",
     "depth_guard",
 ]
-
-GAUGE_KINDS = ("geometric", "slow", "fast", "sqrt", "custom")
-
 
 def depth_guard() -> int:
     """Materialization depth limit (4^n square lists); env-overridable."""
@@ -144,10 +140,6 @@ class CantorLevel:
     @property
     def total_area(self) -> float:
         return self.count * self.side * self.side
-
-    def translated(self, dx: float, dy: float) -> "CantorLevel":
-        return CantorLevel(self.family, self.level, self.side,
-                           self.centers + np.array([dx, dy]))
 
     def to_json_obj(self) -> dict:
         return {
@@ -341,13 +333,6 @@ def count_segment_boxes(vertices: np.ndarray, box: float) -> int:
     return len(keys)
 
 
-def pointwise_box_dimension(count: int, scale: float) -> float:
-    """Single-scale estimate log(count) / (-log(scale))."""
-    if count < 1 or not 0 < scale < 1:
-        raise DomainError("need count >= 1 and scale in (0, 1)")
-    return math.log(count) / (-math.log(scale))
-
-
 def box_dimension(level_source: Callable[[int], CantorLevel],
                   depths: Sequence[int]) -> DimensionEstimate:
     """Least-squares box-counting estimate over several depths, each level
@@ -384,6 +369,8 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
     """
     if not 0 <= s < 2:
         raise DomainError("need 0 <= s < 2")
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples}")
     level = build_level(gauge, n)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, level.count, size=min(samples, level.count))

@@ -203,8 +203,8 @@ def _run_profile(args) -> int:
     case, nu = _parse_case(args.case)
     m = _case_map(case, nu, args.depth, args.direction)
     prof = analysis.dilatation_profile(m, args.side)
-    k0 = frozen.FROZEN_K0[(case, args.direction)]
-    params = analysis.DavidParams(1.0, 1.0, k0)
+    # the bound column C e^(-alpha K) does not read K0
+    params = analysis.DavidParams(1.0, 1.0, 1.0)
     if args.format == "csv":
         text = export.profile_csv(prof, params)
     else:

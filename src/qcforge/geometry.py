@@ -1,9 +1,8 @@
-"""Planar affine maps, triangles, and dilatation/Beltrami computations.
+"""Planar affine maps, triangles, and dilatation computations.
 
 An orientation-preserving affine map has constant complex derivatives, so its
-real dilatation, Beltrami coefficient, and Jacobian are all closed-form
-expressions in the four matrix entries.  Everything here is pure and
-immutable.
+real dilatation and Jacobian are closed-form expressions in the four matrix
+entries.  Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ __all__ = [
     "dilatation",
     "dilatation_three_point",
     "affine_three_point",
-    "beltrami",
     "invert_affine",
-    "compose",
 ]
 
 
@@ -46,9 +43,6 @@ class Point:
 
     def dist(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -80,10 +74,6 @@ class AffineMap:
     def __call__(self, p: Point) -> Point:
         return self.apply(p)
 
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
 
 def _wirtinger(a: AffineMap) -> tuple[complex, complex]:
     """Complex derivatives (dz, dzbar) of the affine map."""
@@ -109,14 +99,6 @@ def dilatation(a: AffineMap) -> float:
     return (p + q) / (p - q)
 
 
-def beltrami(a: AffineMap) -> complex:
-    """Beltrami coefficient mu = dzbar / dz, |mu| < 1 for valid maps."""
-    if a.det <= 0:
-        raise OrientationError(f"determinant {a.det} is not positive")
-    dz, dzbar = _wirtinger(a)
-    return dzbar / dz
-
-
 def invert_affine(a: AffineMap) -> AffineMap:
     """Inverse map; dilatation is preserved."""
     d = a.det
@@ -130,18 +112,6 @@ def invert_affine(a: AffineMap) -> AffineMap:
         n11, n12, n21, n22,
         -(n11 * a.tx + n12 * a.ty),
         -(n21 * a.tx + n22 * a.ty),
-    )
-
-
-def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
-    """Composition outer o inner."""
-    return AffineMap(
-        outer.m11 * inner.m11 + outer.m12 * inner.m21,
-        outer.m11 * inner.m12 + outer.m12 * inner.m22,
-        outer.m21 * inner.m11 + outer.m22 * inner.m21,
-        outer.m21 * inner.m12 + outer.m22 * inner.m22,
-        outer.m11 * inner.tx + outer.m12 * inner.ty + outer.tx,
-        outer.m21 * inner.tx + outer.m22 * inner.ty + outer.ty,
     )
 
 
@@ -217,8 +187,8 @@ def dilatation_three_point(z: Point, w: Point) -> float:
     """
     if z.y <= 0 or w.y <= 0:
         raise DomainError("z and w must lie in the open upper half-plane")
-    zc = z.as_complex()
-    wc = w.as_complex()
+    zc = complex(z.x, z.y)
+    wc = complex(w.x, w.y)
     num = abs(zc - wc.conjugate())
     dif = abs(zc - wc)
     return (num + dif) / (num - dif)

@@ -49,7 +49,6 @@ __all__ = [
     "twist_extension",
     "validate",
     "invert_piecewise",
-    "conjugate",
     "annulus_templates",
     "twist_templates",
     "invert_templates",
@@ -103,9 +102,6 @@ class PiecewiseAffineMap:
         xs = self.cells[..., 0].ravel().tolist()
         ys = self.cells[..., 1].ravel().tolist()
         return (min(xs), max(xs), min(ys), max(ys))
-
-    def image_area(self) -> float:
-        return sum(self.image_areas.tolist())
 
     def locate(self, p: Point, tol: float = 1e-12) -> int:
         """Index of a cell containing p (first match); -1 if none."""
@@ -483,13 +479,6 @@ def conjugate_templates(templates: Sequence[PiecewiseAffineMap],
                       [t.params for t in templates])
 
 
-def conjugate(pmap: PiecewiseAffineMap,
-              similarity: Callable[[np.ndarray], np.ndarray]
-              ) -> PiecewiseAffineMap:
-    """s o pmap o s^-1 for a similarity s acting on (..., 2) arrays."""
-    return conjugate_templates([pmap], similarity)[0]
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     continuous: bool
@@ -523,10 +512,7 @@ def _boundary_ok_annulus(pmap: PiecewiseAffineMap, tol: float) -> bool:
 def _boundary_ok_twist(pmap: PiecewiseAffineMap, tol: float) -> bool:
     a = pmap.param("a")
     scale = (0.5 - 2 * a) / _TWIST_HOLE_SIDE
-    hole_maps = []
-    for (hx, hy), (ix, iy) in zip(_TWIST_HOLE_CENTERS,
-                                  ((0.25, 0.25), (0.25, -0.25))):
-        hole_maps.append(((hx, hy), (ix, iy)))
+    hole_maps = list(zip(_TWIST_HOLE_CENTERS, ((0.25, 0.25), (0.25, -0.25))))
     for cell, m in pmap.pieces:
         for v in cell.vertices:
             w = m(v)
@@ -569,7 +555,7 @@ def validate(pmap: PiecewiseAffineMap, target_area: float,
 
     oriented = all(m.det > 0 for _, m in pmap.pieces)
 
-    defect = abs(pmap.image_area() - target_area)
+    defect = abs(sum(pmap.image_areas.tolist()) - target_area)
 
     if pmap.domain_kind == "annulus":
         boundary_ok = _boundary_ok_annulus(pmap, tol)

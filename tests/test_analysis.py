@@ -6,7 +6,7 @@ from qcforge.analysis import (THEOREM_A_CASES, DavidParams,
                               DilatationProfile, _david_sweep,
                               _prefix_profiles, check_david,
                               dilatation_profile, fit_david, level_ratio,
-                              p_of_K, qc_dimension_bounds, theoremA_report,
+                              qc_dimension_bounds, theoremA_report,
                               theoremB_report)
 from qcforge.cantor import make_gauge
 from qcforge.errors import DegenerateFitError, DomainError
@@ -150,15 +150,6 @@ def test_qc_dimension_bounds_nest():
     assert outer[0] <= inner[0] <= inner[1] <= outer[1]
     with pytest.raises(DomainError):
         qc_dimension_bounds(0.5, 1.0)
-
-
-def test_p_of_K():
-    assert p_of_K(2.0) == 2.0
-    assert p_of_K(3.0) == 1.5
-    for K in (1.5, 2.0, 4.0):
-        assert p_of_K(p_of_K(K)) == pytest.approx(K)
-    with pytest.raises(DomainError):
-        p_of_K(1.0)
 
 
 def test_level_ratio_bounds_dilatation():

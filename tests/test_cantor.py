@@ -8,8 +8,7 @@ from qcforge.cantor import (CantorLevel, box_dimension,
                             build_level, build_sigma_level, count_boxes,
                             count_segment_boxes, depth_guard,
                             dimension_bounds, frostman_check,
-                            frostman_profile, make_gauge,
-                            pointwise_box_dimension)
+                            frostman_profile, make_gauge)
 from qcforge.errors import DepthLimitError, DomainError, ValidationError
 
 ALL_GAUGES = [
@@ -209,13 +208,9 @@ def test_count_boxes_matches_the_set_of_index_pairs(kind, n):
         build_level(make_gauge(kind, 1.0 if kind == "geometric" else None), n)
     for box in (lv.side, lv.side * 3.3, lv.side / 2.7, 0.0371):
         assert count_boxes(lv, box) == _boxes_by_set(lv, box)
-        moved = lv.translated(-0.123, 0.0456)
+        moved = CantorLevel(lv.family, lv.level, lv.side,
+                            lv.centers + [-0.123, 0.0456])
         assert count_boxes(moved, box) == _boxes_by_set(moved, box)
-
-
-def test_pointwise_box_dimension():
-    assert pointwise_box_dimension(16, 0.25) == pytest.approx(2.0)
-    assert pointwise_box_dimension(4, 0.25) == pytest.approx(1.0)
 
 
 def test_count_segment_boxes():
@@ -256,5 +251,6 @@ def test_translation_preserves_counting(n, dx, dy):
     the aligned count (covering number robustness)."""
     lv = build_sigma_level(n)
     base = count_boxes(lv)
-    moved = count_boxes(lv.translated(dx, dy))
+    moved = count_boxes(CantorLevel(lv.family, lv.level, lv.side,
+                                    lv.centers + [dx, dy]))
     assert base / 4 <= moved <= 4 * base

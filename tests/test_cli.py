@@ -138,3 +138,36 @@ def test_report_runs(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["case"] == "theoremB"
+
+
+def _one_line_error(capsys, argv):
+    """Runs argv, which must exit 1 with one `error:` line on stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    return captured.err
+
+
+def test_instance_count_overflow_is_a_depth_error(capsys):
+    # level 513 of theorem B has 4^512 instances per template, more than a
+    # float holds; the standard maps reach 4^512 at level 512
+    err = _one_line_error(capsys, ["profile", "--case", "theoremB",
+                                   "--depth", "600"])
+    assert "level 513" in err
+    err = _one_line_error(capsys, ["report", "--case", "slow-to-geometric:1",
+                                   "--depth", "600"])
+    assert "level 512" in err
+    code, _ = _capture(capsys, ["profile", "--case", "theoremB",
+                                "--depth", "512"])
+    assert code == 0
+
+
+def test_frostman_needs_a_sample(capsys):
+    for samples in ("-1", "0"):
+        err = _one_line_error(capsys, ["dims", "--gauge", "geometric:1",
+                                       "--frostman-s", "0.5",
+                                       "--samples", samples])
+        assert "samples" in err

@@ -18,7 +18,7 @@ from qcforge.geometry import Point, Triangle, affine_three_point, \
 from qcforge.homeo import invert, standard_homeo, theoremB_homeo, \
     twist_parameter
 from qcforge.qcmaps import annulus_extension_any, annulus_templates, \
-    conjugate, invert_piecewise, twist_extension, twist_templates
+    conjugate_templates, invert_piecewise, twist_extension, twist_templates
 
 DEPTH = 64
 
@@ -161,7 +161,7 @@ def test_theoremB_templates_match_the_scalar_path():
             _assert_same(ti, _inverted(rows))
         single = twist_extension(twist_parameter(k))
         _assert_same(single, right)
-        _assert_same(conjugate(single, np.negative), left)
+        _assert_same(conjugate_templates([single], np.negative)[0], left)
 
 
 def _error(build, *args):
