@@ -66,7 +66,15 @@ FIXED = (
         ("profile", "--case", "theoremB", "--depth", "600"), {}),
        ("exit1-negative-samples",
         ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
-         "--samples", "-1"), {})]
+         "--samples", "-1"), {}),
+       # the level-1 template error comes before the level-22 underflow
+       ("exit1-degenerate-before-underflow",
+        ("homeo", "--src", "slow", "--dst", "geometric:50",
+         "--depth", "30"), {}),
+       ("exit1-case-parameter",
+        ("profile", "--case", "slow-to-geometric:abc", "--depth", "3"), {}),
+       ("exit1-curve-depth-guard", ("curve", "--depth", "4"),
+        {"QCFORGE_DEPTH_GUARD": "3"})]
 )
 
 

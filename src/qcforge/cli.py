@@ -39,7 +39,11 @@ def _parse_case(text: str) -> tuple[str, float]:
         raise QCForgeError(
             f"unknown case {text!r}; choose slow-to-geometric[:nu], "
             "geometric-to-fast[:nu], slow-to-fast, or theoremB")
-    return name, float(param) if param else 1.0
+    try:
+        return name, float(param) if param else 1.0
+    except ValueError:
+        raise QCForgeError(f"case parameter {param!r} is not a number") \
+            from None
 
 
 def _case_map(case: str, nu: float, depth: int,

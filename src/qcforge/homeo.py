@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cantor import Construction, GaugeSequence, depth_guard, make_gauge, \
-    nest_centers
+from .cantor import Construction, GaugeSequence, _check_depth, depth_guard, \
+    make_gauge, nest_centers
 # re-exported: qcforge.homeo.build_level / build_sigma_level stay importable
 from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError
@@ -120,6 +120,7 @@ class HierarchicalMap:
 
     def corresponding_centers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Aligned (source, target) level-k square centers, in digit-path order."""
+        _check_depth(k)
         levels = self.levels[:k]
         return (nest_centers(lv.src.offsets for lv in levels),
                 nest_centers(lv.dst.offsets for lv in levels))

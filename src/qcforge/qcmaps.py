@@ -25,8 +25,10 @@ Cell geometry is built for a whole stack of parameters at once, one row per
 level.  `annulus_templates`, `twist_templates`, `invert_templates` and
 `conjugate_templates` also solve every cell of the stack in one pass; the
 single-template builders solve cell by cell with the scalar kernels of
-`geometry`, the reference those passes match bit for bit.  A stack raises
-the error that building it level by level would meet first.
+`geometry`, the reference those passes match bit for bit.  Only the
+single-template builders know template errors: a stack with a row that
+the scalar kernels would reject is built again row by row with them, which
+raises the first error a level-by-level build meets.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, OrientationError
+from .errors import DomainError, GeometryError
 from .geometry import AffineMap, Point, Triangle, affine_three_point, \
     dilatation, invert_affine
 
@@ -155,8 +157,8 @@ def _apply(maps: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _solve(src: np.ndarray, dst: np.ndarray):
     """The affine maps sending each src triangle to its dst triangle, their
-    dilatations, and a fault code per cell: 1 non-finite entry, 2
-    non-positive determinant, 3 dilatation not finite in floating point."""
+    dilatations, and where `affine_three_point` and `dilatation` accept the
+    cell: finite entries, a positive determinant, a finite dilatation."""
     a, b, c = src[..., 0, :], src[..., 1, :], src[..., 2, :]
     u, v, w = dst[..., 0, :], dst[..., 1, :], dst[..., 2, :]
     e1x, e1y = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
@@ -174,64 +176,21 @@ def _solve(src: np.ndarray, dst: np.ndarray):
     det = m11 * m22 - m12 * m21
     p = np.hypot((m11 + m22) / 2.0, (m21 - m12) / 2.0)
     q = np.hypot((m11 - m22) / 2.0, (m21 + m12) / 2.0)
-    code = np.select([~np.isfinite(maps).all(axis=-1), det <= 0, p <= q],
-                     [1, 2, 3], 0)
-    return maps, (p + q) / (p - q), code
-
-
-# (exception, message) of each fault code of `_solve` and `_invert`; {det}
-# is the determinant of the cell's map
-_SOLVE_FAULTS = (
-    (GeometryError, "non-finite affine map entry"),
-    (OrientationError, "determinant {det} is not positive"),
-    (GeometryError, "dilatation of a map with determinant {det} is not "
-                    "finite in floating point"))
-_INVERT_FAULTS = (
-    (GeometryError, "degenerate (collinear) triangle"),
-    (OrientationError, "determinant {det} is not positive"),
-    (GeometryError, "non-finite affine map entry"))
-
-
-def _no_diagonal(level, i):
-    return GeometryError("no valid diagonal for matched quads")
-
-
-def _degenerate(level, i):
-    return GeometryError("degenerate (collinear) triangle")
-
-
-def _cell_error(maps: np.ndarray, code: np.ndarray, faults):
-    def error(level: int, i: int):
-        m11, m12, m21, m22 = maps[level, i, :4].tolist()
-        kind, text = faults[code[level, i] - 1]
-        return kind(text.format(det=m11 * m22 - m12 * m21))
-    return error
+    ok = np.isfinite(maps).all(axis=-1) & (det > 0) & (p > q)
+    return maps, (p + q) / (p - q), ok
 
 
 def _invert(maps: np.ndarray, images: np.ndarray):
-    """Inverse maps, and a fault code per cell: 1 degenerate image
-    triangle, 2 non-positive determinant, 3 non-finite entry."""
+    """Inverse maps, and where `invert_piecewise` accepts the cell: a
+    non-flat image, finite entries both ways, a positive determinant."""
     m11, m12, m21, m22, tx, ty = (maps[..., j] for j in range(6))
     d = m11 * m22 - m12 * m21
     n11, n12, n21, n22 = m22 / d, -m12 / d, -m21 / d, m11 / d
     inv = np.stack([n11, n12, n21, n22, -(n11 * tx + n12 * ty),
                     -(n21 * tx + n22 * ty)], axis=-1)
-    code = np.select([_signed_area2(images) == 0.0, d <= 0,
-                      ~np.isfinite(inv).all(axis=-1)], [1, 2, 3], 0)
-    return inv, code
-
-
-def _raise_first(checks):
-    """Raise the error that building level by level, each level step by
-    step, meets first.  `checks` lists (faults, error) in the order of one
-    level's steps: faults is a (levels, items) array, nonzero where an item
-    fails, and error(level, item) makes the exception."""
-    found = [(int(np.argmax(faults.any(axis=1))), i)
-             for i, (faults, _) in enumerate(checks) if faults.any()]
-    if found:
-        level, i = min(found)
-        faults, error = checks[i]
-        raise error(level, int(np.argmax(faults[level] != 0)))
+    ok = ((_signed_area2(images) != 0.0) & (d > 0)
+          & np.isfinite(maps).all(axis=-1) & np.isfinite(inv).all(axis=-1))
+    return inv, ok
 
 
 def _templates(cells, maps, dils, kinds, params) -> list[PiecewiseAffineMap]:
@@ -277,8 +236,8 @@ def _square_corners(cx, cy, side) -> np.ndarray:
 
 def _annulus_cells(outer_src, inner_src, outer_dst, inner_dst):
     """Spoke decomposition between 4-gon annuli with matched ccw corners,
-    each (L, 4, 2): matched cells (L, 8, 3, 2), and the quads (L, 4) where
-    no diagonal keeps all four triangles ccw."""
+    each (L, 4, 2): matched cells (L, 8, 3, 2), and the rows (L,) with a
+    quad where no diagonal keeps all four triangles ccw."""
     tris, ok = [], True
     for outer, inner in ((outer_src, inner_src), (outer_dst, inner_dst)):
         t = np.concatenate([outer, inner], axis=-2)[:, _QUADS][:, :, _SPLITS]
@@ -287,7 +246,7 @@ def _annulus_cells(outer_src, inner_src, outer_dst, inner_dst):
     split = np.where(ok[..., 0], 0, 1)[..., None, None, None, None]
     src, dst = (np.take_along_axis(t, split, axis=2).reshape(-1, 8, 3, 2)
                 for t in tris)
-    return src, dst, ~ok.any(axis=-1)
+    return src, dst, ~ok.any(axis=-1).all(axis=-1)
 
 
 def _annulus_geometry(a: np.ndarray, b: np.ndarray):
@@ -305,8 +264,9 @@ def annulus_extension(a: float, b: float) -> PiecewiseAffineMap:
     """
     if not (0 < a <= b < 0.5):
         raise DomainError(f"need 0 < a <= b < 1/2, got a={a}, b={b}")
-    src, dst, bad = _annulus_geometry(np.array([a]), np.array([b]))
-    _raise_first([(bad, _no_diagonal)])
+    src, dst, no_diagonal = _annulus_geometry(np.array([a]), np.array([b]))
+    if no_diagonal[0]:
+        raise GeometryError("no valid diagonal for matched quads")
     return _from_cells(src[0], dst[0], "annulus", (("a", a), ("b", b)))
 
 
@@ -324,22 +284,18 @@ def annulus_templates(alpha, beta) -> list[PiecewiseAffineMap]:
     """`annulus_extension_any(alpha[i], beta[i])` for every i, in one pass:
     rows with alpha > beta are built swapped and inverted under a mask."""
     alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
-    bad_range = ~((0 < alpha) & (alpha < 0.5) & (0 < beta) & (beta < 0.5))
     with np.errstate(all="ignore"):
-        src, dst, no_diag = _annulus_geometry(np.minimum(alpha, beta),
-                                              np.maximum(alpha, beta))
-        maps, dils, code = _solve(src, dst)
+        src, dst, no_diagonal = _annulus_geometry(np.minimum(alpha, beta),
+                                                  np.maximum(alpha, beta))
+        maps, dils, ok = _solve(src, dst)
         images = _orient(_apply(maps, src))
-        inv, inv_code = _invert(maps, images)
+        inv, inv_ok = _invert(maps, images)
     flip = alpha > beta
-    _raise_first([
-        (bad_range[:, None],
-         lambda i, _: DomainError(f"need a, b in (0, 1/2), got "
-                                  f"a={alpha[i].item()}, b={beta[i].item()}")),
-        (no_diag, _no_diagonal),
-        (code, _cell_error(maps, code, _SOLVE_FAULTS)),
-        (inv_code * flip[:, None],
-         _cell_error(maps, inv_code, _INVERT_FAULTS))])
+    if not ((0 < alpha) & (alpha < 0.5) & (0 < beta) & (beta < 0.5)
+            & ~no_diagonal & (ok & (inv_ok | ~flip[:, None])).all(axis=-1)
+            ).all():
+        return [annulus_extension_any(x, y)
+                for x, y in zip(alpha.tolist(), beta.tolist())]
     f = flip[:, None, None]
     return _templates(np.where(f[..., None], images, src),
                       np.where(f, inv, maps), dils, ["annulus"] * len(alpha),
@@ -356,8 +312,8 @@ _G_X0, _G_X1, _G_H = 1.0 / 24, 11.0 / 24, 3.0 / 16
 
 
 def _twist_geometry(a: np.ndarray):
-    """Cells (L, 24, 3, 2) of the twist templates, one per row of a, and
-    the checks their scalar construction makes, in its order."""
+    """Cells (L, 24, 3, 2) of the twist templates, one per row of a, and the
+    rows with a quad without a valid diagonal, resp. a flat turned cell."""
     L = len(a)
 
     def ring(*corners):  # (L, 4, 2) from four (x, y) pairs of scalars/rows
@@ -372,7 +328,7 @@ def _twist_geometry(a: np.ndarray):
     p0, p1 = a / 2.0, 0.5 - a / 2.0
     q0, q1 = -0.5 + a / 2.0, 0.5 - a / 2.0
     Bshift = ring((p0, q1), (p0, q0), (p1, q0), (p1, q1))
-    outer_src, outer_dst, bad_outer = _annulus_cells(P, A, P, Bshift)
+    outer_src, outer_dst, no_outer = _annulus_cells(P, A, P, Bshift)
     # left pants leg: [g0, 1/4] x [-h, h] minus the left hole, onto the top
     # half of the image box minus the top hole
     leg_src = ring((_G_X0, -_G_H), (0.25, -_G_H), (0.25, _G_H), (_G_X0, _G_H))
@@ -380,20 +336,15 @@ def _twist_geometry(a: np.ndarray):
     hole_src = np.broadcast_to(
         _square_corners(0.125, 0.0, _TWIST_HOLE_SIDE), (L, 4, 2))
     hole_dst = _square_corners(0.25, 0.25, 0.5 - 2 * a)
-    left_src, left_dst, bad_leg = _annulus_cells(leg_src, hole_src,
-                                                 leg_dst, hole_dst)
+    left_src, left_dst, no_leg = _annulus_cells(leg_src, hole_src,
+                                                leg_dst, hole_dst)
     # right leg: the left one turned by pi about (1/4, 0)
     moved = [np.stack([0.5 - t[..., 0], -t[..., 1]], axis=-1)
              for t in (left_src, left_dst)]
     flat = (_signed_area2(moved[0]) == 0) | (_signed_area2(moved[1]) == 0)
     src = np.concatenate([outer_src, left_src, _orient(moved[0])], axis=1)
     dst = np.concatenate([outer_dst, left_dst, _orient(moved[1])], axis=1)
-    bad_range = ~((0 < a) & (a < 0.2))
-    return src, dst, [
-        (bad_range[:, None],
-         lambda i, _: DomainError(f"need 0 < a < 1/5, got a={a[i].item()}")),
-        (bad_outer, _no_diagonal), (bad_leg, _no_diagonal),
-        (flat, _degenerate)]
+    return src, dst, no_outer | no_leg, flat.any(axis=-1)
 
 
 def twist_extension(a: float) -> PiecewiseAffineMap:
@@ -405,8 +356,11 @@ def twist_extension(a: float) -> PiecewiseAffineMap:
     """
     if not (0 < a < 0.2):
         raise DomainError(f"need 0 < a < 1/5, got a={a}")
-    src, dst, checks = _twist_geometry(np.array([a]))
-    _raise_first(checks)
+    src, dst, no_diagonal, flat = _twist_geometry(np.array([a]))
+    if no_diagonal[0]:
+        raise GeometryError("no valid diagonal for matched quads")
+    if flat[0]:
+        raise GeometryError("degenerate (collinear) triangle")
     return _from_cells(src[0], dst[0], "twist", (("a", a),))
 
 
@@ -414,9 +368,11 @@ def twist_templates(a) -> list[PiecewiseAffineMap]:
     """`twist_extension(a[i])` for every i, in one pass."""
     a = np.asarray(a, float)
     with np.errstate(all="ignore"):
-        src, dst, checks = _twist_geometry(a)
-        maps, dils, code = _solve(src, dst)
-    _raise_first(checks + [(code, _cell_error(maps, code, _SOLVE_FAULTS))])
+        src, dst, no_diagonal, flat = _twist_geometry(a)
+        maps, dils, ok = _solve(src, dst)
+    if not ((0 < a) & (a < 0.2) & ~no_diagonal & ~flat
+            & ok.all(axis=-1)).all():
+        return [twist_extension(x) for x in a.tolist()]
     return _templates(src, maps, dils, ["twist"] * len(a),
                       [(("a", x),) for x in a.tolist()])
 
@@ -434,7 +390,7 @@ def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
     inv = []
     for i, m in enumerate(pmap.maps.tolist()):
         if flat[i]:
-            raise _degenerate(0, i)
+            raise GeometryError("degenerate (collinear) triangle")
         n = invert_affine(AffineMap(*m))
         inv.append((n.m11, n.m12, n.m21, n.m22, n.tx, n.ty))
     kind, params = _inverse_kind(pmap)
@@ -450,8 +406,9 @@ def invert_templates(templates: Sequence[PiecewiseAffineMap]
     images = np.stack([t.images for t in templates])
     maps = np.stack([t.maps for t in templates])
     with np.errstate(all="ignore"):
-        inv, code = _invert(maps, images)
-    _raise_first([(code, _cell_error(maps, code, _INVERT_FAULTS))])
+        inv, ok = _invert(maps, images)
+    if not ok.all():
+        return [invert_piecewise(t) for t in templates]
     kinds, params = zip(*map(_inverse_kind, templates))
     return _templates(images, inv,
                       np.stack([t.dilatations for t in templates]),
@@ -463,20 +420,26 @@ def conjugate_templates(templates: Sequence[PiecewiseAffineMap],
                         ) -> list[PiecewiseAffineMap]:
     """s o t o s^-1 of same-size templates t, for a similarity s acting on
     (..., 2) arrays: each cell and its image moved by s, then solved again,
-    in one pass.  Dilatations are preserved up to rounding."""
+    in one pass, or template by template with `_from_cells` if a cell is
+    flat or rejected.  Dilatations are preserved up to rounding."""
     if not templates:
         return []
     cells = np.stack([t.cells for t in templates])
     images = np.stack([t.images for t in templates])
     moved = [similarity(cells), similarity(images)]
-    flat = np.any([_signed_area2(t) == 0.0 for t in (images, *moved)], axis=0)
+    params = [t.params for t in templates]
     with np.errstate(all="ignore"):
+        flat = (_signed_area2(np.stack([images, *moved])) == 0).any(axis=0)
         src, dst = _orient(moved[0]), _orient(moved[1])
-        maps, dils, code = _solve(src, dst)
-    _raise_first([(flat, _degenerate),
-                  (code, _cell_error(maps, code, _SOLVE_FAULTS))])
-    return _templates(src, maps, dils, ["composite"] * len(templates),
-                      [t.params for t in templates])
+        maps, dils, ok = _solve(src, dst)
+    if flat.any() or not ok.all():
+        out = []
+        for s, d, f, p in zip(src, dst, flat, params):
+            if f.any():
+                raise GeometryError("degenerate (collinear) triangle")
+            out.append(_from_cells(s, d, "composite", p))
+        return out
+    return _templates(src, maps, dils, ["composite"] * len(templates), params)
 
 
 @dataclass(frozen=True)

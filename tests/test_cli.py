@@ -171,3 +171,21 @@ def test_frostman_needs_a_sample(capsys):
                                        "--frostman-s", "0.5",
                                        "--samples", samples])
         assert "samples" in err
+
+
+def test_case_parameter_must_be_a_number(capsys):
+    for argv in (["profile", "--case", "slow-to-geometric:abc"],
+                 ["david", "--case", "slow-to-fast:x"],
+                 ["report", "--case", "geometric-to-fast:1,5"]):
+        err = _one_line_error(capsys, argv + ["--depth", "3"])
+        assert "is not a number" in err
+
+
+def test_curve_obeys_the_depth_guard(capsys, monkeypatch):
+    # the curve materializes the 4^n deepest squares, like `cantor`
+    monkeypatch.setenv("QCFORGE_DEPTH_GUARD", "3")
+    want = _one_line_error(capsys, ["cantor", "--gauge", "geometric:1",
+                                    "--depth", "4"])
+    assert _one_line_error(capsys, ["curve", "--depth", "4"]) == want
+    code, _ = _capture(capsys, ["curve", "--depth", "3"])
+    assert code == 0

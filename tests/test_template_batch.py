@@ -7,18 +7,21 @@ inverse.  The package builds every level of a map in one array pass; both
 must agree bit for bit, and must raise the same error first.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qcforge.cantor import make_gauge
 from qcforge.errors import DepthLimitError, DomainError, GeometryError, \
-    QCForgeError
+    OrientationError, QCForgeError
 from qcforge.geometry import Point, Triangle, affine_three_point, \
     dilatation, invert_affine
 from qcforge.homeo import invert, standard_homeo, theoremB_homeo, \
     twist_parameter
 from qcforge.qcmaps import annulus_extension_any, annulus_templates, \
-    conjugate_templates, invert_piecewise, twist_extension, twist_templates
+    conjugate_templates, invert_piecewise, invert_templates, \
+    twist_extension, twist_templates
 
 DEPTH = 64
 
@@ -208,3 +211,41 @@ def test_gauge_underflow_names_the_gauge_and_level():
                   205) == (DepthLimitError, "gauge fast underflows at "
                            "level 203: d_203 is 0 in floating point")
     standard_homeo(make_gauge("geometric", 1.0), fast, 202)
+
+
+def _with_cell(t, name, i, update):
+    """t with row i of its `name` array replaced by update(row)."""
+    rows = getattr(t, name).copy()
+    rows[i] = update(rows[i])
+    return replace(t, **{name: rows})
+
+
+def test_inversion_errors_match_the_scalar_path():
+    good = twist_extension(0.1)
+    # a flat image triangle, a negative determinant, and an infinite entry
+    # whose determinant is -inf
+    for bad, kind in [
+            (_with_cell(good, "images", 5, lambda c: [c[0], c[1], c[1]]),
+             GeometryError),
+            (_with_cell(good, "maps", 9, lambda m: m[[2, 3, 0, 1, 4, 5]]),
+             OrientationError),
+            (_with_cell(good, "maps", 9, lambda m: [m[0], 1.0, np.inf,
+                                                    *m[3:]]),
+             GeometryError)]:
+        want = _error(invert_piecewise, bad)
+        assert want[0] is kind
+        assert _error(invert_templates, [bad]) == want
+        assert _error(invert_templates, [good, bad, good]) == want
+
+
+def test_conjugation_errors_match_the_scalar_path():
+    rows = _twist(0.1)
+    templates = [twist_extension(0.1)]
+    want = _error(_moved, rows, lambda v: Point(v.x, 0.0))
+    assert want == (GeometryError, "degenerate (collinear) triangle")
+    assert _error(conjugate_templates, templates,
+                  lambda p: p * [1.0, 0.0]) == want
+    # cells that stay apart but whose maps leave float range
+    want = _error(_moved, rows, lambda v: Point(v.x * 1e300, v.y * 1e300))
+    assert want[0] is GeometryError
+    assert _error(conjugate_templates, templates, lambda p: p * 1e300) == want
