@@ -7,8 +7,8 @@ Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
 The jobs are every CLI job of the three benchmark workloads at each seed
 (from perfbench/inputs.py), `curve --depth 0..7`, the depth-0 profile in
 both formats, deep maps (theoremB at depth 64, depth-100 reports and
-profiles), maps that invert their templates at some levels only, and
-inputs that must exit 1.  Each runs in process through
+profiles), maps that invert their templates at some levels only,
+Frostman profiles at levels 0 and 9, and inputs that must exit 1.  Each runs in process through
 `qcforge.cli.run`, writing into a temporary directory; a job that writes no
 artifact is digested by its stderr text instead.  Run it in both checkouts
 and `diff` the outputs.  The package and perfbench are imported from the
@@ -75,6 +75,21 @@ FIXED = (
         ("profile", "--case", "slow-to-geometric:abc", "--depth", "3"), {}),
        ("exit1-curve-depth-guard", ("curve", "--depth", "4"),
         {"QCFORGE_DEPTH_GUARD": "3"})]
+    # Frostman walks past the workloads' levels 5-7: a thick gauge, tiny
+    # sides, the root alone, and square indices past int64
+    + [("frostman-sqrt-9",
+        ("dims", "--gauge", "sqrt", "--frostman-s", "1.5",
+         "--frostman-level", "9", "--samples", "8"), {}),
+       ("frostman-geometric-1.4-9",
+        ("dims", "--gauge", "geometric:1.4", "--frostman-s", "0.9",
+         "--frostman-level", "9", "--samples", "8"), {}),
+       ("frostman-level-0",
+        ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
+         "--frostman-level", "0", "--samples", "4"), {}),
+       ("exit1-frostman-int64",
+        ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
+         "--frostman-level", "32", "--samples", "2"),
+        {"QCFORGE_DEPTH_GUARD": "40"})]
 )
 
 

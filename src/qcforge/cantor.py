@@ -11,6 +11,9 @@ Two families are built here:
 
 Dimension estimators: truncated limsup/liminf bounds from the covering /
 mass-distribution argument, grid box counting, and a Frostman-ratio probe.
+The probe builds no level: it walks the digit tree of the square nest from
+the root, counting whole subtrees that lie inside or outside a disk, and
+tests single level-n squares only near the disk's boundary.
 """
 
 from __future__ import annotations
@@ -364,27 +367,73 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
 
     For sampled centers x of level-n squares and dyadic radii eps, the mass
     mu(D(x, eps)) is over-approximated by 4^-n times the number of level
-    squares within distance eps of x.  Returns (eps, max ratio mu / eps^s)
-    sorted by decreasing eps.
+    squares within distance eps of x: the square of center c counts when
+    hypot(max(|c - x| - side/2, 0)) <= eps in float64, per coordinate.
+    Returns (eps, max ratio mu / eps^s) sorted by decreasing eps.
+
+    No level is built.  The digit tree is walked once for all (sample,
+    radius) pairs together, one numpy pass per level.  A level-k node whose
+    square lies inside the disk by more than a rounding margin adds its
+    4^(n-k) leaves, one outside it by that margin is dropped, and the rest
+    split into their children.  Node and sample centers are summed in the
+    order of `nest_centers`, so the leaves reach the test above with the
+    bits of the built level, and the counts are those of a scan of it.
     """
     if not 0 <= s < 2:
         raise DomainError("need 0 <= s < 2")
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
-    level = build_level(gauge, n)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, level.count, size=min(samples, level.count))
-    xs = level.centers[idx]
-    half = level.side / 2.0
-    kmax = max(1, math.ceil(-math.log2(level.side)))
+    _check_depth(n)
+    if n >= 32:
+        raise DepthLimitError(f"level {n} has 4^{n} squares, more than an "
+                              "int64 index holds")
+    nest = Construction("lambda", gauge)
+    offsets = [np.asarray(nest.offsets(k)) for k in range(1, n + 1)]
+    idx = np.random.default_rng(seed).integers(0, 4 ** n,
+                                               size=min(samples, 4 ** n))
+    xs = np.zeros((len(idx), 2))
+    for k, offs in enumerate(offsets, 1):
+        xs = xs + offs[(idx >> 2 * (n - k)) & 3]
+    side = nest.side(n)
+    radii = [2.0 ** (-k)
+             for k in range(max(1, math.ceil(-math.log2(side))) + 1)]
+    # pair p is (radius p // len(xs), sample p % len(xs)); the frontier is
+    # one row per (pair, node): the pair and the node's center
+    x_of, r_of = np.tile(xs, (len(radii), 1)), np.repeat(radii, len(xs))
+    hits = np.zeros(len(r_of), dtype=np.int64)
+
+    def tally(pair, weight):
+        return np.bincount(pair, minlength=len(hits)) * weight
+
+    def leaf_hits(pair, centers):
+        d = np.maximum(np.abs(centers - x_of[pair]) - side / 2.0, 0.0)
+        return pair[np.hypot(d[:, 0], d[:, 1]) <= r_of[pair]]
+
+    # bounds the rounding of the center sums below a node and of the tests:
+    # about (n + 11) / 2 ulps of 1, as all coordinates lie in the unit square
+    margin = 16 * (n + 1) * np.finfo(float).eps
+    pair, centers = np.arange(len(hits)), np.zeros((len(hits), 2))
+    for k, offs in enumerate(offsets):
+        a, r, half = np.abs(centers - x_of[pair]), r_of[pair], nest.side(k) / 2
+        inside = np.hypot(*(a + half).T) <= r - margin
+        hits += tally(pair[inside], 4 ** (n - k))
+        near = np.hypot(*np.maximum(a - half, 0.0).T)
+        keep = ~inside & (near <= r + margin)
+        pair, centers = pair[keep], centers[keep]
+        children = centers[:, None, :] + offs
+        # a node that its children round back to has every leaf below it at
+        # its own center: deeper offsets are smaller and rounding is monotone
+        same = (children == centers[:, None, :]).all(axis=(1, 2))
+        hits += tally(leaf_hits(pair[same], centers[same]), 4 ** (n - k))
+        pair = np.repeat(pair[~same], 4)
+        centers = children[~same].reshape(-1, 2)
+    hits += tally(leaf_hits(pair, centers), 1)
+    hits = hits.reshape(len(radii), len(xs)).tolist()
     out = []
-    for k in range(0, kmax + 1):
-        eps = 2.0 ** (-k)
+    for eps, row in zip(radii, hits):
         worst = 0.0
-        for x in xs:
-            d = np.maximum(np.abs(level.centers - x) - half, 0.0)
-            hits = int(np.count_nonzero(np.hypot(d[:, 0], d[:, 1]) <= eps))
-            worst = max(worst, hits * 4.0 ** (-n) / eps ** s)
+        for h in row:
+            worst = max(worst, h * 4.0 ** (-n) / eps ** s)
         out.append((eps, worst))
     return out
 

@@ -25,9 +25,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_gauge(text: str) -> cantor.GaugeSequence:
+    # argparse shows the text of an ArgumentTypeError, but replaces that of
+    # any other error raised here by "invalid <function name> value"
     kind, _, param = text.partition(":")
-    nu = float(param) if param else None
-    return cantor.make_gauge(kind, nu)
+    try:
+        nu = float(param) if param else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"gauge parameter {param!r} is not a number") from None
+    try:
+        return cantor.make_gauge(kind, nu)
+    except QCForgeError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _parse_case(text: str) -> tuple[str, float]:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcforge.cantor import (CantorLevel, box_dimension,
+from qcforge import cantor
+from qcforge.cantor import (CantorLevel, Construction, box_dimension,
                             build_level, build_sigma_level, count_boxes,
                             count_segment_boxes, depth_guard,
                             dimension_bounds, frostman_check,
@@ -233,6 +234,102 @@ def test_frostman_unbounded_trend_above_dimension():
     big = max(r for _, r in prof[:half])      # larger radii
     small = max(r for _, r in prof[half:])    # smaller radii
     assert small > 1.5 * big
+
+
+def _frostman_by_scan(gauge, n, s, samples, seed):
+    """Reference ratios: the built level scanned once per sample, every
+    square against the disk test at every radius."""
+    level = build_level(gauge, n)
+    idx = np.random.default_rng(seed).integers(
+        0, level.count, size=min(samples, level.count))
+    half = level.side / 2.0
+    kmax = max(1, math.ceil(-math.log2(level.side)))
+    radii = [2.0 ** (-k) for k in range(kmax + 1)]
+    worst = [0.0] * len(radii)
+    for x in level.centers[idx]:
+        d = np.maximum(np.abs(level.centers - x) - half, 0.0)
+        dist = np.hypot(d[:, 0], d[:, 1])
+        for i, eps in enumerate(radii):
+            hits = int(np.count_nonzero(dist <= eps))
+            worst[i] = max(worst[i], hits * 4.0 ** (-n) / eps ** s)
+    return list(zip(radii, worst))
+
+
+WALK_GAUGES = [make_gauge("geometric", nu) for nu in (0.6, 1.0, 1.4)] + \
+    [make_gauge(kind) for kind in ("slow", "fast", "sqrt")]
+
+
+@pytest.mark.parametrize("gauge", WALK_GAUGES, ids=lambda g: g.describe())
+@pytest.mark.parametrize("n", range(9))
+def test_frostman_walk_equals_the_scan(gauge, n):
+    # 6 samples exceed the 1 and 4 squares of levels 0 and 1
+    for seed, s in ((0, 0.5), (5, 0.9), (12345, 1.7)):
+        assert frostman_profile(gauge, n, s, 6, seed) == \
+            _frostman_by_scan(gauge, n, s, 6, seed)
+
+
+@pytest.mark.parametrize("table,seeds", [
+    # past a gauge drop to 1e-17 a child offset is below half an ulp of its
+    # parent's center, so whole subtrees share that center's bits
+    ([1.0, 0.3, 1e-18, 5e-19, 1e-19, 5e-20, 1e-20], (0, 5)),
+    ([1.0, 0.9, 0.8, 1e-17, 9e-18, 8e-18, 1e-33], (0, 5)),
+    # centers just above and below 0.25 have ulps a factor 2 apart: the
+    # level-3 offsets round away in x but not in y
+    ([1.0, 8e-10, 3.2e-16, 3e-16, 2.9e-16, 2.8e-16, 2.7e-16], (2, 3)),
+    # sides near 1e-14 put level-6 distances within a few ulps of the
+    # radii, where a node test without the rounding margin goes wrong
+    ([1.0, 0.8116108252089649, 7.0196703617691956e-15,
+      6.960209099111273e-15, 4.640989604886832e-15, 4.639851055264102e-15,
+      4.212324577082991e-15], (147,)),
+    ([1.0, 0.6271951866301556, 0.37723960291778047, 1.0202759603465752e-14,
+      9.036476210852963e-15, 8.917741862691946e-15, 7.820008622892374e-15],
+     (105,)),
+], ids=["drop-1", "drop-3", "ulp-split", "margin-1", "margin-2"])
+def test_frostman_walk_equals_the_scan_at_float_resolution(table, seeds):
+    g = make_gauge("custom", table=table)
+    for seed in seeds:
+        assert frostman_profile(g, 6, 0.9, 8, seed) == \
+            _frostman_by_scan(g, 6, 0.9, 8, seed)
+
+
+def test_frostman_level_9_counts_are_exact():
+    # hits by sorting each sample's distances and counting those <= eps
+    g, n, s = make_gauge("geometric", 1.0), 9, 0.9
+    level = build_level(g, n)
+    idx = np.random.default_rng(7).integers(0, level.count, size=32)
+    radii = np.array([eps for eps, _ in frostman_profile(g, n, s, 32, 7)])
+    hits = []
+    for x in level.centers[idx]:
+        d = np.maximum(np.abs(level.centers - x) - level.side / 2.0, 0.0)
+        dist = np.sort(np.hypot(d[:, 0], d[:, 1]))
+        hits.append(np.searchsorted(dist, radii, side="right").tolist())
+    want = [(eps, max(h[i] * 4.0 ** (-n) / eps ** s for h in hits))
+            for i, eps in enumerate(radii.tolist())]
+    assert frostman_profile(g, n, s, 32, 7) == want
+
+
+def test_frostman_level_14_builds_no_level(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was built")
+    monkeypatch.setattr(cantor, "build_level", refuse)
+    monkeypatch.setattr(cantor, "nest_centers", refuse)
+    monkeypatch.setattr(Construction, "level", refuse)
+    g, n, s = make_gauge("sqrt"), 14, 1.5
+    prof = frostman_profile(g, n, s, 32, 0)
+    side = 2.0 ** -n * g.d(n)
+    assert [eps for eps, _ in prof] == \
+        [2.0 ** -k for k in range(math.ceil(-math.log2(side)) + 1)]
+    # each disk holds its own square and at most all 4^n of them
+    for eps, ratio in prof:
+        assert 4.0 ** -n / eps ** s <= ratio <= 1 / eps ** s
+
+
+def test_frostman_past_int64_indices_is_a_depth_error(monkeypatch):
+    monkeypatch.setenv("QCFORGE_DEPTH_GUARD", "40")
+    with pytest.raises(DepthLimitError, match="int64"):
+        frostman_profile(make_gauge("geometric", 1.0), 32, 0.5, 2)
+    with pytest.raises(DepthLimitError, match="guard"):
+        frostman_profile(make_gauge("geometric", 1.0), 41, 0.5, 2)
 
 
 @given(st.sampled_from(["geometric", "slow", "fast", "sqrt"]),

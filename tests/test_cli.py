@@ -189,3 +189,26 @@ def test_curve_obeys_the_depth_guard(capsys, monkeypatch):
     assert _one_line_error(capsys, ["curve", "--depth", "4"]) == want
     code, _ = _capture(capsys, ["curve", "--depth", "3"])
     assert code == 0
+
+
+def test_bad_gauge_names_the_reason(capsys):
+    for gauge, reason in (("geometric:nan", "finite nu > 0"),
+                          ("geometric:abc", "gauge parameter 'abc' is not "
+                                            "a number"),
+                          ("nope", "unknown gauge kind 'nope'")):
+        assert run(["cantor", "--gauge", gauge, "--depth", "1"]) == 1
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1 and reason in lines[0], err
+        assert "_parse_gauge" not in err
+
+
+def test_frostman_level_past_int64_indices(capsys, monkeypatch):
+    # the walk builds no level, so a raised guard reaches level 32, whose
+    # 4^32 square indices do not fit int64
+    monkeypatch.setenv("QCFORGE_DEPTH_GUARD", "40")
+    err = _one_line_error(capsys, ["dims", "--gauge", "geometric:1",
+                                   "--frostman-s", "0.5",
+                                   "--frostman-level", "32",
+                                   "--samples", "2"])
+    assert "level 32" in err and "int64" in err
