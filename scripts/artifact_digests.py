@@ -6,9 +6,10 @@ Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
 
 The jobs are every CLI job of the three benchmark workloads at each seed
 (from perfbench/inputs.py), `curve --depth 0..7`, the depth-0 profile in
-both formats, deep maps (theoremB at depth 64, depth-100 reports and
-profiles), maps that invert their templates at some levels only,
-Frostman profiles at levels 0 and 9, and inputs that must exit 1.  Each runs in process through
+both formats, deep maps (theoremB reports at depths 64 and 200,
+slow-to-fast at 200, depth-100 reports and profiles), maps that invert
+their templates at some levels only, Frostman profiles at levels 0 and 9,
+and inputs that must exit 1.  Each runs in process through
 `qcforge.cli.run`, writing into a temporary directory; a job that writes no
 artifact is digested by its stderr text instead.  Run it in both checkouts
 and `diff` the outputs.  The package and perfbench are imported from the
@@ -42,7 +43,11 @@ FIXED = (
                                "--depth", "64"), {}),
        ("report-slow-to-geometric-100", ("report", "--case",
                                          "slow-to-geometric:1",
-                                         "--depth", "100"), {})]
+                                         "--depth", "100"), {}),
+       ("report-theoremB-200", ("report", "--case", "theoremB",
+                                "--depth", "200"), {}),
+       ("report-slow-to-fast-200", ("report", "--case", "slow-to-fast",
+                                    "--depth", "200"), {})]
     + [(f"profile-100-inverse-image.{fmt}",
         ("profile", "--case", "slow-to-fast", "--depth", "100", "--direction",
          "inverse", "--side", "image", "--format", fmt), {})

@@ -12,6 +12,7 @@ limit map, not just the finite approximant.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -82,44 +83,24 @@ class DavidParams:
         return self.C * math.exp(-self.alpha * K)
 
 
-def _prefix_profiles(m: HierarchicalMap, side: str, depths):
-    """Exceedance profiles of m.truncate(n) for ascending n in `depths`,
-    each extending the per-dilatation masses of the one before.
-
-    A level adds, per template cell in (template, cell) order, the cell's
+def _level_masses(lv, side: str) -> list[tuple[float, float]]:
+    """(K, mass) of one level's cells in (template, cell) order: the cell's
     area times the placement scale squared times the template's instance
-    count to the mass of the cell's dilatation.
-    """
-    masses: dict[float, float] = {}
-    construction = m.source if side == "domain" else m.target
-    built = 0
-    for n in depths:
-        for lv in m.levels[built:n]:
-            sscale, dscale = lv.scales
-            scale2 = (sscale if side == "domain" else dscale) ** 2
-            try:
-                per_template = float(lv.instance_count()
-                                     // len(lv.templates))
-            except OverflowError:
-                raise DepthLimitError(
-                    f"instance count overflows at level {lv.k}: it is not "
-                    "finite in floating point") from None
-            for t in lv.templates:
-                area = t.domain_areas if side == "domain" else t.image_areas
-                for K, mass in zip(t.dilatations.tolist(),
-                                   (area * scale2 * per_template).tolist()):
-                    masses[K] = masses.get(K, 0.0) + mass
-        built = n
-        ks = sorted(masses)
-        # strict exceedance at each threshold = suffix sum above it
-        entries = []
-        suffix = 0.0
-        for k in reversed(ks):
-            entries.append((k, suffix))
-            suffix += masses[k]
-        entries.reverse()
-        yield DilatationProfile(tuple(entries), suffix,
-                                construction.level_area(n), side)
+    count."""
+    sscale, dscale = lv.scales
+    scale2 = (sscale if side == "domain" else dscale) ** 2
+    try:
+        per_template = float(lv.instance_count() // len(lv.templates))
+    except OverflowError:
+        raise DepthLimitError(
+            f"instance count overflows at level {lv.k}: it is not "
+            "finite in floating point") from None
+    out = []
+    for t in lv.templates:
+        area = t.domain_areas if side == "domain" else t.image_areas
+        out.extend(zip(t.dilatations.tolist(),
+                       (area * scale2 * per_template).tolist()))
+    return out
 
 
 def dilatation_profile(m: HierarchicalMap, side: str = "domain"
@@ -127,7 +108,20 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
     """Exact exceedance profile, aggregated per congruence class."""
     if side not in ("domain", "image"):
         raise DomainError(f"side must be 'domain' or 'image', got {side!r}")
-    return next(_prefix_profiles(m, side, (m.depth,)))
+    masses: dict[float, float] = {}
+    for lv in m.levels:
+        for K, mass in _level_masses(lv, side):
+            masses[K] = masses.get(K, 0.0) + mass
+    # strict exceedance at each threshold = suffix sum above it
+    entries = []
+    suffix = 0.0
+    for k in reversed(sorted(masses)):
+        entries.append((k, suffix))
+        suffix += masses[k]
+    entries.reverse()
+    construction = m.source if side == "domain" else m.target
+    return DilatationProfile(tuple(entries), suffix,
+                             construction.level_area(m.depth), side)
 
 
 def _closed_exceedances(profile: DilatationProfile):
@@ -242,11 +236,39 @@ THEOREM_A_CASES = {
 
 def _david_sweep(m: HierarchicalMap, K0: float):
     """(C, alpha) = (1, 1) checks of the domain profile at depths 3..depth,
-    in one pass over the levels."""
+    in one pass over the levels.
+
+    `check_david` of the depth-n profile skips every threshold <= K0, and
+    the closed exceedance at a threshold is the suffix sum of the masses
+    from the top down to it.  So only the thresholds above K0 are kept,
+    sorted, and each depth sums their masses from the top, adding in the
+    order of the full profile: flags and margins are those of
+    `check_david` bit for bit.
+    """
+    params = DavidParams(1.0, 1.0, K0)
+    masses: dict[float, float] = {}
+    tail: list[float] = []  # thresholds above K0, ascending
+    bounds: dict[float, float] = {}
     out = []
-    depths = range(3, m.depth + 1)
-    for n, prof in zip(depths, _prefix_profiles(m, "domain", depths)):
-        flag, margin = check_david(prof, DavidParams(1.0, 1.0, K0))
+    for n, lv in enumerate(m.levels, 1):
+        for K, mass in _level_masses(lv, "domain"):
+            if K not in masses and K > K0:
+                bisect.insort(tail, K)
+                bounds[K] = params.bound(K)
+            masses[K] = masses.get(K, 0.0) + mass
+        if n < 3:
+            continue
+        truncation = m.source.level_area(n)
+        flag, margin, suffix = True, math.inf, 0.0
+        for k in reversed(tail):
+            suffix += masses[k]
+            area = suffix + truncation
+            b = bounds[k]
+            if area > b:
+                flag = False
+            if area > 0:
+                margin = min(margin,
+                             math.log(b / area) if b > 0 else -math.inf)
         out.append({"depth": n, "passed": flag, "margin": margin})
     return out
 

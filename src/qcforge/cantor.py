@@ -158,6 +158,11 @@ class CantorLevel:
 _NEST_DIRECTIONS = ((-0.25, -0.25), (0.25, -0.25), (0.25, 0.25), (-0.25, 0.25))
 _ROW_DIRECTIONS = tuple(((2 * j - 5) / 8.0, 0.0) for j in (1, 2, 3, 4))
 
+# most rows a level of the Frostman walk may hold; deep levels of thin
+# gauges pass it with the nodes near the disk edges (3.7 M rows take about
+# 350 MB)
+_FROSTMAN_MAX_ROWS = 2 ** 23
+
 
 def _check_depth(n: int):
     if n < 0:
@@ -378,6 +383,8 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
     split into their children.  Node and sample centers are summed in the
     order of `nest_centers`, so the leaves reach the test above with the
     bits of the built level, and the counts are those of a scan of it.
+    A level whose walk would hold more than `_FROSTMAN_MAX_ROWS` rows
+    raises `DepthLimitError` before it is built.
     """
     if not 0 <= s < 2:
         raise DomainError("need 0 <= s < 2")
@@ -420,6 +427,10 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
         near = np.hypot(*np.maximum(a - half, 0.0).T)
         keep = ~inside & (near <= r + margin)
         pair, centers = pair[keep], centers[keep]
+        if 4 * len(pair) > _FROSTMAN_MAX_ROWS:
+            raise DepthLimitError(
+                f"the Frostman walk would hold {4 * len(pair)} rows at level "
+                f"{k + 1}, more than its cap of {_FROSTMAN_MAX_ROWS}")
         children = centers[:, None, :] + offs
         # a node that its children round back to has every leaf below it at
         # its own center: deeper offsets are smaller and rounding is monotone

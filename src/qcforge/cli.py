@@ -8,6 +8,7 @@ subcommand fails its check, 1 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -72,7 +73,12 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later `run`
+    in the process.  Parsing does not change it, and the error and help
+    output read `sys.stderr` and the terminal width when they are written.
+    """
     p = _Parser(prog="qcforge",
                 description="Cantor constructions, piecewise-affine "
                             "homeomorphisms, and dilatation statistics.")
@@ -225,9 +231,10 @@ def _run_profile(args) -> int:
             "side": prof.side,
             "classified_area": prof.classified_area,
             "truncation_bound": prof.truncation_bound,
-            "entries": [{"K": k, "exceedance_area": a,
-                         "bound": params.bound(k)}
-                        for k, a in prof.entries],
+            "entries": np.array(
+                [(k, a, params.bound(k)) for k, a in prof.entries],
+                dtype=[(name, np.float64) for name in
+                       ("K", "exceedance_area", "bound")]),
         })
     _emit(text, args.out)
     return 0

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from qcforge.analysis import (THEOREM_A_CASES, DavidParams,
-                              DilatationProfile, _david_sweep,
-                              _prefix_profiles, check_david,
+                              DilatationProfile, _david_sweep, check_david,
                               dilatation_profile, fit_david, level_ratio,
                               qc_dimension_bounds, theoremA_report,
                               theoremB_report)
@@ -217,23 +216,49 @@ def _cellwise_profile(m, side):
                              construction.level_area(m.depth), side)
 
 
+def _resweep(m, K0):
+    """The sweep's checks recomputed from the full profile at each depth."""
+    params = DavidParams(1.0, 1.0, K0)
+    out = []
+    for n in range(3, m.depth + 1):
+        passed, margin = check_david(dilatation_profile(m.truncate(n)), params)
+        out.append({"depth": n, "passed": passed, "margin": margin})
+    return out
+
+
+def _case_map(case, depth):
+    if case == "theoremB":
+        return theoremB_homeo(depth)
+    return standard_homeo(*THEOREM_A_CASES[case][0](1.0), depth)
+
+
 @pytest.mark.parametrize("case", [*THEOREM_A_CASES, "theoremB"])
 def test_incremental_sweep_matches_reprofiling(case):
-    if case == "theoremB":
-        fwd = theoremB_homeo(48)
-    else:
-        fwd = standard_homeo(*THEOREM_A_CASES[case][0](1.0), 48)
+    fwd = _case_map(case, 48)
     for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
-        params = DavidParams(1.0, 1.0, FROZEN_K0[(case, direction)])
-        want = []
-        for n in range(3, 49):
-            passed, margin = check_david(dilatation_profile(m.truncate(n)),
-                                         params)
-            want.append({"depth": n, "passed": passed, "margin": margin})
-        assert _david_sweep(m, params.K0) == want
+        K0 = FROZEN_K0[(case, direction)]
+        assert _david_sweep(m, K0) == _resweep(m, K0)
         # from n = 32 on, a level's 4^(n-1) instances pass 2^63
-        depths = (1, 31, 32, 48)
-        for side in ("domain", "image"):
-            for n, prof in zip(depths, _prefix_profiles(m, side, depths)):
-                assert prof == dilatation_profile(m.truncate(n), side)
-                assert prof == _cellwise_profile(m.truncate(n), side)
+        for n in (1, 31, 32, 48):
+            for side in ("domain", "image"):
+                assert dilatation_profile(m.truncate(n), side) == \
+                    _cellwise_profile(m.truncate(n), side)
+
+
+@pytest.mark.parametrize("case", [*THEOREM_A_CASES, "theoremB"])
+def test_sweep_matches_check_david_beyond_frozen_cutoffs(case):
+    # the sweep keeps only the thresholds above K0; cover K0 = 1 (nearly
+    # all of them), K0 on a threshold (the strict >: nothing lies above the
+    # top one at full depth), and K0 above all of them (vacuous at every
+    # depth), at depth 64 for theorem B
+    fwd = _case_map(case, 64 if case == "theoremB" else 48)
+    for m in (fwd, invert(fwd)):
+        ks = dilatation_profile(m).thresholds
+        for K0 in (1.0, ks[len(ks) // 2], ks[-1], 2.0 * ks[-1]):
+            assert _david_sweep(m, K0) == _resweep(m, K0)
+        assert _david_sweep(m, ks[-1])[-1]["margin"] == math.inf
+        assert all(c["passed"] and c["margin"] == math.inf
+                   for c in _david_sweep(m, 2.0 * ks[-1]))
+        assert any(c["margin"] < math.inf for c in _david_sweep(m, 1.0))
+
+

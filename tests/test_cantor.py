@@ -268,6 +268,25 @@ def test_frostman_walk_equals_the_scan(gauge, n):
             _frostman_by_scan(gauge, n, s, 6, seed)
 
 
+def test_frostman_row_cap_only_stops_the_walk(monkeypatch):
+    # each error names rows past the cap; raised to them, the walk goes on
+    # and ends with the ratios of an uncapped walk
+    g = make_gauge("geometric", 1.0)
+    want = frostman_profile(g, 8, 0.5, 2)
+    monkeypatch.setattr(cantor, "_FROSTMAN_MAX_ROWS", 64)
+    raised = 0
+    while True:
+        try:
+            got = frostman_profile(g, 8, 0.5, 2)
+            break
+        except DepthLimitError as e:
+            rows = int(str(e).split(" rows")[0].split()[-1])
+            assert rows > cantor._FROSTMAN_MAX_ROWS
+            monkeypatch.setattr(cantor, "_FROSTMAN_MAX_ROWS", rows)
+            raised += 1
+    assert raised > 1 and got == want
+
+
 @pytest.mark.parametrize("table,seeds", [
     # past a gauge drop to 1e-17 a child offset is below half an ulp of its
     # parent's center, so whole subtrees share that center's bits

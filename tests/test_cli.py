@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
-from qcforge.cli import run
+import qcforge
+from qcforge import cantor
+from qcforge.cli import build_parser, run
 
 
 def _capture(capsys, argv):
@@ -212,3 +217,54 @@ def test_frostman_level_past_int64_indices(capsys, monkeypatch):
                                    "--frostman-level", "32",
                                    "--samples", "2"])
     assert "level 32" in err and "int64" in err
+
+
+def test_frostman_frontier_cap(capsys, monkeypatch):
+    # a level whose walk would pass the row cap exits 1 before it is built
+    argv = ["dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
+            "--frostman-level", "8", "--samples", "2"]
+    assert _capture(capsys, argv)[0] == 0
+    monkeypatch.setattr(cantor, "_FROSTMAN_MAX_ROWS", 64)
+    err = _one_line_error(capsys, argv)
+    assert "level " in err and "rows" in err and "64" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _fresh_run(argv, columns):
+    """argv run by `python -m qcforge.cli` in a new process."""
+    src = os.path.dirname(os.path.dirname(qcforge.__file__))
+    env = dict(os.environ, COLUMNS=columns,
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "qcforge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_matches_a_fresh_process(capsys, monkeypatch):
+    # a usage error first, then artifacts and a failed verdict from the
+    # same parser: bytes and exit codes as in a new process each
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["nope"],
+                 ["profile", "--case", "slow-to-fast", "--depth", "6"],
+                 ["report", "--case", "theoremB", "--depth", "5"],
+                 ["report", "--case", "slow-to-geometric:1", "--depth", "5"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_run(argv, "80")
+    assert code == 2
+
+
+def test_help_wraps_at_the_width_of_each_call(capsys, monkeypatch):
+    build_parser()
+    description = ("Cantor constructions, piecewise-affine homeomorphisms, "
+                   "and dilatation statistics.")
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert (description in out) == (columns == "200")
+        assert (0, out, "") == _fresh_run(["--help"], columns)
