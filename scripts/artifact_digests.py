@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print one line `job rc bytes blake2b` per CLI artifact, for byte-identity
+"""Print one line `job rc bytes blake2b` per CLI artifact, and per point
+evaluation and square-center list of the query maps, for byte-identity
 checks between two checkouts.
 
 Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
@@ -9,11 +10,16 @@ The jobs are every CLI job of the three benchmark workloads at each seed
 both formats, deep maps (theoremB reports at depths 64 and 200,
 slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
-and inputs that must exit 1.  Each runs in process through
-`qcforge.cli.run`, writing into a temporary directory; a job that writes no
-artifact is digested by its stderr text instead.  Run it in both checkouts
-and `diff` the outputs.  The package and perfbench are imported from the
-checkout the script lives in.
+and inputs that must exit 1 (a traceback shows as exit code `raised`).
+Each runs in process through `qcforge.cli.run`, writing into a temporary
+directory; a job that writes no artifact is digested by its stderr text
+instead.  The lines after them digest the float64 bytes of `evaluate`
+(x, y, error bound) at 200 seeded points on the four maps of the queries
+workload, built at depths 0, 1 and 12 and cut from depth 12 to 5 by
+`truncate`, and of `corresponding_centers(k)` (source, then target) for
+k = 0..6 on the depth-12 maps.  Run it in both checkouts and `diff` the
+outputs.  The package and perfbench are imported from the checkout the
+script lives in.
 """
 
 import contextlib
@@ -22,13 +28,20 @@ import io
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from unittest import mock
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from inputs import WORKLOADS, make_workload  # noqa: E402
+from inputs import QUERY_MAPS, WORKLOADS, _query_points, \
+    make_workload  # noqa: E402
+from oracles import build_map  # noqa: E402
 from qcforge import cli  # noqa: E402
+from qcforge.geometry import Point  # noqa: E402
+from qcforge.homeo import evaluate  # noqa: E402
 
 # (name, argv, extra environment)
 FIXED = (
@@ -95,6 +108,14 @@ FIXED = (
         ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
          "--frostman-level", "32", "--samples", "2"),
         {"QCFORGE_DEPTH_GUARD": "40"})]
+    # sides that are 0 in floating point, grid indices past int64
+    + [("exit1-zero-side-level",
+        ("cantor", "--gauge", "geometric:2000", "--depth", "2"), {}),
+       ("exit1-zero-side-frostman",
+        ("dims", "--gauge", "geometric:2000", "--frostman-s", "0.5",
+         "--frostman-level", "2", "--samples", "2"), {}),
+       ("exit1-box-index-int64",
+        ("dims", "--gauge", "geometric:80", "--box-depths", "2,3"), {})]
 )
 
 
@@ -107,10 +128,15 @@ def jobs(seeds):
     yield from FIXED
 
 
-def digest(argv, env, path) -> tuple[int, bytes]:
+def digest(argv, env, path) -> tuple[int | str, bytes]:
+    """Exit code and artifact of one job; a job that raises out of
+    `cli.run` gets the code `raised` and the exception's text."""
     err = io.StringIO()
     with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err):
-        rc = cli.run(list(argv) + ["--out", path])
+        try:
+            rc = cli.run(list(argv) + ["--out", path])
+        except Exception as e:
+            return "raised", repr(e).encode()
     if os.path.exists(path):
         with open(path, "rb") as fh:
             data = fh.read()
@@ -118,6 +144,29 @@ def digest(argv, env, path) -> tuple[int, bytes]:
     else:
         data = err.getvalue().encode()
     return rc, data
+
+
+def map_outputs(seeds):
+    """(name, bytes) of point evaluations and center lists of the query
+    maps."""
+    deep = {spec.key: build_map(spec) for spec in QUERY_MAPS}
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 11])
+        for spec in QUERY_MAPS:
+            pts = _query_points(spec, 200, rng).tolist()
+            maps = [(f"depth-{d}", build_map(replace(spec, depth=d)))
+                    for d in (0, 1)]
+            maps += [(f"depth-{spec.depth}", deep[spec.key]),
+                     ("truncated-5", deep[spec.key].truncate(5))]
+            for name, m in maps:
+                rows = [(r.point.x, r.point.y, r.error_bound) for r in
+                        (evaluate(m, Point(x, y)) for x, y in pts)]
+                yield f"evaluate-{seed}/{spec.key}/{name}", \
+                    np.array(rows).tobytes()
+    for key, m in deep.items():
+        for k in range(7):
+            src, dst = m.corresponding_centers(k)
+            yield f"centers/{key}/{k}", src.tobytes() + dst.tobytes()
 
 
 def main():
@@ -130,6 +179,9 @@ def main():
             rc, data = digest(argv, env, path)
             print(name, rc, len(data),
                   hashlib.blake2b(data, digest_size=16).hexdigest())
+    for name, data in map_outputs(seeds):
+        print(name, 0, len(data),
+              hashlib.blake2b(data, digest_size=16).hexdigest())
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ from .analysis import (DavidParams, DilatationProfile, check_david,
 from .cantor import (CantorLevel, Construction, DimensionEstimate,
                      GaugeSequence, box_dimension, build_level,
                      build_sigma_level, count_boxes, count_segment_boxes,
-                     depth_guard, dimension_bounds, frostman_check,
-                     frostman_profile, make_gauge)
+                     depth_guard, dimension_bounds, frostman_profile,
+                     make_gauge)
 from .errors import (DegenerateFitError, DepthLimitError, DomainError,
                      GeometryError, OrientationError, QCForgeError,
                      ValidationError)

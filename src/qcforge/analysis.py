@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .cantor import GaugeSequence, dimension_bounds, make_gauge
 from .errors import DegenerateFitError, DepthLimitError, DomainError
 from .frozen import FROZEN_K0
 from .homeo import HierarchicalMap, invert, max_dilatation_per_level, \
-    standard_homeo, theoremB_homeo, twist_parameter
+    standard_homeo, theoremB_homeo
 
 __all__ = [
     "DilatationProfile",
@@ -83,24 +84,25 @@ class DavidParams:
         return self.C * math.exp(-self.alpha * K)
 
 
-def _level_masses(lv, side: str) -> list[tuple[float, float]]:
-    """(K, mass) of one level's cells in (template, cell) order: the cell's
-    area times the placement scale squared times the template's instance
-    count."""
-    sscale, dscale = lv.scales
-    scale2 = (sscale if side == "domain" else dscale) ** 2
-    try:
-        per_template = float(lv.instance_count() // len(lv.templates))
-    except OverflowError:
-        raise DepthLimitError(
-            f"instance count overflows at level {lv.k}: it is not "
-            "finite in floating point") from None
-    out = []
-    for t in lv.templates:
-        area = t.domain_areas if side == "domain" else t.image_areas
-        out.extend(zip(t.dilatations.tolist(),
-                       (area * scale2 * per_template).tolist()))
-    return out
+def _level_masses(m: HierarchicalMap, side: str):
+    """Per level of the map, the (K, mass) list of its cells in (template,
+    cell) order: the cell's area times the placement scale squared times
+    the template's instance count."""
+    table = m.src if side == "domain" else m.dst
+    for lv, parent_side in zip(m.levels, table.sides):
+        scale2 = (parent_side * m.template_scale) ** 2
+        try:
+            per_template = float(lv.instance_count() // len(lv.templates))
+        except OverflowError:
+            raise DepthLimitError(
+                f"instance count overflows at level {lv.k}: it is not "
+                "finite in floating point") from None
+        out = []
+        for t in lv.templates:
+            area = t.domain_areas if side == "domain" else t.image_areas
+            out.extend(zip(t.dilatations.tolist(),
+                           (area * scale2 * per_template).tolist()))
+        yield out
 
 
 def dilatation_profile(m: HierarchicalMap, side: str = "domain"
@@ -109,8 +111,8 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
     if side not in ("domain", "image"):
         raise DomainError(f"side must be 'domain' or 'image', got {side!r}")
     masses: dict[float, float] = {}
-    for lv in m.levels:
-        for K, mass in _level_masses(lv, side):
+    for level in _level_masses(m, side):
+        for K, mass in level:
             masses[K] = masses.get(K, 0.0) + mass
     # strict exceedance at each threshold = suffix sum above it
     entries = []
@@ -119,9 +121,9 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
         entries.append((k, suffix))
         suffix += masses[k]
     entries.reverse()
-    construction = m.source if side == "domain" else m.target
-    return DilatationProfile(tuple(entries), suffix,
-                             construction.level_area(m.depth), side)
+    table = m.src if side == "domain" else m.dst
+    return DilatationProfile(tuple(entries), suffix, table.areas[m.depth],
+                             side)
 
 
 def _closed_exceedances(profile: DilatationProfile):
@@ -143,19 +145,24 @@ def check_david(profile: DilatationProfile, params: DavidParams
     the checked thresholds, +inf when no threshold exceeds K0 (a vacuous
     pass: nothing above K0 has positive area yet).
     """
-    margin = math.inf
-    ok = True
-    for k, closed in _closed_exceedances(profile):
-        if k <= params.K0:
-            continue
-        area = closed + profile.truncation_bound
-        b = params.bound(k)
+    return _verdict((closed + profile.truncation_bound, params.bound(k))
+                    for k, closed in _closed_exceedances(profile)
+                    if k > params.K0)
+
+
+def _verdict(checks) -> tuple[bool, float]:
+    """(flag, margin) of the (area, bound) pairs of one David check: whether
+    every area is within its bound, and the minimum of log(bound / area)
+    over the positive areas (+inf when there is none)."""
+    ok, margin = True, math.inf
+    for area, b in checks:
         if area > b:
             ok = False
         if area > 0:
             # the bound can underflow to 0 for huge K; that is a definite fail
-            margin = min(margin,
-                         math.log(b / area) if b > 0 else -math.inf)
+            q = math.log(b / area) if b > 0 else -math.inf
+            if q < margin:
+                margin = q
     return ok, margin
 
 
@@ -250,25 +257,19 @@ def _david_sweep(m: HierarchicalMap, K0: float):
     tail: list[float] = []  # thresholds above K0, ascending
     bounds: dict[float, float] = {}
     out = []
-    for n, lv in enumerate(m.levels, 1):
-        for K, mass in _level_masses(lv, "domain"):
+    for n, (level, truncation) in enumerate(
+            zip(_level_masses(m, "domain"), m.src.areas[1:]), 1):
+        for K, mass in level:
             if K not in masses and K > K0:
                 bisect.insort(tail, K)
                 bounds[K] = params.bound(K)
             masses[K] = masses.get(K, 0.0) + mass
         if n < 3:
             continue
-        truncation = m.source.level_area(n)
-        flag, margin, suffix = True, math.inf, 0.0
-        for k in reversed(tail):
-            suffix += masses[k]
-            area = suffix + truncation
-            b = bounds[k]
-            if area > b:
-                flag = False
-            if area > 0:
-                margin = min(margin,
-                             math.log(b / area) if b > 0 else -math.inf)
+        top_down = tail[::-1]
+        areas = [s + truncation
+                 for s in accumulate([masses[k] for k in top_down])]
+        flag, margin = _verdict(zip(areas, [bounds[k] for k in top_down]))
         out.append({"depth": n, "passed": flag, "margin": margin})
     return out
 
@@ -322,14 +323,13 @@ def theoremB_report(n_max: int) -> dict:
     if n_max < 3:
         raise DomainError(f"n_max must be >= 3, got {n_max}")
     fwd = theoremB_homeo(n_max)
-    klist = max_dilatation_per_level(fwd)
     return {
         "case": "theoremB",
         "rate": "sqrt k",
         "levels": [
-            {"level": k, "K": K, "twist_a": twist_parameter(k),
+            {"level": k, "K": K, "twist_a": lv.templates[0].param("a"),
              "ratio": K / math.sqrt(k)}
-            for k, K in klist
+            for (k, K), lv in zip(max_dilatation_per_level(fwd), fwd.levels)
         ],
         "david": _david(fwd, "theoremB"),
     }

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "GaugeSequence",
     "CantorLevel",
     "Construction",
+    "LevelTable",
     "DimensionEstimate",
     "make_gauge",
     "build_level",
@@ -39,7 +40,6 @@ __all__ = [
     "dimension_bounds",
     "box_dimension",
     "count_boxes",
-    "frostman_check",
     "frostman_profile",
     "depth_guard",
 ]
@@ -158,10 +158,10 @@ class CantorLevel:
 _NEST_DIRECTIONS = ((-0.25, -0.25), (0.25, -0.25), (0.25, 0.25), (-0.25, 0.25))
 _ROW_DIRECTIONS = tuple(((2 * j - 5) / 8.0, 0.0) for j in (1, 2, 3, 4))
 
-# most rows a level of the Frostman walk may hold; deep levels of thin
-# gauges pass it with the nodes near the disk edges (3.7 M rows take about
-# 350 MB)
-_FROSTMAN_MAX_ROWS = 2 ** 23
+# most rows a materialized level or a level of the Frostman walk may hold:
+# 4^12 level centers peak at about 435 MB, and 3.7 M walk rows take about
+# 350 MB (deep levels of thin gauges keep that many nodes near disk edges)
+_MAX_ROWS = 2 ** 23
 
 
 def _check_depth(n: int):
@@ -174,15 +174,42 @@ def _check_depth(n: int):
             "(set QCFORGE_DEPTH_GUARD to raise it)")
 
 
-def nest_centers(offsets_per_level: Iterable[Sequence[tuple[float, float]]]
+def _check_side(table: "LevelTable"):
+    if table.sides[-1] == 0.0:
+        raise DepthLimitError(f"level {len(table.sides) - 1} has side 0 in "
+                              "floating point")
+
+
+def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
                  ) -> np.ndarray:
-    """Centers reached from the origin by adding one child offset per level,
-    in digit-path order (shape (prod of child counts, 2))."""
+    """Centers reached from the origin by adding one of the four child
+    offsets per level, in digit-path order (shape (4^n, 2) for n levels);
+    more than `_MAX_ROWS` of them raise `DepthLimitError` unbuilt."""
+    n = len(offsets_per_level)
+    if 4 ** n > _MAX_ROWS:
+        raise DepthLimitError(f"level {n} has 4^{n} squares, more than the "
+                              f"cap of {_MAX_ROWS} rows")
     centers = np.zeros((1, 2))
     for offs in offsets_per_level:
         centers = (centers[:, None, :]
                    + np.asarray(offs)[None, :, :]).reshape(-1, 2)
     return centers
+
+
+@dataclass(frozen=True)
+class LevelTable:
+    """Levels 0..n of a construction in Python floats: the side and total
+    area of level k, and `offsets[k - 1][j]`, child j's center minus its
+    level-k parent's, a direction times `sides[k - 1]`."""
+
+    sides: list[float]
+    areas: list[float]
+    offsets: list[list[list[float]]]  # (n, 4, 2)
+
+    def truncate(self, n: int) -> "LevelTable":
+        """The table of levels 0..n."""
+        return LevelTable(self.sides[:n + 1], self.areas[:n + 1],
+                          self.offsets[:n])
 
 
 @dataclass(frozen=True)
@@ -192,7 +219,8 @@ class Construction:
     Square nest ("lambda"): level-k squares have side 2^-k d_k and the
     children sit at their parent's quarter points, which realizes the inset
     a_k = 2^-(k+1) (d_{k-1} - d_k).  8-adic row ("sigma"): side 8^-k, the
-    children spaced along the parent's horizontal midline.
+    children spaced along the parent's horizontal midline.  `side` and
+    `level_area` define one level; `table` gives a map's levels at once.
     """
 
     family: str  # "lambda" or "sigma"
@@ -203,21 +231,29 @@ class Construction:
             return 8.0 ** (-n)
         return 2.0 ** (-n) * self.gauge.d(n)
 
-    def offsets(self, k: int) -> tuple[tuple[float, float], ...]:
-        """Child-minus-parent center offsets of level k, in digit order."""
-        p = self.side(k - 1)
-        dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
-        return tuple((qx * p, qy * p) for qx, qy in dirs)
-
-    def level(self, n: int) -> CantorLevel:
-        _check_depth(n)
-        centers = nest_centers(self.offsets(k) for k in range(1, n + 1))
-        return CantorLevel(self.family, n, self.side(n), centers)
-
     def level_area(self, n: int) -> float:
         if self.family == "sigma":
             return 16.0 ** (-n)
         return self.gauge.d(n) ** 2
+
+    def table(self, n: int, order: Sequence[int] = (0, 1, 2, 3)
+              ) -> LevelTable:
+        """Sides and areas of levels 0..n and child offsets of levels
+        1..n, the children of each parent listed in `order` (indices into
+        the digit order)."""
+        sides = [self.side(k) for k in range(n + 1)]
+        dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
+        offsets = np.asarray(dirs)[list(order)] * np.reshape(sides[:-1],
+                                                             (-1, 1, 1))
+        return LevelTable(sides, [self.level_area(k) for k in range(n + 1)],
+                          offsets.tolist())
+
+    def level(self, n: int) -> CantorLevel:
+        _check_depth(n)
+        table = self.table(n)
+        _check_side(table)
+        return CantorLevel(self.family, n, table.sides[n],
+                           nest_centers(table.offsets))
 
     def describe(self) -> str:
         if self.family == "sigma":
@@ -244,13 +280,7 @@ class DimensionEstimate:
     scales_used: tuple[float, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "method": self.method,
-            "scales_used": list(self.scales_used),
-        }
+        return asdict(self)
 
 
 def dimension_bounds(gauge: GaugeSequence, N: int) -> DimensionEstimate:
@@ -264,16 +294,13 @@ def dimension_bounds(gauge: GaugeSequence, N: int) -> DimensionEstimate:
     if N < 3:
         raise DomainError(f"N must be >= 3, got {N}")
     tail = range(max(1, math.ceil(2 * N / 3)), N + 1)
-    r_low = []
-    r_up = []
-    for n in tail:
-        denom = gauge.neg_log_d(n) + n * math.log(2.0)
-        r_low.append(2.0 * gauge.neg_log_d(n + 1) / denom)
-        r_up.append(2.0 * gauge.neg_log_d(n) / denom)
+    denoms = [gauge.neg_log_d(n) + n * math.log(2.0) for n in tail]
+    r_low = [2.0 * gauge.neg_log_d(n + 1) / q for n, q in zip(tail, denoms)]
+    r_up = [2.0 * gauge.neg_log_d(n) / q for n, q in zip(tail, denoms)]
     lower = min(max(2.0 - max(r_low), 0.0), 2.0)
     upper = min(max(2.0 - min(r_up), 0.0), 2.0)
     lower = min(lower, upper)
-    scales = tuple(2.0 ** (-n) * gauge.d(n) for n in tail)
+    scales = tuple(map(Construction("lambda", gauge).side, tail))
     return DimensionEstimate(0.5 * (lower + upper), lower, upper,
                              "lemma_bounds", scales)
 
@@ -288,8 +315,11 @@ def count_boxes(level: CantorLevel, box: float | None = None) -> int:
     if box <= 0:
         raise DomainError("box size must be positive")
     half = level.side / 2.0
-    lo = np.floor((level.centers - half) / box).astype(np.int64)
-    hi = np.ceil((level.centers + half) / box).astype(np.int64) - 1
+    lo = np.floor((level.centers - half) / box)
+    hi = np.ceil((level.centers + half) / box)
+    if not np.abs([lo, hi]).max() < 2.0 ** 62:  # differences fit int64 too
+        raise DomainError(f"grid indices of box size {box!r} pass int64")
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64) - 1
     hi = np.maximum(hi, lo)
     span = int((hi - lo).max()) + 1
     ii, jj = [], []
@@ -383,8 +413,8 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
     split into their children.  Node and sample centers are summed in the
     order of `nest_centers`, so the leaves reach the test above with the
     bits of the built level, and the counts are those of a scan of it.
-    A level whose walk would hold more than `_FROSTMAN_MAX_ROWS` rows
-    raises `DepthLimitError` before it is built.
+    A level whose walk would hold more than `_MAX_ROWS` rows, or a level n
+    whose side is 0 in floating point, raises `DepthLimitError`.
     """
     if not 0 <= s < 2:
         raise DomainError("need 0 <= s < 2")
@@ -394,14 +424,15 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
     if n >= 32:
         raise DepthLimitError(f"level {n} has 4^{n} squares, more than an "
                               "int64 index holds")
-    nest = Construction("lambda", gauge)
-    offsets = [np.asarray(nest.offsets(k)) for k in range(1, n + 1)]
+    table = Construction("lambda", gauge).table(n)
+    _check_side(table)
+    offsets = np.reshape(table.offsets, (n, 4, 2))
     idx = np.random.default_rng(seed).integers(0, 4 ** n,
                                                size=min(samples, 4 ** n))
     xs = np.zeros((len(idx), 2))
     for k, offs in enumerate(offsets, 1):
         xs = xs + offs[(idx >> 2 * (n - k)) & 3]
-    side = nest.side(n)
+    side = table.sides[n]
     radii = [2.0 ** (-k)
              for k in range(max(1, math.ceil(-math.log2(side))) + 1)]
     # pair p is (radius p // len(xs), sample p % len(xs)); the frontier is
@@ -421,16 +452,16 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
     margin = 16 * (n + 1) * np.finfo(float).eps
     pair, centers = np.arange(len(hits)), np.zeros((len(hits), 2))
     for k, offs in enumerate(offsets):
-        a, r, half = np.abs(centers - x_of[pair]), r_of[pair], nest.side(k) / 2
+        a, r, half = np.abs(centers - x_of[pair]), r_of[pair], table.sides[k] / 2
         inside = np.hypot(*(a + half).T) <= r - margin
         hits += tally(pair[inside], 4 ** (n - k))
         near = np.hypot(*np.maximum(a - half, 0.0).T)
         keep = ~inside & (near <= r + margin)
         pair, centers = pair[keep], centers[keep]
-        if 4 * len(pair) > _FROSTMAN_MAX_ROWS:
+        if 4 * len(pair) > _MAX_ROWS:
             raise DepthLimitError(
                 f"the Frostman walk would hold {4 * len(pair)} rows at level "
-                f"{k + 1}, more than its cap of {_FROSTMAN_MAX_ROWS}")
+                f"{k + 1}, more than its cap of {_MAX_ROWS}")
         children = centers[:, None, :] + offs
         # a node that its children round back to has every leaf below it at
         # its own center: deeper offsets are smaller and rounding is monotone
@@ -440,16 +471,5 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
         centers = children[~same].reshape(-1, 2)
     hits += tally(leaf_hits(pair, centers), 1)
     hits = hits.reshape(len(radii), len(xs)).tolist()
-    out = []
-    for eps, row in zip(radii, hits):
-        worst = 0.0
-        for h in row:
-            worst = max(worst, h * 4.0 ** (-n) / eps ** s)
-        out.append((eps, worst))
-    return out
-
-
-def frostman_check(gauge: GaugeSequence, n: int, s: float,
-                   samples: int = 32, seed: int = 0) -> float:
-    """Max Frostman ratio mu(D(x, eps)) / eps^s over samples and dyadic radii."""
-    return max(r for _, r in frostman_profile(gauge, n, s, samples, seed))
+    return [(eps, max([0.0] + [h * 4.0 ** (-n) / eps ** s for h in row]))
+            for eps, row in zip(radii, hits)]

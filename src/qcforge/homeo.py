@@ -4,9 +4,10 @@ A `HierarchicalMap` represents the depth-n approximant between two Cantor
 constructions: a similarity on every deepest-level square, and per level a
 few piecewise-affine gasket templates with their placements (template,
 source offset, target offset) in every parent.  All level-k gaskets are
-congruent, so dilatation data lives once per level and
-exact area profiles remain cheap at depths far beyond what square lists
-could materialize.
+congruent, so dilatation data lives once per level, and the geometry once
+per map: one `LevelTable` per side (sides, areas, child offsets), which
+evaluation, the curve, the square centers and the masses read.  A level-k
+instance is its template scaled by `sides[k - 1]` times `template_scale`.
 
 Two builders, each making the templates of all its levels in one batched
 pass:
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cantor import Construction, GaugeSequence, _check_depth, depth_guard, \
-    make_gauge, nest_centers
+from .cantor import Construction, GaugeSequence, LevelTable, _check_depth, \
+    depth_guard, make_gauge, nest_centers
 # re-exported: qcforge.homeo.build_level / build_sigma_level stay importable
 from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError
@@ -63,36 +64,20 @@ _TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class _Side:
-    """Per-level geometry of one side of the map."""
-
-    parent_side: float
-    child_side: float
-    offsets: tuple[tuple[float, float], ...]  # child center - parent center
-
-
-def _side(c: Construction, k: int, order=(0, 1, 2, 3)) -> _Side:
-    offsets = c.offsets(k)
-    return _Side(c.side(k - 1), c.side(k), tuple(offsets[i] for i in order))
-
-
-@dataclass(frozen=True)
 class _Level:
     """Level k of a map: its templates, and where each template instance of
     a parent's gasket sits.
 
     `placements` lists (template index, source offset, target offset): the
     instance covers parent center + offset + scale * template domain on
-    each side, with `scales` = (source, target).
+    each side, the scale being the side's parent side times the map's
+    `template_scale`.
     """
 
     k: int
     templates: tuple[PiecewiseAffineMap, ...]
     placements: tuple[tuple[int, tuple[float, float], tuple[float, float]],
                       ...]
-    scales: tuple[float, float]
-    src: _Side
-    dst: _Side
 
     @property
     def max_dilatation(self) -> float:
@@ -111,34 +96,30 @@ class HierarchicalMap:
     direction: str  # "forward" or "inverse"
     kind: str  # "standard" or "theoremB"
     levels: tuple[_Level, ...]
+    src: LevelTable  # the source's levels 0..depth
+    dst: LevelTable  # the target's, children in correspondence order
+    template_scale: float  # template size over its parent's side
 
     def truncate(self, n: int) -> "HierarchicalMap":
         """The depth-n approximant: the first n levels of this map."""
         if not 0 <= n <= self.depth:
             raise DomainError(f"need 0 <= n <= {self.depth}, got {n}")
-        return replace(self, depth=n, levels=self.levels[:n])
+        return replace(self, depth=n, levels=self.levels[:n],
+                       src=self.src.truncate(n), dst=self.dst.truncate(n))
 
     def corresponding_centers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Aligned (source, target) level-k square centers, in digit-path order."""
         _check_depth(k)
-        levels = self.levels[:k]
-        return (nest_centers(lv.src.offsets for lv in levels),
-                nest_centers(lv.dst.offsets for lv in levels))
+        return (nest_centers(self.src.offsets[:k]),
+                nest_centers(self.dst.offsets[:k]))
 
     def summary_json_obj(self) -> dict:
-        return {
-            "depth": self.depth,
-            "source": self.source.describe(),
-            "target": self.target.describe(),
-            "per_level": [
-                {
-                    "level": lv.k,
-                    "max_K": lv.max_dilatation,
-                    "gasket_cells": sum(len(t.cells) for t in lv.templates),
-                }
-                for lv in self.levels
-            ],
-        }
+        return {"depth": self.depth, "source": self.source.describe(),
+                "target": self.target.describe(),
+                "per_level": [{"level": lv.k, "max_K": lv.max_dilatation,
+                               "gasket_cells": sum(len(t.cells)
+                                                   for t in lv.templates)}
+                              for lv in self.levels]}
 
 
 @dataclass(frozen=True)
@@ -179,16 +160,15 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
         g = src if d[0, k] == 0.0 else dst
         raise DepthLimitError(f"gauge {g.describe()} underflows at level {k}: "
                               f"d_{k} is 0 in floating point")
-    levels = []
-    for k, template in enumerate(templates, 1):
-        s, t = _side(source, k), _side(target, k)
-        # one annulus per child, around it in its quarter of the parent
-        levels.append(_Level(
-            k, (template,),
-            tuple((0, so, to) for so, to in zip(s.offsets, t.offsets)),
-            (s.parent_side / 2.0, t.parent_side / 2.0), s, t))
-    return HierarchicalMap(n, source, target, "forward", "standard",
-                           tuple(levels))
+    src_table, dst_table = source.table(n), target.table(n)
+    # one annulus per child, around it in its quarter of the parent
+    levels = tuple(
+        _Level(k, (template,),
+               tuple((0, tuple(so), tuple(to)) for so, to in zip(sr, dr)))
+        for k, template, sr, dr in zip(range(1, n + 1), templates,
+                                       src_table.offsets, dst_table.offsets))
+    return HierarchicalMap(n, source, target, "forward", "standard", levels,
+                           src_table, dst_table, 0.5)
 
 
 def _rotate_template(templates: list[PiecewiseAffineMap]
@@ -211,16 +191,13 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     source, target = Construction("sigma"), Construction("lambda", gauge)
     rights = twist_templates([twist_parameter(k) for k in range(1, n + 1)])
     lefts = _rotate_template(rights)
-    levels = []
-    for k, right, left in zip(range(1, n + 1), rights, lefts):
-        s, t = _side(source, k), _side(target, k, _NW_SW_NE_SE)
-        # two twists per parent, right and left half of it
-        levels.append(_Level(
-            k, (right, left),
-            ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN)),
-            (s.parent_side, t.parent_side), s, t))
-    return HierarchicalMap(n, source, target, "forward", "theoremB",
-                           tuple(levels))
+    # two twists per parent, right and left half of it
+    levels = tuple(
+        _Level(k, (right, left), ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN)))
+        for k, right, left in zip(range(1, n + 1), rights, lefts))
+    return HierarchicalMap(n, source, target, "forward", "theoremB", levels,
+                           source.table(n), target.table(n, _NW_SW_NE_SE),
+                           1.0)
 
 
 def invert(m: HierarchicalMap) -> HierarchicalMap:
@@ -229,13 +206,12 @@ def invert(m: HierarchicalMap) -> HierarchicalMap:
         [t for lv in m.levels for t in lv.templates]))
     levels = tuple(
         _Level(lv.k, tuple(next(inverses) for _ in lv.templates),
-               tuple((i, to, so) for i, so, to in lv.placements),
-               lv.scales[::-1], lv.dst, lv.src)
+               tuple((i, to, so) for i, so, to in lv.placements))
         for lv in m.levels
     )
     return HierarchicalMap(m.depth, m.target, m.source,
                            "inverse" if m.direction == "forward" else "forward",
-                           m.kind, levels)
+                           m.kind, levels, m.dst, m.src, m.template_scale)
 
 
 def max_dilatation_per_level(m: HierarchicalMap) -> list[tuple[int, float]]:
@@ -250,23 +226,25 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     deepest-level square get the square similarity together with an error
     bound (the image square's diameter).
     """
-    s0 = m.source.side(0) / 2.0
-    if max(abs(z.x), abs(z.y)) > s0:
+    src, dst = m.src, m.dst
+    if max(abs(z.x), abs(z.y)) > src.sides[0] / 2.0:
         return EvalResult(z, 0.0)
     if m.depth == 0:
-        return EvalResult(z, m.target.side(0) * math.sqrt(2.0))
+        return EvalResult(z, dst.sides[0] * math.sqrt(2.0))
     # the descent works in one frame: r is z minus the current source
-    # square's centre, dc the absolute centre of its image
+    # square's centre, (dcx, dcy) the absolute centre of its image
     rx, ry = z.x, z.y
-    dc = Point(0.0, 0.0)
-    for lv in m.levels:
-        half = lv.src.child_side / 2.0 * (1.0 + _TOL)
-        for child, (ox, oy) in enumerate(lv.src.offsets):
+    dcx = dcy = 0.0
+    for lv, sp, side, offsets, dp, dst_offsets in zip(
+            m.levels, src.sides, src.sides[1:], src.offsets, dst.sides,
+            dst.offsets):
+        half = side / 2.0 * (1.0 + _TOL)
+        for child, (ox, oy) in enumerate(offsets):
             if max(abs(rx - ox), abs(ry - oy)) <= half:
                 break
         else:
             # the first placement whose template box holds the point
-            sscale, dscale = lv.scales
+            sscale, dscale = sp * m.template_scale, dp * m.template_scale
             for ti, (ox, oy), (dox, doy) in lv.placements:
                 u = Point((rx - ox) / sscale, (ry - oy) / sscale)
                 x0, x1, y0, y1 = lv.templates[ti].bbox
@@ -274,17 +252,16 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
                         and y0 - _TOL <= u.y <= y1 + _TOL):
                     break
             v = lv.templates[ti].apply(u, tol=1e-9)
-            w = Point(dc.x + dox + v.x * dscale, dc.y + doy + v.y * dscale)
+            w = Point(dcx + dox + v.x * dscale, dcy + doy + v.y * dscale)
             return EvalResult(w, 0.0)
         rx, ry = rx - ox, ry - oy
-        dox, doy = lv.dst.offsets[child]
-        dc = Point(dc.x + dox, dc.y + doy)
+        dox, doy = dst_offsets[child]
+        dcx, dcy = dcx + dox, dcy + doy
     # z survived every level: apply the deepest-square similarity, with the
     # image square's diameter as the distance to the limit map
-    lv = m.levels[-1]
-    ratio = lv.dst.child_side / lv.src.child_side
-    w = Point(dc.x + rx * ratio, dc.y + ry * ratio)
-    return EvalResult(w, lv.dst.child_side * math.sqrt(2.0))
+    ratio = dst.sides[-1] / src.sides[-1]
+    w = Point(dcx + rx * ratio, dcy + ry * ratio)
+    return EvalResult(w, dst.sides[-1] * math.sqrt(2.0))
 
 
 def _midline_segments(template: PiecewiseAffineMap, x_lo: float, x_hi: float,
@@ -319,12 +296,12 @@ def _midline_segments(template: PiecewiseAffineMap, x_lo: float, x_hi: float,
     return segs
 
 
-def _curve_plan(lv: _Level):
+def _curve_plan(m: HierarchicalMap, lv: _Level):
     """Ordered left-to-right walk of a parent's midline in normalized
     coordinates: gasket segments interleaved with child squares."""
-    sp = lv.src.parent_side
-    child_half = lv.src.child_side / (2.0 * sp)
-    centers = [ox / sp for ox, _ in lv.src.offsets]
+    sp = m.src.sides[lv.k - 1]
+    child_half = m.src.sides[lv.k] / (2.0 * sp)
+    centers = [ox / sp for ox, _ in m.src.offsets[lv.k - 1]]
     holes = tuple((c - child_half, c + child_half) for c in centers)
     items = []
     # each placement's template covers its x-range of the midline
@@ -378,11 +355,11 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     if m.kind != "theoremB" or m.direction != "forward":
         raise DomainError("midline tracing needs the forward 8-adic map")
     n = m.depth
+    src, dst = m.src, m.dst
     # both ends of every deepest square's midline, mapped by its similarity
     sc, dc = m.corresponding_centers(n)
-    s = m.source.side(n) / 2.0
-    ratio = 1.0 if n == 0 else \
-        m.levels[-1].dst.child_side / m.levels[-1].src.child_side
+    s = src.sides[n] / 2.0
+    ratio = dst.sides[n] / src.sides[n]
     block = np.stack([
         np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
         np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
@@ -390,10 +367,10 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     for lv in reversed(m.levels):
         sc, dc = m.corresponding_centers(lv.k - 1)
         base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
-        children = block.reshape(len(base), len(lv.src.offsets), -1, 3)
-        sp, dp = lv.src.parent_side, lv.dst.parent_side
+        children = block.reshape(len(base), 4, -1, 3)
+        sp, dp = src.sides[lv.k - 1], dst.sides[lv.k - 1]
         parts = []
-        for start, tag, payload in _curve_plan(lv):
+        for start, tag, payload in _curve_plan(m, lv):
             if tag == "child":
                 parts.append(children[:, payload])
                 continue
@@ -407,7 +384,7 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
         block = np.concatenate(parts, axis=1)
     rows = block.reshape(-1, 3)
     # never merge across a deepest-level square, however small
-    eps = min(_TOL, m.source.side(n) * 1e-3)
+    eps = min(_TOL, src.sides[n] * 1e-3)
     rows = rows[_merge_mask(rows, eps)]
     return Polyline(rows[:, 1:].copy(), rows[:, 0].copy())
 

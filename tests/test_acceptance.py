@@ -11,14 +11,14 @@ import numpy as np
 
 from qcforge.analysis import (DavidParams, check_david, dilatation_profile)
 from qcforge.cantor import (box_dimension, build_level, build_sigma_level,
-                            frostman_check, frostman_profile, make_gauge)
+                            frostman_profile, make_gauge)
 from qcforge.frozen import (ANNULUS_BAND, FROSTMAN_BOUND, FROZEN_K0,
                             THEOREM_A_RATE_BANDS, THEOREM_B_RATE_BAND,
                             TWIST_BAND)
 from qcforge.geometry import Point, Triangle, affine_three_point, dilatation, \
     dilatation_three_point
-from qcforge.homeo import (HierarchicalMap, curve_box_dimension, evaluate,
-                           invert, max_dilatation_per_level, standard_homeo,
+from qcforge.homeo import (curve_box_dimension, evaluate, invert,
+                           max_dilatation_per_level, standard_homeo,
                            theoremB_homeo, twist_parameter)
 from qcforge.qcmaps import (annulus_extension, annulus_extension_any,
                             twist_extension, validate)
@@ -41,11 +41,6 @@ CASES = {
 def _verdict(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _sub(m, n):
-    return HierarchicalMap(n, m.source, m.target, m.direction, m.kind,
-                           m.levels[:n])
 
 
 def test_criterion_01_dilatation_oracle():
@@ -96,7 +91,7 @@ def test_criterion_03_dimension_estimators():
         details.append(f"nu={nu:g}:[{est.lower:.3f},{est.upper:.3f}]")
     box = box_dimension(build_sigma_level, [4, 6, 8])
     ok &= abs(box.value - 2.0 / 3.0) <= 0.05
-    low = frostman_check(GEO1, 8, 0.9, seed=12345)
+    low = max(r for _, r in frostman_profile(GEO1, 8, 0.9, seed=12345))
     prof = frostman_profile(GEO1, 8, 1.1, seed=12345)
     half = len(prof) // 2
     trend = max(r for _, r in prof[half:]) > 1.5 * max(r for _, r in
@@ -157,8 +152,8 @@ def test_criterion_06_standard_homeo_contract():
         m = standard_homeo(src, dst, 10)
         # property (i): once a point resolves in a gasket, deeper maps agree
         for k in range(2, 11):
-            shallow = _sub(m, k - 1)
-            deep = _sub(m, k)
+            shallow = m.truncate(k - 1)
+            deep = m.truncate(k)
             done = 0
             while done < 200:
                 z = Point(*rng.uniform(-0.5, 0.5, 2))
@@ -217,7 +212,7 @@ def test_criterion_08_theoremA_david():
             params = DavidParams(1.0, 1.0, FROZEN_K0[(case, direction)])
             for n in range(6, 13):
                 passed, margin = check_david(
-                    dilatation_profile(_sub(m, n)), params)
+                    dilatation_profile(m.truncate(n)), params)
                 ok &= passed
                 margins.append(margin)
     finite = [m for m in margins if math.isfinite(m)]
@@ -237,7 +232,7 @@ def test_criterion_09_theoremB():
                 <= THEOREM_B_RATE_BAND[1]
     params = DavidParams(1.0, 1.0, FROZEN_K0[("theoremB", "forward")])
     for n in range(6, 13):
-        ok &= check_david(dilatation_profile(_sub(deep, n)), params)[0]
+        ok &= check_david(dilatation_profile(deep.truncate(n)), params)[0]
     dims = []
     for n in (4, 9, 16):
         est = curve_box_dimension(deep, n)
@@ -260,7 +255,7 @@ def test_criterion_10_profile_conservation():
     for m in scenarios:
         for n in range(0, 13):
             for side in ("domain", "image"):
-                p = dilatation_profile(_sub(m, n), side)
+                p = dilatation_profile(m.truncate(n), side)
                 defect = abs(p.classified_area + p.truncation_bound - 1.0)
                 worst = max(worst, defect)
                 ok &= defect <= 1e-9

@@ -11,17 +11,12 @@ from qcforge.cantor import make_gauge
 from qcforge.errors import DegenerateFitError, DomainError
 from qcforge.frozen import (DAVID_FIT_ALPHA_BAND, DIL_RATIO_BAND, FROZEN_K0)
 from qcforge.geometry import Triangle
-from qcforge.homeo import (HierarchicalMap, invert, max_dilatation_per_level,
-                           standard_homeo, theoremB_homeo)
+from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
+                           theoremB_homeo)
 
 SLOW = make_gauge("slow")
 GEO1 = make_gauge("geometric", 1.0)
 FAST = make_gauge("fast")
-
-
-def sub_map(m, n):
-    return HierarchicalMap(n, m.source, m.target, m.direction, m.kind,
-                           m.levels[:n])
 
 
 def test_identity_profile_is_flat():
@@ -31,6 +26,16 @@ def test_identity_profile_is_flat():
     assert p.entries[0][1] == 0.0
     assert p.exceedance(1.0) == 0.0
     assert check_david(p, DavidParams(1.0, 1.0, 1.0)) == (True, math.inf)
+
+
+def test_underflowed_bound_gives_minus_infinite_margin():
+    # e^-K is 0 in floating point for K above about 745: positive area
+    # there is a definite fail, with margin -inf, in both verdict paths
+    p = DilatationProfile(((1.0, 0.5), (800.0, 0.0)), 1.0, 0.0, "domain")
+    assert check_david(p, DavidParams(1.0, 1.0, 1.0)) == (False, -math.inf)
+    checks = _david_sweep(theoremB_homeo(16), FROZEN_K0[("theoremB",
+                                                          "forward")])
+    assert checks[-1] == {"depth": 16, "passed": False, "margin": -math.inf}
 
 
 def test_profile_conservation_both_sides():
@@ -55,7 +60,7 @@ def test_deeper_profiles_refine():
     """Depth n+1 adds thresholds but leaves the exceedance above any level
     <= n threshold unchanged."""
     m = standard_homeo(SLOW, GEO1, 10)
-    p9 = dilatation_profile(sub_map(m, 9))
+    p9 = dilatation_profile(m.truncate(9))
     p10 = dilatation_profile(m)
     for k in p9.thresholds:
         assert p10.exceedance(k) >= p9.exceedance(k)
@@ -198,9 +203,12 @@ def _cellwise_profile(m, side):
     """The profile summed cell by cell from `Triangle` areas, each mass
     scaled by the exact integer instance count."""
     masses = {}
+    construction = m.source if side == "domain" else m.target
     for lv in m.levels:
-        sscale, dscale = lv.scales
-        scale2 = (sscale if side == "domain" else dscale) ** 2
+        # annulus templates are drawn at half their parent's side, twist
+        # templates at its full side
+        parent = construction.side(lv.k - 1)
+        scale2 = (parent / 2.0 if m.kind == "standard" else parent) ** 2
         per_template = lv.instance_count() // len(lv.templates)
         for t in lv.templates:
             for (cell, amap), K in zip(t.pieces, t.cell_dilatations):
@@ -211,7 +219,6 @@ def _cellwise_profile(m, side):
     for k in sorted(masses, reverse=True):
         entries.append((k, suffix))
         suffix += masses[k]
-    construction = m.source if side == "domain" else m.target
     return DilatationProfile(tuple(reversed(entries)), suffix,
                              construction.level_area(m.depth), side)
 

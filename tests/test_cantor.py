@@ -8,8 +8,7 @@ from qcforge import cantor
 from qcforge.cantor import (CantorLevel, Construction, box_dimension,
                             build_level, build_sigma_level, count_boxes,
                             count_segment_boxes, depth_guard,
-                            dimension_bounds, frostman_check,
-                            frostman_profile, make_gauge)
+                            dimension_bounds, frostman_profile, make_gauge)
 from qcforge.errors import DepthLimitError, DomainError, ValidationError
 
 ALL_GAUGES = [
@@ -224,7 +223,7 @@ def test_count_segment_boxes():
 
 def test_frostman_bounded_below_dimension():
     g = make_gauge("geometric", 1.0)  # dimension 1
-    assert frostman_check(g, 8, 0.9, seed=12345) <= 1.5
+    assert max(r for _, r in frostman_profile(g, 8, 0.9, seed=12345)) <= 1.5
 
 
 def test_frostman_unbounded_trend_above_dimension():
@@ -273,7 +272,7 @@ def test_frostman_row_cap_only_stops_the_walk(monkeypatch):
     # and ends with the ratios of an uncapped walk
     g = make_gauge("geometric", 1.0)
     want = frostman_profile(g, 8, 0.5, 2)
-    monkeypatch.setattr(cantor, "_FROSTMAN_MAX_ROWS", 64)
+    monkeypatch.setattr(cantor, "_MAX_ROWS", 64)
     raised = 0
     while True:
         try:
@@ -281,8 +280,8 @@ def test_frostman_row_cap_only_stops_the_walk(monkeypatch):
             break
         except DepthLimitError as e:
             rows = int(str(e).split(" rows")[0].split()[-1])
-            assert rows > cantor._FROSTMAN_MAX_ROWS
-            monkeypatch.setattr(cantor, "_FROSTMAN_MAX_ROWS", rows)
+            assert rows > cantor._MAX_ROWS
+            monkeypatch.setattr(cantor, "_MAX_ROWS", rows)
             raised += 1
     assert raised > 1 and got == want
 

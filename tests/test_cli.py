@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import qcforge
 from qcforge import cantor
 from qcforge.cli import build_parser, run
+from qcforge.errors import DepthLimitError
 
 
 def _capture(capsys, argv):
@@ -224,9 +227,37 @@ def test_frostman_frontier_cap(capsys, monkeypatch):
     argv = ["dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
             "--frostman-level", "8", "--samples", "2"]
     assert _capture(capsys, argv)[0] == 0
-    monkeypatch.setattr(cantor, "_FROSTMAN_MAX_ROWS", 64)
+    monkeypatch.setattr(cantor, "_MAX_ROWS", 64)
     err = _one_line_error(capsys, argv)
     assert "level " in err and "rows" in err and "64" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["cantor", "--gauge", "geometric:2000", "--depth", "2"],
+     "level 2 has side 0"),
+    (["dims", "--gauge", "geometric:2000", "--frostman-s", "0.5",
+      "--frostman-level", "2", "--samples", "2"], "level 2 has side 0"),
+    # sides of 2^-162 put the level-2 grid indices near 2^160
+    (["dims", "--gauge", "geometric:80", "--box-depths", "2,3"], "int64"),
+], ids=["cantor", "frostman", "box-counting"])
+def test_sides_below_float_range_are_errors(capsys, argv, reason):
+    assert reason in _one_line_error(capsys, argv)
+
+
+def test_level_row_cap(capsys, monkeypatch):
+    # a level of more squares than the cap exits 1 before it is built
+    monkeypatch.setattr(cantor, "_MAX_ROWS", 4 ** 3)
+    assert _capture(capsys, ["sigma", "--depth", "3"])[0] == 0
+    for argv in (["sigma", "--depth", "4"], ["curve", "--depth", "4"],
+                 ["cantor", "--gauge", "sqrt", "--depth", "4"]):
+        err = _one_line_error(capsys, argv)
+        assert "level 4 has 4^4 squares" in err and "cap of 64 rows" in err
+    # the default cap stops the default guard's deepest levels; offsets
+    # that fail at once when used show that nothing was built
+    monkeypatch.undo()
+    for n in (12, 13, 14):
+        with pytest.raises(DepthLimitError, match=f"level {n} has 4\\^{n}"):
+            cantor.nest_centers([None] * n)
 
 
 def test_parser_is_built_once():

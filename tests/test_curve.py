@@ -19,10 +19,10 @@ from qcforge.homeo import (_merge_mask, _midline_segments, curve_polyline,
                            theoremB_homeo)
 
 
-def _reference_plan(lv):
-    sp = lv.src.parent_side
-    child_half = lv.src.child_side / (2.0 * sp)
-    centers = [ox / sp for ox, _ in lv.src.offsets]
+def _reference_plan(m, lv):
+    sp = m.source.side(lv.k - 1)
+    child_half = m.source.side(lv.k) / (2.0 * sp)
+    centers = [ox / sp for ox, _ in m.src.offsets[lv.k - 1]]
     holes = tuple((c - child_half, c + child_half) for c in centers)
     items = []
     for ti, (lo, hi) in ((1, (-0.5, 0.0)), (0, (0.0, 0.5))):
@@ -38,7 +38,7 @@ def _reference_plan(lv):
 
 
 def _reference_polyline(m, tol=1e-12):
-    plans = [_reference_plan(lv) for lv in m.levels]
+    plans = [_reference_plan(m, lv) for lv in m.levels]
     out = []
     eps = min(tol, m.source.side(m.depth) * 1e-3)
 
@@ -52,17 +52,16 @@ def _reference_polyline(m, tol=1e-12):
     def rec(k, sc, dc):
         if k == m.depth:
             s = m.source.side(k) / 2.0
-            ratio = 1.0 if k == 0 else \
-                m.levels[-1].dst.child_side / m.levels[-1].src.child_side
+            ratio = m.target.side(k) / m.source.side(k)
             emit(sc.x - s, dc.x - s * ratio, dc.y)
             emit(sc.x + s, dc.x + s * ratio, dc.y)
             return
         lv = m.levels[k]
-        sp, dp = lv.src.parent_side, lv.dst.parent_side
+        sp, dp = m.source.side(k), m.target.side(k)
         for start, tag, payload in plans[k]:
             if tag == "child":
-                ox, oy = lv.src.offsets[payload]
-                dox, doy = lv.dst.offsets[payload]
+                ox, oy = m.src.offsets[k][payload]
+                dox, doy = m.dst.offsets[k][payload]
                 rec(k + 1, Point(sc.x + ox, sc.y + oy),
                     Point(dc.x + dox, dc.y + doy))
             else:

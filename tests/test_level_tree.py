@@ -2,17 +2,19 @@
 edges of the command line."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from qcforge.analysis import dilatation_profile
-from qcforge.cantor import box_dimension, build_sigma_level, depth_guard, \
-    make_gauge
+from qcforge.cantor import _NEST_DIRECTIONS, _ROW_DIRECTIONS, Construction, \
+    box_dimension, build_sigma_level, depth_guard, make_gauge
 from qcforge.cli import run
 from qcforge.errors import ValidationError
 from qcforge.geometry import Point
-from qcforge.homeo import evaluate, invert, standard_homeo, theoremB_homeo
+from qcforge.homeo import _NW_SW_NE_SE, evaluate, invert, standard_homeo, \
+    theoremB_homeo
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
@@ -63,25 +65,87 @@ def test_gauge_underflow_is_named(tmp_path, capsys):
         "floating point\n"
 
 
+def _images(m, points):
+    """(x, y, error bound) rows of `evaluate` at the points."""
+    return np.array([(r.point.x, r.point.y, r.error_bound)
+                     for r in (evaluate(m, z) for z in points)])
+
+
 @pytest.mark.parametrize("build", [
     lambda n: standard_homeo(make_gauge("slow"), make_gauge("fast"), n),
     theoremB_homeo,
 ], ids=["standard", "theoremB"])
 def test_truncate_matches_direct_build(build):
     m = build(9)
+    points = [Point(x, y) for x, y in
+              np.random.default_rng(7).uniform(-0.55, 0.55, (200, 2))]
     for n in (0, 3, 6, 9):
         for side in ("domain", "image"):
             assert dilatation_profile(m.truncate(n), side) \
                 == dilatation_profile(build(n), side)
             assert dilatation_profile(invert(m).truncate(n), side) \
                 == dilatation_profile(invert(build(n)), side)
+        for cut, fresh in ((m.truncate(n), build(n)),
+                           (invert(m).truncate(n), invert(build(n)))):
+            assert cut.src == fresh.src and cut.dst == fresh.dst
+            assert _images(cut, points).tobytes() \
+                == _images(fresh, points).tobytes()
+            for got, want in zip(cut.corresponding_centers(n),
+                                 fresh.corresponding_centers(n)):
+                assert got.tobytes() == want.tobytes()
+
+
+# one map's gauge of every kind, and the 8-adic row (gauge None)
+TABLE_GAUGES = [make_gauge("geometric", 0.7), make_gauge("slow"),
+                make_gauge("fast"), make_gauge("sqrt"),
+                make_gauge("custom", table=[1.0 / (k + 1) for k in range(201)]),
+                None]
+
+
+@pytest.mark.parametrize("gauge", TABLE_GAUGES,
+                         ids=lambda g: "sigma" if g is None else g.describe())
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), _NW_SW_NE_SE])
+def test_level_table_matches_the_scalar_definitions(gauge, order):
+    c = Construction("sigma") if gauge is None else \
+        Construction("lambda", gauge)
+    dirs = _ROW_DIRECTIONS if gauge is None else _NEST_DIRECTIONS
+    for n in (0, 1, 48, 200):
+        table = c.table(n, order)
+        assert len(table.sides) == len(table.areas) == n + 1
+        assert len(table.offsets) == n
+        for k in range(n + 1):
+            assert _bits(table.sides[k]) == _bits(c.side(k))
+            assert _bits(table.areas[k]) == _bits(c.level_area(k))
+        for k in range(1, n + 1):
+            want = [[dirs[j][0] * c.side(k - 1), dirs[j][1] * c.side(k - 1)]
+                    for j in order]
+            assert [[_bits(x) for x in row] for row in table.offsets[k - 1]] \
+                == [[_bits(x) for x in row] for row in want]
+
+
+def test_maps_read_the_tables_of_their_constructions():
+    slow, fast = make_gauge("slow"), make_gauge("fast")
+    m = standard_homeo(slow, fast, 6)
+    assert m.src == Construction("lambda", slow).table(6)
+    assert m.dst == Construction("lambda", fast).table(6)
+    b = theoremB_homeo(6)
+    assert b.src == Construction("sigma").table(6)
+    assert b.dst == Construction("lambda", make_gauge("sqrt")).table(
+        6, _NW_SW_NE_SE)
+    assert invert(b).src == b.dst and invert(b).dst == b.src
+    assert (m.template_scale, b.template_scale) == (0.5, 1.0)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
 
 
 def _placement_images(m, z):
     """Images of a level-1 gasket point through every placement whose
     template box holds it."""
     lv = m.levels[0]
-    sscale, dscale = lv.scales
+    sscale, dscale = m.src.sides[0] * m.template_scale, \
+        m.dst.sides[0] * m.template_scale
     out = []
     for ti, (ox, oy), (dox, doy) in lv.placements:
         t = lv.templates[ti]
