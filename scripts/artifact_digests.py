@@ -10,7 +10,9 @@ The jobs are every CLI job of the three benchmark workloads at each seed
 both formats, deep maps (theoremB reports at depths 64 and 200,
 slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
-and inputs that must exit 1 (a traceback shows as exit code `raised`).
+large level and profile exports (`cantor --gauge geometric:1 --depth 8`,
+`sigma --depth 8`, a depth-150 inverse profile), and inputs that must
+exit 1 (a traceback shows as exit code `raised`).
 Each runs in process through `qcforge.cli.run`, writing into a temporary
 directory; a job that writes no artifact is digested by its stderr text
 instead.  The lines after them digest the float64 bytes of `evaluate`
@@ -116,6 +118,18 @@ FIXED = (
          "--frostman-level", "2", "--samples", "2"), {}),
        ("exit1-box-index-int64",
         ("dims", "--gauge", "geometric:80", "--box-depths", "2,3"), {})]
+    # large exports: few distinct values per column (level centers), one
+    # all-distinct and one constant column (sigma), repeated zero areas
+    # (a deep inverse profile), and a curve past the row cap
+    + [(f"cantor-geometric-1-8.{fmt}", ("cantor", "--gauge", "geometric:1",
+                                        "--depth", "8", "--format", fmt), {})
+       for fmt in ("csv", "json")]
+    + [("sigma-8.csv", ("sigma", "--depth", "8", "--format", "csv"), {})]
+    + [(f"profile-150-geometric-to-fast-inverse.{fmt}",
+        ("profile", "--case", "geometric-to-fast", "--direction", "inverse",
+         "--depth", "150", "--format", fmt), {})
+       for fmt in ("csv", "json")]
+    + [("exit1-curve-row-cap", ("curve", "--depth", "10"), {})]
 )
 
 

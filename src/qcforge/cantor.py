@@ -317,7 +317,9 @@ def count_boxes(level: CantorLevel, box: float | None = None) -> int:
     half = level.side / 2.0
     lo = np.floor((level.centers - half) / box)
     hi = np.ceil((level.centers + half) / box)
-    if not np.abs([lo, hi]).max() < 2.0 ** 62:  # differences fit int64 too
+    # differences fit int64 too; a NaN fails every comparison
+    if not all(-2.0 ** 62 < v < 2.0 ** 62
+               for v in (lo.min(), lo.max(), hi.min(), hi.max())):
         raise DomainError(f"grid indices of box size {box!r} pass int64")
     lo, hi = lo.astype(np.int64), hi.astype(np.int64) - 1
     hi = np.maximum(hi, lo)

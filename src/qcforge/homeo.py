@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cantor
 from .cantor import Construction, GaugeSequence, LevelTable, _check_depth, \
     depth_guard, make_gauge, nest_centers
 # re-exported: qcforge.homeo.build_level / build_sigma_level stay importable
@@ -351,6 +352,8 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     vertices always bound one affine (or deepest-similarity) piece.  The
     walk is built bottom up: each level's (t, x, y) rows for all its parents
     at once, the children's blocks spliced in between the gasket segments.
+    A curve of more than `cantor._MAX_ROWS` rows before the merge raises
+    `DepthLimitError` before its rows are built.
     """
     if m.kind != "theoremB" or m.direction != "forward":
         raise DomainError("midline tracing needs the forward 8-adic map")
@@ -358,19 +361,26 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     src, dst = m.src, m.dst
     # both ends of every deepest square's midline, mapped by its similarity
     sc, dc = m.corresponding_centers(n)
+    plans = [_curve_plan(m, lv) for lv in m.levels]
+    count = 2  # rows per parent, bottom up: child blocks and segment ends
+    for plan in reversed(plans):
+        count = sum(count if tag == "child" else 2 for _, tag, _ in plan)
+    if count > cantor._MAX_ROWS:
+        raise DepthLimitError(f"curve of depth {n} has {count} rows, more "
+                              f"than the cap of {cantor._MAX_ROWS} rows")
     s = src.sides[n] / 2.0
     ratio = dst.sides[n] / src.sides[n]
     block = np.stack([
         np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
         np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
     ], axis=1)  # (parents, rows per parent, (t, x, y))
-    for lv in reversed(m.levels):
+    for lv, plan in zip(reversed(m.levels), reversed(plans)):
         sc, dc = m.corresponding_centers(lv.k - 1)
         base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
         children = block.reshape(len(base), 4, -1, 3)
         sp, dp = src.sides[lv.k - 1], dst.sides[lv.k - 1]
         parts = []
-        for start, tag, payload in _curve_plan(m, lv):
+        for start, tag, payload in plan:
             if tag == "child":
                 parts.append(children[:, payload])
                 continue

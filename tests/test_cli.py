@@ -260,6 +260,23 @@ def test_level_row_cap(capsys, monkeypatch):
             cantor.nest_centers([None] * n)
 
 
+
+def test_curve_row_cap(capsys, monkeypatch):
+    # the cap counts the rows before the merge: the depth-3 curve has 1136
+    # of them (569 vertices), so it is written at a cap of 1136 rows and
+    # exits 1 at 1135
+    monkeypatch.setattr(cantor, "_MAX_ROWS", 1136)
+    assert _capture(capsys, ["curve", "--depth", "3"])[0] == 0
+    monkeypatch.setattr(cantor, "_MAX_ROWS", 1135)
+    err = _one_line_error(capsys, ["curve", "--depth", "3"])
+    assert "curve of depth 3 has 1136 rows" in err
+    assert "cap of 1135 rows" in err
+    # the default cap: depth 9 has 4,718,576 rows, depth 10 about four times
+    # as many
+    monkeypatch.undo()
+    err = _one_line_error(capsys, ["curve", "--depth", "10"])
+    assert "curve of depth 10 has 18874352 rows" in err
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -5,7 +5,8 @@ import pytest
 
 from qcforge.cantor import build_level, build_sigma_level, make_gauge
 from qcforge.cli import run
-from qcforge.export import format_float, format_rows, json_dumps
+from qcforge.export import _csv_cell, format_float, format_rows, json_dumps, \
+    rows_to_csv
 
 EDGE_VALUES = [-0.0, 0.0, 1.0, -3.0, 1e15, 9999999999999998.0, 1e16,
                5e-324, 0.1, float("nan"), float("inf"), float("-inf")]
@@ -49,3 +50,68 @@ def test_level_artifacts_equal_the_per_value_output(capsys, cmd, level):
         "family": lv.family, "level": lv.level, "side": lv.side,
         "squares": lv.centers.tolist()})
     assert np.array_equal(np.array(json.loads(out)["squares"]), lv.centers)
+
+
+def _per_value(a, row, sep, cell=format_float):
+    return sep.join(row % tuple(map(cell, r)) for r in a.tolist())
+
+
+_NAN, _INF = float("nan"), float("inf")
+# columns of 8 rows; a column with at most 4 distinct values is gathered
+_COLUMNS = {
+    "all-equal": [0.1] * 8,
+    "half": [0.1, 1.0, -2.5, 1e-300, 1.0, 0.1, 1e-300, -2.5],
+    "half-plus-one": [0.1, 1.0, -2.5, 1e-300, 7.0, 0.1, 1e-300, -2.5],
+    "all-distinct": [0.1 * k + 0.05 for k in range(8)],
+    "signed-zeros": [-0.0, 0.0, -0.0, 0.0, 1.5, -0.0, 1.5, 0.0],
+    "ulp-apart": [0.1, np.nextafter(0.1, 1.0), 5e-324, 0.0, 0.1,
+                  np.nextafter(0.1, 1.0), 0.0, 5e-324],
+    "signed-zeros-distinct": [-0.0, 0.0, 1.5, 2.5, 3.5, 4.5, -0.0, 5.5],
+    "integral": [1e16, 1e16, 2e16, 9999999999999998.0, 9999999999999998.0,
+                 5e-324, 5e-324, -1e16],
+    "integral-distinct": [1e16, 3e16, 2e16, 9999999999999998.0, -1e15,
+                          5e-324, 1e300, -1e16],
+}
+
+
+@pytest.mark.parametrize("left,right", [
+    (left, right) for left in _COLUMNS for right in _COLUMNS
+    if left < right])
+def test_format_rows_column_pairs_match_per_value(left, right):
+    # every pair of a gathered and a direct column, in both orders
+    a = np.array([_COLUMNS[left], _COLUMNS[right]]).T
+    for b in (a, a[:, ::-1], a[::2]):
+        for row in ("%s,%s", "{\"x\":%s,\"y\":%s}"):
+            assert format_rows(b, row, "\n") == _per_value(b, row, "\n")
+            assert format_rows(b, row, ",", _csv_cell) == \
+                _per_value(b, row, ",", _csv_cell)
+
+
+def test_format_rows_non_finite_values_with_repeats():
+    a = np.array([[_NAN, 1.0, _INF], [_NAN, 1.0, -_INF], [0.1, _INF, _INF],
+                  [-0.0, _NAN, 1.0]])
+    assert format_rows(a, "[%s,%s,%s]", ",") == \
+        _per_value(a, "[%s,%s,%s]", ",")
+    assert rows_to_csv(("a", "b", "c"), a) == "a,b,c\n" + _per_value(
+        a, "%s,%s,%s", "\n", _csv_cell) + "\n"
+    assert "nan,1,inf\nnan,1,-inf\n" in rows_to_csv(("a", "b", "c"), a)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[0.1, -0.0, 1e16]]), np.array([[5e-324, 2.0, 0.0]]),
+    np.empty((0, 3))], ids=["one-row", "one-row-integral", "zero-rows"])
+def test_format_rows_one_and_zero_rows(a):
+    assert format_rows(a, "%s;%s;%s", "\n") == _per_value(a, "%s;%s;%s",
+                                                          "\n")
+
+
+def test_record_array_json_matches_per_value():
+    cols = [_COLUMNS["all-distinct"], _COLUMNS["half"],
+            _COLUMNS["signed-zeros"], _COLUMNS["integral"]]
+    rec = np.rec.fromarrays(cols, names="t,x,y,z")
+    want = "[" + ",".join(
+        "{" + ",".join(f'"{k}":{format_float(v)}' for k, v in zip("txyz", r))
+        + "}" for r in np.array(cols).T.tolist()) + "]"
+    assert json_dumps({"v": rec}) == '{"v":' + want + "}\n"
+    assert json_dumps(np.array(cols).T) == \
+        "[" + _per_value(np.array(cols).T, "[%s,%s,%s,%s]", ",") + "]\n"
