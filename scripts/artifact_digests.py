@@ -87,6 +87,9 @@ FIXED = (
        ("exit1-negative-samples",
         ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
          "--samples", "-1"), {}),
+       ("exit1-negative-seed",
+        ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
+         "--seed", "-1"), {}),
        # the level-1 template error comes before the level-22 underflow
        ("exit1-degenerate-before-underflow",
         ("homeo", "--src", "slow", "--dst", "geometric:50",

@@ -107,7 +107,10 @@ def _level_masses(m: HierarchicalMap, side: str):
 
 def dilatation_profile(m: HierarchicalMap, side: str = "domain"
                        ) -> DilatationProfile:
-    """Exact exceedance profile, aggregated per congruence class."""
+    """Exact exceedance profile, aggregated per bit-distinct K: a twist
+    and its half-turned copy share one K per cell, but mirror-image cells
+    inside one template are solved apart and can still split a
+    congruence class into several thresholds."""
     if side not in ("domain", "image"):
         raise DomainError(f"side must be 'domain' or 'image', got {side!r}")
     masses: dict[float, float] = {}

@@ -415,13 +415,16 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
     split into their children.  Node and sample centers are summed in the
     order of `nest_centers`, so the leaves reach the test above with the
     bits of the built level, and the counts are those of a scan of it.
-    A level whose walk would hold more than `_MAX_ROWS` rows, or a level n
-    whose side is 0 in floating point, raises `DepthLimitError`.
+    A walk that would start from or hold at some level more than
+    `_MAX_ROWS` rows, or a level n whose side is 0 in floating point,
+    raises `DepthLimitError`.
     """
     if not 0 <= s < 2:
         raise DomainError("need 0 <= s < 2")
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
+    if seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
     _check_depth(n)
     if n >= 32:
         raise DepthLimitError(f"level {n} has 4^{n} squares, more than an "
@@ -429,14 +432,19 @@ def frostman_profile(gauge: GaugeSequence, n: int, s: float,
     table = Construction("lambda", gauge).table(n)
     _check_side(table)
     offsets = np.reshape(table.offsets, (n, 4, 2))
-    idx = np.random.default_rng(seed).integers(0, 4 ** n,
-                                               size=min(samples, 4 ** n))
-    xs = np.zeros((len(idx), 2))
-    for k, offs in enumerate(offsets, 1):
-        xs = xs + offs[(idx >> 2 * (n - k)) & 3]
     side = table.sides[n]
     radii = [2.0 ** (-k)
              for k in range(max(1, math.ceil(-math.log2(side))) + 1)]
+    count = min(samples, 4 ** n)
+    # the root frontier, one row per pair, checked before any is drawn
+    if count * len(radii) > _MAX_ROWS:
+        raise DepthLimitError(
+            f"the Frostman walk would start from {count * len(radii)} rows, "
+            f"more than its cap of {_MAX_ROWS}")
+    idx = np.random.default_rng(seed).integers(0, 4 ** n, size=count)
+    xs = np.zeros((len(idx), 2))
+    for k, offs in enumerate(offsets, 1):
+        xs = xs + offs[(idx >> 2 * (n - k)) & 3]
     # pair p is (radius p // len(xs), sample p % len(xs)); the frontier is
     # one row per (pair, node): the pair and the node's center
     x_of, r_of = np.tile(xs, (len(radii), 1)), np.repeat(radii, len(xs))

@@ -57,9 +57,11 @@ def _column_cells(c: np.ndarray) -> tuple[str, list]:
     return "%s", text[np.searchsorted(u, c)].tolist()
 
 
-def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float) -> str:
-    """`sep`.join(row % tuple(map(cell, r)) for r in a) for a 2-D float
-    array and a `row` template with one %s per column.
+def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float,
+                head: str = "") -> str:
+    """`head` + `sep`.join(row % tuple(map(cell, r)) for r in a) for a 2-D
+    float array and a `row` template with one %s per column.  `head` is
+    literal text, placed in the template so that the result is built once.
 
     With the default `cell` the text is byte-identical to rendering every
     value with `format_float`.  A finite array takes one %-format call:
@@ -73,8 +75,10 @@ def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float) -> str:
     rendered value by value with `cell`.
     """
     a = np.asarray(a, dtype=np.float64)
+    head = head.replace("%", "%%")
     if not (a.size and np.isfinite(a).all()):
-        return sep.join([row] * len(a)) % tuple(map(cell, a.ravel().tolist()))
+        return (head + sep.join([row] * len(a))) % tuple(
+            map(cell, a.ravel().tolist()))
     m = a.shape[1]
     fields = row.split("%s")
     cells = [None] * a.size  # row-major, like a.ravel()
@@ -82,7 +86,7 @@ def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float) -> str:
         fmt, cells[j::m] = _column_cells(a[:, j])
         fields[j] += fmt
     cells = tuple(cells)  # drops the list before the text is built
-    return sep.join(["".join(fields)] * len(a)) % cells
+    return (head + sep.join(["".join(fields)] * len(a))) % cells
 
 
 def _dump(obj, out: list):
@@ -143,12 +147,12 @@ def _csv_cell(v: float) -> str:
 
 
 def rows_to_csv(header: tuple[str, ...], rows: np.ndarray) -> str:
-    """CSV text of a 2-D float array."""
-    lines = [",".join(header)]
-    if len(rows):
-        lines.append(format_rows(rows, ",".join(["%s"] * rows.shape[1]),
-                                 "\n", _csv_cell))
-    return "\n".join(lines) + "\n"
+    """CSV text of a 2-D float array, header and body built as one string."""
+    head = ",".join(header) + "\n"
+    if not len(rows):
+        return head
+    return format_rows(rows, ",".join(["%s"] * rows.shape[1]) + "\n", "",
+                       _csv_cell, head)
 
 
 def polyline_csv(polyline) -> str:

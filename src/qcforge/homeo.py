@@ -18,7 +18,9 @@ pass:
 * `theoremB_homeo(n)`: linear 8-adic family to the square-nest family with
   the square-root gauge; each level-k parent contributes two twist regions
   (parameter (1 - d_k/d_{k-1})/4) and the children map left-to-right onto
-  NW, SW, NE, SE.
+  NW, SW, NE, SE.  The left twist is the exact half-turn of the right one
+  (cells, images and translations negated), so both share their
+  dilatations bit for bit and the map is exactly odd.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError
 from .geometry import Point
 from .qcmaps import PiecewiseAffineMap, annulus_templates, \
-    conjugate_templates, invert_templates, twist_templates
+    invert_templates, twist_templates
 # re-exported: the single-template builders stay reachable from here
 from .qcmaps import annulus_extension_any, invert_piecewise, \
     twist_extension  # noqa: F401
@@ -174,8 +176,12 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
 
 def _rotate_template(templates: list[PiecewiseAffineMap]
                      ) -> list[PiecewiseAffineMap]:
-    """Conjugate templates by the half-turn about the origin."""
-    return conjugate_templates(templates, np.negative)
+    """Conjugate templates by the half-turn s(z) = -z: s o (z -> Mz + t)
+    o s^-1 is z -> Mz - t, so cells, images and translations are negated,
+    which is exact, and dilatations and areas are shared."""
+    return [replace(t, cells=-t.cells, images=-t.images,
+                    maps=t.maps * (1, 1, 1, 1, -1, -1),
+                    domain_kind="composite") for t in templates]
 
 
 def twist_parameter(k: int) -> float:

@@ -22,10 +22,11 @@ Both constructions return a `PiecewiseAffineMap`; `validate` checks edge
 continuity, orientation, area coverage, and the declared boundary data.
 
 Cell geometry is built for a whole stack of parameters at once, one row per
-level.  `annulus_templates`, `twist_templates`, `invert_templates` and
-`conjugate_templates` also solve every cell of the stack in one pass; the
-single-template builders solve cell by cell with the scalar kernels of
-`geometry`, the reference those passes match bit for bit.  Only the
+level.  `annulus_templates`, `twist_templates` and `invert_templates` also
+solve every cell of the stack in one pass; the single-template builders
+solve cell by cell with the scalar kernels of `geometry`, the reference
+those passes match bit for bit.  (Theorem B's half-turned twist is not
+solved at all: `homeo` negates the solved one, which is exact.)  Only the
 single-template builders know template errors: a stack with a row that
 the scalar kernels would reject is built again row by row with them, which
 raises the first error a level-by-level build meets.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +55,6 @@ __all__ = [
     "annulus_templates",
     "twist_templates",
     "invert_templates",
-    "conjugate_templates",
 ]
 
 
@@ -413,33 +413,6 @@ def invert_templates(templates: Sequence[PiecewiseAffineMap]
     return _templates(images, inv,
                       np.stack([t.dilatations for t in templates]),
                       kinds, params)
-
-
-def conjugate_templates(templates: Sequence[PiecewiseAffineMap],
-                        similarity: Callable[[np.ndarray], np.ndarray]
-                        ) -> list[PiecewiseAffineMap]:
-    """s o t o s^-1 of same-size templates t, for a similarity s acting on
-    (..., 2) arrays: each cell and its image moved by s, then solved again,
-    in one pass, or template by template with `_from_cells` if a cell is
-    flat or rejected.  Dilatations are preserved up to rounding."""
-    if not templates:
-        return []
-    cells = np.stack([t.cells for t in templates])
-    images = np.stack([t.images for t in templates])
-    moved = [similarity(cells), similarity(images)]
-    params = [t.params for t in templates]
-    with np.errstate(all="ignore"):
-        flat = (_signed_area2(np.stack([images, *moved])) == 0).any(axis=0)
-        src, dst = _orient(moved[0]), _orient(moved[1])
-        maps, dils, ok = _solve(src, dst)
-    if flat.any() or not ok.all():
-        out = []
-        for s, d, f, p in zip(src, dst, flat, params):
-            if f.any():
-                raise GeometryError("degenerate (collinear) triangle")
-            out.append(_from_cells(s, d, "composite", p))
-        return out
-    return _templates(src, maps, dils, ["composite"] * len(templates), params)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qcforge.analysis import (THEOREM_A_CASES, DavidParams,
@@ -68,6 +69,16 @@ def test_deeper_profiles_refine():
         # exceedance grows by at most the level-10 gasket + truncation
         assert p10.exceedance(k) - p9.exceedance(k) \
             <= p9.truncation_bound + 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_theoremB_profile_has_one_threshold_per_right_template_K(n):
+    # the left twists share the right ones' dilatations bit for bit, so
+    # they add no threshold of their own
+    m = theoremB_homeo(n)
+    right = np.concatenate([lv.templates[0].dilatations for lv in m.levels])
+    assert len(dilatation_profile(m).entries) == \
+        len(np.unique(right.view(np.int64)))
 
 
 def test_exceedance_monotone():

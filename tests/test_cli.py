@@ -181,6 +181,27 @@ def test_frostman_needs_a_sample(capsys):
         assert "samples" in err
 
 
+def test_frostman_needs_a_nonnegative_seed(capsys):
+    err = _one_line_error(capsys, ["dims", "--gauge", "geometric:1",
+                                   "--frostman-s", "0.5", "--seed", "-1"])
+    assert "seed" in err
+
+
+def test_frostman_root_frontier_is_capped_before_sampling(capsys,
+                                                          monkeypatch):
+    # 10^8 samples at 29 radii are about 2.9e9 root rows: the walk exits 1
+    # before it draws a sample, instead of allocating tens of GB first
+    def no_draw(*args):
+        raise AssertionError("samples drawn before the row cap was checked")
+
+    monkeypatch.setattr(cantor.np.random, "default_rng", no_draw)
+    err = _one_line_error(capsys, ["dims", "--gauge", "geometric:1",
+                                   "--frostman-s", "0.5",
+                                   "--frostman-level", "14",
+                                   "--samples", "100000000"])
+    assert "rows" in err and str(cantor._MAX_ROWS) in err
+
+
 def test_case_parameter_must_be_a_number(capsys):
     for argv in (["profile", "--case", "slow-to-geometric:abc"],
                  ["david", "--case", "slow-to-fast:x"],

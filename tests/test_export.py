@@ -98,6 +98,18 @@ def test_format_rows_non_finite_values_with_repeats():
 
 
 @pytest.mark.parametrize("a", [
+    np.array([[0.1, 2.0], [0.1, 3.0], [0.1, 2.0]]),
+    np.array([[_NAN, 2.0], [0.1, 3.0]])], ids=["finite", "non-finite"])
+def test_csv_header_is_literal_text(a):
+    # the header is placed in the row template, so a % in it must not be
+    # read as a conversion
+    header = ("100%s", "%d")
+    assert rows_to_csv(header, a) == "100%s,%d\n" + _per_value(
+        a, "%s,%s", "\n", _csv_cell) + "\n"
+    assert rows_to_csv(header, a[:0]) == "100%s,%d\n"
+
+
+@pytest.mark.parametrize("a", [
     np.array([[0.1, -0.0, 1e16]]), np.array([[5e-324, 2.0, 0.0]]),
     np.empty((0, 3))], ids=["one-row", "one-row-integral", "zero-rows"])
 def test_format_rows_one_and_zero_rows(a):

@@ -181,6 +181,23 @@ def test_theoremB_roundtrip():
         assert back.point.dist(z) <= fwd.error_bound + back.error_bound + 1e-9
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_theoremB_map_is_exactly_odd(inverse):
+    # the left twist is the exact half-turn of the right one, and both
+    # level trees are symmetric under z -> -z, so phi(-z) = -phi(z) to the bit
+    m = theoremB_homeo(12)
+    m = invert(m) if inverse else m
+    rng = np.random.default_rng(29)
+    # half the points near the midline, where the 8-adic squares nest
+    pts = np.concatenate([rng.uniform(-0.5, 0.5, (600, 2)),
+                          rng.uniform([-0.5, -1 / 32], [0.5, 1 / 32],
+                                      (600, 2))])
+    for x, y in pts.tolist():
+        r, s = evaluate(m, Point(x, y)), evaluate(m, Point(-x, -y))
+        assert (s.point.x, s.point.y, s.error_bound) == \
+            (-r.point.x, -r.point.y, r.error_bound), (x, y)
+
+
 def test_curve_depth_zero_is_segment():
     pl = curve_polyline(theoremB_homeo(0))
     assert np.array_equal(pl.vertices, [[-0.5, 0.0], [0.5, 0.0]])

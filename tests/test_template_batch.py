@@ -15,13 +15,12 @@ import pytest
 from qcforge.cantor import make_gauge
 from qcforge.errors import DepthLimitError, DomainError, GeometryError, \
     OrientationError, QCForgeError
-from qcforge.geometry import Point, Triangle, affine_three_point, \
-    dilatation, invert_affine
+from qcforge.geometry import AffineMap, Point, Triangle, \
+    affine_three_point, dilatation, invert_affine
 from qcforge.homeo import invert, standard_homeo, theoremB_homeo, \
     twist_parameter
 from qcforge.qcmaps import annulus_extension_any, annulus_templates, \
-    conjugate_templates, invert_piecewise, invert_templates, \
-    twist_extension, twist_templates
+    invert_piecewise, invert_templates, twist_extension, twist_templates
 
 DEPTH = 64
 
@@ -71,12 +70,6 @@ def _inverted(rows):
         out.append((image, inv, K,
                     Triangle(*(inv(v) for v in image.vertices))))
     return out
-
-
-def _moved(rows, s):
-    return _solved([(Triangle(*map(s, cell.vertices)),
-                     Triangle(*map(s, image.vertices)))
-                    for cell, _, _, image in rows])
 
 
 def _annulus(a, b):
@@ -154,17 +147,41 @@ def test_standard_templates_match_the_scalar_path(src, dst, flipped):
     assert flips == flipped
 
 
+def _rows(t):
+    """(cell, map, K, image) per cell of a built template."""
+    return [(Triangle(*(Point(*v) for v in cell)), AffineMap(*m), K,
+             Triangle(*(Point(*v) for v in image)))
+            for cell, m, K, image in zip(t.cells.tolist(), t.maps.tolist(),
+                                         t.dilatations.tolist(),
+                                         t.images.tolist())]
+
+
+def _assert_half_turn(t, right):
+    """t is the exact half-turn of `right`: cells, images and translations
+    negated, the linear parts, dilatations and areas shared."""
+    for name, got, want in [
+            ("cells", t.cells, -right.cells),
+            ("images", t.images, -right.images),
+            ("linear", t.maps[:, :4], right.maps[:, :4]),
+            ("translations", t.maps[:, 4:], -right.maps[:, 4:]),
+            ("dilatations", t.dilatations, right.dilatations),
+            ("domain_areas", t.domain_areas, right.domain_areas),
+            ("image_areas", t.image_areas, right.image_areas)]:
+        assert np.array_equal(_bits(got), _bits(want)), name
+
+
 def test_theoremB_templates_match_the_scalar_path():
     m = theoremB_homeo(DEPTH)
     for k, (lv, lvi) in enumerate(zip(m.levels, invert(m).levels), 1):
         right = _twist(twist_parameter(k))
-        left = _moved(right, lambda v: Point(-v.x, -v.y))
-        for t, ti, rows in zip(lv.templates, lvi.templates, (right, left)):
-            _assert_same(t, rows)
-            _assert_same(ti, _inverted(rows))
         single = twist_extension(twist_parameter(k))
         _assert_same(single, right)
-        _assert_same(conjugate_templates([single], np.negative)[0], left)
+        _assert_same(lv.templates[0], right)
+        _assert_same(lvi.templates[0], _inverted(right))
+        left = lv.templates[1]
+        assert left.domain_kind == "composite"
+        _assert_half_turn(left, single)
+        _assert_same(lvi.templates[1], _inverted(_rows(left)))
 
 
 def _error(build, *args):
@@ -236,16 +253,3 @@ def test_inversion_errors_match_the_scalar_path():
         assert want[0] is kind
         assert _error(invert_templates, [bad]) == want
         assert _error(invert_templates, [good, bad, good]) == want
-
-
-def test_conjugation_errors_match_the_scalar_path():
-    rows = _twist(0.1)
-    templates = [twist_extension(0.1)]
-    want = _error(_moved, rows, lambda v: Point(v.x, 0.0))
-    assert want == (GeometryError, "degenerate (collinear) triangle")
-    assert _error(conjugate_templates, templates,
-                  lambda p: p * [1.0, 0.0]) == want
-    # cells that stay apart but whose maps leave float range
-    want = _error(_moved, rows, lambda v: Point(v.x * 1e300, v.y * 1e300))
-    assert want[0] is GeometryError
-    assert _error(conjugate_templates, templates, lambda p: p * 1e300) == want
