@@ -19,8 +19,11 @@ instead.  The lines after them digest the float64 bytes of `evaluate`
 (x, y, error bound) at 200 seeded points on the four maps of the queries
 workload, built at depths 0, 1 and 12 and cut from depth 12 to 5 by
 `truncate`, and of `corresponding_centers(k)` (source, then target) for
-k = 0..6 on the depth-12 maps.  Run it in both checkouts and `diff` the
-outputs.  The package and perfbench are imported from the checkout the
+k = 0..6 on the depth-12 maps.  The `evaluate-edges` lines digest
+`evaluate` on the depth-12 maps at the vertices and edge midpoints of every
+level-1..3 template cell, placed in every parent of the source: points on
+edges that cells share, where the first matching cell gives the image.
+Run it in both checkouts and `diff` the outputs.  The package and perfbench are imported from the checkout the
 script lives in.
 """
 
@@ -163,6 +166,29 @@ def digest(argv, env, path) -> tuple[int | str, bytes]:
     return rc, data
 
 
+def edge_points(m, k) -> np.ndarray:
+    """Vertices and edge midpoints of the level-k template cells, placed in
+    every level-k parent of the source: an (n, 2) array."""
+    lv = m.levels[k - 1]
+    sscale = m.src.sides[k - 1] * m.template_scale
+    centers = m.corresponding_centers(k - 1)[0]
+    out = []
+    for ti, offset, _ in lv.placements:
+        cells = lv.templates[ti].cells
+        mids = (cells + np.roll(cells, -1, axis=1)) / 2.0
+        u = np.concatenate([cells, mids]).reshape(-1, 2)
+        out.append((centers[:, None, :] + offset + u[None] * sscale)
+                   .reshape(-1, 2))
+    return np.concatenate(out)
+
+
+def evaluate_rows(m, pts) -> bytes:
+    """float64 bytes of (x, y, error bound) of `evaluate` at each point."""
+    rows = [(r.point.x, r.point.y, r.error_bound) for r in
+            (evaluate(m, Point(x, y)) for x, y in pts)]
+    return np.array(rows).tobytes()
+
+
 def map_outputs(seeds):
     """(name, bytes) of point evaluations and center lists of the query
     maps."""
@@ -176,10 +202,12 @@ def map_outputs(seeds):
             maps += [(f"depth-{spec.depth}", deep[spec.key]),
                      ("truncated-5", deep[spec.key].truncate(5))]
             for name, m in maps:
-                rows = [(r.point.x, r.point.y, r.error_bound) for r in
-                        (evaluate(m, Point(x, y)) for x, y in pts)]
                 yield f"evaluate-{seed}/{spec.key}/{name}", \
-                    np.array(rows).tobytes()
+                    evaluate_rows(m, pts)
+    for key, m in deep.items():
+        for k in (1, 2, 3):
+            yield f"evaluate-edges/{key}/level-{k}", \
+                evaluate_rows(m, edge_points(m, k).tolist())
     for key, m in deep.items():
         for k in range(7):
             src, dst = m.corresponding_centers(k)

@@ -123,7 +123,9 @@ def _dump(obj, out: list):
             obj = obj.view(np.float64).reshape(len(obj), len(names))
         else:
             row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
-        out.append("[" + format_rows(obj, row, ",") + "]")
+        # the brackets are parts of their own: the text is copied only by
+        # the join in `json_dumps`
+        out.extend(("[", format_rows(obj, row, ","), "]"))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):

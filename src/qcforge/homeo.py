@@ -231,7 +231,10 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     Points outside the level-0 square are fixed; points resolving into a
     gasket get their exact piecewise-affine image; points still inside a
     deepest-level square get the square similarity together with an error
-    bound (the image square's diameter).
+    bound (the image square's diameter).  A gasket point's cell comes from
+    `PiecewiseAffineMap.find`, and its map row is applied here as
+    `AffineMap.apply` applies it: the image of `PiecewiseAffineMap.apply`,
+    bit for bit, without building the template's `pieces`.
     """
     src, dst = m.src, m.dst
     if max(abs(z.x), abs(z.y)) > src.sides[0] / 2.0:
@@ -247,7 +250,7 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
             dst.offsets):
         half = side / 2.0 * (1.0 + _TOL)
         for child, (ox, oy) in enumerate(offsets):
-            if max(abs(rx - ox), abs(ry - oy)) <= half:
+            if abs(rx - ox) <= half and abs(ry - oy) <= half:
                 break
         else:
             # the first placement whose template box holds the point
@@ -258,8 +261,15 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
                 if (x0 - _TOL <= u.x <= x1 + _TOL
                         and y0 - _TOL <= u.y <= y1 + _TOL):
                     break
-            v = lv.templates[ti].apply(u, tol=1e-9)
-            w = Point(dcx + dox + v.x * dscale, dcy + doy + v.y * dscale)
+            template = lv.templates[ti]
+            i = template.find(u.x, u.y, 1e-9)
+            if i < 0:
+                raise DomainError(
+                    f"point ({u.x}, {u.y}) is outside the domain")
+            m11, m12, m21, m22, tx, ty = template.rows[1][i]
+            vx = m11 * u.x + m12 * u.y + tx
+            vy = m21 * u.x + m22 * u.y + ty
+            w = Point(dcx + dox + vx * dscale, dcy + doy + vy * dscale)
             return EvalResult(w, 0.0)
         rx, ry = rx - ox, ry - oy
         dox, doy = dst_offsets[child]
@@ -279,15 +289,15 @@ def _midline_segments(template: PiecewiseAffineMap, x_lo: float, x_hi: float,
     for lo, hi in holes:
         cuts.add(lo)
         cuts.add(hi)
-    for cell, _ in template.pieces:
-        vs = cell.vertices
-        for a, b in ((vs[0], vs[1]), (vs[1], vs[2]), (vs[2], vs[0])):
-            if a.y == 0.0 and b.y == 0.0:
-                cuts.add(a.x)
-                cuts.add(b.x)
-            elif (a.y <= 0.0 <= b.y) or (b.y <= 0.0 <= a.y):
-                if a.y != b.y:
-                    cuts.add(a.x + (b.x - a.x) * (a.y / (a.y - b.y)))
+    for ux, uy, _, _, _, vx, vy, _, _, _, wx, wy, _, _, _ in template.rows[0]:
+        for (ax, ay), (bx, by) in (((ux, uy), (vx, vy)), ((vx, vy), (wx, wy)),
+                                   ((wx, wy), (ux, uy))):
+            if ay == 0.0 and by == 0.0:
+                cuts.add(ax)
+                cuts.add(bx)
+            elif (ay <= 0.0 <= by) or (by <= 0.0 <= ay):
+                if ay != by:
+                    cuts.add(ax + (bx - ax) * (ay / (ay - by)))
     xs = sorted(x for x in cuts if x_lo - 1e-12 <= x <= x_hi + 1e-12)
     merged = [xs[0]]
     for x in xs[1:]:
@@ -298,7 +308,7 @@ def _midline_segments(template: PiecewiseAffineMap, x_lo: float, x_hi: float,
         mid = 0.5 * (x0 + x1)
         if any(lo < mid < hi for lo, hi in holes):
             continue
-        idx = template.locate(Point(mid, 0.0), tol=1e-9)
+        idx = template.find(mid, 0.0, 1e-9)
         segs.append((x0, x1, idx))
     return segs
 
@@ -358,7 +368,9 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     vertices always bound one affine (or deepest-similarity) piece.  The
     walk is built bottom up: each level's (t, x, y) rows for all its parents
     at once, the children's blocks spliced in between the gasket segments.
-    A curve of more than `cantor._MAX_ROWS` rows before the merge raises
+    Segment cuts, segment cells and segment-end images come from the
+    templates' flat `rows` and `find`, as `evaluate`'s do, not from
+    `pieces`.  A curve of more than `cantor._MAX_ROWS` rows before the merge raises
     `DepthLimitError` before its rows are built.
     """
     if m.kind != "theoremB" or m.direction != "forward":
@@ -391,11 +403,12 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
                 parts.append(children[:, payload])
                 continue
             x1, ti, idx = payload
-            cell_map = lv.templates[ti].pieces[idx][1]
+            m11, m12, m21, m22, tx, ty = lv.templates[ti].rows[1][idx]
             ends = []
             for x in (start, x1):
-                v = cell_map(Point(x, 0.0))
-                ends.append((x * sp, v.x * dp, v.y * dp))
+                # the cell's map at (x, 0.0), as `AffineMap.apply` computes it
+                ends.append((x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
+                             (m21 * x + m22 * 0.0 + ty) * dp))
             parts.append(base + np.array(ends)[None])
         block = np.concatenate(parts, axis=1)
     rows = block.reshape(-1, 3)

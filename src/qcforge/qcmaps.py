@@ -34,6 +34,7 @@ raises the first error a level-by-level build meets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -66,6 +67,11 @@ class PiecewiseAffineMap:
     (n, 6) rows (m11, m12, m21, m22, tx, ty).  Dilatations and both areas
     are computed once, when the map is built; an inverse carries its
     dilatations over, so that it reports bitwise-identical K values.
+
+    Point evaluation and the midline curve read `rows`, flat Python floats
+    built on first use, through `find`.  `pieces` holds the same cells and
+    maps as `Triangle` and `AffineMap` objects; `validate`, `locate` and
+    `apply` read it, and it is the reference `find` is tested against.
     """
 
     cells: np.ndarray
@@ -91,6 +97,36 @@ class PiecewiseAffineMap:
         return tuple((Triangle(*(Point(x, y) for x, y in cell)), AffineMap(*m))
                      for cell, m in zip(self.cells.tolist(),
                                         self.maps.tolist()))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[float, ...], ...],
+                            tuple[tuple[float, ...], ...]]:
+        """(edges, maps), one row of each per cell.  An edge row holds the
+        edges v1v2, v2v3, v3v1 of the cell, its vertices in `pieces`'
+        order, as ax, ay, bx - ax, by - ay, max(1.0, |b - a|) each; a map
+        row is (m11, m12, m21, m22, tx, ty)."""
+        edges = []
+        for p, q, r in _orient(self.cells).tolist():
+            row = []
+            for (ax, ay), (bx, by) in ((p, q), (q, r), (r, p)):
+                row += (ax, ay, bx - ax, by - ay,
+                        max(1.0, math.hypot(ax - bx, ay - by)))
+            edges.append(tuple(row))
+        return tuple(edges), tuple(map(tuple, self.maps.tolist()))
+
+    def find(self, x: float, y: float, tol: float) -> int:
+        """`locate(Point(x, y), tol)` on `rows`: the first cell whose closed
+        triangle, widened by `tol` on each edge, holds (x, y); -1 if none.
+        Each edge test is `Triangle.contains`' expression, so the index is
+        the same."""
+        for i, (ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy,
+                lw) in enumerate(self.rows[0]):
+            if (ux * (y - ay) - uy * (x - ax) < -tol * lu
+                    or vx * (y - by) - vy * (x - bx) < -tol * lv
+                    or wx * (y - cy) - wy * (x - cx) < -tol * lw):
+                continue
+            return i
+        return -1
 
     def param(self, name: str) -> float:
         for k, v in self.params:
