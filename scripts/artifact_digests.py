@@ -10,9 +10,10 @@ The jobs are every CLI job of the three benchmark workloads at each seed
 both formats, deep maps (theoremB reports at depths 64 and 200,
 slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
-large level and profile exports (`cantor --gauge geometric:1 --depth 8`,
-`sigma --depth 8`, a depth-150 inverse profile), and inputs that must
-exit 1 (a traceback shows as exit code `raised`).
+box counts (`dims --box-depths`) on thin, thick and tiny-side gauges up
+to depth 9, large level and profile exports (`cantor --gauge geometric:1
+--depth 8`, `sigma --depth 8`, a depth-150 inverse profile), and inputs
+that must exit 1 (a traceback shows as exit code `raised`).
 Each runs in process through `qcforge.cli.run`, writing into a temporary
 directory; a job that writes no artifact is digested by its stderr text
 instead.  The lines after them digest the float64 bytes of `evaluate`
@@ -124,6 +125,19 @@ FIXED = (
          "--frostman-level", "2", "--samples", "2"), {}),
        ("exit1-box-index-int64",
         ("dims", "--gauge", "geometric:80", "--box-depths", "2,3"), {})]
+    # box counting past the workloads' gauges and depths: overlapping and
+    # tiny squares, depth 0, and levels past the row cap
+    + [(f"box-{argv[1]}-{argv[3]}", ("dims",) + argv, {})
+       for argv in (("--gauge", "fast", "--box-depths", "1,5,9"),
+                    ("--gauge", "sqrt", "--box-depths", "2,9"),
+                    ("--family", "sigma", "--box-depths", "3,9"),
+                    ("--gauge", "geometric:0.05", "--box-depths", "3,9"),
+                    ("--gauge", "geometric:5", "--box-depths", "2,9"),
+                    ("--gauge", "slow", "--box-depths", "0,4"))]
+    + [("exit1-box-row-cap",
+        ("dims", "--gauge", "geometric:1", "--box-depths", "3,12"), {}),
+       ("exit1-box-row-cap-sigma",
+        ("dims", "--family", "sigma", "--box-depths", "3,12"), {})]
     # large exports: few distinct values per column (level centers), one
     # all-distinct and one constant column (sigma), repeated zero areas
     # (a deep inverse profile), and a curve past the row cap

@@ -11,9 +11,12 @@ Two families are built here:
 
 Dimension estimators: truncated limsup/liminf bounds from the covering /
 mass-distribution argument, grid box counting, and a Frostman-ratio probe.
-The probe builds no level: it walks the digit tree of the square nest from
-the root, counting whole subtrees that lie inside or outside a disk, and
-tests single level-n squares only near the disk's boundary.
+Box counting builds only a level's diagonal: a level is the product of its
+x and its y center coordinates, so the grid boxes it meets are the columns
+met times the rows met.  The probe builds no level: it walks the digit tree
+of the square nest from the root, counting whole subtrees that lie inside
+or outside a disk, and tests single level-n squares only near the disk's
+boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -182,9 +185,10 @@ def _check_side(table: "LevelTable"):
 
 def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
                  ) -> np.ndarray:
-    """Centers reached from the origin by adding one of the four child
-    offsets per level, in digit-path order (shape (4^n, 2) for n levels);
-    more than `_MAX_ROWS` of them raise `DepthLimitError` unbuilt."""
+    """Centers reached from the origin by adding one of the child offsets
+    per level, in digit-path order (shape (4^n, 2) for n levels of four
+    offsets); a level of more than `_MAX_ROWS` squares raises
+    `DepthLimitError` unbuilt, also when only some children are listed."""
     n = len(offsets_per_level)
     if 4 ** n > _MAX_ROWS:
         raise DepthLimitError(f"level {n} has 4^{n} squares, more than the "
@@ -204,7 +208,7 @@ class LevelTable:
 
     sides: list[float]
     areas: list[float]
-    offsets: list[list[list[float]]]  # (n, 4, 2)
+    offsets: list[list[list[float]]]  # (n, children per parent, 2)
 
     def truncate(self, n: int) -> "LevelTable":
         """The table of levels 0..n."""
@@ -249,11 +253,17 @@ class Construction:
                           offsets.tolist())
 
     def level(self, n: int) -> CantorLevel:
+        return CantorLevel(self.family, n, *self._squares(n, (0, 1, 2, 3)))
+
+    def _squares(self, n: int, order: Sequence[int]
+                 ) -> tuple[float, np.ndarray]:
+        """The side of level n and the centers of its squares whose digits
+        all lie in `order`, after the checks of the whole level: the depth
+        guard, a side 0 in floating point, and the cap on its 4^n rows."""
         _check_depth(n)
-        table = self.table(n)
+        table = self.table(n, order)
         _check_side(table)
-        return CantorLevel(self.family, n, table.sides[n],
-                           nest_centers(table.offsets))
+        return table.sides[n], nest_centers(table.offsets)
 
     def describe(self) -> str:
         if self.family == "sigma":
@@ -305,24 +315,46 @@ def dimension_bounds(gauge: GaugeSequence, N: int) -> DimensionEstimate:
                              "lemma_bounds", scales)
 
 
-def count_boxes(level: CantorLevel, box: float | None = None) -> int:
-    """Number of grid boxes of size `box` (default: the level's own side)
-    meeting the union of closed squares.  The grid is anchored at the origin;
-    measure-zero touchings at grid lines are not counted.
-    """
-    if box is None:
-        box = level.side
-    if box <= 0:
-        raise DomainError("box size must be positive")
-    half = level.side / 2.0
-    lo = np.floor((level.centers - half) / box)
-    hi = np.ceil((level.centers + half) / box)
+def _grid_ranges(centers: np.ndarray, half: float, box: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index, per coordinate, of the grid boxes of size `box`
+    that the closed square of half side `half` about each center meets, in
+    int64 (at least one box per square)."""
+    lo = np.floor((centers - half) / box)
+    hi = np.ceil((centers + half) / box)
     # differences fit int64 too; a NaN fails every comparison
     if not all(-2.0 ** 62 < v < 2.0 ** 62
                for v in (lo.min(), lo.max(), hi.min(), hi.max())):
         raise DomainError(f"grid indices of box size {box!r} pass int64")
     lo, hi = lo.astype(np.int64), hi.astype(np.int64) - 1
-    hi = np.maximum(hi, lo)
+    return lo, np.maximum(hi, lo)
+
+
+def _union_size(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Number of integers in the union of the intervals [lo, hi]."""
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    # the intervals before one in this order start no later than it does,
+    # so their union meets it in [its lo, the highest hi before it]
+    start = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1] + 1)
+    return int(hi[0] - lo[0]) + 1 + int(np.maximum(hi[1:] - start + 1,
+                                                   0).sum())
+
+
+def count_boxes(level: CantorLevel, box: float | None = None) -> int:
+    """Number of grid boxes of size `box` (default: the level's own side)
+    meeting the union of closed squares.  The grid is anchored at the origin;
+    measure-zero touchings at grid lines are not counted.
+
+    This is the general count, for any box and any centers (translated or
+    partial levels included), and the reference of `box_dimension`'s count
+    per axis.
+    """
+    if box is None:
+        box = level.side
+    if box <= 0:
+        raise DomainError("box size must be positive")
+    lo, hi = _grid_ranges(level.centers, level.side / 2.0, box)
     span = int((hi - lo).max()) + 1
     ii, jj = [], []
     for di in range(span):
@@ -373,23 +405,37 @@ def count_segment_boxes(vertices: np.ndarray, box: float) -> int:
     return len(keys)
 
 
-def box_dimension(level_source: Callable[[int], CantorLevel],
+def box_dimension(construction: Construction,
                   depths: Sequence[int]) -> DimensionEstimate:
     """Least-squares box-counting estimate over several depths, each level
-    `level_source(n)` counted at its own square side."""
+    of `construction` counted at its own square side on the grid of
+    `count_boxes`, with the count `count_boxes` gives on the built level.
+
+    Each digit adds an x and a y offset on its own, so a level's centers
+    are the product of its x and its y coordinates (on the 8-adic row every
+    y is 0), and the boxes it meets are the columns met times the rows met.
+    Only the level's diagonal is built: the 2^n squares of SW and NE digits
+    on the square nest, whose offsets take both signs on both axes, and the
+    whole 4^n row on the 8-adic set.  Its centers are summed in the order
+    of `nest_centers`, so every coordinate has the bits of the built level,
+    and the checks of `Construction.level` run on it in the same order.
+    """
     if len(depths) < 2:
         raise ValidationError("box counting needs at least two depths")
     if len(set(depths)) < len(depths):
         raise ValidationError(f"box counting needs distinct depths, got "
                               f"{','.join(map(str, depths))}")
+    order = (0, 1, 2, 3) if construction.family == "sigma" else (0, 2)
     logN = []
     logS = []
     scales = []
     for n in depths:
-        level = level_source(n)
-        logN.append(math.log(count_boxes(level)))
-        logS.append(-math.log(level.side))
-        scales.append(level.side)
+        side, diagonal = construction._squares(n, order)
+        lo, hi = _grid_ranges(diagonal, side / 2.0, side)
+        logN.append(math.log(_union_size(lo[:, 0], hi[:, 0])
+                             * _union_size(lo[:, 1], hi[:, 1])))
+        logS.append(-math.log(side))
+        scales.append(side)
     slope = float(np.polyfit(logS, logN, 1)[0])
     pair = [(b - a) / (d - c)
             for a, b, c, d in zip(logN, logN[1:], logS, logS[1:])]

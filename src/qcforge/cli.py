@@ -40,6 +40,14 @@ def _parse_gauge(text: str) -> cantor.GaugeSequence:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _parse_depths(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _parse_case(text: str) -> tuple[str, float]:
     name, _, param = text.partition(":")
     name = name.replace("-", "_")
@@ -101,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gauge", type=_parse_gauge)
     sp.add_argument("--family", choices=("lambda", "sigma"), default="lambda")
     sp.add_argument("--levels", type=int, default=50)
-    sp.add_argument("--box-depths", type=lambda s: [int(x) for x in s.split(",")])
+    sp.add_argument("--box-depths", type=_parse_depths)
     sp.add_argument("--frostman-s", type=float)
     sp.add_argument("--frostman-level", type=int, default=8)
     sp.add_argument("--samples", type=int, default=32)
@@ -167,12 +175,9 @@ def _run_dims(args) -> int:
         est = cantor.dimension_bounds(args.gauge, args.levels)
         obj["bounds"] = est.to_json_obj()
     if args.box_depths:
-        if args.family == "sigma":
-            source = cantor.build_sigma_level
-        else:
-            def source(n, g=args.gauge):
-                return cantor.build_level(g, n)
-        est = cantor.box_dimension(source, args.box_depths)
+        est = cantor.box_dimension(cantor.Construction(args.family,
+                                                       args.gauge),
+                                   args.box_depths)
         obj["box"] = est.to_json_obj()
     if args.frostman_s is not None:
         if args.gauge is None:

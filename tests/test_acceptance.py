@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from qcforge.analysis import (DavidParams, check_david, dilatation_profile)
-from qcforge.cantor import (box_dimension, build_level, build_sigma_level,
-                            frostman_profile, make_gauge)
+from qcforge.cantor import (Construction, box_dimension, build_level,
+                            build_sigma_level, frostman_profile, make_gauge)
 from qcforge.frozen import (ANNULUS_BAND, FROSTMAN_BOUND, FROZEN_K0,
                             THEOREM_A_RATE_BANDS, THEOREM_B_RATE_BAND,
                             TWIST_BAND)
@@ -89,7 +89,7 @@ def test_criterion_03_dimension_estimators():
         target = 2.0 / (nu + 1.0)
         ok &= est.upper - target <= 0.05 and target - est.lower <= 0.05
         details.append(f"nu={nu:g}:[{est.lower:.3f},{est.upper:.3f}]")
-    box = box_dimension(build_sigma_level, [4, 6, 8])
+    box = box_dimension(Construction("sigma"), [4, 6, 8])
     ok &= abs(box.value - 2.0 / 3.0) <= 0.05
     low = max(r for _, r in frostman_profile(GEO1, 8, 0.9, seed=12345))
     prof = frostman_profile(GEO1, 8, 1.1, seed=12345)

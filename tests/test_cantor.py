@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcforge import cantor
-from qcforge.cantor import (CantorLevel, Construction, box_dimension,
+from qcforge.cantor import (CantorLevel, Construction, DimensionEstimate,
+                            box_dimension,
                             build_level, build_sigma_level, count_boxes,
                             count_segment_boxes, depth_guard,
                             dimension_bounds, frostman_profile, make_gauge)
@@ -159,13 +160,13 @@ def test_dimension_bounds_fast_decays():
 
 
 def test_box_counting_sigma():
-    est = box_dimension(build_sigma_level, [4, 6, 8])
+    est = box_dimension(Construction("sigma"), [4, 6, 8])
     assert est.value == pytest.approx(2.0 / 3.0, abs=0.05)
 
 
 def test_box_counting_geometric():
     g = make_gauge("geometric", 1.0)
-    est = box_dimension(lambda n: build_level(g, n), [4, 6, 8])
+    est = box_dimension(Construction("lambda", g), [4, 6, 8])
     assert est.value == pytest.approx(1.0, abs=0.05)
 
 
@@ -211,6 +212,87 @@ def test_count_boxes_matches_the_set_of_index_pairs(kind, n):
         moved = CantorLevel(lv.family, lv.level, lv.side,
                             lv.centers + [-0.123, 0.0456])
         assert count_boxes(moved, box) == _boxes_by_set(moved, box)
+
+
+BOX_CONSTRUCTIONS = (
+    [Construction("sigma")]
+    + [Construction("lambda", make_gauge("geometric", nu))
+       for nu in (0.05, 0.6113, 1.0, 1.4, 3.0, 5.0)]
+    + [Construction("lambda", make_gauge(k)) for k in ("slow", "fast", "sqrt")])
+
+
+def _diagonal(c, n):
+    """Centers of the level-n squares of SW and NE digits (the whole row on
+    the 8-adic set)."""
+    order = (0, 1, 2, 3) if c.family == "sigma" else (0, 2)
+    return cantor.nest_centers(c.table(n, order).offsets)
+
+
+@pytest.mark.parametrize("c", BOX_CONSTRUCTIONS, ids=Construction.describe)
+def test_box_dimension_equals_the_count_of_built_levels(c):
+    levels = [c.level(n) for n in range(10)]
+    logN = [math.log(count_boxes(lv)) for lv in levels]
+    logS = [-math.log(lv.side) for lv in levels]
+    for a in range(10):
+        for b in range(a + 1, 10):
+            slope = float(np.polyfit([logS[a], logS[b]],
+                                     [logN[a], logN[b]], 1)[0])
+            value = min(max(slope, 0.0), 2.0)
+            pair = (logN[b] - logN[a]) / (logS[b] - logS[a])
+            want = DimensionEstimate(value, min(pair, value),
+                                     max(pair, value), "box_counting",
+                                     (levels[a].side, levels[b].side))
+            assert box_dimension(c, [a, b]) == want
+
+
+@pytest.mark.parametrize("c", BOX_CONSTRUCTIONS, ids=Construction.describe)
+def test_level_is_the_product_of_its_diagonal_axes(c):
+    for n in range(8):
+        diag = _diagonal(c, n)
+        xs, ys = set(diag[:, 0].tolist()), set(diag[:, 1].tolist())
+        assert set(map(tuple, c.level(n).centers.tolist())) == \
+            {(x, y) for x in xs for y in ys}
+
+
+@pytest.mark.parametrize("c", [Construction("sigma"),
+                               Construction("lambda", make_gauge("sqrt"))],
+                         ids=Construction.describe)
+def test_box_dimension_builds_no_level(c, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("box counting built a level")
+
+    for owner, name in ((Construction, "level"), (cantor, "build_level"),
+                        (cantor, "build_sigma_level"),
+                        (cantor, "count_boxes")):
+        monkeypatch.setattr(owner, name, refuse)
+    rows = []
+    nest_centers = cantor.nest_centers
+
+    def counted(offsets):
+        centers = nest_centers(offsets)
+        rows.append((len(offsets), len(centers)))
+        return centers
+
+    monkeypatch.setattr(cantor, "nest_centers", counted)
+    box_dimension(c, [0, 3, 9])
+    per_digit = 4 if c.family == "sigma" else 2
+    assert rows == [(n, per_digit ** n) for n in (0, 3, 9)]
+
+
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 8)),
+                min_size=1, max_size=12))
+@example([(3, 0)])  # a single one-integer interval
+@example([(9, 2), (0, 3)])  # unsorted
+@example([(0, 10), (2, 3), (4, 1)])  # nested
+@example([(0, 2), (3, 2), (5, 0)])  # touching: no integer between them
+@example([(1, 3), (1, 3), (1, 3)])  # duplicates
+@example([(2 ** 62 - 9, 3), (-2 ** 62, 4)])  # near the int64 range's ends
+@settings(max_examples=200, deadline=None)
+def test_union_size_counts_the_integers_covered(spans):
+    lo = np.array([a for a, _ in spans], dtype=np.int64)
+    hi = lo + np.array([n for _, n in spans], dtype=np.int64)
+    want = {i for a, n in spans for i in range(a, a + n + 1)}
+    assert cantor._union_size(lo, hi) == len(want)
 
 
 def test_count_segment_boxes():

@@ -265,6 +265,33 @@ def test_sides_below_float_range_are_errors(capsys, argv, reason):
     assert reason in _one_line_error(capsys, argv)
 
 
+_ROW_CAP_12 = "level 12 has 4^12 squares, more than the cap of 8388608 rows"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the cap counts the level's 4^12 squares, not the rows box counting
+    # builds
+    (["--gauge", "geometric:1", "--box-depths", "3,12"], _ROW_CAP_12),
+    (["--family", "sigma", "--box-depths", "3,12"], _ROW_CAP_12),
+    # depths are checked in the order given: the cap before the guard
+    (["--gauge", "geometric:1", "--box-depths", "12,15"], _ROW_CAP_12),
+    (["--gauge", "geometric:2000", "--box-depths", "1,2"],
+     "level 1 has side 0 in floating point"),
+    (["--gauge", "geometric:80", "--box-depths", "2,3"],
+     "grid indices of box size 1.7105694144590052e-49 pass int64"),
+], ids=["row-cap", "row-cap-sigma", "row-cap-before-guard", "side-0",
+        "int64"])
+def test_box_counting_errors(capsys, argv, message):
+    assert _one_line_error(capsys, ["dims"] + argv) == f"error: {message}\n"
+
+
+def test_box_depths_must_be_integers(capsys):
+    assert run(["dims", "--family", "sigma", "--box-depths", "3,a"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --box-depths: expected "
+                        "comma-separated integers, got '3,a'\n")
+
+
 def test_level_row_cap(capsys, monkeypatch):
     # a level of more squares than the cap exits 1 before it is built
     monkeypatch.setattr(cantor, "_MAX_ROWS", 4 ** 3)

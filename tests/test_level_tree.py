@@ -9,7 +9,7 @@ import pytest
 
 from qcforge.analysis import dilatation_profile
 from qcforge.cantor import _NEST_DIRECTIONS, _ROW_DIRECTIONS, Construction, \
-    box_dimension, build_sigma_level, depth_guard, make_gauge
+    box_dimension, depth_guard, make_gauge
 from qcforge.cli import run
 from qcforge.errors import ValidationError
 from qcforge.geometry import Point
@@ -47,7 +47,7 @@ def test_degenerate_dilatation_is_an_error(argv, tmp_path):
 
 def test_repeated_box_depths_are_rejected(tmp_path, capsys):
     with pytest.raises(ValidationError):
-        box_dimension(build_sigma_level, [3, 4, 3])
+        box_dimension(Construction("sigma"), [3, 4, 3])
     out = tmp_path / "dims.json"
     assert run(["dims", "--family", "sigma", "--box-depths", "4,4",
                 "--out", str(out)]) == 1
