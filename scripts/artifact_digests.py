@@ -12,7 +12,8 @@ slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
 box counts (`dims --box-depths`) on thin, thick and tiny-side gauges up
 to depth 9, large level and profile exports (`cantor --gauge geometric:1
---depth 8`, `sigma --depth 8`, a depth-150 inverse profile), and inputs
+--depth 8`, `sigma --depth 8`, a depth-150 inverse profile), annulus
+templates that fail validation (exit 2), a twist at a = 1e-12, and inputs
 that must exit 1 (a traceback shows as exit code `raised`).
 Each runs in process through `qcforge.cli.run`, writing into a temporary
 directory; a job that writes no artifact is digested by its stderr text
@@ -150,6 +151,25 @@ FIXED = (
          "--depth", "150", "--format", fmt), {})
        for fmt in ("csv", "json")]
     + [("exit1-curve-row-cap", ("curve", "--depth", "10"), {})]
+    # template verdicts: discontinuous cells, failed boundary data, and a
+    # valid twist at an extreme parameter
+    + [(f"annulus-{a}-{b}", ("annulus", "--a", a, "--b", b), {})
+       for a, b in (("0.1", "1e-12"), ("1e-12", "0.1"))]
+    + [("twist-1e-12", ("twist", "--a", "1e-12"), {})]
+    # --format where no CSV exists, non-finite David parameters, and a
+    # truncation depth past the bound of map depths
+    + [("exit1-dims-format", ("dims", "--gauge", "sqrt", "--format", "csv"),
+        {}),
+       ("exit1-annulus-format", ("annulus", "--a", "0.1", "--b", "0.3",
+                                 "--format", "json"), {}),
+       ("exit1-david-infinite-C",
+        ("david", "--case", "slow-to-fast", "--depth", "8", "--C", "inf",
+         "--K0", "1"), {}),
+       ("exit1-david-infinite-K0",
+        ("david", "--case", "slow-to-fast", "--depth", "8", "--K0", "inf"),
+        {}),
+       ("exit1-dims-levels", ("dims", "--gauge", "sqrt", "--levels", "65"),
+        {"QCFORGE_DEPTH_GUARD": "1"})]
 )
 
 

@@ -75,9 +75,11 @@ class DavidParams:
     K0: float
 
     def __post_init__(self):
-        if not (self.C > 0 and self.alpha > 0 and self.K0 >= 1):
+        finite = map(math.isfinite, (self.C, self.alpha, self.K0))
+        if not (self.C > 0 and self.alpha > 0 and self.K0 >= 1
+                and all(finite)):
             raise DomainError(
-                f"need C > 0, alpha > 0, K0 >= 1; got ({self.C}, "
+                f"need finite C > 0, alpha > 0, K0 >= 1; got ({self.C}, "
                 f"{self.alpha}, {self.K0})")
 
     def bound(self, K: float) -> float:

@@ -177,6 +177,15 @@ def _check_depth(n: int):
             "(set QCFORGE_DEPTH_GUARD to raise it)")
 
 
+def _check_table_depth(n: int):
+    if n < 0:
+        raise DomainError(f"depth must be >= 0, got {n}")
+    # tables and templates are O(1) per level; the guard only limits absurd
+    # requests
+    if n > 64 * max(1, depth_guard()):
+        raise DepthLimitError(f"depth {n} is unreasonably large")
+
+
 def _check_side(table: "LevelTable"):
     if table.sides[-1] == 0.0:
         raise DepthLimitError(f"level {len(table.sides) - 1} has side 0 in "
@@ -299,10 +308,11 @@ def dimension_bounds(gauge: GaugeSequence, N: int) -> DimensionEstimate:
     lower = 2 - max over the tail of (-2 log d_{n+1}) / (-log d_n + n log 2),
     upper = 2 - min over the tail of (-2 log d_n)   / (-log d_n + n log 2),
     with the tail taken as n in [ceil(2N/3), N] to approximate the
-    limsup/liminf at truncation N.
+    limsup/liminf at truncation N.  N has the bound of map depths.
     """
     if N < 3:
         raise DomainError(f"N must be >= 3, got {N}")
+    _check_table_depth(N)
     tail = range(max(1, math.ceil(2 * N / 3)), N + 1)
     denoms = [gauge.neg_log_d(n) + n * math.log(2.0) for n in tail]
     r_low = [2.0 * gauge.neg_log_d(n + 1) / q for n, q in zip(tail, denoms)]

@@ -92,17 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "homeomorphisms, and dilatation statistics.")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def add(name, help_):
+    def add(name, help_, csv=False):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if csv:
+            sp.add_argument("--format", choices=("json", "csv"),
+                            default="json")
         return sp
 
-    sp = add("cantor", "materialize one level of a square-nest construction")
+    sp = add("cantor", "materialize one level of a square-nest construction",
+             csv=True)
     sp.add_argument("--gauge", required=True, type=_parse_gauge)
     sp.add_argument("--depth", required=True, type=int)
 
-    sp = add("sigma", "materialize one level of the linear 8-adic set")
+    sp = add("sigma", "materialize one level of the linear 8-adic set",
+             csv=True)
     sp.add_argument("--depth", required=True, type=int)
 
     sp = add("dims", "dimension bounds, box counting, and Frostman ratios")
@@ -128,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", required=True, type=int)
     sp.add_argument("--theorem-b", action="store_true")
 
-    sp = add("profile", "dilatation exceedance profile")
+    sp = add("profile", "dilatation exceedance profile", csv=True)
     sp.add_argument("--case", required=True)
     sp.add_argument("--depth", required=True, type=int)
     sp.add_argument("--side", choices=("domain", "image"), default="domain")
@@ -144,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--K0", type=float, help="override the frozen cutoff")
 
-    sp = add("curve", "image polyline of the horizontal midline")
+    sp = add("curve", "image polyline of the horizontal midline", csv=True)
     sp.add_argument("--depth", required=True, type=int)
 
     sp = add("report", "scenario report: rates, exceedance checks, bounds")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cantor
 from .cantor import Construction, GaugeSequence, LevelTable, _check_depth, \
-    depth_guard, make_gauge, nest_centers
+    _check_table_depth, make_gauge, nest_centers
 # re-exported: qcforge.homeo.build_level / build_sigma_level stay importable
 from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError
@@ -137,19 +137,11 @@ class Polyline:
     params: np.ndarray  # shape (n,): source x-coordinates in [-1/2, 1/2]
 
 
-def _check_homeo_depth(n: int):
-    if n < 0:
-        raise DomainError(f"depth must be >= 0, got {n}")
-    # templates are O(1) per level; the guard only limits absurd requests
-    if n > 64 * max(1, depth_guard()):
-        raise DepthLimitError(f"depth {n} is unreasonably large")
-
-
 def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
                    n: int) -> HierarchicalMap:
     """Depth-n approximant of the standard homeomorphism between the
     square-nest constructions of two gauges."""
-    _check_homeo_depth(n)
+    _check_table_depth(n)
     source, target = Construction("lambda", src), Construction("lambda", dst)
     d = np.array([[g.d(k) for k in range(n + 1)] for g in (src, dst)])
     # levels 1..top have d_k > 0 on both sides; d_{top+1} is 0 on one side
@@ -193,7 +185,7 @@ def twist_parameter(k: int) -> float:
 def theoremB_homeo(n: int) -> HierarchicalMap:
     """Depth-n approximant of the map taking the linear 8-adic set onto the
     square-nest set with gauge d_k = 2^{-sqrt k}."""
-    _check_homeo_depth(n)
+    _check_table_depth(n)
     gauge = make_gauge("sqrt")
     source, target = Construction("sigma"), Construction("lambda", gauge)
     rights = twist_templates([twist_parameter(k) for k in range(1, n + 1)])

@@ -19,7 +19,8 @@ Two constructions:
   dilatation is comparable to 1/a.
 
 Both constructions return a `PiecewiseAffineMap`; `validate` checks edge
-continuity, orientation, area coverage, and the declared boundary data.
+continuity, orientation, area coverage, and the declared boundary data in
+one pass over its arrays.
 
 Cell geometry is built for a whole stack of parameters at once, one row per
 level.  `annulus_templates`, `twist_templates` and `invert_templates` also
@@ -69,9 +70,10 @@ class PiecewiseAffineMap:
     dilatations over, so that it reports bitwise-identical K values.
 
     Point evaluation and the midline curve read `rows`, flat Python floats
-    built on first use, through `find`.  `pieces` holds the same cells and
-    maps as `Triangle` and `AffineMap` objects; `validate`, `locate` and
-    `apply` read it, and it is the reference `find` is tested against.
+    built on first use, through `find`; `validate` reads the arrays.
+    `pieces` holds the same cells and maps as `Triangle` and `AffineMap`
+    objects; only `locate` and `apply` read it, and it is the reference
+    `find` is tested against.
     """
 
     cells: np.ndarray
@@ -83,13 +85,9 @@ class PiecewiseAffineMap:
     domain_kind: str  # "annulus", "twist", or "composite"
     params: tuple[tuple[str, float], ...] = ()
 
-    @cached_property
-    def cell_dilatations(self) -> tuple[float, ...]:
-        return tuple(self.dilatations.tolist())
-
     @property
     def max_dilatation(self) -> float:
-        return max(self.cell_dilatations) if len(self.cells) else 1.0
+        return float(self.dilatations.max()) if len(self.cells) else 1.0
 
     @cached_property
     def pieces(self) -> tuple[tuple[Triangle, AffineMap], ...]:
@@ -464,76 +462,57 @@ class ValidationReport:
                 and self.surjective_area_defect <= 1e-9)
 
 
-def _boundary_ok_annulus(pmap: PiecewiseAffineMap, tol: float) -> bool:
-    a = pmap.param("a")
-    b = pmap.param("b")
-    ratio = (0.5 - b) / (0.5 - a)
-    for cell, m in pmap.pieces:
-        for v in cell.vertices:
-            cheb = max(abs(v.x), abs(v.y))
-            w = m(v)
-            if abs(cheb - 0.5) <= tol:
-                if w.dist(v) > tol:
-                    return False
-            elif abs(cheb - (0.5 - a)) <= tol:
-                if w.dist(v.scale(ratio)) > tol:
-                    return False
-    return True
-
-
-def _boundary_ok_twist(pmap: PiecewiseAffineMap, tol: float) -> bool:
-    a = pmap.param("a")
-    scale = (0.5 - 2 * a) / _TWIST_HOLE_SIDE
-    hole_maps = list(zip(_TWIST_HOLE_CENTERS, ((0.25, 0.25), (0.25, -0.25))))
-    for cell, m in pmap.pieces:
-        for v in cell.vertices:
-            w = m(v)
-            on_rect = (abs(v.x) <= tol or abs(v.x - 0.5) <= tol
-                       or abs(abs(v.y) - 0.5) <= tol)
-            if on_rect:
-                if w.dist(v) > tol:
-                    return False
-                continue
-            for (hx, hy), (ix, iy) in hole_maps:
-                if max(abs(v.x - hx), abs(v.y - hy)) <= _TWIST_HOLE_SIDE / 2 + tol:
-                    expect = Point(ix + (v.x - hx) * scale, iy + (v.y - hy) * scale)
-                    if w.dist(expect) > tol:
-                        return False
-    return True
-
-
 def validate(pmap: PiecewiseAffineMap, target_area: float,
              tol: float = 1e-9) -> ValidationReport:
     """Homeomorphism checks: edge continuity, orientation, area coverage,
-    and declared boundary data."""
-    # group cell edges by exact endpoint coordinates
-    edges: dict[frozenset, list[tuple[int, Point, Point]]] = {}
-    for i, (cell, m) in enumerate(pmap.pieces):
-        vs = cell.vertices
-        for u, v in ((vs[0], vs[1]), (vs[1], vs[2]), (vs[2], vs[0])):
-            key = frozenset(((u.x, u.y), (v.x, v.y)))
-            edges.setdefault(key, []).append((i, u, v))
-    continuous = True
-    for key, owners in edges.items():
-        if len(owners) < 2:
-            continue
-        i0, u, v = owners[0]
-        m0 = pmap.pieces[i0][1]
-        iu, iv = m0(u), m0(v)
-        for i, _, _ in owners[1:]:
-            m = pmap.pieces[i][1]
-            if m(u).dist(iu) > tol or m(v).dist(iv) > tol:
-                continuous = False
+    and declared boundary data, on the vertices in `pieces`' order."""
+    cells = _orient(pmap.cells)
+    # continuity: edges v1v2, v2v3, v3v1 grouped by their endpoints in
+    # lexicographic order; every later owner of an edge must map the first
+    # owner's endpoints where the first owner does
+    ends = np.stack([cells, np.roll(cells, -1, axis=1)], axis=2)
+    ends = ends.reshape(-1, 2, 2)
+    (ax, ay), (bx, by) = ends[:, 0].T, ends[:, 1].T
+    flip = (bx < ax) | ((bx == ax) & (by < ay))
+    keys = np.where(flip[:, None, None], ends[:, ::-1], ends).reshape(-1, 4)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    owner = order[np.flatnonzero(first)[np.cumsum(first) - 1]]
+    pts = ends[owner]
+    gap = (_apply(pmap.maps[order // 3], pts)
+           - _apply(pmap.maps[owner // 3], pts))[~first]
+    continuous = not (np.hypot(gap[..., 0], gap[..., 1]) > tol).any()
 
-    oriented = all(m.det > 0 for _, m in pmap.pieces)
+    m11, m12, m21, m22 = pmap.maps[:, :4].T
+    oriented = bool((m11 * m22 - m12 * m21 > 0).all())
 
     defect = abs(sum(pmap.image_areas.tolist()) - target_area)
 
+    # boundary data: (vertices held, their declared images), where a
+    # vertex held by an earlier entry is not held by a later one
+    x, y = cells.reshape(-1, 2).T
+    wx, wy = _apply(pmap.maps, cells).reshape(-1, 2).T
+    held = []
     if pmap.domain_kind == "annulus":
-        boundary_ok = _boundary_ok_annulus(pmap, tol)
+        a = pmap.param("a")
+        ratio = (0.5 - pmap.param("b")) / (0.5 - a)
+        cheb = np.maximum(abs(x), abs(y))
+        outer = abs(cheb - 0.5) <= tol
+        held = [(outer, x, y), (~outer & (abs(cheb - (0.5 - a)) <= tol),
+                                x * ratio, y * ratio)]
     elif pmap.domain_kind == "twist":
-        boundary_ok = _boundary_ok_twist(pmap, tol)
-    else:
-        boundary_ok = True
+        scale = (0.5 - 2 * pmap.param("a")) / _TWIST_HOLE_SIDE
+        rect = ((abs(x) <= tol) | (abs(x - 0.5) <= tol)
+                | (abs(abs(y) - 0.5) <= tol))
+        held = [(rect, x, y)] + [
+            (~rect & (np.maximum(abs(x - hx), abs(y - hy))
+                      <= _TWIST_HOLE_SIDE / 2 + tol),
+             ix + (x - hx) * scale, iy + (y - hy) * scale)
+            for (hx, hy), (ix, iy) in zip(_TWIST_HOLE_CENTERS,
+                                          ((0.25, 0.25), (0.25, -0.25)))]
+    boundary_ok = not any((mask & (np.hypot(wx - ex, wy - ey) > tol)).any()
+                          for mask, ex, ey in held)
 
     return ValidationReport(continuous, oriented, defect, boundary_ok)

@@ -167,6 +167,13 @@ def test_qc_dimension_bounds_nest():
         qc_dimension_bounds(0.5, 1.0)
 
 
+def test_david_params_are_finite():
+    for bad in ((math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+                (1.0, 1.0, math.inf), (math.nan, 1.0, 1.0)):
+        with pytest.raises(DomainError):
+            DavidParams(*bad)
+
+
 def test_level_ratio_bounds_dilatation():
     for src, dst in ((SLOW, GEO1), (GEO1, FAST), (SLOW, FAST)):
         m = standard_homeo(src, dst, 12)
@@ -222,7 +229,7 @@ def _cellwise_profile(m, side):
         scale2 = (parent / 2.0 if m.kind == "standard" else parent) ** 2
         per_template = lv.instance_count() // len(lv.templates)
         for t in lv.templates:
-            for (cell, amap), K in zip(t.pieces, t.cell_dilatations):
+            for (cell, amap), K in zip(t.pieces, t.dilatations.tolist()):
                 area = cell.area if side == "domain" else \
                     Triangle(*(amap(v) for v in cell.vertices)).area
                 masses[K] = masses.get(K, 0.0) + area * scale2 * per_template

@@ -145,6 +145,14 @@ def test_dimension_bounds_shape():
         dimension_bounds(make_gauge("sqrt"), 2)
 
 
+def test_dimension_bounds_depth_limit(monkeypatch):
+    # N has the bound of map depths, 64 per unit of the guard
+    monkeypatch.setenv("QCFORGE_DEPTH_GUARD", "2")
+    assert dimension_bounds(make_gauge("sqrt"), 128).upper <= 2.0
+    with pytest.raises(DepthLimitError):
+        dimension_bounds(make_gauge("sqrt"), 129)
+
+
 def test_dimension_bounds_sqrt_approaches_two():
     est = dimension_bounds(make_gauge("sqrt"), 400)
     assert est.upper >= 1.9

@@ -84,6 +84,51 @@ def test_annulus_and_twist_verdicts(capsys):
     assert run(["twist", "--a", "0.7"]) == 1  # out of range: usage error
 
 
+def test_failed_template_verdict(capsys):
+    # an inner square of side 1 - 2e-12 leaves the cells discontinuous
+    code, out = _capture(capsys, ["annulus", "--a", "0.1", "--b", "1e-12"])
+    assert code == 2
+    assert json.loads(out)["valid"] is False
+    assert '"valid":false' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--gauge", "sqrt"],
+    ["annulus", "--a", "0.1", "--b", "0.3"],
+    ["twist", "--a", "0.1"],
+    ["homeo", "--theorem-b", "--depth", "2"],
+    ["david", "--case", "slow-to-fast", "--depth", "3"],
+    ["report", "--case", "slow-to-fast", "--depth", "3"],
+], ids=lambda argv: argv[0])
+def test_format_only_where_a_csv_exists(capsys, argv):
+    # these subcommands write JSON only, so --format is a usage error
+    assert run(argv + ["--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format csv" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--C", "inf", "--K0", "1"],
+                                   ["--K0", "inf"], ["--alpha", "inf"]],
+                         ids=["C", "K0", "alpha"])
+def test_david_parameters_must_be_finite(capsys, flags):
+    err = _one_line_error(capsys, ["david", "--case", "slow-to-fast",
+                                   "--depth", "8"] + flags)
+    assert "need finite C > 0" in err
+
+
+def test_dims_levels_are_bounded(capsys, monkeypatch):
+    # the bound of map depths: 64 levels per unit of the guard
+    monkeypatch.setenv("QCFORGE_DEPTH_GUARD", "1")
+    assert _capture(capsys, ["dims", "--gauge", "sqrt",
+                             "--levels", "64"])[0] == 0
+    err = _one_line_error(capsys, ["dims", "--gauge", "sqrt",
+                                   "--levels", "65"])
+    assert err == "error: depth 65 is unreasonably large\n"
+    assert _one_line_error(capsys, ["homeo", "--theorem-b",
+                                    "--depth", "65"]) == err
+
+
 def test_homeo_summary(capsys):
     code, out = _capture(capsys, ["homeo", "--src", "sqrt", "--dst",
                                   "geometric:1", "--depth", "4"])

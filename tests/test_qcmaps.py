@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qcforge.errors import DomainError
 from qcforge.frozen import ANNULUS_BAND, TWIST_BAND
 from qcforge.geometry import Point
-from qcforge.qcmaps import (annulus_extension, annulus_extension_any,
-                            invert_piecewise, twist_extension, validate)
+from qcforge.qcmaps import (ValidationReport, annulus_extension,
+                            annulus_extension_any, invert_piecewise,
+                            twist_extension, validate)
 
 GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
 
@@ -20,7 +23,7 @@ def test_annulus_identity_is_exactly_conformal():
     for a in (0.1, 0.25, 0.4):
         t = annulus_extension(a, a)
         assert t.max_dilatation == 1.0
-        assert all(k == 1.0 for k in t.cell_dilatations)
+        assert (t.dilatations == 1.0).all()
 
 
 def test_annulus_parameter_validation():
@@ -73,7 +76,7 @@ def test_annulus_any_swaps_cleanly():
 def test_inverse_dilatations_bitwise_equal():
     for t in (annulus_extension(0.1, 0.3), twist_extension(0.07)):
         ti = invert_piecewise(t)
-        assert ti.cell_dilatations == t.cell_dilatations
+        assert ti.dilatations.tolist() == t.dilatations.tolist()
         assert ti.max_dilatation == t.max_dilatation
 
 
@@ -145,6 +148,111 @@ def test_validate_flags_area_mismatch():
     rep = validate(t, target_area=0.3)
     assert not rep.ok
     assert rep.surjective_area_defect > 1e-9
+
+
+def test_validate_flags_a_discontinuous_annulus():
+    # the cell-wise inverse of the 1e-12 -> 0.1 template, whose cells of
+    # width 1e-12 carry map entries near 1e11: the inverses disagree on
+    # shared edges by between 1e-6 and 1e-4
+    rep = validate(annulus_extension_any(0.1, 1e-12),
+                   target_area=1.0 - (1.0 - 2 * 1e-12) ** 2)
+    assert not rep.continuous and not rep.ok
+
+
+def test_validate_flags_annulus_boundary_data():
+    # the inner square lies within tol of the outer one, so its vertices
+    # are held to the identity, and they move to the side-0.8 square
+    rep = validate(annulus_extension_any(1e-12, 0.1),
+                   target_area=1.0 - (1.0 - 2 * 0.1) ** 2)
+    assert rep.continuous and rep.oriented
+    assert not rep.boundary_ok and not rep.ok
+
+
+def test_validate_flags_a_shifted_twist_cell():
+    t = twist_extension(0.1)
+    maps = t.maps.copy()
+    maps[5, 4] += 1e-6
+    rep = validate(replace(t, maps=maps),
+                   target_area=0.5 - 2 * (0.5 - 2 * 0.1) ** 2)
+    assert not rep.continuous and not rep.ok
+
+
+def test_validate_builds_no_pieces():
+    for t in (annulus_extension_any(0.3, 0.1), twist_extension(0.1)):
+        validate(t, target_area=0.0)
+        assert "pieces" not in t.__dict__
+
+
+def _validate_on_pieces(pmap, target_area, tol):
+    """`validate` as a walk over `pieces`, vertex by vertex: the
+    reference the array pass must equal."""
+    edges = {}
+    for i, (cell, _) in enumerate(pmap.pieces):
+        vs = cell.vertices
+        for u, v in ((vs[0], vs[1]), (vs[1], vs[2]), (vs[2], vs[0])):
+            key = frozenset(((u.x, u.y), (v.x, v.y)))
+            edges.setdefault(key, []).append((i, u, v))
+    continuous = True
+    for (i0, u, v), *rest in edges.values():
+        m0 = pmap.pieces[i0][1]
+        for i, _, _ in rest:
+            m = pmap.pieces[i][1]
+            if m(u).dist(m0(u)) > tol or m(v).dist(m0(v)) > tol:
+                continuous = False
+    oriented = all(m.det > 0 for _, m in pmap.pieces)
+    defect = abs(sum(pmap.image_areas.tolist()) - target_area)
+    boundary_ok = True
+    for cell, m in pmap.pieces:
+        for v in cell.vertices:
+            w = m(v)
+            expect = None
+            if pmap.domain_kind == "annulus":
+                a, b = pmap.param("a"), pmap.param("b")
+                cheb = max(abs(v.x), abs(v.y))
+                if abs(cheb - 0.5) <= tol:
+                    expect = [v]
+                elif abs(cheb - (0.5 - a)) <= tol:
+                    expect = [v.scale((0.5 - b) / (0.5 - a))]
+            elif pmap.domain_kind == "twist":
+                scale = (0.5 - 2 * pmap.param("a")) / 0.125
+                if (abs(v.x) <= tol or abs(v.x - 0.5) <= tol
+                        or abs(abs(v.y) - 0.5) <= tol):
+                    expect = [v]
+                else:  # left hole -> top hole, right -> bottom
+                    expect = [
+                        Point(0.25 + (v.x - hx) * scale, iy + v.y * scale)
+                        for hx, iy in ((0.125, 0.25), (0.375, -0.25))
+                        if max(abs(v.x - hx), abs(v.y)) <= 0.0625 + tol]
+            if any(w.dist(e) > tol for e in expect or ()):
+                boundary_ok = False
+    return ValidationReport(continuous, oriented, defect, boundary_ok)
+
+
+def test_validate_equals_the_walk_over_pieces():
+    cases = []
+    for a in (1e-15, 1e-12, 1e-3, 0.1, 0.3, 0.45):
+        for b in (1e-15, 1e-12, 0.1, 0.25, 0.45):
+            t = annulus_extension_any(a, b)
+            cases.append((t, 1.0 - (1.0 - 2 * b) ** 2))
+    for a in (1e-12, 1e-6, 0.01, 0.1, 0.1999):
+        t = twist_extension(a)
+        target = 0.5 - 2 * (0.5 - 2 * a) ** 2
+        cases += [(t, target), (t, 0.3), (invert_piecewise(t), target)]
+        for i in (0, 13, 23):
+            shifted, reflected = t.maps.copy(), t.maps.copy()
+            shifted[i, 4] += 1e-6
+            reflected[i, :2] = -reflected[i, :2]
+            cases += [(replace(t, maps=shifted), target),
+                      (replace(t, maps=reflected), target)]
+    seen = set()
+    for t, target in cases:
+        for tol in (1e-9, 1e-12):
+            rep = validate(t, target, tol)
+            assert rep == _validate_on_pieces(t, target, tol), (t.params, tol)
+            seen.add((rep.continuous, rep.oriented, rep.boundary_ok,
+                      bool(rep.surjective_area_defect <= 1e-9)))
+    # each of the four checks fails somewhere on this grid
+    assert not any(all(flags) for flags in zip(*seen))
 
 
 @given(st.floats(0.02, 0.48), st.floats(0.02, 0.48))
