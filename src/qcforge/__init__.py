@@ -13,7 +13,7 @@ from .errors import (DegenerateFitError, DepthLimitError, DomainError,
                      GeometryError, OrientationError, QCForgeError,
                      ValidationError)
 from .geometry import (AffineMap, Point, Triangle, affine_three_point,
-                       dilatation, dilatation_three_point, invert_affine)
+                       dilatation, invert_affine)
 from .homeo import (EvalResult, HierarchicalMap, Polyline, curve_box_dimension,
                     curve_polyline, evaluate, invert,
                     max_dilatation_per_level, standard_homeo, theoremB_homeo,

@@ -87,24 +87,25 @@ class DavidParams:
 
 
 def _level_masses(m: HierarchicalMap, side: str):
-    """Per level of the map, the (K, mass) list of its cells in (template,
-    cell) order: the cell's area times the placement scale squared times
-    the template's instance count."""
+    """The dilatations and masses of the map's cells, with leading axes
+    (level, template): the cell's area times the placement scale squared
+    times the template's instance count."""
     table = m.src if side == "domain" else m.dst
-    for lv, parent_side in zip(m.levels, table.sides):
-        scale2 = (parent_side * m.template_scale) ** 2
+    factors = []
+    # an annulus sits around each of a parent's four children, a twist once
+    copies = 4 if m.kind == "standard" else 1
+    for k, parent_side in enumerate(table.sides[:m.depth], 1):
         try:
-            per_template = float(lv.instance_count() // len(lv.templates))
+            count = float(copies * 4 ** (k - 1))
         except OverflowError:
             raise DepthLimitError(
-                f"instance count overflows at level {lv.k}: it is not "
+                f"instance count overflows at level {k}: it is not "
                 "finite in floating point") from None
-        out = []
-        for t in lv.templates:
-            area = t.domain_areas if side == "domain" else t.image_areas
-            out.extend(zip(t.dilatations.tolist(),
-                           (area * scale2 * per_template).tolist()))
-        yield out
+        factors.append(((parent_side * m.template_scale) ** 2, count))
+    t = m.templates
+    area = t.domain_areas if side == "domain" else t.image_areas
+    scale2, count = np.reshape(factors, (-1, 2, 1, 1)).transpose(1, 0, 2, 3)
+    return t.dilatations, area * scale2 * count
 
 
 def dilatation_profile(m: HierarchicalMap, side: str = "domain"
@@ -115,20 +116,17 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
     congruence class into several thresholds."""
     if side not in ("domain", "image"):
         raise DomainError(f"side must be 'domain' or 'image', got {side!r}")
-    masses: dict[float, float] = {}
-    for level in _level_masses(m, side):
-        for K, mass in level:
-            masses[K] = masses.get(K, 0.0) + mass
-    # strict exceedance at each threshold = suffix sum above it
-    entries = []
-    suffix = 0.0
-    for k in reversed(sorted(masses)):
-        entries.append((k, suffix))
-        suffix += masses[k]
-    entries.reverse()
+    K, mass = _level_masses(m, side)
+    # each K's masses summed in (level, template, cell) order, then the
+    # strict exceedance at each threshold as the suffix sum above it, both
+    # added one term at a time from 0.0
+    ks, which = np.unique(K, return_inverse=True)
+    sums = np.zeros(len(ks))
+    np.add.at(sums, which.ravel(), mass.ravel())
+    above = np.cumsum(np.concatenate([[0.0], sums[::-1]]))
     table = m.src if side == "domain" else m.dst
-    return DilatationProfile(tuple(entries), suffix, table.areas[m.depth],
-                             side)
+    return DilatationProfile(tuple(zip(ks.tolist(), above[-2::-1].tolist())),
+                             float(above[-1]), table.areas[m.depth], side)
 
 
 def _closed_exceedances(profile: DilatationProfile):
@@ -262,9 +260,11 @@ def _david_sweep(m: HierarchicalMap, K0: float):
     tail: list[float] = []  # thresholds above K0, ascending
     bounds: dict[float, float] = {}
     out = []
-    for n, (level, truncation) in enumerate(
-            zip(_level_masses(m, "domain"), m.src.areas[1:]), 1):
-        for K, mass in level:
+    level_K, level_mass = (a.reshape(m.depth, -1).tolist()
+                           for a in _level_masses(m, "domain"))
+    for n, (ks, ms, truncation) in enumerate(
+            zip(level_K, level_mass, m.src.areas[1:]), 1):
+        for K, mass in zip(ks, ms):
             if K not in masses and K > K0:
                 bisect.insort(tail, K)
                 bounds[K] = params.bound(K)
@@ -332,9 +332,9 @@ def theoremB_report(n_max: int) -> dict:
         "case": "theoremB",
         "rate": "sqrt k",
         "levels": [
-            {"level": k, "K": K, "twist_a": lv.templates[0].param("a"),
-             "ratio": K / math.sqrt(k)}
-            for (k, K), lv in zip(max_dilatation_per_level(fwd), fwd.levels)
+            {"level": k, "K": K, "twist_a": a, "ratio": K / math.sqrt(k)}
+            for (k, K), a in zip(max_dilatation_per_level(fwd),
+                                 fwd.templates.param("a").tolist())
         ],
         "david": _david(fwd, "theoremB"),
     }

@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, GeometryError, OrientationError
+from .errors import GeometryError, OrientationError
 
 __all__ = [
     "Point",
     "AffineMap",
     "Triangle",
     "dilatation",
-    "dilatation_three_point",
     "affine_three_point",
     "invert_affine",
 ]
@@ -177,18 +176,3 @@ def affine_three_point(src: Triangle, dst: Triangle) -> AffineMap:
     tx = u.x - (m11 * a.x + m12 * a.y)
     ty = u.y - (m21 * a.x + m22 * a.y)
     return AffineMap(m11, m12, m21, m22, tx, ty)
-
-
-def dilatation_three_point(z: Point, w: Point) -> float:
-    """Dilatation of the affine map fixing 0 and 1 and sending z to w.
-
-    Requires both points strictly in the upper half-plane; the value is
-    (|z - conj(w)| + |z - w|) / (|z - conj(w)| - |z - w|).
-    """
-    if z.y <= 0 or w.y <= 0:
-        raise DomainError("z and w must lie in the open upper half-plane")
-    zc = complex(z.x, z.y)
-    wc = complex(w.x, w.y)
-    num = abs(zc - wc.conjugate())
-    dif = abs(zc - wc)
-    return (num + dif) / (num - dif)

@@ -2,12 +2,15 @@
 
 A `HierarchicalMap` represents the depth-n approximant between two Cantor
 constructions: a similarity on every deepest-level square, and per level a
-few piecewise-affine gasket templates with their placements (template,
-source offset, target offset) in every parent.  All level-k gaskets are
-congruent, so dilatation data lives once per level, and the geometry once
-per map: one `LevelTable` per side (sides, areas, child offsets), which
-evaluation, the curve, the square centers and the masses read.  A level-k
-instance is its template scaled by `sides[k - 1]` times `template_scale`.
+few piecewise-affine gasket templates placed in every parent.  All level-k
+gaskets are congruent, so a map stores each level's templates once, all
+levels in one `qcmaps.TemplateStack` (arrays with leading axes (level,
+template)), and its geometry once: one `LevelTable` per side (sides, areas,
+child offsets), which evaluation, the curve, the square centers and the
+masses read.  A level-k instance is its template scaled by `sides[k - 1]`
+times `template_scale`.  The per-level K, the masses and `invert` read the
+stack whole; `levels[k - 1]` makes level k's templates and their
+placements on first read, for point evaluation, the curve and the oracles.
 
 Two builders, each making the templates of all its levels in one batched
 pass:
@@ -26,7 +29,8 @@ pass:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,8 +41,8 @@ from .cantor import Construction, GaugeSequence, LevelTable, _check_depth, \
 from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError
 from .geometry import Point
-from .qcmaps import PiecewiseAffineMap, annulus_templates, \
-    invert_templates, twist_templates
+from .qcmaps import _ARRAYS, PiecewiseAffineMap, TemplateStack, \
+    annulus_templates, invert_templates, twist_templates
 # re-exported: the single-template builders stay reachable from here
 from .qcmaps import annulus_extension_any, invert_piecewise, \
     twist_extension  # noqa: F401
@@ -82,13 +86,35 @@ class _Level:
     placements: tuple[tuple[int, tuple[float, float], tuple[float, float]],
                       ...]
 
-    @property
-    def max_dilatation(self) -> float:
-        return max(t.max_dilatation for t in self.templates)
 
-    def instance_count(self) -> int:
-        """Total template instances at this level."""
-        return len(self.placements) * 4 ** (self.k - 1)
+class _Levels(Sequence):
+    """A map's levels 1..depth, each made on its first read."""
+
+    def __init__(self, m: "HierarchicalMap"):
+        # not the map itself, which holds this sequence
+        self._templates, self._kind = m.templates, m.kind
+        self._offsets = m.src.offsets, m.dst.offsets
+        # a level once it is made, its index until then
+        self.items: list[_Level | int] = list(range(m.depth))
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        lv = self.items[i]  # an IndexError ends an iteration
+        if lv.__class__ is int:
+            k = lv
+            if self._kind == "standard":  # one annulus around each child
+                placements = tuple((0, tuple(so), tuple(to)) for so, to in
+                                   zip(*(o[k] for o in self._offsets)))
+            else:  # the right and the left twist
+                placements = ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN))
+            t = self._templates
+            lv = self.items[k] = _Level(k + 1, tuple(
+                t.template(k, j) for j in range(len(t.kinds))), placements)
+        return lv
 
 
 @dataclass(frozen=True)
@@ -98,16 +124,20 @@ class HierarchicalMap:
     target: Construction
     direction: str  # "forward" or "inverse"
     kind: str  # "standard" or "theoremB"
-    levels: tuple[_Level, ...]
+    templates: TemplateStack  # levels 1..depth
     src: LevelTable  # the source's levels 0..depth
     dst: LevelTable  # the target's, children in correspondence order
     template_scale: float  # template size over its parent's side
+    levels: _Levels = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", _Levels(self))
 
     def truncate(self, n: int) -> "HierarchicalMap":
         """The depth-n approximant: the first n levels of this map."""
         if not 0 <= n <= self.depth:
             raise DomainError(f"need 0 <= n <= {self.depth}, got {n}")
-        return replace(self, depth=n, levels=self.levels[:n],
+        return replace(self, depth=n, templates=self.templates.truncate(n),
                        src=self.src.truncate(n), dst=self.dst.truncate(n))
 
     def corresponding_centers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,12 +147,11 @@ class HierarchicalMap:
                 nest_centers(self.dst.offsets[:k]))
 
     def summary_json_obj(self) -> dict:
+        cells = self.templates.dilatations[0].size if self.depth else 0
         return {"depth": self.depth, "source": self.source.describe(),
                 "target": self.target.describe(),
-                "per_level": [{"level": lv.k, "max_K": lv.max_dilatation,
-                               "gasket_cells": sum(len(t.cells)
-                                                   for t in lv.templates)}
-                              for lv in self.levels]}
+                "per_level": [{"level": k, "max_K": K, "gasket_cells": cells}
+                              for k, K in max_dilatation_per_level(self)]}
 
 
 @dataclass(frozen=True)
@@ -155,25 +184,21 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
         g = src if d[0, k] == 0.0 else dst
         raise DepthLimitError(f"gauge {g.describe()} underflows at level {k}: "
                               f"d_{k} is 0 in floating point")
-    src_table, dst_table = source.table(n), target.table(n)
-    # one annulus per child, around it in its quarter of the parent
-    levels = tuple(
-        _Level(k, (template,),
-               tuple((0, tuple(so), tuple(to)) for so, to in zip(sr, dr)))
-        for k, template, sr, dr in zip(range(1, n + 1), templates,
-                                       src_table.offsets, dst_table.offsets))
-    return HierarchicalMap(n, source, target, "forward", "standard", levels,
-                           src_table, dst_table, 0.5)
+    return HierarchicalMap(n, source, target, "forward", "standard", templates,
+                           source.table(n), target.table(n), 0.5)
 
 
-def _rotate_template(templates: list[PiecewiseAffineMap]
-                     ) -> list[PiecewiseAffineMap]:
-    """Conjugate templates by the half-turn s(z) = -z: s o (z -> Mz + t)
-    o s^-1 is z -> Mz - t, so cells, images and translations are negated,
-    which is exact, and dilatations and areas are shared."""
-    return [replace(t, cells=-t.cells, images=-t.images,
-                    maps=t.maps * (1, 1, 1, 1, -1, -1),
-                    domain_kind="composite") for t in templates]
+def _rotate_template(rights: TemplateStack) -> TemplateStack:
+    """Each level's template, then its conjugate by the half-turn s(z) = -z:
+    s o (z -> Mz + t) o s^-1 is z -> Mz - t, so cells, images and
+    translations are negated, which is exact, and dilatations and areas are
+    shared."""
+    r = rights
+    turned = {"cells": -r.cells, "images": -r.images,
+              "maps": r.maps * (1, 1, 1, 1, -1, -1)}
+    return replace(r, kinds=("twist", "composite"), **{
+        f: np.concatenate([getattr(r, f), turned.get(f, getattr(r, f))], 1)
+        for f in _ARRAYS})
 
 
 def twist_parameter(k: int) -> float:
@@ -188,33 +213,26 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     _check_table_depth(n)
     gauge = make_gauge("sqrt")
     source, target = Construction("sigma"), Construction("lambda", gauge)
-    rights = twist_templates([twist_parameter(k) for k in range(1, n + 1)])
-    lefts = _rotate_template(rights)
+    # `twist_parameter` of levels 1..n, on one gauge
+    d = np.array([gauge.d(k) for k in range(n + 1)])
     # two twists per parent, right and left half of it
-    levels = tuple(
-        _Level(k, (right, left), ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN)))
-        for k, right, left in zip(range(1, n + 1), rights, lefts))
-    return HierarchicalMap(n, source, target, "forward", "theoremB", levels,
+    templates = _rotate_template(twist_templates((1.0 - d[1:] / d[:-1]) / 4.0))
+    return HierarchicalMap(n, source, target, "forward", "theoremB", templates,
                            source.table(n), target.table(n, _NW_SW_NE_SE),
                            1.0)
 
 
 def invert(m: HierarchicalMap) -> HierarchicalMap:
     """Cell-wise affine inverse; per-level dilatations are preserved."""
-    inverses = iter(invert_templates(
-        [t for lv in m.levels for t in lv.templates]))
-    levels = tuple(
-        _Level(lv.k, tuple(next(inverses) for _ in lv.templates),
-               tuple((i, to, so) for i, so, to in lv.placements))
-        for lv in m.levels
-    )
     return HierarchicalMap(m.depth, m.target, m.source,
                            "inverse" if m.direction == "forward" else "forward",
-                           m.kind, levels, m.dst, m.src, m.template_scale)
+                           m.kind, invert_templates(m.templates), m.dst, m.src,
+                           m.template_scale)
 
 
 def max_dilatation_per_level(m: HierarchicalMap) -> list[tuple[int, float]]:
-    return [(lv.k, lv.max_dilatation) for lv in m.levels]
+    return list(enumerate(m.templates.dilatations.max(axis=(1, 2)).tolist(),
+                          1))
 
 
 def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
@@ -238,14 +256,17 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     rx, ry = z.x, z.y
     dcx = dcy = 0.0
     for lv, sp, side, offsets, dp, dst_offsets in zip(
-            m.levels, src.sides, src.sides[1:], src.offsets, dst.sides,
+            m.levels.items, src.sides, src.sides[1:], src.offsets, dst.sides,
             dst.offsets):
         half = side / 2.0 * (1.0 + _TOL)
         for child, (ox, oy) in enumerate(offsets):
             if abs(rx - ox) <= half and abs(ry - oy) <= half:
                 break
         else:
-            # the first placement whose template box holds the point
+            # the first placement whose template box holds the point; the
+            # level is made when the first point reaches its gasket
+            if lv.__class__ is int:
+                lv = m.levels[lv]
             sscale, dscale = sp * m.template_scale, dp * m.template_scale
             for ti, (ox, oy), (dox, doy) in lv.placements:
                 u = Point((rx - ox) / sscale, (ry - oy) / sscale)

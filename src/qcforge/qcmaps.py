@@ -22,21 +22,24 @@ Both constructions return a `PiecewiseAffineMap`; `validate` checks edge
 continuity, orientation, area coverage, and the declared boundary data in
 one pass over its arrays.
 
-Cell geometry is built for a whole stack of parameters at once, one row per
-level.  `annulus_templates`, `twist_templates` and `invert_templates` also
-solve every cell of the stack in one pass; the single-template builders
-solve cell by cell with the scalar kernels of `geometry`, the reference
-those passes match bit for bit.  (Theorem B's half-turned twist is not
-solved at all: `homeo` negates the solved one, which is exact.)  Only the
-single-template builders know template errors: a stack with a row that
-the scalar kernels would reject is built again row by row with them, which
-raises the first error a level-by-level build meets.
+A map keeps its templates as one `TemplateStack`: the arrays of a
+`PiecewiseAffineMap` with two leading axes, (level, template).
+`annulus_templates`, `twist_templates` and `invert_templates` build or
+invert a whole stack in one numpy pass and make no per-template object;
+`TemplateStack.template` gives one template as a `PiecewiseAffineMap` of
+views, on demand.  The single-template builders solve cell by cell with the
+scalar kernels of `geometry`, the reference those passes match bit for bit.
+(Theorem B's half-turned twist is not solved at all: `homeo` negates the
+solved one, which is exact.)  Only the single-template builders know
+template errors: a stack with a row that the scalar kernels would reject is
+built again row by row with them, which raises the first error a
+level-by-level build meets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -48,6 +51,7 @@ from .geometry import AffineMap, Point, Triangle, affine_three_point, \
 
 __all__ = [
     "PiecewiseAffineMap",
+    "TemplateStack",
     "ValidationReport",
     "annulus_extension",
     "annulus_extension_any",
@@ -163,6 +167,45 @@ class PiecewiseAffineMap:
         }
 
 
+# the array fields of a template, in `PiecewiseAffineMap`'s order
+_ARRAYS = ("cells", "maps", "dilatations", "images", "domain_areas",
+           "image_areas")
+
+
+@dataclass(frozen=True, eq=False)
+class TemplateStack:
+    """The templates of a map's levels, as `PiecewiseAffineMap` arrays with
+    leading axes (level, template): `cells` and `images` (L, T, n, 3, 2),
+    `maps` (L, T, n, 6), the rest (L, T, n).  Template j of every level has
+    kind `kinds[j]`; the templates of level index k share the parameters
+    `params[k]`, named by `names`."""
+
+    cells: np.ndarray
+    maps: np.ndarray
+    dilatations: np.ndarray
+    images: np.ndarray
+    domain_areas: np.ndarray
+    image_areas: np.ndarray
+    kinds: tuple[str, ...]
+    names: tuple[str, ...]
+    params: np.ndarray  # (L, len(names))
+
+    def truncate(self, n: int) -> "TemplateStack":
+        """The first n levels."""
+        return replace(self, params=self.params[:n],
+                       **{f: getattr(self, f)[:n] for f in _ARRAYS})
+
+    def param(self, name: str) -> np.ndarray:
+        """One parameter, per level."""
+        return self.params[:, self.names.index(name)]
+
+    def template(self, k: int, j: int) -> PiecewiseAffineMap:
+        """Template j of level index k, on views of the arrays."""
+        return PiecewiseAffineMap(
+            *(getattr(self, f)[k, j] for f in _ARRAYS), self.kinds[j],
+            tuple(zip(self.names, self.params[k].tolist())))
+
+
 # -- array kernels -----------------------------------------------------------
 # Each repeats the operation order of its scalar counterpart in `geometry`,
 # so that both give the same bits.
@@ -227,17 +270,33 @@ def _invert(maps: np.ndarray, images: np.ndarray):
     return inv, ok
 
 
-def _templates(cells, maps, dils, kinds, params) -> list[PiecewiseAffineMap]:
-    """One map per row of a stack, with its images and areas."""
+def _stack(cells, maps, dils, kinds, names, params) -> TemplateStack:
+    """A stack from its (L, T, n, ...) cells, maps and dilatations, with
+    its images and areas."""
     images = _orient(_apply(maps, cells))
-    dom, img = 0.5 * _signed_area2(cells), 0.5 * _signed_area2(images)
-    return [PiecewiseAffineMap(cells[i], maps[i], dils[i], images[i], dom[i],
-                               img[i], kind, p)
-            for i, (kind, p) in enumerate(zip(kinds, params))]
+    return TemplateStack(cells, maps, dils, images, 0.5 * _signed_area2(cells),
+                         0.5 * _signed_area2(images), kinds, names, params)
+
+
+def _single(cells, maps, dils, kind, names, values) -> PiecewiseAffineMap:
+    """One template from its (n, ...) cells, maps and dilatations."""
+    return _stack(cells[None, None], maps[None, None], dils[None, None],
+                  (kind,), names, np.array([values], float)).template(0, 0)
+
+
+def _stack_of(levels: Sequence[Sequence[PiecewiseAffineMap]]
+              ) -> TemplateStack:
+    """Per-level lists of built templates as a stack: the templates in one
+    position share a kind, those of one level their parameters."""
+    return TemplateStack(
+        *(np.array([[getattr(t, f) for t in lv] for lv in levels])
+          for f in _ARRAYS), tuple(t.domain_kind for t in levels[0]),
+        tuple(k for k, _ in levels[0][0].params),
+        np.array([[v for _, v in lv[0].params] for lv in levels]))
 
 
 def _from_cells(src: np.ndarray, dst: np.ndarray, domain_kind: str,
-                params) -> PiecewiseAffineMap:
+                names, values) -> PiecewiseAffineMap:
     """One template from matched (n, 3, 2) cells, solved cell by cell with
     the scalar kernels."""
     maps, dils = [], []
@@ -246,8 +305,8 @@ def _from_cells(src: np.ndarray, dst: np.ndarray, domain_kind: str,
                                Triangle(*(Point(*v) for v in d)))
         maps.append((m.m11, m.m12, m.m21, m.m22, m.tx, m.ty))
         dils.append(dilatation(m))
-    return _templates(src[None], np.array(maps)[None], np.array(dils)[None],
-                      [domain_kind], [params])[0]
+    return _single(src, np.array(maps), np.array(dils), domain_kind, names,
+                   values)
 
 
 # -- cell geometry, batched over levels ---------------------------------------
@@ -257,15 +316,14 @@ def _from_cells(src: np.ndarray, dst: np.ndarray, domain_kind: str,
 _QUADS = [[k, (k + 1) % 4, 4 + (k + 1) % 4, 4 + k] for k in range(4)]
 # the two diagonal splits of a quad, in the order they are tried
 _SPLITS = [[[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]]
+_CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _square_corners(cx, cy, side) -> np.ndarray:
-    """(..., 4, 2) ccw corners of squares from their centers and sides."""
+def _square_corners(cx: float, cy: float, side) -> np.ndarray:
+    """(..., 4, 2) ccw corners of squares about one center, from their
+    sides: the center plus or minus half the side, as c + (-h) = c - h."""
     h = np.asarray(side) / 2.0
-    return np.stack([np.stack([cx - h, cy - h], -1),
-                     np.stack([cx + h, cy - h], -1),
-                     np.stack([cx + h, cy + h], -1),
-                     np.stack([cx - h, cy + h], -1)], axis=-2)
+    return (cx, cy) + h[..., None, None] * _CORNER_SIGNS
 
 
 def _annulus_cells(outer_src, inner_src, outer_dst, inner_dst):
@@ -277,8 +335,8 @@ def _annulus_cells(outer_src, inner_src, outer_dst, inner_dst):
         t = np.concatenate([outer, inner], axis=-2)[:, _QUADS][:, :, _SPLITS]
         tris.append(t)  # (L, quad, split, triangle, vertex, xy)
         ok = ok & (_signed_area2(t) > 0).all(axis=-1)
-    split = np.where(ok[..., 0], 0, 1)[..., None, None, None, None]
-    src, dst = (np.take_along_axis(t, split, axis=2).reshape(-1, 8, 3, 2)
+    first = ok[..., 0, None, None, None]
+    src, dst = (np.where(first, t[:, :, 0], t[:, :, 1]).reshape(-1, 8, 3, 2)
                 for t in tris)
     return src, dst, ~ok.any(axis=-1).all(axis=-1)
 
@@ -301,7 +359,7 @@ def annulus_extension(a: float, b: float) -> PiecewiseAffineMap:
     src, dst, no_diagonal = _annulus_geometry(np.array([a]), np.array([b]))
     if no_diagonal[0]:
         raise GeometryError("no valid diagonal for matched quads")
-    return _from_cells(src[0], dst[0], "annulus", (("a", a), ("b", b)))
+    return _from_cells(src[0], dst[0], "annulus", ("a", "b"), (a, b))
 
 
 def annulus_extension_any(a: float, b: float) -> PiecewiseAffineMap:
@@ -314,9 +372,10 @@ def annulus_extension_any(a: float, b: float) -> PiecewiseAffineMap:
     return invert_piecewise(annulus_extension(b, a))
 
 
-def annulus_templates(alpha, beta) -> list[PiecewiseAffineMap]:
-    """`annulus_extension_any(alpha[i], beta[i])` for every i, in one pass:
-    rows with alpha > beta are built swapped and inverted under a mask."""
+def annulus_templates(alpha, beta) -> TemplateStack:
+    """`annulus_extension_any(alpha[i], beta[i])` as level i of a
+    one-template stack, in one pass: rows with alpha > beta are built
+    swapped and inverted under a mask."""
     alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
     with np.errstate(all="ignore"):
         src, dst, no_diagonal = _annulus_geometry(np.minimum(alpha, beta),
@@ -328,13 +387,12 @@ def annulus_templates(alpha, beta) -> list[PiecewiseAffineMap]:
     if not ((0 < alpha) & (alpha < 0.5) & (0 < beta) & (beta < 0.5)
             & ~no_diagonal & (ok & (inv_ok | ~flip[:, None])).all(axis=-1)
             ).all():
-        return [annulus_extension_any(x, y)
-                for x, y in zip(alpha.tolist(), beta.tolist())]
+        return _stack_of([[annulus_extension_any(x, y)]
+                          for x, y in zip(alpha.tolist(), beta.tolist())])
     f = flip[:, None, None]
-    return _templates(np.where(f[..., None], images, src),
-                      np.where(f, inv, maps), dils, ["annulus"] * len(alpha),
-                      [(("a", x), ("b", y))
-                       for x, y in zip(alpha.tolist(), beta.tolist())])
+    return _stack(np.where(f[..., None], images, src)[:, None],
+                  np.where(f, inv, maps)[:, None], dils[:, None],
+                  ("annulus",), ("a", "b"), np.stack([alpha, beta], axis=1))
 
 
 # twist geometry constants (domain side)
@@ -395,26 +453,29 @@ def twist_extension(a: float) -> PiecewiseAffineMap:
         raise GeometryError("no valid diagonal for matched quads")
     if flat[0]:
         raise GeometryError("degenerate (collinear) triangle")
-    return _from_cells(src[0], dst[0], "twist", (("a", a),))
+    return _from_cells(src[0], dst[0], "twist", ("a",), (a,))
 
 
-def twist_templates(a) -> list[PiecewiseAffineMap]:
-    """`twist_extension(a[i])` for every i, in one pass."""
+def twist_templates(a) -> TemplateStack:
+    """`twist_extension(a[i])` as level i of a one-template stack, in one
+    pass."""
     a = np.asarray(a, float)
     with np.errstate(all="ignore"):
         src, dst, no_diagonal, flat = _twist_geometry(a)
         maps, dils, ok = _solve(src, dst)
     if not ((0 < a) & (a < 0.2) & ~no_diagonal & ~flat
             & ok.all(axis=-1)).all():
-        return [twist_extension(x) for x in a.tolist()]
-    return _templates(src, maps, dils, ["twist"] * len(a),
-                      [(("a", x),) for x in a.tolist()])
+        return _stack_of([[twist_extension(x)] for x in a.tolist()])
+    return _stack(src[:, None], maps[:, None], dils[:, None], ("twist",),
+                  ("a",), a[:, None])
 
 
-def _inverse_kind(pmap: PiecewiseAffineMap):
-    if pmap.domain_kind == "annulus":
-        return "annulus", (("a", pmap.param("b")), ("b", pmap.param("a")))
-    return "composite", pmap.params
+def _inverse_kind(kind: str, names: tuple[str, ...], params):
+    """Kind, parameter names and parameters of an inverse: an annulus
+    A_a -> A_b inverts to A_b -> A_a, anything else to a composite."""
+    if kind == "annulus":
+        return "annulus", names, params[..., ::-1]
+    return "composite", names, params
 
 
 def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
@@ -427,26 +488,29 @@ def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
             raise GeometryError("degenerate (collinear) triangle")
         n = invert_affine(AffineMap(*m))
         inv.append((n.m11, n.m12, n.m21, n.m22, n.tx, n.ty))
-    kind, params = _inverse_kind(pmap)
-    return _templates(pmap.images[None], np.array(inv)[None],
-                      pmap.dilatations[None], [kind], [params])[0]
+    kind, names, values = _inverse_kind(
+        pmap.domain_kind, tuple(k for k, _ in pmap.params),
+        np.array([v for _, v in pmap.params], float))
+    return _single(pmap.images, np.array(inv), pmap.dilatations, kind, names,
+                   values)
 
 
-def invert_templates(templates: Sequence[PiecewiseAffineMap]
-                     ) -> list[PiecewiseAffineMap]:
-    """`invert_piecewise` of same-size templates, in one pass."""
-    if not templates:
-        return []
-    images = np.stack([t.images for t in templates])
-    maps = np.stack([t.maps for t in templates])
+def invert_templates(stack: TemplateStack | Sequence[PiecewiseAffineMap]
+                     ) -> TemplateStack:
+    """`invert_piecewise` of every template of a stack, in one pass; the
+    inverse keeps the stack's shape.  A list of same-kind templates is
+    taken as the levels of a one-template stack."""
+    if not isinstance(stack, TemplateStack):
+        stack = _stack_of([[t] for t in stack])
     with np.errstate(all="ignore"):
-        inv, ok = _invert(maps, images)
+        inv, ok = _invert(stack.maps, stack.images)
     if not ok.all():
-        return [invert_piecewise(t) for t in templates]
-    kinds, params = zip(*map(_inverse_kind, templates))
-    return _templates(images, inv,
-                      np.stack([t.dilatations for t in templates]),
-                      kinds, params)
+        return _stack_of([[invert_piecewise(stack.template(k, j))
+                           for j in range(len(stack.kinds))]
+                          for k in range(len(stack.cells))])
+    kinds = [_inverse_kind(k, stack.names, stack.params) for k in stack.kinds]
+    return _stack(stack.images, inv, stack.dilatations,
+                  tuple(k for k, _, _ in kinds), stack.names, kinds[0][2])
 
 
 @dataclass(frozen=True)

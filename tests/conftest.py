@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qcforge.geometry import AffineMap
+from qcforge.errors import DomainError
+from qcforge.geometry import AffineMap, Point
 
 
 def svd_dilatation(m: AffineMap) -> float:
@@ -10,6 +11,21 @@ def svd_dilatation(m: AffineMap) -> float:
     s = np.linalg.svd(np.array([[m.m11, m.m12], [m.m21, m.m22]]),
                       compute_uv=False)
     return float(s[0] / s[1])
+
+
+def dilatation_three_point(z: Point, w: Point) -> float:
+    """Dilatation of the affine map fixing 0 and 1 and sending z to w.
+
+    Requires both points strictly in the upper half-plane; the value is
+    (|z - conj(w)| + |z - w|) / (|z - conj(w)| - |z - w|).
+    """
+    if z.y <= 0 or w.y <= 0:
+        raise DomainError("z and w must lie in the open upper half-plane")
+    zc = complex(z.x, z.y)
+    wc = complex(w.x, w.y)
+    num = abs(zc - wc.conjugate())
+    dif = abs(zc - wc)
+    return (num + dif) / (num - dif)
 
 
 def random_affines(count: int, seed: int = 0):

@@ -15,15 +15,14 @@ from qcforge.cantor import (Construction, box_dimension, build_level,
 from qcforge.frozen import (ANNULUS_BAND, FROSTMAN_BOUND, FROZEN_K0,
                             THEOREM_A_RATE_BANDS, THEOREM_B_RATE_BAND,
                             TWIST_BAND)
-from qcforge.geometry import Point, Triangle, affine_three_point, dilatation, \
-    dilatation_three_point
+from qcforge.geometry import Point, Triangle, affine_three_point, dilatation
 from qcforge.homeo import (curve_box_dimension, evaluate, invert,
                            max_dilatation_per_level, standard_homeo,
                            theoremB_homeo, twist_parameter)
 from qcforge.qcmaps import (annulus_extension, annulus_extension_any,
                             twist_extension, validate)
 
-from conftest import random_affines, svd_dilatation
+from conftest import dilatation_three_point, random_affines, svd_dilatation
 
 SLOW = make_gauge("slow")
 FAST = make_gauge("fast")

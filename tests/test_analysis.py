@@ -227,7 +227,8 @@ def _cellwise_profile(m, side):
         # templates at its full side
         parent = construction.side(lv.k - 1)
         scale2 = (parent / 2.0 if m.kind == "standard" else parent) ** 2
-        per_template = lv.instance_count() // len(lv.templates)
+        per_template = len(lv.placements) * 4 ** (lv.k - 1) \
+            // len(lv.templates)
         for t in lv.templates:
             for (cell, amap), K in zip(t.pieces, t.dilatations.tolist()):
                 area = cell.area if side == "domain" else \

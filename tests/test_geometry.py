@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from qcforge.errors import DomainError, GeometryError, OrientationError
 from qcforge.geometry import (AffineMap, Point, Triangle, affine_three_point,
-                              dilatation, dilatation_three_point,
-                              invert_affine)
+                              dilatation, invert_affine)
 
-from conftest import random_affines, svd_dilatation
+from conftest import dilatation_three_point, random_affines, svd_dilatation
 
 
 def test_dilatation_matches_svd_oracle():
