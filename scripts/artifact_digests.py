@@ -6,7 +6,7 @@ checks between two checkouts.
 Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
 
 The jobs are every CLI job of the three benchmark workloads at each seed
-(from perfbench/inputs.py), `curve --depth 0..7`, the depth-0 profile in
+(from perfbench/inputs.py), `curve --depth 0..8`, the depth-0 profile in
 both formats, deep maps (theoremB reports at depths 64 and 200,
 slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
@@ -53,7 +53,7 @@ from qcforge.homeo import evaluate  # noqa: E402
 # (name, argv, extra environment)
 FIXED = (
     [(f"curve-{d}.{fmt}", ("curve", "--depth", str(d), "--format", fmt), {})
-     for d in range(8) for fmt in ("csv", "json")]
+     for d in range(9) for fmt in ("csv", "json")]
     + [(f"profile-0.{fmt}", ("profile", "--case", "slow-to-fast",
                              "--depth", "0", "--format", fmt), {})
        for fmt in ("csv", "json")]

@@ -254,12 +254,17 @@ class Construction:
         """Sides and areas of levels 0..n and child offsets of levels
         1..n, the children of each parent listed in `order` (indices into
         the digit order)."""
-        sides = [self.side(k) for k in range(n + 1)]
+        if self.family == "sigma":
+            sides = [self.side(k) for k in range(n + 1)]
+            areas = [self.level_area(k) for k in range(n + 1)]
+        else:  # `side` and `level_area`, with one d_k per level
+            d = [self.gauge.d(k) for k in range(n + 1)]
+            sides = [2.0 ** (-k) * dk for k, dk in enumerate(d)]
+            areas = [dk ** 2 for dk in d]
         dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
         offsets = np.asarray(dirs)[list(order)] * np.reshape(sides[:-1],
                                                              (-1, 1, 1))
-        return LevelTable(sides, [self.level_area(k) for k in range(n + 1)],
-                          offsets.tolist())
+        return LevelTable(sides, areas, offsets.tolist())
 
     def level(self, n: int) -> CantorLevel:
         return CantorLevel(self.family, n, *self._squares(n, (0, 1, 2, 3)))

@@ -66,7 +66,7 @@ __all__ = [
 _NW_SW_NE_SE = (3, 0, 2, 1)
 _ORIGIN = (0.0, 0.0)
 # relative widening of child squares and absolute widening of template boxes
-# in point location; the merge distance of curve vertices
+# in point location
 _TOL = 1e-12
 
 
@@ -339,38 +339,45 @@ def _curve_plan(m: HierarchicalMap, lv: _Level):
         lo, hi = lv.templates[ti].bbox[:2]
         in_range = tuple(h for h in holes if h[0] >= lo - 1e-12
                          and h[1] <= hi + 1e-12)
-        for x0, x1, idx in _midline_segments(lv.templates[ti], lo, hi,
-                                             in_range):
-            items.append((x0, "seg", (x1, ti, idx)))
-    for j, c in enumerate(centers):
-        items.append((c - child_half, "child", j))
+        items += [(x0, "seg", (x1, ti, idx)) for x0, x1, idx in
+                  _midline_segments(lv.templates[ti], lo, hi, in_range)]
+    items += [(c - child_half, "child", j) for j, c in enumerate(centers)]
     items.sort(key=lambda it: it[0])
     return items
 
 
-def _merge_mask(rows: np.ndarray, eps: float) -> np.ndarray:
-    """Rows kept when, walking in order, a row within `eps` of the last kept
-    row in every coordinate is dropped."""
-    n = len(rows)
-    keep = np.ones(n, dtype=bool)
-    # A dropped row and the rows between it and its anchor (the last kept
-    # row) all lie within eps of the anchor, so each lies within 2 eps of
-    # its predecessor (4 eps leaves room for rounding).  A row farther than
-    # that from its predecessor is kept, and starts a cluster.
-    near = np.concatenate(([False], np.all(
-        np.abs(np.diff(rows, axis=0)) <= 4.0 * eps, axis=1)))
-    cluster = np.cumsum(~near) - 1
-    starts = np.flatnonzero(~near)
-    rank = np.arange(n) - starts[cluster]
-    anchor = starts.copy()
-    # one pass per rank within a cluster, over all clusters at once
-    for r in range(1, int(rank.max(initial=0)) + 1):
-        i = np.flatnonzero(rank == r)
-        c = cluster[i]
-        kept = ~np.all(np.abs(rows[i] - rows[anchor[c]]) <= eps, axis=1)
-        keep[i] = kept
-        anchor[c[kept]] = i[kept]
-    return keep
+def _splice(m: HierarchicalMap, lv: _Level, plan, block: np.ndarray
+            ) -> np.ndarray:
+    """Level k's (t, x, y) rows for all its parents, from its plan and the
+    level-(k + 1) rows `block` (4 children per parent, in order).  Each
+    plan item after the first starts on the row the item before it ends
+    on, so it adds only the rows after that one: a gasket segment its end,
+    a child block all its rows but the first."""
+    sc, dc = m.corresponding_centers(lv.k - 1)
+    base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
+    children = block.reshape(len(base), 4, -1, 3)
+    rows = children.shape[2]  # per child
+    sp, dp = m.src.sides[lv.k - 1], m.dst.sides[lv.k - 1]
+    seg_pos, seg_rows, spans, pos = [], [], [], 0
+    for i, (start, tag, payload) in enumerate(plan):
+        skip = int(i > 0)
+        if tag == "child":
+            spans.append((pos, payload, skip))
+            pos += rows - skip
+            continue
+        x1, ti, idx = payload
+        m11, m12, m21, m22, tx, ty = lv.templates[ti].rows[1][idx]
+        for x in (start, x1)[skip:]:
+            # the cell's map at (x, 0.0), as `AffineMap.apply` computes it
+            seg_pos.append(pos)
+            seg_rows.append((x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
+                             (m21 * x + m22 * 0.0 + ty) * dp))
+            pos += 1
+    out = np.empty((len(base), pos, 3))
+    out[:, seg_pos] = base + np.array(seg_rows)
+    for at, j, skip in spans:
+        out[:, at:at + rows - skip] = children[:, j, skip:]
+    return out
 
 
 def curve_polyline(m: HierarchicalMap) -> Polyline:
@@ -379,17 +386,16 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
 
     Parameters are the source x-coordinates in [-1/2, 1/2], so adjacent
     vertices always bound one affine (or deepest-similarity) piece.  The
-    walk is built bottom up: each level's (t, x, y) rows for all its parents
-    at once, the children's blocks spliced in between the gasket segments.
-    Segment cuts, segment cells and segment-end images come from the
-    templates' flat `rows` and `find`, as `evaluate`'s do, not from
-    `pieces`.  A curve of more than `cantor._MAX_ROWS` rows before the merge raises
-    `DepthLimitError` before its rows are built.
+    walk is built bottom up by `_splice`: each level's (t, x, y) rows for
+    all its parents at once, one row per vertex.  Segment cuts, segment
+    cells and segment-end images come from the templates' flat `rows` and
+    `find`, as `evaluate`'s do, not from `pieces`.  A curve whose segments
+    and deepest squares have more than `cantor._MAX_ROWS` ends, shared
+    ends counted twice, raises `DepthLimitError` before its rows are built.
     """
     if m.kind != "theoremB" or m.direction != "forward":
         raise DomainError("midline tracing needs the forward 8-adic map")
-    n = m.depth
-    src, dst = m.src, m.dst
+    n, src, dst = m.depth, m.src, m.dst
     # both ends of every deepest square's midline, mapped by its similarity
     sc, dc = m.corresponding_centers(n)
     plans = [_curve_plan(m, lv) for lv in m.levels]
@@ -406,28 +412,8 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
         np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
     ], axis=1)  # (parents, rows per parent, (t, x, y))
     for lv, plan in zip(reversed(m.levels), reversed(plans)):
-        sc, dc = m.corresponding_centers(lv.k - 1)
-        base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
-        children = block.reshape(len(base), 4, -1, 3)
-        sp, dp = src.sides[lv.k - 1], dst.sides[lv.k - 1]
-        parts = []
-        for start, tag, payload in plan:
-            if tag == "child":
-                parts.append(children[:, payload])
-                continue
-            x1, ti, idx = payload
-            m11, m12, m21, m22, tx, ty = lv.templates[ti].rows[1][idx]
-            ends = []
-            for x in (start, x1):
-                # the cell's map at (x, 0.0), as `AffineMap.apply` computes it
-                ends.append((x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
-                             (m21 * x + m22 * 0.0 + ty) * dp))
-            parts.append(base + np.array(ends)[None])
-        block = np.concatenate(parts, axis=1)
+        block = _splice(m, lv, plan, block)
     rows = block.reshape(-1, 3)
-    # never merge across a deepest-level square, however small
-    eps = min(_TOL, src.sides[n] * 1e-3)
-    rows = rows[_merge_mask(rows, eps)]
     return Polyline(rows[:, 1:].copy(), rows[:, 0].copy())
 
 

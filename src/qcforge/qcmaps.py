@@ -108,7 +108,7 @@ class PiecewiseAffineMap:
         order, as ax, ay, bx - ax, by - ay, max(1.0, |b - a|) each; a map
         row is (m11, m12, m21, m22, tx, ty)."""
         edges = []
-        for p, q, r in _orient(self.cells).tolist():
+        for p, q, r in _oriented(self.cells)[0].tolist():
             row = []
             for (ax, ay), (bx, by) in ((p, q), (q, r), (r, p)):
                 row += (ax, ay, bx - ax, by - ay,
@@ -217,11 +217,14 @@ def _signed_area2(t: np.ndarray) -> np.ndarray:
             - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]))
 
 
-def _orient(t: np.ndarray) -> np.ndarray:
-    """Triangles stored as `Triangle` stores them: the last two vertices
-    swapped where the input is clockwise."""
-    return np.where((_signed_area2(t) < 0)[..., None, None],
-                    t[..., [0, 2, 1], :], t)
+def _oriented(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles stored as `Triangle` stores them, the last two vertices
+    swapped where the input is clockwise, and twice their signed areas: a
+    swap negates an area exactly, and -0.0 stays (`abs` would drop it)."""
+    s = _signed_area2(t)
+    cw = s < 0
+    return np.where(cw[..., None, None], t[..., [0, 2, 1], :], t), \
+        np.where(cw, -s, s)
 
 
 def _apply(maps: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -257,25 +260,26 @@ def _solve(src: np.ndarray, dst: np.ndarray):
     return maps, (p + q) / (p - q), ok
 
 
-def _invert(maps: np.ndarray, images: np.ndarray):
+def _invert(maps: np.ndarray, image_area2: np.ndarray):
     """Inverse maps, and where `invert_piecewise` accepts the cell: a
-    non-flat image, finite entries both ways, a positive determinant."""
+    nonzero image area, finite entries both ways, a positive determinant."""
     m11, m12, m21, m22, tx, ty = (maps[..., j] for j in range(6))
     d = m11 * m22 - m12 * m21
     n11, n12, n21, n22 = m22 / d, -m12 / d, -m21 / d, m11 / d
     inv = np.stack([n11, n12, n21, n22, -(n11 * tx + n12 * ty),
                     -(n21 * tx + n22 * ty)], axis=-1)
-    ok = ((_signed_area2(images) != 0.0) & (d > 0)
+    ok = ((image_area2 != 0.0) & (d > 0)
           & np.isfinite(maps).all(axis=-1) & np.isfinite(inv).all(axis=-1))
     return inv, ok
 
 
-def _stack(cells, maps, dils, kinds, names, params) -> TemplateStack:
-    """A stack from its (L, T, n, ...) cells, maps and dilatations, with
-    its images and areas."""
-    images = _orient(_apply(maps, cells))
+def _stack(cells, maps, dils, kinds, names, params,
+           oriented=None) -> TemplateStack:
+    """A stack from its (L, T, n, ...) cells, maps and dilatations, with its
+    images and areas (`_oriented` of the images, if the caller has it)."""
+    images, area2 = oriented or _oriented(_apply(maps, cells))
     return TemplateStack(cells, maps, dils, images, 0.5 * _signed_area2(cells),
-                         0.5 * _signed_area2(images), kinds, names, params)
+                         0.5 * area2, kinds, names, params)
 
 
 def _single(cells, maps, dils, kind, names, values) -> PiecewiseAffineMap:
@@ -381,18 +385,21 @@ def annulus_templates(alpha, beta) -> TemplateStack:
         src, dst, no_diagonal = _annulus_geometry(np.minimum(alpha, beta),
                                                   np.maximum(alpha, beta))
         maps, dils, ok = _solve(src, dst)
-        images = _orient(_apply(maps, src))
-        inv, inv_ok = _invert(maps, images)
+        images, area2 = _oriented(_apply(maps, src))
+        inv, inv_ok = _invert(maps, area2)
     flip = alpha > beta
     if not ((0 < alpha) & (alpha < 0.5) & (0 < beta) & (beta < 0.5)
             & ~no_diagonal & (ok & (inv_ok | ~flip[:, None])).all(axis=-1)
             ).all():
         return _stack_of([[annulus_extension_any(x, y)]
                           for x, y in zip(alpha.tolist(), beta.tolist())])
-    f = flip[:, None, None]
-    return _stack(np.where(f[..., None], images, src)[:, None],
-                  np.where(f, inv, maps)[:, None], dils[:, None],
-                  ("annulus",), ("a", "b"), np.stack([alpha, beta], axis=1))
+    f = flip[:, None]
+    cells = np.where(f[..., None, None], images, src)[:, None]
+    maps = np.where(f[..., None], inv, maps)[:, None]
+    # a swapped row's images are its inverse's, not these
+    oriented = None if flip.any() else (images[:, None], area2[:, None])
+    return _stack(cells, maps, dils[:, None], ("annulus",), ("a", "b"),
+                  np.stack([alpha, beta], axis=1), oriented)
 
 
 # twist geometry constants (domain side)
@@ -434,8 +441,8 @@ def _twist_geometry(a: np.ndarray):
     moved = [np.stack([0.5 - t[..., 0], -t[..., 1]], axis=-1)
              for t in (left_src, left_dst)]
     flat = (_signed_area2(moved[0]) == 0) | (_signed_area2(moved[1]) == 0)
-    src = np.concatenate([outer_src, left_src, _orient(moved[0])], axis=1)
-    dst = np.concatenate([outer_dst, left_dst, _orient(moved[1])], axis=1)
+    src = np.concatenate([outer_src, left_src, _oriented(moved[0])[0]], axis=1)
+    dst = np.concatenate([outer_dst, left_dst, _oriented(moved[1])[0]], axis=1)
     return src, dst, no_outer | no_leg, flat.any(axis=-1)
 
 
@@ -503,7 +510,7 @@ def invert_templates(stack: TemplateStack | Sequence[PiecewiseAffineMap]
     if not isinstance(stack, TemplateStack):
         stack = _stack_of([[t] for t in stack])
     with np.errstate(all="ignore"):
-        inv, ok = _invert(stack.maps, stack.images)
+        inv, ok = _invert(stack.maps, _signed_area2(stack.images))
     if not ok.all():
         return _stack_of([[invert_piecewise(stack.template(k, j))
                            for j in range(len(stack.kinds))]
@@ -530,7 +537,7 @@ def validate(pmap: PiecewiseAffineMap, target_area: float,
              tol: float = 1e-9) -> ValidationReport:
     """Homeomorphism checks: edge continuity, orientation, area coverage,
     and declared boundary data, on the vertices in `pieces`' order."""
-    cells = _orient(pmap.cells)
+    cells = _oriented(pmap.cells)[0]
     # continuity: edges v1v2, v2v3, v3v1 grouped by their endpoints in
     # lexicographic order; every later owner of an edge must map the first
     # owner's endpoints where the first owner does
@@ -563,7 +570,8 @@ def validate(pmap: PiecewiseAffineMap, target_area: float,
         a = pmap.param("a")
         ratio = (0.5 - pmap.param("b")) / (0.5 - a)
         cheb = np.maximum(abs(x), abs(y))
-        outer = abs(cheb - 0.5) <= tol
+        # an inner square closer than tol to the outer one stays inner
+        outer = abs(cheb - 0.5) <= min(tol, a / 2)
         held = [(outer, x, y), (~outer & (abs(cheb - (0.5 - a)) <= tol),
                                 x * ratio, y * ratio)]
     elif pmap.domain_kind == "twist":

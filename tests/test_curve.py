@@ -1,21 +1,25 @@
-"""The array-native midline curve against the scalar recursion it replaced.
+"""The array-native midline curve against the two builds it replaced.
 
 `_reference_polyline` walks the squares depth first, one `Point` per
 vertex, with each level's plan built from the two hard-coded twist halves;
 the package builds the same walk level by level from the placements.  Both
 add the same offsets in the same order, so every bit must agree.
+`_merged_polyline` is the level-by-level build before it wrote one row per
+vertex: it concatenates both ends of every segment and deepest square and
+then drops each row within a tolerance of the last kept one.
 """
 
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcforge.cli import run
 from qcforge.geometry import Point
-from qcforge.homeo import (_merge_mask, _midline_segments, curve_polyline,
+from qcforge.homeo import (_curve_plan, _midline_segments, curve_polyline,
                            theoremB_homeo)
 
 
@@ -88,6 +92,88 @@ def test_curve_matches_scalar_recursion_bit_for_bit(depth):
     assert pl.params.shape == (len(ref),)
     assert np.array_equal(_bits(pl.params), _bits(ref[:, 0]))
     assert np.array_equal(_bits(pl.vertices), _bits(ref[:, 1:]))
+
+
+def _merge_mask(rows, eps):
+    """Rows kept when, walking in order, a row within `eps` of the last kept
+    row in every coordinate is dropped."""
+    n = len(rows)
+    keep = np.ones(n, dtype=bool)
+    # A dropped row and the rows between it and its anchor (the last kept
+    # row) all lie within eps of the anchor, so each lies within 2 eps of
+    # its predecessor (4 eps leaves room for rounding).  A row farther than
+    # that from its predecessor is kept, and starts a cluster.
+    near = np.concatenate(([False], np.all(
+        np.abs(np.diff(rows, axis=0)) <= 4.0 * eps, axis=1)))
+    cluster = np.cumsum(~near) - 1
+    starts = np.flatnonzero(~near)
+    rank = np.arange(n) - starts[cluster]
+    anchor = starts.copy()
+    # one pass per rank within a cluster, over all clusters at once
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        i = np.flatnonzero(rank == r)
+        c = cluster[i]
+        kept = ~np.all(np.abs(rows[i] - rows[anchor[c]]) <= eps, axis=1)
+        keep[i] = kept
+        anchor[c[kept]] = i[kept]
+    return keep
+
+
+def _merged_polyline(m, tol=1e-12):
+    """(t, x, y) rows of the curve: every level's blocks concatenated with
+    both ends of each segment, then merged with `_merge_mask`."""
+    n = m.depth
+    src, dst = m.src, m.dst
+    sc, dc = m.corresponding_centers(n)
+    s = src.sides[n] / 2.0
+    ratio = dst.sides[n] / src.sides[n]
+    block = np.stack([
+        np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
+        np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
+    ], axis=1)
+    for lv in reversed(m.levels):
+        sc, dc = m.corresponding_centers(lv.k - 1)
+        base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
+        children = block.reshape(len(base), 4, -1, 3)
+        sp, dp = src.sides[lv.k - 1], dst.sides[lv.k - 1]
+        parts = []
+        for start, tag, payload in _curve_plan(m, lv):
+            if tag == "child":
+                parts.append(children[:, payload])
+                continue
+            x1, ti, idx = payload
+            m11, m12, m21, m22, tx, ty = lv.templates[ti].rows[1][idx]
+            ends = [(x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
+                     (m21 * x + m22 * 0.0 + ty) * dp) for x in (start, x1)]
+            parts.append(base + np.array(ends)[None])
+        block = np.concatenate(parts, axis=1)
+    rows = block.reshape(-1, 3)
+    return rows, _merge_mask(rows, min(tol, src.sides[n] * 1e-3))
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_curve_matches_concatenate_then_merge_bit_for_bit(depth):
+    m = theoremB_homeo(depth)
+    rows, keep = _merged_polyline(m)
+    # the merge drops exactly the first row of every item after the first,
+    # which repeats the last row of the item before it: rows 2, 4, ..., n-2
+    assert np.flatnonzero(~keep).tolist() == list(range(2, len(rows) - 1, 2))
+    rows = rows[keep]
+    pl = curve_polyline(m)
+    assert np.array_equal(_bits(pl.params), _bits(rows[:, 0]))
+    assert np.array_equal(_bits(pl.vertices), _bits(rows[:, 1:]))
+
+
+def test_curve_peak_memory_is_a_small_multiple_of_its_output():
+    m = theoremB_homeo(7)
+    tracemalloc.start()
+    try:
+        pl = curve_polyline(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pl.params) > 100_000
+    assert peak <= 4 * (pl.params.nbytes + pl.vertices.nbytes)
 
 
 def _reference_merge(rows, eps):

@@ -160,12 +160,25 @@ def test_validate_flags_a_discontinuous_annulus():
 
 
 def test_validate_flags_annulus_boundary_data():
-    # the inner square lies within tol of the outer one, so its vertices
-    # are held to the identity, and they move to the side-0.8 square
-    rep = validate(annulus_extension_any(1e-12, 0.1),
-                   target_area=1.0 - (1.0 - 2 * 0.1) ** 2)
+    # an inner square closer than tol to the outer one: its vertices are
+    # held to the side-0.8 square, not to the identity 0.14 away from it
+    target = 1.0 - (1.0 - 2 * 0.1) ** 2
+    t = annulus_extension_any(1e-10, 0.1)
+    rep = validate(t, target, tol=1e-6)
+    assert rep.continuous and rep.oriented and rep.boundary_ok
+    # an inner corner's image moved by 1e-5 breaks the boundary data
+    inner = np.flatnonzero((abs(abs(t.cells) - (0.5 - 1e-10)) <= 1e-15)
+                           .all(axis=-1).any(axis=-1))
+    maps = t.maps.copy()
+    maps[inner[0], 4] += 1e-5
+    assert not validate(replace(t, maps=maps), target, tol=1e-6).boundary_ok
+    # at a = 1e-12 the cell solve loses the inner corners' images by 2.2e-6:
+    # a true miss at tol 1e-9, none at 1e-5
+    t = annulus_extension_any(1e-12, 0.1)
+    rep = validate(t, target)
     assert rep.continuous and rep.oriented
     assert not rep.boundary_ok and not rep.ok
+    assert validate(t, target, tol=1e-5).boundary_ok
 
 
 def test_validate_flags_a_shifted_twist_cell():
@@ -209,7 +222,7 @@ def _validate_on_pieces(pmap, target_area, tol):
             if pmap.domain_kind == "annulus":
                 a, b = pmap.param("a"), pmap.param("b")
                 cheb = max(abs(v.x), abs(v.y))
-                if abs(cheb - 0.5) <= tol:
+                if abs(cheb - 0.5) <= min(tol, a / 2):
                     expect = [v]
                 elif abs(cheb - (0.5 - a)) <= tol:
                     expect = [v.scale((0.5 - b) / (0.5 - a))]
