@@ -12,9 +12,10 @@ slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
 box counts (`dims --box-depths`) on thin, thick and tiny-side gauges up
 to depth 9, large level and profile exports (`cantor --gauge geometric:1
---depth 8`, `sigma --depth 8`, a depth-150 inverse profile), annulus
-templates that fail validation (exit 2), a twist at a = 1e-12, and inputs
-that must exit 1 (a traceback shows as exit code `raised`).
+--depth 8`, `sigma --depth 8`, a depth-150 inverse profile, and the
+David check of that map at K0 = 100), annulus templates that fail
+validation (exit 2), a twist at a = 1e-12, and inputs that must exit 1
+(a traceback shows as exit code `raised`).
 Each runs in process through `qcforge.cli.run`, writing into a temporary
 directory; a job that writes no artifact is digested by its stderr text
 instead.  The lines after them digest the float64 bytes of `evaluate`
@@ -169,7 +170,15 @@ FIXED = (
         ("david", "--case", "slow-to-fast", "--depth", "8", "--K0", "inf"),
         {}),
        ("exit1-dims-levels", ("dims", "--gauge", "sqrt", "--levels", "65"),
-        {"QCFORGE_DEPTH_GUARD": "1"})]
+        {"QCFORGE_DEPTH_GUARD": "1"}),
+       ("exit1-frostman-sigma",
+        ("dims", "--family", "sigma", "--gauge", "geometric:1",
+         "--frostman-s", "0.5"), {})]
+    # a deep check whose masses, truncation area and bounds are 0 in
+    # floating point (the depth-150 profile of this map is pinned above)
+    + [("david-150-geometric-to-fast-inverse",
+        ("david", "--case", "geometric-to-fast", "--direction", "inverse",
+         "--depth", "150", "--K0", "100"), {})]
 )
 
 

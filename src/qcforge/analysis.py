@@ -12,9 +12,7 @@ limit map, not just the finite approximant.
 
 from __future__ import annotations
 
-import bisect
 import math
-from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +85,9 @@ class DavidParams:
 
 
 def _level_masses(m: HierarchicalMap, side: str):
-    """The dilatations and masses of the map's cells, with leading axes
-    (level, template): the cell's area times the placement scale squared
-    times the template's instance count."""
+    """The distinct cell dilatations, ascending, and per level (rows) each
+    cell's index into them and its mass (area times placement scale squared
+    times instance count), in the order profiles and sweeps add them."""
     table = m.src if side == "domain" else m.dst
     factors = []
     # an annulus sits around each of a parent's four children, a twist once
@@ -105,7 +103,10 @@ def _level_masses(m: HierarchicalMap, side: str):
     t = m.templates
     area = t.domain_areas if side == "domain" else t.image_areas
     scale2, count = np.reshape(factors, (-1, 2, 1, 1)).transpose(1, 0, 2, 3)
-    return t.dilatations, area * scale2 * count
+    ks, which = np.unique(t.dilatations, return_inverse=True)
+    # not reshape(depth, -1), which raises at depth 0
+    shape = m.depth, math.prod(t.dilatations.shape[1:])
+    return ks, which.reshape(shape), (area * scale2 * count).reshape(shape)
 
 
 def dilatation_profile(m: HierarchicalMap, side: str = "domain"
@@ -116,11 +117,10 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
     congruence class into several thresholds."""
     if side not in ("domain", "image"):
         raise DomainError(f"side must be 'domain' or 'image', got {side!r}")
-    K, mass = _level_masses(m, side)
     # each K's masses summed in (level, template, cell) order, then the
     # strict exceedance at each threshold as the suffix sum above it, both
     # added one term at a time from 0.0
-    ks, which = np.unique(K, return_inverse=True)
+    ks, which, mass = _level_masses(m, side)
     sums = np.zeros(len(ks))
     np.add.at(sums, which.ravel(), mass.ravel())
     above = np.cumsum(np.concatenate([[0.0], sums[::-1]]))
@@ -250,31 +250,30 @@ def _david_sweep(m: HierarchicalMap, K0: float):
 
     `check_david` of the depth-n profile skips every threshold <= K0, and
     the closed exceedance at a threshold is the suffix sum of the masses
-    from the top down to it.  So only the thresholds above K0 are kept,
-    sorted, and each depth sums their masses from the top, adding in the
-    order of the full profile: flags and margins are those of
-    `check_david` bit for bit.
+    from the top down to it.  So each level's masses are added into the
+    profile's sums in the profile's order, and each depth sums the
+    thresholds above K0 seen so far from the top: flags and margins are
+    those of `check_david` bit for bit.
     """
     params = DavidParams(1.0, 1.0, K0)
-    masses: dict[float, float] = {}
-    tail: list[float] = []  # thresholds above K0, ascending
-    bounds: dict[float, float] = {}
+    ks, which, mass = _level_masses(m, "domain")
+    sums = np.zeros(len(ks))
+    seen = np.zeros(len(ks), bool)
+    # the thresholds above K0, as views that follow the updates below
+    first = int(np.searchsorted(ks, K0, side="right"))
+    tail_sums, tail_seen = sums[first:], seen[first:]
+    bounds = np.array([params.bound(k) for k in ks[first:].tolist()])
     out = []
-    level_K, level_mass = (a.reshape(m.depth, -1).tolist()
-                           for a in _level_masses(m, "domain"))
-    for n, (ks, ms, truncation) in enumerate(
-            zip(level_K, level_mass, m.src.areas[1:]), 1):
-        for K, mass in zip(ks, ms):
-            if K not in masses and K > K0:
-                bisect.insort(tail, K)
-                bounds[K] = params.bound(K)
-            masses[K] = masses.get(K, 0.0) + mass
+    for n, (row, ms, truncation) in enumerate(
+            zip(which, mass, m.src.areas[1:]), 1):
+        np.add.at(sums, row, ms)
+        seen[row] = True
         if n < 3:
             continue
-        top_down = tail[::-1]
-        areas = [s + truncation
-                 for s in accumulate([masses[k] for k in top_down])]
-        flag, margin = _verdict(zip(areas, [bounds[k] for k in top_down]))
+        top_down = np.flatnonzero(tail_seen)[::-1]
+        areas = np.cumsum(tail_sums[top_down]) + truncation
+        flag, margin = _verdict(zip(areas.tolist(),
+                                    bounds[top_down].tolist()))
         out.append({"depth": n, "passed": flag, "margin": margin})
     return out
 

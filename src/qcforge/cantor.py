@@ -211,18 +211,20 @@ def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Levels 0..n of a construction in Python floats: the side and total
-    area of level k, and `offsets[k - 1][j]`, child j's center minus its
-    level-k parent's, a direction times `sides[k - 1]`."""
+    """Levels 0..n of a construction in Python floats: the gauge value d_k,
+    side 2^-k d_k and total area d_k^2 of level k, and `offsets[k - 1][j]`,
+    child j's center minus its level-k parent's, a direction times
+    `sides[k - 1]`."""
 
+    d: list[float]
     sides: list[float]
     areas: list[float]
     offsets: list[list[list[float]]]  # (n, children per parent, 2)
 
     def truncate(self, n: int) -> "LevelTable":
         """The table of levels 0..n."""
-        return LevelTable(self.sides[:n + 1], self.areas[:n + 1],
-                          self.offsets[:n])
+        return LevelTable(self.d[:n + 1], self.sides[:n + 1],
+                          self.areas[:n + 1], self.offsets[:n])
 
 
 @dataclass(frozen=True)
@@ -251,20 +253,17 @@ class Construction:
 
     def table(self, n: int, order: Sequence[int] = (0, 1, 2, 3)
               ) -> LevelTable:
-        """Sides and areas of levels 0..n and child offsets of levels
-        1..n, the children of each parent listed in `order` (indices into
-        the digit order)."""
-        if self.family == "sigma":
-            sides = [self.side(k) for k in range(n + 1)]
-            areas = [self.level_area(k) for k in range(n + 1)]
-        else:  # `side` and `level_area`, with one d_k per level
-            d = [self.gauge.d(k) for k in range(n + 1)]
-            sides = [2.0 ** (-k) * dk for k, dk in enumerate(d)]
-            areas = [dk ** 2 for dk in d]
+        """Gauge values, sides and areas of levels 0..n and child offsets
+        of levels 1..n, the children of each parent listed in `order`
+        (indices into the digit order).  The 8-adic row has d_k = 4^-k,
+        which gives `side` and `level_area` bit for bit."""
+        d = [self.gauge.d(k) if self.family == "lambda" else 4.0 ** (-k)
+             for k in range(n + 1)]
+        sides = [2.0 ** (-k) * dk for k, dk in enumerate(d)]
         dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
         offsets = np.asarray(dirs)[list(order)] * np.reshape(sides[:-1],
                                                              (-1, 1, 1))
-        return LevelTable(sides, areas, offsets.tolist())
+        return LevelTable(d, sides, [dk ** 2 for dk in d], offsets.tolist())
 
     def level(self, n: int) -> CantorLevel:
         return CantorLevel(self.family, n, *self._squares(n, (0, 1, 2, 3)))

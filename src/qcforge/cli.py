@@ -184,6 +184,8 @@ def _run_dims(args) -> int:
                                    args.box_depths)
         obj["box"] = est.to_json_obj()
     if args.frostman_s is not None:
+        if args.family != "lambda":
+            raise QCForgeError("Frostman ratios need the square family")
         if args.gauge is None:
             raise QCForgeError("--gauge is required for Frostman ratios")
         prof = cantor.frostman_profile(args.gauge, args.frostman_level,

@@ -5,12 +5,13 @@ constructions: a similarity on every deepest-level square, and per level a
 few piecewise-affine gasket templates placed in every parent.  All level-k
 gaskets are congruent, so a map stores each level's templates once, all
 levels in one `qcmaps.TemplateStack` (arrays with leading axes (level,
-template)), and its geometry once: one `LevelTable` per side (sides, areas,
-child offsets), which evaluation, the curve, the square centers and the
-masses read.  A level-k instance is its template scaled by `sides[k - 1]`
-times `template_scale`.  The per-level K, the masses and `invert` read the
-stack whole; `levels[k - 1]` makes level k's templates and their
-placements on first read, for point evaluation, the curve and the oracles.
+template)), and its geometry once: one `LevelTable` per side (gauge values,
+sides, areas, child offsets), which the template parameters, evaluation,
+the curve, the square centers and the masses read.  A level-k instance is
+its template scaled by `sides[k - 1]` times `template_scale`.  The
+per-level K, the masses and `invert` read the stack whole; `levels[k - 1]`
+makes level k's templates and their placements on first read, for point
+evaluation, the curve and the oracles.
 
 Two builders, each making the templates of all its levels in one batched
 pass:
@@ -172,7 +173,8 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
     square-nest constructions of two gauges."""
     _check_table_depth(n)
     source, target = Construction("lambda", src), Construction("lambda", dst)
-    d = np.array([[g.d(k) for k in range(n + 1)] for g in (src, dst)])
+    tables = source.table(n), target.table(n)
+    d = np.array([t.d for t in tables])
     # levels 1..top have d_k > 0 on both sides; d_{top+1} is 0 on one side
     zero = (d == 0.0).any(axis=0)
     top = int(np.argmax(zero)) - 1 if zero.any() else n
@@ -185,7 +187,7 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
         raise DepthLimitError(f"gauge {g.describe()} underflows at level {k}: "
                               f"d_{k} is 0 in floating point")
     return HierarchicalMap(n, source, target, "forward", "standard", templates,
-                           source.table(n), target.table(n), 0.5)
+                           *tables, 0.5)
 
 
 def _rotate_template(rights: TemplateStack) -> TemplateStack:
@@ -211,15 +213,15 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     """Depth-n approximant of the map taking the linear 8-adic set onto the
     square-nest set with gauge d_k = 2^{-sqrt k}."""
     _check_table_depth(n)
-    gauge = make_gauge("sqrt")
-    source, target = Construction("sigma"), Construction("lambda", gauge)
-    # `twist_parameter` of levels 1..n, on one gauge
-    d = np.array([gauge.d(k) for k in range(n + 1)])
+    source = Construction("sigma")
+    target = Construction("lambda", make_gauge("sqrt"))
+    dst = target.table(n, _NW_SW_NE_SE)
+    # `twist_parameter` of levels 1..n
+    d = np.array(dst.d)
     # two twists per parent, right and left half of it
     templates = _rotate_template(twist_templates((1.0 - d[1:] / d[:-1]) / 4.0))
     return HierarchicalMap(n, source, target, "forward", "theoremB", templates,
-                           source.table(n), target.table(n, _NW_SW_NE_SE),
-                           1.0)
+                           source.table(n), dst, 1.0)
 
 
 def invert(m: HierarchicalMap) -> HierarchicalMap:

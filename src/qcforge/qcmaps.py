@@ -502,13 +502,9 @@ def invert_piecewise(pmap: PiecewiseAffineMap) -> PiecewiseAffineMap:
                    values)
 
 
-def invert_templates(stack: TemplateStack | Sequence[PiecewiseAffineMap]
-                     ) -> TemplateStack:
+def invert_templates(stack: TemplateStack) -> TemplateStack:
     """`invert_piecewise` of every template of a stack, in one pass; the
-    inverse keeps the stack's shape.  A list of same-kind templates is
-    taken as the levels of a one-template stack."""
-    if not isinstance(stack, TemplateStack):
-        stack = _stack_of([[t] for t in stack])
+    inverse keeps the stack's shape."""
     with np.errstate(all="ignore"):
         inv, ok = _invert(stack.maps, _signed_area2(stack.images))
     if not ok.all():

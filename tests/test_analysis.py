@@ -288,3 +288,14 @@ def test_sweep_matches_check_david_beyond_frozen_cutoffs(case):
         assert any(c["margin"] < math.inf for c in _david_sweep(m, 1.0))
 
 
+@pytest.mark.parametrize("case", ["slow_to_fast", "theoremB"])
+def test_deep_sweep_matches_check_david(case):
+    # at depth 200 masses, truncation areas and bounds reach 0 in floating
+    # point (at theorem B's frozen K0 most margins are -inf): the sweep must
+    # still read what `check_david` of each profile reads
+    fwd = _case_map(case, 200)
+    for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
+        for K0 in (FROZEN_K0[(case, direction)], 1.0):
+            assert _david_sweep(m, K0) == _resweep(m, K0)
+
+

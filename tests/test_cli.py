@@ -232,6 +232,15 @@ def test_frostman_needs_a_nonnegative_seed(capsys):
     assert "seed" in err
 
 
+def test_frostman_ratios_of_the_8adic_row_are_refused(capsys):
+    # the walk covers the square nest of the gauge only, so a sigma request
+    # would print the ratios of another set
+    for gauge in ([], ["--gauge", "geometric:1"]):
+        err = _one_line_error(capsys, ["dims", "--family", "sigma", *gauge,
+                                       "--frostman-s", "0.5"])
+        assert "square family" in err
+
+
 def test_frostman_root_frontier_is_capped_before_sampling(capsys,
                                                           monkeypatch):
     # 10^8 samples at 29 radii are about 2.9e9 root rows: the walk exits 1

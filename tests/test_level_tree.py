@@ -98,7 +98,7 @@ def test_truncate_matches_direct_build(build):
 # one map's gauge of every kind, and the 8-adic row (gauge None)
 TABLE_GAUGES = [make_gauge("geometric", 0.7), make_gauge("slow"),
                 make_gauge("fast"), make_gauge("sqrt"),
-                make_gauge("custom", table=[1.0 / (k + 1) for k in range(201)]),
+                make_gauge("custom", table=[1.0 / (k + 1) for k in range(897)]),
                 None]
 
 
@@ -109,11 +109,15 @@ def test_level_table_matches_the_scalar_definitions(gauge, order):
     c = Construction("sigma") if gauge is None else \
         Construction("lambda", gauge)
     dirs = _ROW_DIRECTIONS if gauge is None else _NEST_DIRECTIONS
-    for n in (0, 1, 48, 200):
+    # up to the table-depth bound at the default guard, where the 8-adic
+    # sides are subnormal from level 341 and 0 from level 359
+    for n in (0, 1, 48, 200, 896):
         table = c.table(n, order)
-        assert len(table.sides) == len(table.areas) == n + 1
+        assert len(table.d) == len(table.sides) == len(table.areas) == n + 1
         assert len(table.offsets) == n
         for k in range(n + 1):
+            d = 4.0 ** (-k) if gauge is None else gauge.d(k)
+            assert _bits(table.d[k]) == _bits(d)
             assert _bits(table.sides[k]) == _bits(c.side(k))
             assert _bits(table.areas[k]) == _bits(c.level_area(k))
         for k in range(1, n + 1):

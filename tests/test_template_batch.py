@@ -20,7 +20,8 @@ from qcforge.geometry import AffineMap, Point, Triangle, \
 from qcforge.homeo import invert, standard_homeo, theoremB_homeo, \
     twist_parameter
 from qcforge.qcmaps import annulus_extension_any, annulus_templates, \
-    invert_piecewise, invert_templates, twist_extension, twist_templates
+    _stack_of, invert_piecewise, invert_templates, twist_extension, \
+    twist_templates
 
 DEPTH = 64
 
@@ -251,5 +252,6 @@ def test_inversion_errors_match_the_scalar_path():
              GeometryError)]:
         want = _error(invert_piecewise, bad)
         assert want[0] is kind
-        assert _error(invert_templates, [bad]) == want
-        assert _error(invert_templates, [good, bad, good]) == want
+        assert _error(invert_templates, _stack_of([[bad]])) == want
+        assert _error(invert_templates,
+                      _stack_of([[good], [bad], [good]])) == want
