@@ -15,7 +15,9 @@ to depth 9, large level and profile exports (`cantor --gauge geometric:1
 --depth 8`, `sigma --depth 8`, a depth-150 inverse profile, and the
 David check of that map at K0 = 100), annulus templates that fail
 validation (exit 2), a twist at a = 1e-12, and inputs that must exit 1
-(a traceback shows as exit code `raised`).
+(a traceback shows as exit code `raised`), among them `dims` requests
+with no result: overflowing gauge exponents and 8-adic inputs that name
+another gauge or no estimate.
 Each runs in process through `qcforge.cli.run`, writing into a temporary
 directory; a job that writes no artifact is digested by its stderr text
 instead.  The lines after them digest the float64 bytes of `evaluate`
@@ -174,6 +176,14 @@ FIXED = (
        ("exit1-frostman-sigma",
         ("dims", "--family", "sigma", "--gauge", "geometric:1",
          "--frostman-s", "0.5"), {})]
+    # bounds whose exponents overflow, and 8-adic inputs with no result:
+    # another gauge than the row's, and no estimate asked for
+    + [("exit1-dims-infinite-exponent",
+        ("dims", "--gauge", "geometric:1e308"), {}),
+       ("exit1-dims-sigma-gauge",
+        ("dims", "--family", "sigma", "--gauge", "slow",
+         "--box-depths", "1,2"), {}),
+       ("exit1-dims-sigma-nothing", ("dims", "--family", "sigma"), {})]
     # a deep check whose masses, truncation area and bounds are 0 in
     # floating point (the depth-150 profile of this map is pinned above)
     + [("david-150-geometric-to-fast-inverse",

@@ -6,8 +6,8 @@ Two families are built here:
   d_1, d_2, ...: level n is 4^n congruent squares of side 2^-n d_n, each
   child inset a_n = 2^-(n+1) (d_{n-1} - d_n) from its parent's boundary
   (equivalently: child centers sit at the parent's quarter points);
-* the linear 8-adic family: level n is the 4^n squares of side 8^-n
-  obtained by composing the contractions z -> z/8 + (2j-5)/8.
+* the linear 8-adic family, the gauge d_n = 4^-n with its children in a
+  row: level n is the 4^n squares of side 8^-n of z -> z/8 + (2j-5)/8.
 
 Dimension estimators: truncated limsup/liminf bounds from the covering /
 mass-distribution argument, grid box counting, and a Frostman-ratio probe.
@@ -59,14 +59,13 @@ def depth_guard() -> int:
 
 @dataclass(frozen=True)
 class GaugeSequence:
-    """Strictly decreasing side-length gauge with d_0 = 1."""
+    """Strictly decreasing side-length gauge d_n = 2^-e_n with d_0 = 1."""
 
     kind: str
     nu: float | None = None
-    table: tuple[float, ...] | None = None
 
     def _exponent(self, n: int) -> float:
-        """e_n with d_n = 2^-e_n, for the built-in kinds."""
+        """The exponent e_n of d_n = 2^-e_n."""
         if n < 0:
             raise DomainError(f"gauge index must be >= 0, got {n}")
         k = self.kind
@@ -81,18 +80,10 @@ class GaugeSequence:
         raise DomainError(f"unknown gauge kind {k!r}")
 
     def d(self, n: int) -> float:
-        if self.kind != "custom":
-            return 2.0 ** -self._exponent(n)
-        if n < 0:
-            raise DomainError(f"gauge index must be >= 0, got {n}")
-        if n >= len(self.table):
-            raise DomainError(f"custom gauge table has no entry {n}")
-        return self.table[n]
+        return 2.0 ** -self._exponent(n)
 
     def neg_log_d(self, n: int) -> float:
         """-log d_n, computed from the exponent (no underflow at large n)."""
-        if self.kind == "custom":
-            return -math.log(self.d(n))
         return self._exponent(n) * math.log(2.0)
 
     def describe(self) -> str:
@@ -101,14 +92,13 @@ class GaugeSequence:
         return self.kind
 
 
-def make_gauge(kind: str, nu: float | None = None,
-               table: Sequence[float] | None = None) -> GaugeSequence:
+def make_gauge(kind: str, nu: float | None = None) -> GaugeSequence:
     """Build a gauge of the given kind.
 
-    Built-in kinds: geometric (d_n = 2^{-nu n}), slow (2^{-n/log(n+e)}),
-    fast (2^{-n log(n+1)}), sqrt (2^{-sqrt n}).  The slow/fast exponents
-    are shifted so that they are strictly monotone from n = 0 while keeping
-    the asymptotics of n/log n and n log n.
+    Kinds, each a closed form in its exponent: geometric (d_n = 2^{-nu n}),
+    slow (2^{-n/log(n+e)}), fast (2^{-n log(n+1)}), sqrt (2^{-sqrt n}).  The
+    slow/fast exponents are shifted so that they are strictly monotone from
+    n = 0 while keeping the asymptotics of n/log n and n log n.
     """
     if kind == "geometric":
         if nu is None or not math.isfinite(nu) or nu <= 0:
@@ -116,17 +106,6 @@ def make_gauge(kind: str, nu: float | None = None,
         return GaugeSequence("geometric", nu=float(nu))
     if kind in ("slow", "fast", "sqrt"):
         return GaugeSequence(kind)
-    if kind == "custom":
-        if table is None or len(table) < 1:
-            raise ValidationError("custom gauge needs a nonempty table")
-        t = tuple(float(x) for x in table)
-        if t[0] != 1.0:
-            raise ValidationError("custom gauge must start with d_0 = 1")
-        if any(x <= 0 for x in t):
-            raise ValidationError("custom gauge values must be positive")
-        if any(b >= a for a, b in zip(t, t[1:])):
-            raise ValidationError("custom gauge must be strictly decreasing")
-        return GaugeSequence("custom", table=t)
     raise ValidationError(f"unknown gauge kind {kind!r}")
 
 
@@ -160,6 +139,8 @@ class CantorLevel:
 # order: SW, SE, NE, NW for the square nest, left to right for the 8-adic row
 _NEST_DIRECTIONS = ((-0.25, -0.25), (0.25, -0.25), (0.25, 0.25), (-0.25, 0.25))
 _ROW_DIRECTIONS = tuple(((2 * j - 5) / 8.0, 0.0) for j in (1, 2, 3, 4))
+# the 8-adic row's gauge: d_k = 4^-k, so its level-k side is 8^-k
+_ROW_GAUGE = GaugeSequence("geometric", nu=2.0)
 
 # most rows a materialized level or a level of the Frostman walk may hold:
 # 4^12 level centers peak at about 435 MB, and 3.7 M walk rows take about
@@ -229,36 +210,37 @@ class LevelTable:
 
 @dataclass(frozen=True)
 class Construction:
-    """One of the two Cantor constructions, with its level geometry.
+    """One of the two Cantor constructions: a gauge and a child layout.
 
-    Square nest ("lambda"): level-k squares have side 2^-k d_k and the
-    children sit at their parent's quarter points, which realizes the inset
-    a_k = 2^-(k+1) (d_{k-1} - d_k).  8-adic row ("sigma"): side 8^-k, the
-    children spaced along the parent's horizontal midline.  `side` and
-    `level_area` define one level; `table` gives a map's levels at once.
+    Level-k squares have side 2^-k d_k.  Square nest ("lambda"): children at
+    the parent's quarter points (the inset a_k = 2^-(k+1) (d_{k-1} - d_k)).
+    8-adic row ("sigma"): the gauge geometric:2, set here (another raises
+    `DomainError`), and children along the parent's horizontal midline.
     """
 
     family: str  # "lambda" or "sigma"
     gauge: GaugeSequence | None = None
 
-    def side(self, n: int) -> float:
+    def __post_init__(self):
         if self.family == "sigma":
-            return 8.0 ** (-n)
+            if self.gauge not in (None, _ROW_GAUGE):
+                raise DomainError("the 8-adic row has the gauge geometric:2, "
+                                  f"not {self.gauge.describe()}")
+            object.__setattr__(self, "gauge", _ROW_GAUGE)
+
+    def side(self, n: int) -> float:
         return 2.0 ** (-n) * self.gauge.d(n)
 
     def level_area(self, n: int) -> float:
-        if self.family == "sigma":
-            return 16.0 ** (-n)
         return self.gauge.d(n) ** 2
 
     def table(self, n: int, order: Sequence[int] = (0, 1, 2, 3)
               ) -> LevelTable:
-        """Gauge values, sides and areas of levels 0..n and child offsets
-        of levels 1..n, the children of each parent listed in `order`
-        (indices into the digit order).  The 8-adic row has d_k = 4^-k,
-        which gives `side` and `level_area` bit for bit."""
-        d = [self.gauge.d(k) if self.family == "lambda" else 4.0 ** (-k)
-             for k in range(n + 1)]
+        """Gauge values, sides and areas of levels 0..n, bit for bit those
+        of `side` and `level_area`, and child offsets of levels 1..n, the
+        children of each parent listed in `order` (indices into the digit
+        order)."""
+        d = [self.gauge.d(k) for k in range(n + 1)]
         sides = [2.0 ** (-k) * dk for k, dk in enumerate(d)]
         dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
         offsets = np.asarray(dirs)[list(order)] * np.reshape(sides[:-1],
@@ -318,9 +300,14 @@ def dimension_bounds(gauge: GaugeSequence, N: int) -> DimensionEstimate:
         raise DomainError(f"N must be >= 3, got {N}")
     _check_table_depth(N)
     tail = range(max(1, math.ceil(2 * N / 3)), N + 1)
-    denoms = [gauge.neg_log_d(n) + n * math.log(2.0) for n in tail]
-    r_low = [2.0 * gauge.neg_log_d(n + 1) / q for n, q in zip(tail, denoms)]
-    r_up = [2.0 * gauge.neg_log_d(n) / q for n, q in zip(tail, denoms)]
+    logs = [gauge.neg_log_d(n) for n in range(tail.start, N + 2)]
+    for n, v in zip(tail, logs):
+        if not math.isfinite(v):
+            raise DomainError(f"-log d_{n} of gauge {gauge.describe()} is "
+                              "not finite in floating point")
+    denoms = [v + n * math.log(2.0) for n, v in zip(tail, logs)]
+    r_low = [2.0 * v / q for v, q in zip(logs[1:], denoms)]
+    r_up = [2.0 * v / q for v, q in zip(logs, denoms)]
     lower = min(max(2.0 - max(r_low), 0.0), 2.0)
     upper = min(max(2.0 - min(r_up), 0.0), 2.0)
     lower = min(lower, upper)

@@ -76,7 +76,10 @@ def _case_map(case: str, nu: float, depth: int,
 
 def _emit(text: str, out: str | None):
     if out:
-        export.write_text(out, text)
+        try:
+            export.write_text(out, text)
+        except OSError as e:
+            raise QCForgeError(f"cannot write {out!r}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
 
@@ -178,6 +181,8 @@ def _run_dims(args) -> int:
             raise QCForgeError("--gauge is required for the square family")
         est = cantor.dimension_bounds(args.gauge, args.levels)
         obj["bounds"] = est.to_json_obj()
+    elif not args.box_depths and args.frostman_s is None:
+        raise QCForgeError("--family sigma needs --box-depths")
     if args.box_depths:
         est = cantor.box_dimension(cantor.Construction(args.family,
                                                        args.gauge),
@@ -186,8 +191,6 @@ def _run_dims(args) -> int:
     if args.frostman_s is not None:
         if args.family != "lambda":
             raise QCForgeError("Frostman ratios need the square family")
-        if args.gauge is None:
-            raise QCForgeError("--gauge is required for Frostman ratios")
         prof = cantor.frostman_profile(args.gauge, args.frostman_level,
                                        args.frostman_s, args.samples,
                                        args.seed)

@@ -171,8 +171,13 @@ def profile_csv(profile, params) -> str:
 
 
 def write_text(path: str, text: str):
-    """Atomic write with LF endings."""
+    """Atomic write with LF endings; a failed write leaves no temp file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

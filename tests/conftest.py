@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ def random_affines(count: int, seed: int = 0):
         if m.det > 0.05:
             out.append(m)
     return out
+
+
+@dataclass(frozen=True)
+class TableGauge:
+    """A gauge of chosen values d_0, d_1, ..., for tests that need squares
+    of given sizes: the `d` and `describe` of a gauge, read from a table."""
+
+    table: tuple[float, ...]
+
+    def d(self, n: int) -> float:
+        return self.table[n]
+
+    def describe(self) -> str:
+        return "custom"
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qcforge.cantor import (CantorLevel, Construction, DimensionEstimate,
                             count_segment_boxes, depth_guard,
                             dimension_bounds, frostman_profile, make_gauge)
 from qcforge.errors import DepthLimitError, DomainError, ValidationError
+
+from conftest import TableGauge
 
 ALL_GAUGES = [
     make_gauge("geometric", 0.5),
@@ -65,11 +68,8 @@ def test_neg_log_d_survives_underflow():
 
 
 def test_custom_gauge_validation():
-    make_gauge("custom", table=[1.0, 0.4, 0.1])
     with pytest.raises(ValidationError):
-        make_gauge("custom", table=[0.9, 0.4])  # d_0 != 1
-    with pytest.raises(ValidationError):
-        make_gauge("custom", table=[1.0, 0.4, 0.4])  # not decreasing
+        make_gauge("custom")  # every gauge is a closed form
     with pytest.raises(ValidationError):
         make_gauge("geometric")  # missing nu
     with pytest.raises(ValidationError):
@@ -151,6 +151,24 @@ def test_dimension_bounds_depth_limit(monkeypatch):
     assert dimension_bounds(make_gauge("sqrt"), 128).upper <= 2.0
     with pytest.raises(DepthLimitError):
         dimension_bounds(make_gauge("sqrt"), 129)
+
+
+def test_dimension_bounds_name_an_infinite_exponent():
+    # nu n overflows to inf from n = 2; inf / inf would make the bounds NaN
+    with pytest.raises(DomainError, match=r"-log d_34 .* not finite"):
+        dimension_bounds(make_gauge("geometric", 1e308), 50)
+    est = dimension_bounds(make_gauge("geometric", 1e300), 50)
+    assert (est.value, est.lower, est.upper) == (0.0, 0.0, 0.0)
+
+
+def test_the_8adic_row_is_the_geometric_2_gauge():
+    row = Construction("sigma")
+    assert row.gauge == make_gauge("geometric", 2.0)
+    assert row == Construction("sigma") == replace(row)
+    assert Construction("sigma", make_gauge("geometric", 2.0)) == row
+    for g in (make_gauge("slow"), make_gauge("geometric", 1.0)):
+        with pytest.raises(DomainError, match="geometric:2"):
+            Construction("sigma", g)
 
 
 def test_dimension_bounds_sqrt_approaches_two():
@@ -394,7 +412,7 @@ def test_frostman_row_cap_only_stops_the_walk(monkeypatch):
      (105,)),
 ], ids=["drop-1", "drop-3", "ulp-split", "margin-1", "margin-2"])
 def test_frostman_walk_equals_the_scan_at_float_resolution(table, seeds):
-    g = make_gauge("custom", table=table)
+    g = TableGauge(tuple(table))
     for seed in seeds:
         assert frostman_profile(g, 6, 0.9, 8, seed) == \
             _frostman_by_scan(g, 6, 0.9, 8, seed)

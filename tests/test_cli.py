@@ -339,6 +339,35 @@ def test_box_counting_errors(capsys, argv, message):
     assert _one_line_error(capsys, ["dims"] + argv) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--gauge", "geometric:1e308"],
+     "-log d_34 of gauge geometric:1e+308 is not finite in floating point"),
+    (["--family", "sigma", "--gauge", "slow", "--box-depths", "1,2"],
+     "the 8-adic row has the gauge geometric:2, not slow"),
+    (["--family", "sigma"], "--family sigma needs --box-depths"),
+], ids=["infinite-exponent", "sigma-gauge", "sigma-nothing"])
+def test_dims_inputs_without_a_result_are_errors(capsys, argv, message):
+    assert _one_line_error(capsys, ["dims"] + argv) == f"error: {message}\n"
+
+
+def test_dims_huge_finite_exponent_has_bounds_0(capsys):
+    code, out = _capture(capsys, ["dims", "--gauge", "geometric:1e300"])
+    bounds = json.loads(out)["bounds"]
+    assert code == 0
+    assert (bounds["value"], bounds["lower"], bounds["upper"]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_out_path_is_an_error(capsys, tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" \
+        else tmp_path
+    err = _one_line_error(capsys, ["sigma", "--depth", "1", "--out",
+                                   str(out)])
+    assert err.startswith(f"error: cannot write {str(out)!r}: ")
+    assert not os.path.exists(f"{out}.tmp")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_box_depths_must_be_integers(capsys):
     assert run(["dims", "--family", "sigma", "--box-depths", "3,a"]) == 1
     err = capsys.readouterr().err

@@ -16,6 +16,8 @@ from qcforge.geometry import Point
 from qcforge.homeo import _NW_SW_NE_SE, evaluate, invert, standard_homeo, \
     theoremB_homeo
 
+from conftest import TableGauge
+
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
 def test_non_finite_gauge_parameter_is_rejected(nu, tmp_path):
@@ -95,11 +97,11 @@ def test_truncate_matches_direct_build(build):
                 assert got.tobytes() == want.tobytes()
 
 
-# one map's gauge of every kind, and the 8-adic row (gauge None)
+# one map's gauge of every kind, a table of chosen values, and the 8-adic
+# row (gauge None)
 TABLE_GAUGES = [make_gauge("geometric", 0.7), make_gauge("slow"),
                 make_gauge("fast"), make_gauge("sqrt"),
-                make_gauge("custom", table=[1.0 / (k + 1) for k in range(897)]),
-                None]
+                TableGauge(tuple(1.0 / (k + 1) for k in range(897))), None]
 
 
 @pytest.mark.parametrize("gauge", TABLE_GAUGES,
@@ -120,6 +122,10 @@ def test_level_table_matches_the_scalar_definitions(gauge, order):
             assert _bits(table.d[k]) == _bits(d)
             assert _bits(table.sides[k]) == _bits(c.side(k))
             assert _bits(table.areas[k]) == _bits(c.level_area(k))
+            if gauge is None:
+                # the row's closed forms, apart from its gauge's formula
+                assert _bits(table.sides[k]) == _bits(8.0 ** (-k))
+                assert _bits(table.areas[k]) == _bits(16.0 ** (-k))
         for k in range(1, n + 1):
             want = [[dirs[j][0] * c.side(k - 1), dirs[j][1] * c.side(k - 1)]
                     for j in order]
