@@ -213,9 +213,11 @@ class Construction:
     """One of the two Cantor constructions: a gauge and a child layout.
 
     Level-k squares have side 2^-k d_k.  Square nest ("lambda"): children at
-    the parent's quarter points (the inset a_k = 2^-(k+1) (d_{k-1} - d_k)).
-    8-adic row ("sigma"): the gauge geometric:2, set here (another raises
-    `DomainError`), and children along the parent's horizontal midline.
+    the parent's quarter points (the inset a_k = 2^-(k+1) (d_{k-1} - d_k)),
+    with a gauge that must be given.  8-adic row ("sigma"): the gauge
+    geometric:2, set here (another raises `DomainError`), and children
+    along the parent's horizontal midline.  Any other family raises
+    `DomainError`.
     """
 
     family: str  # "lambda" or "sigma"
@@ -227,6 +229,11 @@ class Construction:
                 raise DomainError("the 8-adic row has the gauge geometric:2, "
                                   f"not {self.gauge.describe()}")
             object.__setattr__(self, "gauge", _ROW_GAUGE)
+        elif self.family != "lambda":
+            raise DomainError(f"unknown family {self.family!r}: need "
+                              "'lambda' or 'sigma'")
+        elif self.gauge is None:
+            raise DomainError("the square nest needs a gauge")
 
     def side(self, n: int) -> float:
         return 2.0 ** (-n) * self.gauge.d(n)

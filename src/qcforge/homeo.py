@@ -11,7 +11,9 @@ the curve, the square centers and the masses read.  A level-k instance is
 its template scaled by `sides[k - 1]` times `template_scale`.  The
 per-level K, the masses and `invert` read the stack whole; `levels[k - 1]`
 makes level k's templates and their placements on first read, for point
-evaluation, the curve and the oracles.
+evaluation, the curve and the oracles.  `evaluate` descends the map's
+descent table, made on its first call: per level, the cuts between the
+child centres name the one child that can hold a point.
 
 Two builders, each making the templates of all its levels in one batched
 pass:
@@ -30,8 +32,10 @@ pass:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .cantor import Construction, GaugeSequence, LevelTable, _check_depth, \
     _check_table_depth, make_gauge, nest_centers
 # re-exported: qcforge.homeo.build_level / build_sigma_level stay importable
 from .cantor import build_level, build_sigma_level  # noqa: F401
-from .errors import DepthLimitError, DomainError
+from .errors import DepthLimitError, DomainError, GeometryError
 from .geometry import Point
 from .qcmaps import _ARRAYS, PiecewiseAffineMap, TemplateStack, \
     annulus_templates, invert_templates, twist_templates
@@ -88,6 +92,15 @@ class _Level:
                       ...]
 
 
+def _placements(kind: str, src_offsets, dst_offsets):
+    """A level's placements, from its children's source and target
+    offsets."""
+    if kind == "standard":  # one annulus around each child
+        return tuple((0, tuple(so), tuple(to))
+                     for so, to in zip(src_offsets, dst_offsets))
+    return ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN))  # right, left twist
+
+
 class _Levels(Sequence):
     """A map's levels 1..depth, each made on its first read."""
 
@@ -106,15 +119,10 @@ class _Levels(Sequence):
             return tuple(self[j] for j in range(len(self))[i])
         lv = self.items[i]  # an IndexError ends an iteration
         if lv.__class__ is int:
-            k = lv
-            if self._kind == "standard":  # one annulus around each child
-                placements = tuple((0, tuple(so), tuple(to)) for so, to in
-                                   zip(*(o[k] for o in self._offsets)))
-            else:  # the right and the left twist
-                placements = ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN))
-            t = self._templates
+            k, t = lv, self._templates
             lv = self.items[k] = _Level(k + 1, tuple(
-                t.template(k, j) for j in range(len(t.kinds))), placements)
+                t.template(k, j) for j in range(len(t.kinds))), _placements(
+                    self._kind, *(o[k] for o in self._offsets)))
         return lv
 
 
@@ -133,6 +141,47 @@ class HierarchicalMap:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", _Levels(self))
+
+    @cached_property
+    def _descent(self) -> tuple:
+        """Levels 1..depth as `evaluate` descends them, made on its first
+        call: per level (half, x cuts, y cuts, children, gasket).
+
+        `half` is a child's half side widened by `_TOL`.  The cuts lie
+        halfway between the child centres on each axis (0 on both axes of
+        a square nest; -s/4, 0 and s/4 in x on the 8-adic row of a parent
+        of side s), and `children[iy][ix]` lists, as (source offset, target
+        offset), the children whose widened square reaches the cut cell
+        (ix, iy), in child order: one child, unless widened children
+        overlap.  `gasket` is (level index, source scale, target scale,
+        placements), a placement being (template index, source offset,
+        target offset, its template's bbox widened by `_TOL`)."""
+        src, dst, t, table = self.src, self.dst, self.templates, []
+        xy = t.cells.reshape(*t.cells.shape[:2], -1, 2)
+        # (x0, x1, y0, y1) per template, as each one's `bbox`, widened
+        boxes = np.stack([xy.min(axis=2) - _TOL, xy.max(axis=2) + _TOL],
+                         axis=-1).reshape(*xy.shape[:2], 4).tolist()
+        for k, (offsets, dst_offsets) in enumerate(zip(src.offsets,
+                                                       dst.offsets)):
+            half = src.sides[k + 1] / 2.0 * (1.0 + _TOL)
+            reach = half * (1.0 + 1e-9)  # past every rounding of the test
+            cuts = [tuple((a + b) / 2.0 for a, b in zip(c, c[1:])) for c in
+                    (sorted({o[axis] for o in offsets}) for axis in (0, 1))]
+            cells = [list(zip((-math.inf,) + c, c + (math.inf,)))
+                     for c in cuts]
+            children = tuple(tuple(
+                tuple((ox, oy, dox, doy) for (ox, oy), (dox, doy) in
+                      zip(offsets, dst_offsets)
+                      if ox - reach <= x1 and ox + reach >= x0
+                      and oy - reach <= y1 and oy + reach >= y0)
+                for x0, x1 in cells[0]) for y0, y1 in cells[1])
+            placements = tuple(
+                (ti, ox, oy, dox, doy, *boxes[k][ti]) for ti, (ox, oy),
+                (dox, doy) in _placements(self.kind, offsets, dst_offsets))
+            table.append((half, *cuts, children, (
+                k, src.sides[k] * self.template_scale,
+                dst.sides[k] * self.template_scale, placements)))
+        return tuple(table)
 
     def truncate(self, n: int) -> "HierarchicalMap":
         """The depth-n approximant: the first n levels of this map."""
@@ -243,10 +292,17 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     Points outside the level-0 square are fixed; points resolving into a
     gasket get their exact piecewise-affine image; points still inside a
     deepest-level square get the square similarity together with an error
-    bound (the image square's diameter).  A gasket point's cell comes from
-    `PiecewiseAffineMap.find`, and its map row is applied here as
-    `AffineMap.apply` applies it: the image of `PiecewiseAffineMap.apply`,
-    bit for bit, without building the template's `pieces`.
+    bound (the image square's diameter).  The descent reads the map's
+    descent table (`HierarchicalMap._descent`), made on the first call:
+    per level, the cuts between child centres name the one child whose
+    widened square can hold the point (each such child, in child order,
+    where widened children overlap), and one containment test decides
+    between that child and the gasket.  In the gasket, the first placement
+    whose widened template box holds the point picks the template; its
+    cell comes from `PiecewiseAffineMap.find`, and its map row is applied
+    here as `AffineMap.apply` applies it: the image of
+    `PiecewiseAffineMap.apply`, bit for bit, without building the
+    template's `pieces`.
     """
     src, dst = m.src, m.dst
     if max(abs(z.x), abs(z.y)) > src.sides[0] / 2.0:
@@ -257,37 +313,35 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     # square's centre, (dcx, dcy) the absolute centre of its image
     rx, ry = z.x, z.y
     dcx = dcy = 0.0
-    for lv, sp, side, offsets, dp, dst_offsets in zip(
-            m.levels.items, src.sides, src.sides[1:], src.offsets, dst.sides,
-            dst.offsets):
-        half = side / 2.0 * (1.0 + _TOL)
-        for child, (ox, oy) in enumerate(offsets):
-            if abs(rx - ox) <= half and abs(ry - oy) <= half:
+    cell = bisect_right
+    for half, xcuts, ycuts, children, gasket in m._descent:
+        for ox, oy, dox, doy in children[cell(ycuts, ry)][cell(xcuts, rx)]:
+            dx, dy = rx - ox, ry - oy
+            if abs(dx) <= half and abs(dy) <= half:
                 break
         else:
             # the first placement whose template box holds the point; the
             # level is made when the first point reaches its gasket
-            if lv.__class__ is int:
-                lv = m.levels[lv]
-            sscale, dscale = sp * m.template_scale, dp * m.template_scale
-            for ti, (ox, oy), (dox, doy) in lv.placements:
-                u = Point((rx - ox) / sscale, (ry - oy) / sscale)
-                x0, x1, y0, y1 = lv.templates[ti].bbox
-                if (x0 - _TOL <= u.x <= x1 + _TOL
-                        and y0 - _TOL <= u.y <= y1 + _TOL):
+            k, sscale, dscale, placements = gasket
+            for ti, ox, oy, dox, doy, x0, x1, y0, y1 in placements:
+                ux, uy = (rx - ox) / sscale, (ry - oy) / sscale
+                if x0 <= ux <= x1 and y0 <= uy <= y1:
                     break
+                if not (math.isfinite(ux) and math.isfinite(uy)):
+                    raise GeometryError(f"non-finite point ({ux}, {uy})")
+            lv = m.levels.items[k]
+            if lv.__class__ is int:
+                lv = m.levels[k]
             template = lv.templates[ti]
-            i = template.find(u.x, u.y, 1e-9)
+            i = template.find(ux, uy, 1e-9)
             if i < 0:
-                raise DomainError(
-                    f"point ({u.x}, {u.y}) is outside the domain")
+                raise DomainError(f"point ({ux}, {uy}) is outside the domain")
             m11, m12, m21, m22, tx, ty = template.rows[1][i]
-            vx = m11 * u.x + m12 * u.y + tx
-            vy = m21 * u.x + m22 * u.y + ty
+            vx = m11 * ux + m12 * uy + tx
+            vy = m21 * ux + m22 * uy + ty
             w = Point(dcx + dox + vx * dscale, dcy + doy + vy * dscale)
             return EvalResult(w, 0.0)
-        rx, ry = rx - ox, ry - oy
-        dox, doy = dst_offsets[child]
+        rx, ry = dx, dy
         dcx, dcy = dcx + dox, dcy + doy
     # z survived every level: apply the deepest-square similarity, with the
     # image square's diameter as the distance to the limit map

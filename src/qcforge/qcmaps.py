@@ -39,7 +39,7 @@ level-by-level build meets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -74,10 +74,13 @@ class PiecewiseAffineMap:
     dilatations over, so that it reports bitwise-identical K values.
 
     Point evaluation and the midline curve read `rows`, flat Python floats
-    built on first use, through `find`; `validate` reads the arrays.
-    `pieces` holds the same cells and maps as `Triangle` and `AffineMap`
-    objects; only `locate` and `apply` read it, and it is the reference
-    `find` is tested against.
+    built on first use, through `find` and its bucket grids; `validate`
+    reads the arrays.  `pieces` holds the same cells and maps as `Triangle`
+    and `AffineMap` objects; only `locate` and `apply` read it, and it is
+    the reference `find` is tested against.  `origin` is (stack, level
+    index, template index) for a template made by `TemplateStack.template`:
+    the stack makes its edge rows and grids, shared with the templates
+    that have the same cells, and the grids of a block of levels at once.
     """
 
     cells: np.ndarray
@@ -88,6 +91,8 @@ class PiecewiseAffineMap:
     image_areas: np.ndarray
     domain_kind: str  # "annulus", "twist", or "composite"
     params: tuple[tuple[str, float], ...] = ()
+    # not an argument: a copy made by `dataclasses.replace` has none
+    origin: tuple = field(default=(), init=False, repr=False)
 
     @property
     def max_dilatation(self) -> float:
@@ -103,26 +108,43 @@ class PiecewiseAffineMap:
     @cached_property
     def rows(self) -> tuple[tuple[tuple[float, ...], ...],
                             tuple[tuple[float, ...], ...]]:
-        """(edges, maps), one row of each per cell.  An edge row holds the
-        edges v1v2, v2v3, v3v1 of the cell, its vertices in `pieces`'
-        order, as ax, ay, bx - ax, by - ay, max(1.0, |b - a|) each; a map
-        row is (m11, m12, m21, m22, tx, ty)."""
-        edges = []
-        for p, q, r in _oriented(self.cells)[0].tolist():
-            row = []
-            for (ax, ay), (bx, by) in ((p, q), (q, r), (r, p)):
-                row += (ax, ay, bx - ax, by - ay,
-                        max(1.0, math.hypot(ax - bx, ay - by)))
-            edges.append(tuple(row))
-        return tuple(edges), tuple(map(tuple, self.maps.tolist()))
+        """(edges, maps), one row of each per cell: `_edge_rows` of the
+        cells, shared with the templates of its stack that have the same
+        cells, and a map row (m11, m12, m21, m22, tx, ty)."""
+        stack, k, j = self._home
+        return stack.edge_rows(k, j), tuple(map(tuple, self.maps.tolist()))
+
+    @cached_property
+    def _home(self) -> tuple:
+        """`origin`, or a stack of this template alone."""
+        return self.origin or (_stack_of([[self]]), 0, 0)
+
+    @cached_property
+    def _grids(self) -> dict:
+        """`find`'s bucket grid per tol it was called with."""
+        return {}
 
     def find(self, x: float, y: float, tol: float) -> int:
-        """`locate(Point(x, y), tol)` on `rows`: the first cell whose closed
-        triangle, widened by `tol` on each edge, holds (x, y); -1 if none.
-        Each edge test is `Triangle.contains`' expression, so the index is
-        the same."""
-        for i, (ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy,
-                lw) in enumerate(self.rows[0]):
+        """`locate(Point(x, y), tol)` on `rows`, for a finite point: the
+        first cell whose closed triangle, widened by `tol` on each edge,
+        holds (x, y); -1 if none.
+
+        The point's bucket in the grid of `_bucket_grids` lists every cell
+        whose widened triangle can reach it, in ascending order, so testing
+        those cells finds the first match.  Each edge test is
+        `Triangle.contains`' expression, so the index is the same."""
+        grid = self._grids.get(tol)
+        if grid is None:
+            stack, k, j = self._home
+            grid = self._grids[tol] = stack.grid(tol, k, j)
+        x0, y0, sx, sy, g, ids, starts, b = grid
+        fx, fy = (x - x0) * sx, (y - y0) * sy
+        b += int(fy) * g + int(fx) if 0.0 <= fx < g and 0.0 <= fy < g \
+            else g * g
+        edges = self.rows[0]
+        for i in ids[starts[b]:starts[b + 1]]:
+            ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy, lw = \
+                edges[i]
             if (ux * (y - ay) - uy * (x - ax) < -tol * lu
                     or vx * (y - by) - vy * (x - bx) < -tol * lv
                     or wx * (y - cy) - wy * (x - cx) < -tol * lw):
@@ -201,9 +223,134 @@ class TemplateStack:
 
     def template(self, k: int, j: int) -> PiecewiseAffineMap:
         """Template j of level index k, on views of the arrays."""
-        return PiecewiseAffineMap(
+        t = PiecewiseAffineMap(
             *(getattr(self, f)[k, j] for f in _ARRAYS), self.kinds[j],
             tuple(zip(self.names, self.params[k].tolist())))
+        object.__setattr__(t, "origin", (self, k, j))
+        return t
+
+    @cached_property
+    def _edges(self) -> dict:
+        """`_edge_rows` per (level index, template index)."""
+        return {}
+
+    def edge_rows(self, k: int, j: int) -> tuple[tuple[float, ...], ...]:
+        """`_edge_rows` of template j of level index k, shared with level
+        index 0 where their cells have the same bits (as on every level of
+        the theorem B map)."""
+        if k and self.cells[k, j].tobytes() == self.cells[0, j].tobytes():
+            k = 0
+        rows = self._edges.get((k, j))
+        if rows is None:
+            rows = self._edges[k, j] = _edge_rows(self.cells[k, j])
+        return rows
+
+    @cached_property
+    def _grids(self) -> dict:
+        """`_bucket_grids` per (tol, block of `_GRID_LEVELS` levels)."""
+        return {}
+
+    def grid(self, tol: float, k: int, j: int) -> tuple:
+        """`find`'s grid at `tol` of template j of level index k, made with
+        those of its block of `_GRID_LEVELS` levels in one pass."""
+        q, r = divmod(k, _GRID_LEVELS)
+        block = self._grids.get((tol, q))
+        if block is None:
+            block = self._grids[tol, q] = _bucket_grids(
+                self.cells[q * _GRID_LEVELS:(q + 1) * _GRID_LEVELS], tol)
+        return block[r * len(self.kinds) + j]
+
+
+# -- point location -----------------------------------------------------------
+
+def _edge_rows(cells: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """One row per (n, 3, 2) cell: its edges v1v2, v2v3, v3v1, its
+    vertices in `pieces`' order, as ax, ay, bx - ax, by - ay,
+    max(1.0, |b - a|) each.  Equal nonzero floats are one object: the
+    cells share most of their vertices and edges (a zero keeps its own
+    object, as the signs of zeros differ)."""
+    same = {}
+    rows = []
+    for p, q, r in _oriented(cells)[0].tolist():
+        row = []
+        for (ax, ay), (bx, by) in ((p, q), (q, r), (r, p)):
+            row += (ax, ay, bx - ax, by - ay,
+                    max(1.0, math.hypot(ax - bx, ay - by)))
+        rows.append(tuple([same.setdefault(v, v) if v else v for v in row]))
+    return tuple(rows)
+
+
+# levels per pass of `_bucket_grids`: its numpy calls cost about as much for
+# a block of levels as for one template
+_GRID_LEVELS = 16
+
+
+def _bucket_grids(cells: np.ndarray, tol: float) -> list[tuple]:
+    """`find`'s bucket grids of (..., n, 3, 2) templates at `tol`, in one
+    numpy pass: per template (x0, y0, sx, sy, g, ids, starts, base).
+    Templates with the same cells share their buckets.
+
+    g x g buckets tile the template's bbox padded by 1% of its size on each
+    side.  A point falls in bucket b = int((y - y0) sy) g + int((x - x0) sx)
+    or, off the tiling, in bucket g^2; its cells are
+    `ids[starts[base + b]:starts[base + b + 1]]`, ascending: every cell
+    whose widened triangle reaches the bucket's column and row, or, for
+    bucket g^2, reaches off the tiling.
+
+    The widened triangle is bounded by the lines of `find`'s edge tests,
+    each edge moved out by tol max(1, |edge|) / |edge|, and by a margin of
+    1e-9 (1 + the largest |coordinate|) more, which covers the rounding of
+    the tests and of the bucket index.  The lines of edges i and k then
+    meet at most (out_i |edge k| + out_k |edge i|) / |2 area| from the
+    vertex they share, out_i being edge i's widening times its length, so
+    the triangle lies in the cell's bbox widened by twice the largest
+    widening times length, times the longest edge, over 2 |area| (less a
+    bound on its rounding), plus the margin.  A cell with no area reaches
+    everywhere.
+    """
+    n = cells.shape[-3]
+    g = max(2, math.ceil(math.sqrt(3 * n)))
+    t = cells.reshape(-1, n, 3, 2)
+    v0, v1, v2 = t[:, :, 0], t[:, :, 1], t[:, :, 2]  # (m, n, 2)
+    e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
+    length = np.maximum(np.maximum(np.hypot(e0[..., 0], e0[..., 1]),
+                                   np.hypot(e1[..., 0], e1[..., 1])),
+                        np.hypot(e2[..., 0], e2[..., 1]))  # the longest edge
+    lo = np.minimum(np.minimum(v0, v1), v2)
+    hi = np.maximum(np.maximum(v0, v1), v2)
+    box_lo, box_hi = lo.min(axis=1), hi.max(axis=1)  # (m, 2)
+    step = (box_hi - box_lo + (box_hi == box_lo)) * (1.02 / g)
+    origin = box_lo - step * (g / 102)
+    margin = 1e-9 * (1.0 + float(abs(t).max()))
+    p, q = e0[..., 0] * e1[..., 1], e0[..., 1] * e1[..., 0]
+    area2 = abs(p - q) - 1e-12 * (abs(p) + abs(q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        widen = np.where(area2 > 0, (2.0 * tol + 4.0 * margin) * length
+                         * np.maximum(1.0, length) / area2, np.inf) + margin
+        # (m, n, 2, 2): the first and last (column, row) each cell reaches
+        widen = widen[..., None]
+        span = np.floor((np.stack([lo - widen, hi + widen], axis=2)
+                         - origin[:, None, None]) / step[:, None, None])
+    # the buckets of each distinct set of cells, (u, g^2 + 1, n)
+    first = {}
+    home = [first.setdefault(c.tobytes(), len(first)) for c in t]
+    span = span[[home.index(i) for i in range(len(first))]]
+    k = np.arange(g)
+    cols, rows = ((span[:, :, 0, axis, None] <= k) & (span[:, :, 1, axis, None]
+                                                      >= k) for axis in (0, 1))
+    member = np.concatenate([
+        (rows.transpose(0, 2, 1)[:, :, None] & cols.transpose(0, 2, 1)[:, None]
+         ).reshape(len(span), g * g, n),
+        ((span[:, :, 0] < 0) | (span[:, :, 1] >= g)).any(axis=2)[:, None]],
+        axis=1)
+    buckets, ids = np.nonzero(member.reshape(-1, n))
+    starts = np.zeros(len(span) * (g * g + 1) + 1, np.uint32)
+    np.cumsum(np.bincount(buckets, minlength=len(starts) - 1), out=starts[1:])
+    ids = memoryview(ids.astype(np.uint32).tobytes()).cast("I")
+    starts = memoryview(starts.tobytes()).cast("I")
+    return [(x0, y0, 1.0 / wx, 1.0 / wy, g, ids, starts, h * (g * g + 1))
+            for h, (x0, y0), (wx, wy) in zip(home, origin.tolist(),
+                                             step.tolist())]
 
 
 # -- array kernels -----------------------------------------------------------

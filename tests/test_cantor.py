@@ -171,6 +171,15 @@ def test_the_8adic_row_is_the_geometric_2_gauge():
             Construction("sigma", g)
 
 
+def test_construction_refuses_an_unknown_family_and_a_nest_without_gauge():
+    with pytest.raises(DomainError, match="unknown family 'lamda'"):
+        Construction("lamda", make_gauge("slow"))
+    with pytest.raises(DomainError, match="square nest needs a gauge"):
+        Construction("lambda")
+    assert Construction("lambda", make_gauge("slow")).describe() == \
+        "lambda(slow)"
+
+
 def test_dimension_bounds_sqrt_approaches_two():
     est = dimension_bounds(make_gauge("sqrt"), 400)
     assert est.upper >= 1.9

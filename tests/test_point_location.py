@@ -1,6 +1,7 @@
-"""Point location on flat rows: `PiecewiseAffineMap.find` against `locate`,
-`evaluate` against a descent through the geometry objects, and what
-evaluation and the curve leave unbuilt."""
+"""Point location on flat rows: `PiecewiseAffineMap.find` and its bucket
+grids against `locate`, `evaluate` and its descent table against a descent
+through the geometry objects that scans every child and cell, and what
+evaluation, the curve and the other commands leave unbuilt."""
 
 import math
 from dataclasses import replace
@@ -8,12 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qcforge import analysis, cli, homeo, qcmaps
 from qcforge.cantor import make_gauge
 from qcforge.errors import DomainError, GeometryError
 from qcforge.geometry import Point
 from qcforge.homeo import (curve_polyline, evaluate, invert, standard_homeo,
                            theoremB_homeo)
-from qcforge.qcmaps import annulus_extension_any, twist_extension
+from qcforge.qcmaps import annulus_extension_any, invert_piecewise, \
+    twist_extension, validate
 
 SLOW, FAST = make_gauge("slow"), make_gauge("fast")
 
@@ -28,10 +31,17 @@ def _templates(m):
     return [t for lv in m.levels for t in lv.templates]
 
 
+def _ulps(v):
+    """v and the floats either side of it."""
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
 def _probe_points(t, tol, rng):
     """Cell vertices, edge midpoints, midpoints moved 2 tol off each edge
-    along its normal, centroids, and seeded points over the bbox widened by
-    10% on each side."""
+    along its normal, points on each edge's line 2, 11 and 1000 edge
+    lengths past its ends, centroids, seeded points over the bbox widened
+    by 10% on each side, and points on the lines between the buckets of
+    `find`'s grid at tol, one ulp either side too."""
     pts = set()
     for cell in t.cells.tolist():
         for j in range(3):
@@ -42,17 +52,26 @@ def _probe_points(t, tol, rng):
             pts.update([(ax, ay), (mx, my), (mx + 2 * tol * nx,
                                              my + 2 * tol * ny),
                         (mx - 2 * tol * nx, my - 2 * tol * ny)])
+            pts.update((ax + s * (bx - ax), ay + s * (by - ay))
+                       for s in (-1e3, -11.0, -2.0, 3.0, 12.0, 1001.0))
         pts.add((sum(v[0] for v in cell) / 3.0, sum(v[1] for v in cell) / 3.0))
     x0, x1, y0, y1 = t.bbox
     wx, wy = 0.1 * (x1 - x0), 0.1 * (y1 - y0)
     xs = rng.uniform(x0 - wx, x1 + wx, 40)
     ys = rng.uniform(y0 - wy, y1 + wy, 40)
     pts.update(zip(xs.tolist(), ys.tolist()))
+    t.find(0.0, 0.0, tol)
+    gx, gy, sx, sy, g = t._grids[tol][:5]
+    lines = [[u for i in range(g + 1) for u in _ulps(o + i / s)]
+             for o, s in ((gx, sx), (gy, sy))]
+    pts.update((x, y) for x in lines[0] for y in lines[1])
+    pts.update((x, y) for x in lines[0] for y in ys[:8].tolist())
+    pts.update((x, y) for x in xs[:8].tolist() for y in lines[1])
     return sorted(pts)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-@pytest.mark.parametrize("name", ["standard", "theoremB", "single"])
+@pytest.mark.parametrize("name", ["standard", "theoremB", "single", "thin"])
 def test_find_matches_locate(name, tol):
     if name == "standard":
         m = standard_homeo(SLOW, FAST, 12)
@@ -60,14 +79,22 @@ def test_find_matches_locate(name, tol):
     elif name == "theoremB":
         m = theoremB_homeo(12)
         templates = _templates(m) + _templates(invert(m))
-    else:
+    elif name == "single":
         templates = [annulus_extension_any(0.1, 0.3),
                      annulus_extension_any(0.3, 0.1),
                      annulus_extension_any(0.02, 0.45),
                      twist_extension(0.05), twist_extension(0.19)]
+    else:
+        # edges 1e-12 long, whose widened triangles reach far past the
+        # cells (the twist's are in its image, the inverse's domain)
+        twist = twist_extension(1e-12)
+        templates = [annulus_extension_any(1e-12, 0.1), twist,
+                     invert_piecewise(twist)]
     rng = np.random.default_rng([20261018, len(templates)])
     found = []
-    for t in templates:
+    # a template's cells decide its `find` (the theorem B map's right
+    # twists share theirs, and so do its left twists)
+    for t in {t.cells.tobytes(): t for t in templates}.values():
         for x, y in _probe_points(t, tol, rng):
             i = t.find(x, y, tol)
             assert i == t.locate(Point(x, y), tol), (t.params, x, y)
@@ -128,19 +155,99 @@ def _seeded_points(m, count, rng):
     return np.concatenate([deep, wide]).tolist()
 
 
+def _square_edge_points(m, top=3):
+    """Points on the widened edge of every level-1..top source square, at
+    +-half (1 + 1e-12) from its centre and one ulp either side, and points
+    on the cut lines of every level-0..top-1 parent, halfway between the
+    centres of its children on one axis."""
+    pts = []
+    for k in range(1, min(top, m.depth) + 1):
+        half = m.src.sides[k] / 2.0 * (1.0 + 1e-12)
+        for cx, cy in m.corresponding_centers(k)[0].tolist():
+            for e in (-half, half):
+                for along in (0.0, 0.5 * half):
+                    pts += [(x, cy + along) for x in _ulps(cx + e)]
+                    pts += [(cx + along, y) for y in _ulps(cy + e)]
+        offsets = m.src.offsets[k - 1]
+        side = m.src.sides[k - 1]
+        cuts = [[(a + b) / 2.0 for a, b in zip(c, c[1:])] for c in
+                (sorted({o[axis] for o in offsets}) for axis in (0, 1))]
+        for px, py in m.corresponding_centers(k - 1)[0].tolist():
+            for along in (0.0, 0.1 * side, -0.3 * side):
+                pts += [(px + c, py + along) for c in cuts[0]]
+                pts += [(px + along, py + c) for c in cuts[1]]
+    return pts
+
+
+def _evaluate(m, z):
+    r = evaluate(m, z)
+    return r.point, r.error_bound
+
+
+def _outcome(f, m, x, y):
+    """(x, y, error bound) of f(m, Point(x, y)), or the error it raised,
+    class and text."""
+    try:
+        w, bound = f(m, Point(x, y))
+    except DomainError as e:
+        return type(e), str(e)
+    return w.x, w.y, bound
+
+
 def test_evaluate_matches_the_object_path_bit_for_bit():
     rng = np.random.default_rng(20261019)
-    for key, m in _query_maps().items():
-        for x, y in _seeded_points(m, 400, rng):
-            r = evaluate(m, Point(x, y))
-            w, bound = _evaluate_by_objects(m, Point(x, y))
-            assert (r.point.x, r.point.y, r.error_bound) == \
-                (w.x, w.y, bound), (key, x, y)
+    shallow = {d: _query_maps(d) for d in (0, 1)}
+    # d_k / d_(k-1) = 2^(-1e-13): the widened children of a source square
+    # overlap, and the first of them in child order holds a point there
+    tight = standard_homeo(make_gauge("geometric", 1e-13), FAST, 6)
+    for key, m in (("tight", tight), ("tight-inv", invert(tight))):
+        shallow[0][key], shallow[1][key] = m.truncate(0), m.truncate(1)
+    # outcomes, errors included: both paths raise `DomainError` at some
+    # points on a widened square edge, where no template box of the
+    # square's gasket holds the point
+    for key, m in [*_query_maps().items(), ("tight", tight),
+                   ("tight-inv", invert(tight))]:
+        pts = _seeded_points(m, 400, rng) + _square_edge_points(m)
+        for name, mm in (("depth-12", m), ("depth-0", shallow[0][key]),
+                         ("depth-1", shallow[1][key]),
+                         ("truncated-5", m.truncate(5))):
+            for x, y in pts:
+                assert _outcome(_evaluate, mm, x, y) == \
+                    _outcome(_evaluate_by_objects, mm, x, y), (key, name, x, y)
 
 
-def test_evaluation_and_curve_build_no_pieces():
+def _unread(*args):
+    raise AssertionError("a descent table or a bucket grid was made")
+
+
+def test_evaluation_and_curve_build_no_pieces(tmp_path):
+    maps = _query_maps()
+    # building maps, profiles, reports and validate make no descent table
+    # and no bucket grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homeo.HierarchicalMap, "_descent", property(_unread))
+        mp.setattr(qcmaps, "_bucket_grids", _unread)
+        for argv in (["report", "--case", "slow-to-fast", "--depth", "12"],
+                     ["report", "--case", "theoremB", "--depth", "12"],
+                     ["david", "--case", "theoremB", "--depth", "12",
+                      "--direction", "inverse"],
+                     ["profile", "--case", "geometric-to-fast", "--depth",
+                      "12", "--side", "image"],
+                     ["homeo", "--theorem-b", "--depth", "12"],
+                     ["annulus", "--a", "0.1", "--b", "0.3"],
+                     ["twist", "--a", "0.05"]):
+            assert cli.run(argv + ["--out", str(tmp_path / "out")]) in (0, 2)
+        for m in maps.values():
+            profile = analysis.dilatation_profile(m, "image")
+            analysis.check_david(profile, analysis.DavidParams(1.0, 1.0, 2.0))
+            for t in _templates(m):
+                validate(t, float(t.image_areas.sum()))
+    for key, m in maps.items():
+        assert "_descent" not in m.__dict__, key
+        assert "_grids" not in m.templates.__dict__, key
+        assert not any("_grids" in t.__dict__ for t in _templates(m)), key
     rng = np.random.default_rng(20261020)
-    for key, m in _query_maps().items():
+    for key, m in maps.items():
         for x, y in _seeded_points(m, 200, rng):
             evaluate(m, Point(x, y))
         templates = _templates(m)
