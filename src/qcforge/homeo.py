@@ -157,10 +157,11 @@ class HierarchicalMap:
         placements), a placement being (template index, source offset,
         target offset, its template's bbox widened by `_TOL`)."""
         src, dst, t, table = self.src, self.dst, self.templates, []
-        xy = t.cells.reshape(*t.cells.shape[:2], -1, 2)
         # (x0, x1, y0, y1) per template, as each one's `bbox`, widened
-        boxes = np.stack([xy.min(axis=2) - _TOL, xy.max(axis=2) + _TOL],
-                         axis=-1).reshape(*xy.shape[:2], 4).tolist()
+        lo, hi = t.cells.min(axis=(2, 3)), t.cells.max(axis=(2, 3))
+        boxes = np.stack([lo[..., 0] - _TOL, hi[..., 0] + _TOL,
+                          lo[..., 1] - _TOL, hi[..., 1] + _TOL],
+                         axis=-1).tolist()
         for k, (offsets, dst_offsets) in enumerate(zip(src.offsets,
                                                        dst.offsets)):
             half = src.sides[k + 1] / 2.0 * (1.0 + _TOL)

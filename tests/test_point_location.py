@@ -214,6 +214,9 @@ def test_evaluate_matches_the_object_path_bit_for_bit():
             for x, y in pts:
                 assert _outcome(_evaluate, mm, x, y) == \
                     _outcome(_evaluate_by_objects, mm, x, y), (key, name, x, y)
+        # `evaluate` returns before the descent at depth 0, but the table
+        # of a map with no levels is still made, and is empty
+        assert shallow[0][key]._descent == (), key
 
 
 def _unread(*args):
