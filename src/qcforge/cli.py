@@ -74,14 +74,15 @@ def _case_map(case: str, nu: float, depth: int,
     return homeo.invert(m) if direction == "inverse" else m
 
 
-def _emit(text: str, out: str | None):
+def _emit(parts, out: str | None):
+    """Write an artifact's text parts in order to `out`, or to stdout."""
     if out:
         try:
-            export.write_text(out, text)
+            export.write_parts(out, parts)
         except OSError as e:
             raise QCForgeError(f"cannot write {out!r}: {e.strerror or e}")
     else:
-        sys.stdout.write(text)
+        export.stream_parts(sys.stdout, parts)
 
 
 @functools.cache
@@ -167,10 +168,10 @@ def _run_cantor(args) -> int:
     else:
         level = cantor.build_level(args.gauge, args.depth)
     if args.format == "csv":
-        text = export.rows_to_csv(("cx", "cy"), level.centers)
+        parts = export.csv_parts(("cx", "cy"), tuple(level.centers.T))
     else:
-        text = export.json_dumps(level.to_json_obj())
-    _emit(text, args.out)
+        parts = export.json_parts(level.to_json_obj())
+    _emit(parts, args.out)
     return 0
 
 
@@ -201,7 +202,7 @@ def _run_dims(args) -> int:
             "max_ratio": max(r for _, r in prof),
             "ratios": [{"eps": e, "ratio": r} for e, r in prof],
         }
-    _emit(export.json_dumps(obj), args.out)
+    _emit(export.json_parts(obj), args.out)
     return 0
 
 
@@ -216,7 +217,7 @@ def _run_template(args) -> int:
     obj = pmap.to_json_obj()
     obj["max_K"] = pmap.max_dilatation
     obj["valid"] = report.ok
-    _emit(export.json_dumps(obj), args.out)
+    _emit(export.json_parts(obj), args.out)
     return 0 if report.ok else 2
 
 
@@ -228,7 +229,7 @@ def _run_homeo(args) -> int:
             raise QCForgeError("--src and --dst are required without "
                                "--theorem-b")
         m = homeo.standard_homeo(args.src, args.dst, args.depth)
-    _emit(export.json_dumps(m.summary_json_obj()), args.out)
+    _emit(export.json_parts(m.summary_json_obj()), args.out)
     return 0
 
 
@@ -239,9 +240,9 @@ def _run_profile(args) -> int:
     # the bound column C e^(-alpha K) does not read K0
     params = analysis.DavidParams(1.0, 1.0, 1.0)
     if args.format == "csv":
-        text = export.profile_csv(prof, params)
+        parts = export.profile_csv_parts(prof, params)
     else:
-        text = export.json_dumps({
+        parts = export.json_parts({
             "side": prof.side,
             "classified_area": prof.classified_area,
             "truncation_bound": prof.truncation_bound,
@@ -250,7 +251,7 @@ def _run_profile(args) -> int:
                 dtype=[(name, np.float64) for name in
                        ("K", "exceedance_area", "bound")]),
         })
-    _emit(text, args.out)
+    _emit(parts, args.out)
     return 0
 
 
@@ -262,7 +263,7 @@ def _run_david(args) -> int:
     params = analysis.DavidParams(args.C, args.alpha, k0)
     prof = analysis.dilatation_profile(m, "domain")
     passed, margin = analysis.check_david(prof, params)
-    _emit(export.json_dumps({
+    _emit(export.json_parts({
         "case": case,
         "direction": args.direction,
         "depth": args.depth,
@@ -279,14 +280,14 @@ def _run_curve(args) -> int:
     m = homeo.theoremB_homeo(args.depth)
     pl = homeo.curve_polyline(m)
     if args.format == "json":
-        text = export.json_dumps({
+        parts = export.json_parts({
             "depth": args.depth,
-            "vertices": np.rec.fromarrays([pl.params, *pl.vertices.T],
-                                          names="t,x,y"),
+            "vertices": export.Columns((pl.params, *pl.vertices.T),
+                                       ("t", "x", "y")),
         })
     else:
-        text = export.polyline_csv(pl)
-    _emit(text, args.out)
+        parts = export.polyline_csv_parts(pl)
+    _emit(parts, args.out)
     return 0
 
 
@@ -296,7 +297,7 @@ def _run_report(args) -> int:
         obj = analysis.theoremB_report(args.depth)
     else:
         obj = analysis.theoremA_report(case, args.depth, nu)
-    _emit(export.json_dumps(obj), args.out)
+    _emit(export.json_parts(obj), args.out)
     ok = all(c["passed"]
              for d in obj["david"].values() for c in d["checks"])
     return 0 if ok else 2

@@ -1,32 +1,47 @@
-"""Deterministic JSON/CSV serialization.
+"""Deterministic JSON/CSV serialization, streamed to its destination.
 
 Hand-rolled on purpose: every float is rendered with 17 significant digits
 (round-trippable), dict key order is preserved exactly as built, lines end
 with LF, and files are written atomically — so identical inputs produce
 byte-identical artifacts.
 
-Arrays (level centers, curve rows, profiles) go through `format_rows`,
-which renders a column with at most half as many distinct values as rows
-by formatting each distinct value once and gathering the texts by index.
-A float's %.17g text depends on its value alone, so the gathered text is
-the text the value would get on its own, and the bytes do not depend on
-which columns are gathered.
+Each artifact is made as a stream of text parts (`json_parts`, `csv_parts`,
+`polyline_csv_parts`, `profile_csv_parts`) that `write_parts` and
+`stream_parts` write in order, so no artifact's text is held whole.
+Arrays (level centers, curve rows, profiles) are read in place, column by
+column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part.  A
+column with at most half as many distinct values as rows keeps only those
+values and their texts, and each block gathers its texts by index.  A
+float's %.17g text depends on its value alone, so the gathered text is the
+text the value would get on its own, and the bytes depend neither on which
+columns are gathered nor on where the blocks end.  `json_dumps`,
+`rows_to_csv`, `polyline_csv`, `profile_csv` and `write_text` are the same
+artifacts as whole strings.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "Columns",
     "format_float",
+    "row_blocks",
     "format_rows",
+    "json_parts",
     "json_dumps",
+    "csv_parts",
     "rows_to_csv",
+    "polyline_csv_parts",
     "polyline_csv",
+    "profile_csv_parts",
     "profile_csv",
+    "stream_parts",
+    "write_parts",
     "write_text",
 ]
 
@@ -41,55 +56,89 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _column_cells(c: np.ndarray) -> tuple[str, list]:
-    """The row-template field of one finite column and its cells: "%s" and
-    the texts of the values when the column has at most half as many
-    distinct values as rows (each distinct value rendered once), else
-    "%.17g" and the values themselves."""
-    c = c + 0.0
+# rows per formatted block: bounds the text, the cells and the gathered
+# indices held at once to a few hundred kB however long the array
+_BLOCK_ROWS = 4096
+# text written at once: adjacent parts are joined up to about this size
+_CHUNK_CHARS = 1 << 16
+
+
+def _gather(c: np.ndarray):
+    """The sorted distinct values of a finite column, after + 0.0, and
+    their %.17g texts when it has at most half as many distinct values as
+    rows; else None."""
     # the distinct values by sort, since np.unique imports numpy.ma on its
     # first call (about 1.7 MB of resident memory in numpy 2.4)
     u = np.sort(c)
-    u = u[np.concatenate(([True], u[1:] != u[:-1]))]
-    if 2 * len(u) > len(c):
-        return "%.17g", c.tolist()
-    text = np.array(["%.17g" % v for v in u.tolist()], dtype=object)
-    return "%s", text[np.searchsorted(u, c)].tolist()
+    u += 0.0
+    first = np.concatenate(([True], u[1:] != u[:-1]))
+    if 2 * np.count_nonzero(first) > len(c):
+        return None
+    u = u[first]
+    return u, np.array(["%.17g" % v for v in u.tolist()], dtype=object)
 
 
-def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float,
-                head: str = "") -> str:
-    """`head` + `sep`.join(row % tuple(map(cell, r)) for r in a) for a 2-D
-    float array and a `row` template with one %s per column.  `head` is
-    literal text, placed in the template so that the result is built once.
+def row_blocks(columns, row: str, sep: str, cell=format_float):
+    """The text `sep`.join(row % tuple(map(cell, r)) for r in rows), where
+    rows are read in place from equal-length 1-D float64 `columns`, as one
+    part per block of at most `_BLOCK_ROWS` rows; each block after the
+    first starts with `sep`.
 
     With the default `cell` the text is byte-identical to rendering every
-    value with `format_float`.  A finite array takes one %-format call:
+    value with `format_float`.  A finite block takes one %-format call:
     adding 0.0 turns -0.0 into 0.0, which prints as "0" like int(-0.0), and
-    %.17g prints every integral |v| < 1e16 as its integer digits.  A column
-    with at most half as many distinct values as rows renders each distinct
-    value once with %.17g and fills its %s by index; the other columns put
-    %.17g in the row.  Every value still gets its own %.17g text, and
-    only equal floats share one (there is no -0.0 after the + 0.0), so the
-    choice never changes the bytes.  An array with a non-finite value is
-    rendered value by value with `cell`.
+    %.17g prints every integral |v| < 1e16 as its integer digits.  A finite
+    column with at most half as many distinct values as rows renders each
+    distinct value once with %.17g and fills its %s by index in every
+    block; the other columns put %.17g in the row.  Every value still gets
+    its own %.17g text, and only equal floats share one (there is no -0.0
+    after the + 0.0), so the choice never changes the bytes.  A block with
+    a non-finite value is rendered value by value with `cell`.
     """
-    a = np.asarray(a, dtype=np.float64)
-    head = head.replace("%", "%%")
-    if not (a.size and np.isfinite(a).all()):
-        return (head + sep.join([row] * len(a))) % tuple(
-            map(cell, a.ravel().tolist()))
-    m = a.shape[1]
     fields = row.split("%s")
-    cells = [None] * a.size  # row-major, like a.ravel()
-    for j in range(m):
-        fmt, cells[j::m] = _column_cells(a[:, j])
-        fields[j] += fmt
-    cells = tuple(cells)  # drops the list before the text is built
-    return (head + sep.join(["".join(fields)] * len(a))) % cells
+    gathers = []
+    for j, c in enumerate(columns):
+        gathers.append(_gather(c) if np.isfinite(c).all() else None)
+        fields[j] += "%.17g" if gathers[j] is None else "%s"
+    fast = "".join(fields)
+    m, n = len(columns), len(columns[0])
+    for i in range(0, n, _BLOCK_ROWS):
+        k = min(_BLOCK_ROWS, n - i)
+        block = [c[i:i + k] for c in columns]
+        lead = sep if i else ""
+        if all(np.isfinite(b).all() for b in block):
+            cells = [None] * (k * m)  # row-major
+            for j, (b, g) in enumerate(zip(block, gathers)):
+                b = b + 0.0
+                cells[j::m] = (b if g is None
+                               else g[1][np.searchsorted(g[0], b)]).tolist()
+            yield (lead + sep.join([fast] * k)) % tuple(cells)
+        else:
+            values = np.stack(block, axis=1).ravel().tolist()
+            yield (lead + sep.join([row] * k)) % tuple(map(cell, values))
+
+
+def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float) -> str:
+    """`sep`.join(row % tuple(map(cell, r)) for r in a) for a 2-D float
+    array and a `row` template with one %s per column: the joined
+    `row_blocks` of its columns."""
+    a = np.asarray(a, dtype=np.float64)
+    return "".join(row_blocks(list(a.T), row, sep, cell))
+
+
+@dataclass(frozen=True)
+class Columns:
+    """Rows read in place from equal-length 1-D float64 columns.  In JSON
+    they are a list of objects keyed by `names`, or of lists without them.
+    """
+
+    columns: tuple
+    names: tuple | None = None
 
 
 def _dump(obj, out: list):
+    # appends the JSON text of obj as parts, and the row blocks of an array
+    # as a generator in the place of its text
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -116,16 +165,18 @@ def _dump(obj, out: list):
         # objects keyed by its field names, all of them float64
         names = obj.dtype.names
         if names:
+            _dump(Columns(tuple(obj[k] for k in names), names), out)
+        else:
+            _dump(Columns(tuple(np.asarray(obj, dtype=np.float64).T)), out)
+    elif isinstance(obj, Columns):
+        if obj.names is None:
+            row = "[" + ",".join(["%s"] * len(obj.columns)) + "]"
+        else:
             keys = []
-            for k in names:
+            for k in obj.names:
                 _dump(k, keys)
             row = "{" + ",".join(k + ":%s" for k in keys) + "}"
-            obj = obj.view(np.float64).reshape(len(obj), len(names))
-        else:
-            row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
-        # the brackets are parts of their own: the text is copied only by
-        # the join in `json_dumps`
-        out.extend(("[", format_rows(obj, row, ","), "]"))
+        out.extend(("[", row_blocks(obj.columns, row, ","), "]"))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -137,47 +188,90 @@ def _dump(obj, out: list):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_dumps(obj) -> str:
-    out: list[str] = []
+def json_parts(obj):
+    """The JSON text of obj and a final LF, as parts in order: runs of
+    small parts joined, and each array as its row blocks."""
+    out: list = []
     _dump(obj, out)
     out.append("\n")
-    return "".join(out)
+    i = 0
+    for j, part in enumerate(out):
+        if part.__class__ is not str:
+            yield "".join(out[i:j])
+            yield from part
+            i = j + 1
+    yield "".join(out[i:])
+
+
+def json_dumps(obj) -> str:
+    return "".join(json_parts(obj))
 
 
 def _csv_cell(v: float) -> str:
     return format_float(v).strip('"')
 
 
+def csv_parts(header: tuple[str, ...], columns):
+    """CSV text of equal-length 1-D float columns, read in place: the header
+    line, then the rows in blocks."""
+    yield ",".join(header) + "\n"
+    yield from row_blocks(columns, ",".join(["%s"] * len(columns)) + "\n",
+                          "", _csv_cell)
+
+
 def rows_to_csv(header: tuple[str, ...], rows: np.ndarray) -> str:
-    """CSV text of a 2-D float array, header and body built as one string."""
-    head = ",".join(header) + "\n"
-    if not len(rows):
-        return head
-    return format_rows(rows, ",".join(["%s"] * rows.shape[1]) + "\n", "",
-                       _csv_cell, head)
+    """CSV text of a 2-D float array."""
+    return "".join(csv_parts(header, list(np.asarray(rows, np.float64).T)))
+
+
+def polyline_csv_parts(polyline):
+    return csv_parts(("t", "x", "y"), (polyline.params, *polyline.vertices.T))
 
 
 def polyline_csv(polyline) -> str:
-    return rows_to_csv(("t", "x", "y"),
-                       np.column_stack([polyline.params, polyline.vertices]))
+    return "".join(polyline_csv_parts(polyline))
 
 
-def profile_csv(profile, params) -> str:
+def profile_csv_parts(profile, params):
     """Columns (K, exceedance_area, bound_C_alpha, truncation)."""
     rows = np.array([(k, area, params.bound(k), profile.truncation_bound)
                      for k, area in profile.entries], dtype=np.float64)
-    return rows_to_csv(("K", "exceedance_area", "bound_C_alpha",
-                        "truncation"), rows.reshape(-1, 4))
+    return csv_parts(("K", "exceedance_area", "bound_C_alpha", "truncation"),
+                     list(rows.reshape(-1, 4).T))
 
 
-def write_text(path: str, text: str):
-    """Atomic write with LF endings; a failed write leaves no temp file."""
+def profile_csv(profile, params) -> str:
+    return "".join(profile_csv_parts(profile, params))
+
+
+def stream_parts(fh, parts):
+    """Write text parts to an open text file in order, joining adjacent
+    small parts into writes of about `_CHUNK_CHARS` characters."""
+    run, size = [], 0
+    for part in parts:
+        run.append(part)
+        size += len(part)
+        if size >= _CHUNK_CHARS:
+            fh.write("".join(run))
+            run, size = [], 0
+    if run:
+        fh.write("".join(run))
+
+
+def write_parts(path: str, parts):
+    """Atomic write of text parts with LF endings: the parts go to a temp
+    file in order, which replaces `path` once all are written; a failed
+    write, or parts that raise, leave no temp file and `path` as it was."""
     tmp = path + ".tmp"
     fh = open(tmp, "w", newline="\n")
     try:
         with fh:
-            fh.write(text)
+            stream_parts(fh, parts)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_text(path: str, text: str):
+    write_parts(path, (text,))
