@@ -28,6 +28,13 @@ k = 0..6 on the depth-12 maps.  The `evaluate-edges` lines digest
 `evaluate` on the depth-12 maps at the vertices and edge midpoints of every
 level-1..3 template cell, placed in every parent of the source: points on
 edges that cells share, where the first matching cell gives the image.
+The `evaluate-deep` lines digest `evaluate` on the four query maps built at
+depth 40, at 200 seeded points and at the vertices, edge midpoints and
+centroids of the template cells of levels 1, 2, 15-18, 31-34, 39 and 40,
+placed in three random parents each.  On S and B-inv, whose source squares
+stay wide in floating point, these resolve in every block of levels whose
+bucket grids are made together; on B and S-inv the deep ones round onto
+shallower points.
 Run it in both checkouts and `diff` the outputs.  The package and perfbench are imported from the checkout the
 script lives in.
 """
@@ -235,6 +242,27 @@ def edge_points(m, k) -> np.ndarray:
     return np.concatenate(out)
 
 
+def deep_points(m, levels, parents, rng) -> np.ndarray:
+    """Vertices, edge midpoints and centroids of the level-k template cells
+    for each k in `levels`, placed in `parents` level-(k - 1) source squares
+    along random digit paths: an (n, 2) array."""
+    out = []
+    for k in levels:
+        lv = m.levels[k - 1]
+        sscale = m.src.sides[k - 1] * m.template_scale
+        centers = np.zeros((parents, 2))
+        for offsets in m.src.offsets[:k - 1]:
+            centers += np.array(offsets)[rng.integers(0, 4, parents)]
+        for ti, offset, _ in lv.placements:
+            cells = lv.templates[ti].cells
+            u = np.concatenate([cells, (cells + np.roll(cells, -1, axis=1))
+                                / 2.0, cells.mean(axis=1, keepdims=True)],
+                               axis=1).reshape(-1, 2)
+            out.append((centers[:, None, :] + offset + u[None] * sscale)
+                       .reshape(-1, 2))
+    return np.concatenate(out)
+
+
 def evaluate_rows(m, pts) -> bytes:
     """float64 bytes of (x, y, error bound) of `evaluate` at each point."""
     rows = [(r.point.x, r.point.y, r.error_bound) for r in
@@ -261,6 +289,14 @@ def map_outputs(seeds):
         for k in (1, 2, 3):
             yield f"evaluate-edges/{key}/level-{k}", \
                 evaluate_rows(m, edge_points(m, k).tolist())
+    rng = np.random.default_rng([40, 11])
+    for spec in QUERY_MAPS:
+        spec = replace(spec, depth=40)
+        m = build_map(spec)
+        pts = np.concatenate([_query_points(spec, 200, rng), deep_points(
+            m, (1, 2, 15, 16, 17, 18, 31, 32, 33, 34, 39, 40), 3, rng)])
+        yield f"evaluate-deep/{spec.key}/depth-40", \
+            evaluate_rows(m, pts.tolist())
     for key, m in deep.items():
         for k in range(7):
             src, dst = m.corresponding_centers(k)

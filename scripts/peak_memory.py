@@ -9,9 +9,11 @@ directory, removed at the end)
 peak_mb is the child's own peak resident set size (`ru_maxrss`, in MB of
 2^20 bytes), read just before it exits; bytes is the size of the artifact
 that `--out` wrote.  The commands are `cantor --gauge sqrt --depth 10` and
-`11` and `curve --depth 8` and `9`, each in both formats.  Each artifact is
-deleted once measured, so at most one is on disk at a time.  The package is
-imported from the checkout the script lives in.
+`11` and `curve --depth 8` and `9`, each in both formats.  Each artifact
+is deleted once measured, so at most one is on disk at a time.  The last
+build is the first `evaluate` on a depth-400 map, which makes the map's
+descent table and the point-location rows and grids of one block of
+levels.  The package is imported from the checkout the script lives in.
 """
 
 import json
@@ -26,13 +28,17 @@ COMMANDS = [["cantor", "--gauge", "sqrt", "--depth", str(d), "--format", f]
             for d in (10, 11) for f in ("json", "csv")] + \
            [["curve", "--depth", str(d), "--format", f]
             for d in (8, 9) for f in ("json", "csv")]
-# the in-memory builds: the level centers, and the map and its curve
+# the in-memory builds: the level centers, the map and its curve, and a
+# deep map with its first point
 BUILDS = [(f"build_level(sqrt, {d})",
            f"cantor.build_level(cantor.make_gauge('sqrt'), {d})")
           for d in (10, 11)] + \
          [(f"curve_polyline(theoremB_homeo({d}))",
            f"homeo.curve_polyline(homeo.theoremB_homeo({d}))")
-          for d in (8, 9)]
+          for d in (8, 9)] + \
+         [("evaluate(invert(theoremB_homeo(400)), (0.45, 0.4))",
+           "homeo.evaluate(homeo.invert(homeo.theoremB_homeo(400)), "
+           "homeo.Point(0.45, 0.4))")]
 
 _CHILD = """
 import json, resource, sys

@@ -9,11 +9,12 @@ template)), and its geometry once: one `LevelTable` per side (gauge values,
 sides, areas, child offsets), which the template parameters, evaluation,
 the curve, the square centers and the masses read.  A level-k instance is
 its template scaled by `sides[k - 1]` times `template_scale`.  The
-per-level K, the masses and `invert` read the stack whole; `levels[k - 1]`
-makes level k's templates and their placements on first read, for point
-evaluation, the curve and the oracles.  `evaluate` descends the map's
-descent table, made on its first call: per level, the cuts between the
-child centres name the one child that can hold a point.
+per-level K, the masses and `invert` read the stack whole; `levels` makes
+every level's templates and placements on first read, for the curve and
+the oracles.  `evaluate` descends the map's descent table, made on its
+first call: per level, the cuts between the child centres name the one
+child that can hold a point, and a gasket point is looked up in the stack's
+`locator` of its template, with no template object.
 
 Two builders, each making the templates of all its levels in one batched
 pass:
@@ -33,8 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,7 @@ from .cantor import build_level, build_sigma_level  # noqa: F401
 from .errors import DepthLimitError, DomainError, GeometryError
 from .geometry import Point
 from .qcmaps import _ARRAYS, PiecewiseAffineMap, TemplateStack, \
-    annulus_templates, invert_templates, twist_templates
+    annulus_templates, find, invert_templates, twist_templates
 # re-exported: the single-template builders stay reachable from here
 from .qcmaps import annulus_extension_any, invert_piecewise, \
     twist_extension  # noqa: F401
@@ -101,31 +101,6 @@ def _placements(kind: str, src_offsets, dst_offsets):
     return ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN))  # right, left twist
 
 
-class _Levels(Sequence):
-    """A map's levels 1..depth, each made on its first read."""
-
-    def __init__(self, m: "HierarchicalMap"):
-        # not the map itself, which holds this sequence
-        self._templates, self._kind = m.templates, m.kind
-        self._offsets = m.src.offsets, m.dst.offsets
-        # a level once it is made, its index until then
-        self.items: list[_Level | int] = list(range(m.depth))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        lv = self.items[i]  # an IndexError ends an iteration
-        if lv.__class__ is int:
-            k, t = lv, self._templates
-            lv = self.items[k] = _Level(k + 1, tuple(
-                t.template(k, j) for j in range(len(t.kinds))), _placements(
-                    self._kind, *(o[k] for o in self._offsets)))
-        return lv
-
-
 @dataclass(frozen=True)
 class HierarchicalMap:
     depth: int
@@ -137,10 +112,17 @@ class HierarchicalMap:
     src: LevelTable  # the source's levels 0..depth
     dst: LevelTable  # the target's, children in correspondence order
     template_scale: float  # template size over its parent's side
-    levels: _Levels = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", _Levels(self))
+    @cached_property
+    def levels(self) -> tuple[_Level, ...]:
+        """Levels 1..depth with their templates and placements, made on
+        first read, for the curve and the oracles."""
+        t = self.templates
+        kinds = range(len(t.kinds))
+        return tuple(_Level(k + 1, tuple(t.template(k, j) for j in kinds),
+                            _placements(self.kind, *offsets))
+                     for k, offsets in enumerate(zip(self.src.offsets,
+                                                     self.dst.offsets)))
 
     @cached_property
     def _descent(self) -> tuple:
@@ -155,13 +137,15 @@ class HierarchicalMap:
         (ix, iy), in child order: one child, unless widened children
         overlap.  `gasket` is (level index, source scale, target scale,
         placements), a placement being (template index, source offset,
-        target offset, its template's bbox widened by `_TOL`)."""
+        target offset, its template's bbox widened by 2 `_TOL`: past the
+        child test, which widens a square by up to its gasket's template
+        scale times `_TOL`, so that rounding decides no point between them)."""
         src, dst, t, table = self.src, self.dst, self.templates, []
         # (x0, x1, y0, y1) per template, as each one's `bbox`, widened
         lo, hi = t.cells.min(axis=(2, 3)), t.cells.max(axis=(2, 3))
-        boxes = np.stack([lo[..., 0] - _TOL, hi[..., 0] + _TOL,
-                          lo[..., 1] - _TOL, hi[..., 1] + _TOL],
-                         axis=-1).tolist()
+        w = 2.0 * _TOL
+        boxes = np.stack([lo[..., 0] - w, hi[..., 0] + w, lo[..., 1] - w,
+                          hi[..., 1] + w], axis=-1).tolist()
         for k, (offsets, dst_offsets) in enumerate(zip(src.offsets,
                                                        dst.offsets)):
             half = src.sides[k + 1] / 2.0 * (1.0 + _TOL)
@@ -193,6 +177,8 @@ class HierarchicalMap:
 
     def corresponding_centers(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Aligned (source, target) level-k square centers, in digit-path order."""
+        if not 0 <= k <= self.depth:
+            raise DomainError(f"need 0 <= k <= {self.depth}, got {k}")
         _check_depth(k)
         return (nest_centers(self.src.offsets[:k]),
                 nest_centers(self.dst.offsets[:k]))
@@ -300,10 +286,10 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     where widened children overlap), and one containment test decides
     between that child and the gasket.  In the gasket, the first placement
     whose widened template box holds the point picks the template; its
-    cell comes from `PiecewiseAffineMap.find`, and its map row is applied
-    here as `AffineMap.apply` applies it: the image of
-    `PiecewiseAffineMap.apply`, bit for bit, without building the
-    template's `pieces`.
+    cell comes from `qcmaps.find` on the stack's `locator` of that
+    template, and its map row is applied here as `AffineMap.apply` applies
+    it: the image of `PiecewiseAffineMap.apply`, bit for bit, without
+    making the template or its `pieces`.
     """
     src, dst = m.src, m.dst
     if max(abs(z.x), abs(z.y)) > src.sides[0] / 2.0:
@@ -321,8 +307,8 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
             if abs(dx) <= half and abs(dy) <= half:
                 break
         else:
-            # the first placement whose template box holds the point; the
-            # level is made when the first point reaches its gasket
+            # the first placement whose template box holds the point; its
+            # locator is made when the first point reaches it
             k, sscale, dscale, placements = gasket
             for ti, ox, oy, dox, doy, x0, x1, y0, y1 in placements:
                 ux, uy = (rx - ox) / sscale, (ry - oy) / sscale
@@ -330,14 +316,11 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
                     break
                 if not (math.isfinite(ux) and math.isfinite(uy)):
                     raise GeometryError(f"non-finite point ({ux}, {uy})")
-            lv = m.levels.items[k]
-            if lv.__class__ is int:
-                lv = m.levels[k]
-            template = lv.templates[ti]
-            i = template.find(ux, uy, 1e-9)
+            locator = m.templates.locator(k, ti)
+            i = find(locator, ux, uy)
             if i < 0:
                 raise DomainError(f"point ({ux}, {uy}) is outside the domain")
-            m11, m12, m21, m22, tx, ty = template.rows[1][i]
+            m11, m12, m21, m22, tx, ty = locator[1][i]
             vx = m11 * ux + m12 * uy + tx
             vy = m21 * ux + m22 * uy + ty
             w = Point(dcx + dox + vx * dscale, dcy + doy + vy * dscale)
@@ -351,15 +334,16 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     return EvalResult(w, dst.sides[-1] * math.sqrt(2.0))
 
 
-def _midline_segments(template: PiecewiseAffineMap, x_lo: float, x_hi: float,
+def _midline_segments(locator: tuple, x_lo: float, x_hi: float,
                       holes: tuple[tuple[float, float], ...]):
     """Split the segment y = 0, x in [x_lo, x_hi] minus `holes` at every cell
-    boundary crossing; return (x0, x1, cell_index) triples in ascending order."""
+    boundary crossing of a template's locator; return (x0, x1, cell_index)
+    triples in ascending order."""
     cuts = {x_lo, x_hi}
     for lo, hi in holes:
         cuts.add(lo)
         cuts.add(hi)
-    for ux, uy, _, _, _, vx, vy, _, _, _, wx, wy, _, _, _ in template.rows[0]:
+    for ux, uy, _, _, _, vx, vy, _, _, _, wx, wy, _, _, _ in locator[0]:
         for (ax, ay), (bx, by) in (((ux, uy), (vx, vy)), ((vx, vy), (wx, wy)),
                                    ((wx, wy), (ux, uy))):
             if ay == 0.0 and by == 0.0:
@@ -378,7 +362,7 @@ def _midline_segments(template: PiecewiseAffineMap, x_lo: float, x_hi: float,
         mid = 0.5 * (x0 + x1)
         if any(lo < mid < hi for lo, hi in holes):
             continue
-        idx = template.find(mid, 0.0, 1e-9)
+        idx = find(locator, mid, 0.0)
         segs.append((x0, x1, idx))
     return segs
 
@@ -397,7 +381,8 @@ def _curve_plan(m: HierarchicalMap, lv: _Level):
         in_range = tuple(h for h in holes if h[0] >= lo - 1e-12
                          and h[1] <= hi + 1e-12)
         items += [(x0, "seg", (x1, ti, idx)) for x0, x1, idx in
-                  _midline_segments(lv.templates[ti], lo, hi, in_range)]
+                  _midline_segments(m.templates.locator(lv.k - 1, ti), lo, hi,
+                                    in_range)]
     items += [(c - child_half, "child", j) for j, c in enumerate(centers)]
     items.sort(key=lambda it: it[0])
     return items
@@ -423,7 +408,7 @@ def _splice(m: HierarchicalMap, lv: _Level, plan, block: np.ndarray
             pos += rows - skip
             continue
         x1, ti, idx = payload
-        m11, m12, m21, m22, tx, ty = lv.templates[ti].rows[1][idx]
+        m11, m12, m21, m22, tx, ty = m.templates.locator(lv.k - 1, ti)[1][idx]
         for x in (start, x1)[skip:]:
             # the cell's map at (x, 0.0), as `AffineMap.apply` computes it
             seg_pos.append(pos)
@@ -445,7 +430,7 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     vertices always bound one affine (or deepest-similarity) piece.  The
     walk is built bottom up by `_splice`: each level's (t, x, y) rows for
     all its parents at once, one row per vertex.  Segment cuts, segment
-    cells and segment-end images come from the templates' flat `rows` and
+    cells and segment-end images come from the templates' locators and
     `find`, as `evaluate`'s do, not from `pieces`.  A curve whose segments
     and deepest squares have more than `cantor._MAX_ROWS` ends, shared
     ends counted twice, raises `DepthLimitError` before its rows are built.

@@ -34,12 +34,16 @@ solved one, which is exact.)  Only the single-template builders know
 template errors: a stack with a row that the scalar kernels would reject is
 built again row by row with them, which raises the first error a
 level-by-level build meets.
+
+Point location reads the stack alone: `TemplateStack.locator(k, j)` makes a
+template's flat edge and map rows and its bucket grid on first call, and
+`find` gives the first cell of a locator that holds a point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -73,14 +77,10 @@ class PiecewiseAffineMap:
     are computed once, when the map is built; an inverse carries its
     dilatations over, so that it reports bitwise-identical K values.
 
-    Point evaluation and the midline curve read `rows`, flat Python floats
-    built on first use, through `find` and its bucket grids; `validate`
-    reads the arrays.  `pieces` holds the same cells and maps as `Triangle`
-    and `AffineMap` objects; only `locate` and `apply` read it, and it is
-    the reference `find` is tested against.  `origin` is (stack, level
-    index, template index) for a template made by `TemplateStack.template`:
-    the stack makes its edge rows and grids, shared with the templates
-    that have the same cells, and the grids of a block of levels at once.
+    `validate` reads the arrays.  `pieces` holds the same cells and maps as
+    `Triangle` and `AffineMap` objects; only `locate` and `apply` read it,
+    the reference that `find` on a `TemplateStack.locator` is tested
+    against.
     """
 
     cells: np.ndarray
@@ -91,8 +91,6 @@ class PiecewiseAffineMap:
     image_areas: np.ndarray
     domain_kind: str  # "annulus", "twist", or "composite"
     params: tuple[tuple[str, float], ...] = ()
-    # not an argument: a copy made by `dataclasses.replace` has none
-    origin: tuple = field(default=(), init=False, repr=False)
 
     @property
     def max_dilatation(self) -> float:
@@ -104,53 +102,6 @@ class PiecewiseAffineMap:
         return tuple((Triangle(*(Point(x, y) for x, y in cell)), AffineMap(*m))
                      for cell, m in zip(self.cells.tolist(),
                                         self.maps.tolist()))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[tuple[float, ...], ...],
-                            tuple[tuple[float, ...], ...]]:
-        """(edges, maps), one row of each per cell: `_edge_rows` of the
-        cells, shared with the templates of its stack that have the same
-        cells, and a map row (m11, m12, m21, m22, tx, ty)."""
-        stack, k, j = self._home
-        return stack.edge_rows(k, j), tuple(map(tuple, self.maps.tolist()))
-
-    @cached_property
-    def _home(self) -> tuple:
-        """`origin`, or a stack of this template alone."""
-        return self.origin or (_stack_of([[self]]), 0, 0)
-
-    @cached_property
-    def _grids(self) -> dict:
-        """`find`'s bucket grid per tol it was called with."""
-        return {}
-
-    def find(self, x: float, y: float, tol: float) -> int:
-        """`locate(Point(x, y), tol)` on `rows`, for a finite point: the
-        first cell whose closed triangle, widened by `tol` on each edge,
-        holds (x, y); -1 if none.
-
-        The point's bucket in the grid of `_bucket_grids` lists every cell
-        whose widened triangle can reach it, in ascending order, so testing
-        those cells finds the first match.  Each edge test is
-        `Triangle.contains`' expression, so the index is the same."""
-        grid = self._grids.get(tol)
-        if grid is None:
-            stack, k, j = self._home
-            grid = self._grids[tol] = stack.grid(tol, k, j)
-        x0, y0, sx, sy, g, ids, starts, b = grid
-        fx, fy = (x - x0) * sx, (y - y0) * sy
-        b += int(fy) * g + int(fx) if 0.0 <= fx < g and 0.0 <= fy < g \
-            else g * g
-        edges = self.rows[0]
-        for i in ids[starts[b]:starts[b + 1]]:
-            ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy, lw = \
-                edges[i]
-            if (ux * (y - ay) - uy * (x - ax) < -tol * lu
-                    or vx * (y - by) - vy * (x - bx) < -tol * lv
-                    or wx * (y - cy) - wy * (x - cx) < -tol * lw):
-                continue
-            return i
-        return -1
 
     def param(self, name: str) -> float:
         for k, v in self.params:
@@ -223,42 +174,42 @@ class TemplateStack:
 
     def template(self, k: int, j: int) -> PiecewiseAffineMap:
         """Template j of level index k, on views of the arrays."""
-        t = PiecewiseAffineMap(
+        return PiecewiseAffineMap(
             *(getattr(self, f)[k, j] for f in _ARRAYS), self.kinds[j],
             tuple(zip(self.names, self.params[k].tolist())))
-        object.__setattr__(t, "origin", (self, k, j))
-        return t
 
     @cached_property
-    def _edges(self) -> dict:
-        """`_edge_rows` per (level index, template index)."""
+    def _locators(self) -> dict:
+        """`locator` per (level index, template index)."""
         return {}
-
-    def edge_rows(self, k: int, j: int) -> tuple[tuple[float, ...], ...]:
-        """`_edge_rows` of template j of level index k, shared with level
-        index 0 where their cells have the same bits (as on every level of
-        the theorem B map)."""
-        if k and self.cells[k, j].tobytes() == self.cells[0, j].tobytes():
-            k = 0
-        rows = self._edges.get((k, j))
-        if rows is None:
-            rows = self._edges[k, j] = _edge_rows(self.cells[k, j])
-        return rows
 
     @cached_property
     def _grids(self) -> dict:
-        """`_bucket_grids` per (tol, block of `_GRID_LEVELS` levels)."""
+        """`_bucket_grids` per block of `_GRID_LEVELS` levels."""
         return {}
 
-    def grid(self, tol: float, k: int, j: int) -> tuple:
-        """`find`'s grid at `tol` of template j of level index k, made with
-        those of its block of `_GRID_LEVELS` levels in one pass."""
-        q, r = divmod(k, _GRID_LEVELS)
-        block = self._grids.get((tol, q))
-        if block is None:
-            block = self._grids[tol, q] = _bucket_grids(
-                self.cells[q * _GRID_LEVELS:(q + 1) * _GRID_LEVELS], tol)
-        return block[r * len(self.kinds) + j]
+    def locator(self, k: int, j: int) -> tuple:
+        """What `find` reads of template j of level index k, made on first
+        call: (edge rows, map rows, bucket grid).  The edge rows are
+        `_edge_rows` of the cells, shared with level index 0 where the cells
+        have the same bits (as on every level of the theorem B map), the
+        map rows one (m11, m12, m21, m22, tx, ty) per cell, and the grid is
+        made with those of its block of `_GRID_LEVELS` levels in one
+        `_bucket_grids` pass."""
+        loc = self._locators.get((k, j))
+        if loc is None:
+            q, r = divmod(k, _GRID_LEVELS)
+            grids = self._grids.get(q)
+            if grids is None:
+                grids = self._grids[q] = _bucket_grids(
+                    self.cells[q * _GRID_LEVELS:(q + 1) * _GRID_LEVELS])
+            cells = self.cells[k, j]
+            same = k and cells.tobytes() == self.cells[0, j].tobytes()
+            loc = self._locators[k, j] = (
+                self.locator(0, j)[0] if same else _edge_rows(cells),
+                tuple(map(tuple, self.maps[k, j].tolist())),
+                grids[r * len(self.kinds) + j])
+        return loc
 
 
 # -- point location -----------------------------------------------------------
@@ -280,14 +231,41 @@ def _edge_rows(cells: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+# the widening of `find`'s edge tests, as `Triangle.contains`' tol
+_FIND_TOL = 1e-9
+
+
+def find(locator: tuple, x: float, y: float) -> int:
+    """`locate(Point(x, y), _FIND_TOL)` on a `TemplateStack.locator`, for a
+    finite point: the first cell whose closed triangle, widened by
+    `_FIND_TOL` on each edge, holds (x, y); -1 if none.
+
+    The point's bucket in the grid lists every cell whose widened triangle
+    can reach it, in ascending order, so testing those cells finds the
+    first match.  Each edge test is `Triangle.contains`' expression, so the
+    index is the same."""
+    edges, _, (x0, y0, sx, sy, g, ids, starts, b) = locator
+    fx, fy = (x - x0) * sx, (y - y0) * sy
+    b += int(fy) * g + int(fx) if 0.0 <= fx < g and 0.0 <= fy < g else g * g
+    tol = _FIND_TOL
+    for i in ids[starts[b]:starts[b + 1]]:
+        ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy, lw = edges[i]
+        if (ux * (y - ay) - uy * (x - ax) < -tol * lu
+                or vx * (y - by) - vy * (x - bx) < -tol * lv
+                or wx * (y - cy) - wy * (x - cx) < -tol * lw):
+            continue
+        return i
+    return -1
+
+
 # levels per pass of `_bucket_grids`: its numpy calls cost about as much for
 # a block of levels as for one template
 _GRID_LEVELS = 16
 
 
-def _bucket_grids(cells: np.ndarray, tol: float) -> list[tuple]:
-    """`find`'s bucket grids of (..., n, 3, 2) templates at `tol`, in one
-    numpy pass: per template (x0, y0, sx, sy, g, ids, starts, base).
+def _bucket_grids(cells: np.ndarray) -> list[tuple]:
+    """`find`'s bucket grids of (..., n, 3, 2) templates, in one numpy pass:
+    per template (x0, y0, sx, sy, g, ids, starts, base).
     Templates with the same cells share their buckets.
 
     g x g buckets tile the template's bbox padded by 1% of its size on each
@@ -298,12 +276,12 @@ def _bucket_grids(cells: np.ndarray, tol: float) -> list[tuple]:
     bucket g^2, reaches off the tiling.
 
     The widened triangle is bounded by the lines of `find`'s edge tests,
-    each edge moved out by tol max(1, |edge|) / |edge|, and by a margin of
-    1e-9 (1 + the largest |coordinate|) more, which covers the rounding of
-    the tests and of the bucket index.  The lines of edges i and k then
-    meet at most (out_i |edge k| + out_k |edge i|) / |2 area| from the
-    vertex they share, out_i being edge i's widening times its length, so
-    the triangle lies in the cell's bbox widened by twice the largest
+    each edge moved out by `_FIND_TOL` max(1, |edge|) / |edge|, and by a
+    margin of 1e-9 (1 + the largest |coordinate|) more, which covers the
+    rounding of the tests and of the bucket index.  The lines of edges i and
+    k then meet at most (out_i |edge k| + out_k |edge i|) / |2 area| from
+    the vertex they share, out_i being edge i's widening times its length,
+    so the triangle lies in the cell's bbox widened by twice the largest
     widening times length, times the longest edge, over 2 |area| (less a
     bound on its rounding), plus the margin.  A cell with no area reaches
     everywhere.
@@ -325,7 +303,7 @@ def _bucket_grids(cells: np.ndarray, tol: float) -> list[tuple]:
     p, q = e0[..., 0] * e1[..., 1], e0[..., 1] * e1[..., 0]
     area2 = abs(p - q) - 1e-12 * (abs(p) + abs(q))
     with np.errstate(divide="ignore", invalid="ignore"):
-        widen = np.where(area2 > 0, (2.0 * tol + 4.0 * margin) * length
+        widen = np.where(area2 > 0, (2.0 * _FIND_TOL + 4.0 * margin) * length
                          * np.maximum(1.0, length) / area2, np.inf) + margin
         # (m, n, 2, 2): the first and last (column, row) each cell reaches
         widen = widen[..., None]

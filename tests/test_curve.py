@@ -32,8 +32,8 @@ def _reference_plan(m, lv):
     for ti, (lo, hi) in ((1, (-0.5, 0.0)), (0, (0.0, 0.5))):
         in_range = tuple(h for h in holes if h[0] >= lo - 1e-12
                          and h[1] <= hi + 1e-12)
-        for x0, x1, idx in _midline_segments(lv.templates[ti], lo, hi,
-                                             in_range):
+        for x0, x1, idx in _midline_segments(
+                m.templates.locator(lv.k - 1, ti), lo, hi, in_range):
             items.append((x0, "seg", (x1, ti, idx)))
     for j, c in enumerate(centers):
         items.append((c - child_half, "child", j))
@@ -142,7 +142,8 @@ def _merged_polyline(m, tol=1e-12):
                 parts.append(children[:, payload])
                 continue
             x1, ti, idx = payload
-            m11, m12, m21, m22, tx, ty = lv.templates[ti].rows[1][idx]
+            m11, m12, m21, m22, tx, ty = \
+                m.templates.locator(lv.k - 1, ti)[1][idx]
             ends = [(x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
                      (m21 * x + m22 * 0.0 + ty) * dp) for x in (start, x1)]
             parts.append(base + np.array(ends)[None])

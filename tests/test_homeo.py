@@ -49,6 +49,15 @@ def test_centers_enumerate_levels():
     assert np.array_equal(dst, build_level(GEO1, 3).centers)
 
 
+@pytest.mark.parametrize("k", [-1, 4, 5])
+def test_centers_past_the_depth_raise(k):
+    # the level-k centres of a depth-3 map do not exist: no silent
+    # level-3 list
+    m = standard_homeo(SQRT, GEO1, 3)
+    with pytest.raises(DomainError, match=r"need 0 <= k <= 3"):
+        m.corresponding_centers(k)
+
+
 def test_property_i_depth_stability():
     """Gasket points resolved at level <= k-1 get identical images from the
     depth-(k-1) and depth-k maps."""

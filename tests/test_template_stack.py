@@ -1,8 +1,8 @@
 """Maps keep their templates as one level-stacked array set.
 
 The CLI's map commands read the stack whole and make no per-template
-object; `m.levels` makes a level's templates on first read, and each one
-has the bits of its single-template builder.
+object, and `evaluate` makes none; `m.levels` makes every level's templates
+on first read, and each one has the bits of its single-template builder.
 """
 
 import hashlib
@@ -82,15 +82,15 @@ def test_evaluate_keeps_its_bits_on_a_map_profiled_without_templates(
     profile = analysis.dilatation_profile(m, "image")
     analysis.check_david(analysis.dilatation_profile(m),
                          analysis.DavidParams(1.0, 1.0, 2.0))
-    assert len(m.levels) == 12 and len(profile.entries) > 12
+    assert m.depth == 12 and len(profile.entries) > 12
     assert made[0] == 0
     rng = np.random.default_rng([20261019, len(case)])
     rows = [(r.point.x, r.point.y, r.error_bound) for r in
             (evaluate(m, Point(x, y)) for x, y in _points(m, rng))]
     assert hashlib.blake2b(np.array(rows).tobytes(),
                            digest_size=16).hexdigest() == digest
-    # only the levels the points reached made their templates
-    assert 0 < made[0] <= 12 * len(m.templates.kinds)
+    # evaluation reads the stack's locators, and makes no template
+    assert made[0] == 0 and m.templates._locators
 
 
 def _half_turn(t):
