@@ -32,9 +32,8 @@ The `evaluate-deep` lines digest `evaluate` on the four query maps built at
 depth 40, at 200 seeded points and at the vertices, edge midpoints and
 centroids of the template cells of levels 1, 2, 15-18, 31-34, 39 and 40,
 placed in three random parents each.  On S and B-inv, whose source squares
-stay wide in floating point, these resolve in every block of levels whose
-bucket grids are made together; on B and S-inv the deep ones round onto
-shallower points.
+stay wide in floating point, these resolve at every one of those levels;
+on B and S-inv the deep ones round onto shallower points.
 Run it in both checkouts and `diff` the outputs.  The package and perfbench are imported from the checkout the
 script lives in.
 """

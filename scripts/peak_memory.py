@@ -12,8 +12,8 @@ that `--out` wrote.  The commands are `cantor --gauge sqrt --depth 10` and
 `11` and `curve --depth 8` and `9`, each in both formats.  Each artifact
 is deleted once measured, so at most one is on disk at a time.  The last
 build is the first `evaluate` on a depth-400 map, which makes the map's
-descent table and the point-location rows and grids of one block of
-levels.  The package is imported from the checkout the script lives in.
+descent table and the point-location rows of the one template that holds
+the point.  The package is imported from the checkout the script lives in.
 """
 
 import json

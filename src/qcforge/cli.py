@@ -49,19 +49,23 @@ def _parse_depths(text: str) -> list[int]:
 
 
 def _parse_case(text: str) -> tuple[str, float]:
-    name, _, param = text.partition(":")
-    name = name.replace("-", "_")
-    if name in ("theoremB", "theorem_b"):
-        return "theoremB", 1.0
-    if name not in analysis.THEOREM_A_CASES:
+    given, colon, param = text.partition(":")
+    name = given.replace("-", "_")
+    if name == "theorem_b":
+        name = "theoremB"
+    if name != "theoremB" and name not in analysis.THEOREM_A_CASES:
         raise QCForgeError(
             f"unknown case {text!r}; choose slow-to-geometric[:nu], "
             "geometric-to-fast[:nu], slow-to-fast, or theoremB")
     try:
-        return name, float(param) if param else 1.0
+        nu = float(param) if colon else 1.0
     except ValueError:
         raise QCForgeError(f"case parameter {param!r} is not a number") \
             from None
+    # these two cases build the same map whatever nu is
+    if colon and name in ("theoremB", "slow_to_fast"):
+        raise QCForgeError(f"case {given!r} takes no parameter, got {param!r}")
+    return name, nu
 
 
 def _case_map(case: str, nu: float, depth: int,
@@ -223,6 +227,8 @@ def _run_template(args) -> int:
 
 def _run_homeo(args) -> int:
     if args.theorem_b:
+        if args.src is not None or args.dst is not None:
+            raise QCForgeError("--src and --dst do not apply to --theorem-b")
         m = homeo.theoremB_homeo(args.depth)
     else:
         if args.src is None or args.dst is None:
@@ -242,14 +248,14 @@ def _run_profile(args) -> int:
     if args.format == "csv":
         parts = export.profile_csv_parts(prof, params)
     else:
+        rows = np.array([(k, a, params.bound(k)) for k, a in prof.entries],
+                        float).reshape(-1, 3)
         parts = export.json_parts({
             "side": prof.side,
             "classified_area": prof.classified_area,
             "truncation_bound": prof.truncation_bound,
-            "entries": np.array(
-                [(k, a, params.bound(k)) for k, a in prof.entries],
-                dtype=[(name, np.float64) for name in
-                       ("K", "exceedance_area", "bound")]),
+            "entries": export.Columns(tuple(rows.T),
+                                      ("K", "exceedance_area", "bound")),
         })
     _emit(parts, args.out)
     return 0

@@ -161,13 +161,8 @@ def _dump(obj, out: list):
             _dump(v, out)
         out.append("}")
     elif isinstance(obj, np.ndarray):
-        # a 2-D array as a list of lists; a record array as a list of
-        # objects keyed by its field names, all of them float64
-        names = obj.dtype.names
-        if names:
-            _dump(Columns(tuple(obj[k] for k in names), names), out)
-        else:
-            _dump(Columns(tuple(np.asarray(obj, dtype=np.float64).T)), out)
+        # a 2-D array as a list of lists
+        _dump(Columns(tuple(np.asarray(obj, dtype=np.float64).T)), out)
     elif isinstance(obj, Columns):
         if obj.names is None:
             row = "[" + ",".join(["%s"] * len(obj.columns)) + "]"

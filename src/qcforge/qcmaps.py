@@ -36,8 +36,8 @@ built again row by row with them, which raises the first error a
 level-by-level build meets.
 
 Point location reads the stack alone: `TemplateStack.locator(k, j)` makes a
-template's flat edge and map rows and its bucket grid on first call, and
-`find` gives the first cell of a locator that holds a point.
+template's flat edge and map rows on first call, and `find` tests the at
+most 24 cells of a locator in order and gives the first that holds a point.
 """
 
 from __future__ import annotations
@@ -183,32 +183,19 @@ class TemplateStack:
         """`locator` per (level index, template index)."""
         return {}
 
-    @cached_property
-    def _grids(self) -> dict:
-        """`_bucket_grids` per block of `_GRID_LEVELS` levels."""
-        return {}
-
     def locator(self, k: int, j: int) -> tuple:
         """What `find` reads of template j of level index k, made on first
-        call: (edge rows, map rows, bucket grid).  The edge rows are
-        `_edge_rows` of the cells, shared with level index 0 where the cells
-        have the same bits (as on every level of the theorem B map), the
-        map rows one (m11, m12, m21, m22, tx, ty) per cell, and the grid is
-        made with those of its block of `_GRID_LEVELS` levels in one
-        `_bucket_grids` pass."""
+        call: (edge rows, map rows).  The edge rows are `_edge_rows` of the
+        cells, shared with level index 0 where the cells have the same bits
+        (as on every level of the theorem B map), the map rows one (m11,
+        m12, m21, m22, tx, ty) per cell."""
         loc = self._locators.get((k, j))
         if loc is None:
-            q, r = divmod(k, _GRID_LEVELS)
-            grids = self._grids.get(q)
-            if grids is None:
-                grids = self._grids[q] = _bucket_grids(
-                    self.cells[q * _GRID_LEVELS:(q + 1) * _GRID_LEVELS])
             cells = self.cells[k, j]
             same = k and cells.tobytes() == self.cells[0, j].tobytes()
             loc = self._locators[k, j] = (
                 self.locator(0, j)[0] if same else _edge_rows(cells),
-                tuple(map(tuple, self.maps[k, j].tolist())),
-                grids[r * len(self.kinds) + j])
+                tuple(map(tuple, self.maps[k, j].tolist())))
         return loc
 
 
@@ -237,98 +224,20 @@ _FIND_TOL = 1e-9
 
 def find(locator: tuple, x: float, y: float) -> int:
     """`locate(Point(x, y), _FIND_TOL)` on a `TemplateStack.locator`, for a
-    finite point: the first cell whose closed triangle, widened by
-    `_FIND_TOL` on each edge, holds (x, y); -1 if none.
+    point: the first cell whose closed triangle, widened by `_FIND_TOL` on
+    each edge, holds (x, y); -1 if none.
 
-    The point's bucket in the grid lists every cell whose widened triangle
-    can reach it, in ascending order, so testing those cells finds the
-    first match.  Each edge test is `Triangle.contains`' expression, so the
-    index is the same."""
-    edges, _, (x0, y0, sx, sy, g, ids, starts, b) = locator
-    fx, fy = (x - x0) * sx, (y - y0) * sy
-    b += int(fy) * g + int(fx) if 0.0 <= fx < g and 0.0 <= fy < g else g * g
+    The cells are tested in index order, each edge with `Triangle.contains`'
+    expression, so the index is the same."""
     tol = _FIND_TOL
-    for i in ids[starts[b]:starts[b + 1]]:
-        ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy, lw = edges[i]
+    for i, (ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy,
+            lw) in enumerate(locator[0]):
         if (ux * (y - ay) - uy * (x - ax) < -tol * lu
                 or vx * (y - by) - vy * (x - bx) < -tol * lv
                 or wx * (y - cy) - wy * (x - cx) < -tol * lw):
             continue
         return i
     return -1
-
-
-# levels per pass of `_bucket_grids`: its numpy calls cost about as much for
-# a block of levels as for one template
-_GRID_LEVELS = 16
-
-
-def _bucket_grids(cells: np.ndarray) -> list[tuple]:
-    """`find`'s bucket grids of (..., n, 3, 2) templates, in one numpy pass:
-    per template (x0, y0, sx, sy, g, ids, starts, base).
-    Templates with the same cells share their buckets.
-
-    g x g buckets tile the template's bbox padded by 1% of its size on each
-    side.  A point falls in bucket b = int((y - y0) sy) g + int((x - x0) sx)
-    or, off the tiling, in bucket g^2; its cells are
-    `ids[starts[base + b]:starts[base + b + 1]]`, ascending: every cell
-    whose widened triangle reaches the bucket's column and row, or, for
-    bucket g^2, reaches off the tiling.
-
-    The widened triangle is bounded by the lines of `find`'s edge tests,
-    each edge moved out by `_FIND_TOL` max(1, |edge|) / |edge|, and by a
-    margin of 1e-9 (1 + the largest |coordinate|) more, which covers the
-    rounding of the tests and of the bucket index.  The lines of edges i and
-    k then meet at most (out_i |edge k| + out_k |edge i|) / |2 area| from
-    the vertex they share, out_i being edge i's widening times its length,
-    so the triangle lies in the cell's bbox widened by twice the largest
-    widening times length, times the longest edge, over 2 |area| (less a
-    bound on its rounding), plus the margin.  A cell with no area reaches
-    everywhere.
-    """
-    n = cells.shape[-3]
-    g = max(2, math.ceil(math.sqrt(3 * n)))
-    t = cells.reshape(-1, n, 3, 2)
-    v0, v1, v2 = t[:, :, 0], t[:, :, 1], t[:, :, 2]  # (m, n, 2)
-    e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
-    length = np.maximum(np.maximum(np.hypot(e0[..., 0], e0[..., 1]),
-                                   np.hypot(e1[..., 0], e1[..., 1])),
-                        np.hypot(e2[..., 0], e2[..., 1]))  # the longest edge
-    lo = np.minimum(np.minimum(v0, v1), v2)
-    hi = np.maximum(np.maximum(v0, v1), v2)
-    box_lo, box_hi = lo.min(axis=1), hi.max(axis=1)  # (m, 2)
-    step = (box_hi - box_lo + (box_hi == box_lo)) * (1.02 / g)
-    origin = box_lo - step * (g / 102)
-    margin = 1e-9 * (1.0 + float(abs(t).max()))
-    p, q = e0[..., 0] * e1[..., 1], e0[..., 1] * e1[..., 0]
-    area2 = abs(p - q) - 1e-12 * (abs(p) + abs(q))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        widen = np.where(area2 > 0, (2.0 * _FIND_TOL + 4.0 * margin) * length
-                         * np.maximum(1.0, length) / area2, np.inf) + margin
-        # (m, n, 2, 2): the first and last (column, row) each cell reaches
-        widen = widen[..., None]
-        span = np.floor((np.stack([lo - widen, hi + widen], axis=2)
-                         - origin[:, None, None]) / step[:, None, None])
-    # the buckets of each distinct set of cells, (u, g^2 + 1, n)
-    first = {}
-    home = [first.setdefault(c.tobytes(), len(first)) for c in t]
-    span = span[[home.index(i) for i in range(len(first))]]
-    k = np.arange(g)
-    cols, rows = ((span[:, :, 0, axis, None] <= k) & (span[:, :, 1, axis, None]
-                                                      >= k) for axis in (0, 1))
-    member = np.concatenate([
-        (rows.transpose(0, 2, 1)[:, :, None] & cols.transpose(0, 2, 1)[:, None]
-         ).reshape(len(span), g * g, n),
-        ((span[:, :, 0] < 0) | (span[:, :, 1] >= g)).any(axis=2)[:, None]],
-        axis=1)
-    buckets, ids = np.nonzero(member.reshape(-1, n))
-    starts = np.zeros(len(span) * (g * g + 1) + 1, np.uint32)
-    np.cumsum(np.bincount(buckets, minlength=len(starts) - 1), out=starts[1:])
-    ids = memoryview(ids.astype(np.uint32).tobytes()).cast("I")
-    starts = memoryview(starts.tobytes()).cast("I")
-    return [(x0, y0, 1.0 / wx, 1.0 / wy, g, ids, starts, h * (g * g + 1))
-            for h, (x0, y0), (wx, wy) in zip(home, origin.tolist(),
-                                             step.tolist())]
 
 
 # -- array kernels -----------------------------------------------------------

@@ -264,6 +264,33 @@ def test_case_parameter_must_be_a_number(capsys):
         assert "is not a number" in err
 
 
+def test_parameters_that_change_nothing_are_usage_errors(capsys):
+    # slow-to-fast and theoremB build the same map whatever nu is
+    for argv, want in (
+            (["report", "--case", "slow-to-fast:3"],
+             "case 'slow-to-fast' takes no parameter, got '3'"),
+            (["david", "--case", "theoremB:2"],
+             "case 'theoremB' takes no parameter, got '2'"),
+            (["profile", "--case", "theorem-b:0.5"],
+             "case 'theorem-b' takes no parameter, got '0.5'"),
+            (["report", "--case", "theoremB:abc"],
+             "case parameter 'abc' is not a number"),
+            (["report", "--case", "slow-to-geometric:"],
+             "case parameter '' is not a number")):
+        assert _one_line_error(capsys, argv + ["--depth", "3"]) == \
+            f"error: {want}\n"
+    for gauges in (["--src", "slow"], ["--dst", "fast"],
+                   ["--src", "slow", "--dst", "fast"]):
+        assert _one_line_error(
+            capsys, ["homeo", "--theorem-b", "--depth", "3"] + gauges) == \
+            "error: --src and --dst do not apply to --theorem-b\n"
+    # without a parameter, or with one where it counts, both still run
+    for argv in (["report", "--case", "slow-to-fast"],
+                 ["report", "--case", "theoremB"],
+                 ["profile", "--case", "geometric-to-fast:1.5"]):
+        assert _capture(capsys, argv + ["--depth", "3"])[0] in (0, 2)
+
+
 def test_curve_obeys_the_depth_guard(capsys, monkeypatch):
     # the curve materializes the 4^n deepest squares, like `cantor`
     monkeypatch.setenv("QCFORGE_DEPTH_GUARD", "3")

@@ -9,8 +9,8 @@ import pytest
 from qcforge import export
 from qcforge.cantor import build_level, build_sigma_level, make_gauge
 from qcforge.cli import run
-from qcforge.export import _csv_cell, format_float, format_rows, json_dumps, \
-    row_blocks, rows_to_csv, write_parts
+from qcforge.export import Columns, _csv_cell, format_float, format_rows, \
+    json_dumps, row_blocks, rows_to_csv, write_parts
 from qcforge.homeo import curve_polyline, theoremB_homeo
 
 EDGE_VALUES = [-0.0, 0.0, 1.0, -3.0, 1e15, 9999999999999998.0, 1e16,
@@ -206,7 +206,8 @@ def test_write_parts_that_raise_leave_no_temp_file(tmp_path, before):
 def test_record_array_json_matches_per_value():
     cols = [_COLUMNS["all-distinct"], _COLUMNS["half"],
             _COLUMNS["signed-zeros"], _COLUMNS["integral"]]
-    rec = np.rec.fromarrays(cols, names="t,x,y,z")
+    # named columns, as `profile` writes its entries
+    rec = Columns(tuple(np.array(cols)), ("t", "x", "y", "z"))
     want = "[" + ",".join(
         "{" + ",".join(f'"{k}":{format_float(v)}' for k, v in zip("txyz", r))
         + "}" for r in np.array(cols).T.tolist()) + "]"

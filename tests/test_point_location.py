@@ -1,9 +1,8 @@
 """Point location on flat rows: `qcmaps.find` on a `TemplateStack.locator`
 against `PiecewiseAffineMap.locate`, `evaluate` and its descent table
 against a descent through the geometry objects that scans every child and
-cell, on shallow maps and across the blocks of levels whose grids are made
-together, and what evaluation, the curve and the other commands leave
-unbuilt."""
+cell, on shallow maps and at deep levels, and what evaluation, the curve
+and the other commands leave unbuilt."""
 
 import math
 import tracemalloc
@@ -18,7 +17,7 @@ from qcforge.errors import DomainError, GeometryError
 from qcforge.geometry import Point
 from qcforge.homeo import (curve_polyline, evaluate, invert, standard_homeo,
                            theoremB_homeo)
-from qcforge.qcmaps import _FIND_TOL, _GRID_LEVELS, _stack_of, \
+from qcforge.qcmaps import _FIND_TOL, _stack_of, \
     annulus_extension_any, find, invert_piecewise, twist_extension, validate
 
 SLOW, FAST = make_gauge("slow"), make_gauge("fast")
@@ -48,12 +47,11 @@ def _ulps(v):
     return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
 
 
-def _probe_points(t, locator, tol, rng, seeded=40):
+def _probe_points(t, tol, rng, seeded=40):
     """Cell vertices, edge midpoints, midpoints moved 2 tol off each edge
     along its normal, points on each edge's line 2, 11 and 1000 edge
-    lengths past its ends, centroids, seeded points over the bbox widened
-    by 10% on each side, and points on the lines between the buckets of
-    the locator's grid, one ulp either side too."""
+    lengths past its ends, centroids, and seeded points over the bbox
+    widened by 10% on each side."""
     pts = set()
     for cell in t.cells.tolist():
         for j in range(3):
@@ -72,12 +70,6 @@ def _probe_points(t, locator, tol, rng, seeded=40):
     xs = rng.uniform(x0 - wx, x1 + wx, seeded)
     ys = rng.uniform(y0 - wy, y1 + wy, seeded)
     pts.update(zip(xs.tolist(), ys.tolist()))
-    gx, gy, sx, sy, g = locator[2][:5]
-    lines = [[u for i in range(g + 1) for u in _ulps(o + i / s)]
-             for o, s in ((gx, sx), (gy, sy))]
-    pts.update((x, y) for x in lines[0] for y in lines[1])
-    pts.update((x, y) for x in lines[0] for y in ys[:8].tolist())
-    pts.update((x, y) for x in xs[:8].tolist() for y in lines[1])
     return sorted(pts)
 
 
@@ -88,7 +80,7 @@ def _assert_find_matches_locate(located, tol, rng, seeded=40):
     # a template's cells decide its `find` (the theorem B map's right
     # twists share theirs, and so do its left twists)
     for t, loc in {t.cells.tobytes(): (t, loc) for t, loc in located}.values():
-        for x, y in _probe_points(t, loc, tol, rng, seeded):
+        for x, y in _probe_points(t, tol, rng, seeded):
             i = find(loc, x, y)
             assert i == t.locate(Point(x, y), tol), (t.params, x, y)
             found.append(i)
@@ -265,30 +257,27 @@ def _placed_cell_points(m, levels, parents, rng):
     return pts
 
 
-# levels 15-18 and 31-34: their level indices cross the first two block
-# boundaries of the bucket grids, 16 and 32
+# two runs of deep levels of the depth-40 maps below
 DEEP_LEVELS = (15, 16, 17, 18, 31, 32, 33, 34)
 
 
 # sources whose level-34 squares are still many rounding steps wide: the
 # slow gauge of S and the square-root gauge of B-inv
 @pytest.mark.parametrize("key", ["S", "B-inv"])
-def test_find_and_evaluate_across_grid_blocks(key):
+def test_find_and_evaluate_at_deep_levels(key):
     rng = np.random.default_rng([20261021, len(key)])
     m = standard_homeo(SLOW, FAST, 40) if key == "S" \
         else invert(theoremB_homeo(40))
     for x, y in _placed_cell_points(m, DEEP_LEVELS, 2, rng):
         assert _outcome(_evaluate, m, x, y) == \
             _outcome(_evaluate_by_objects, m, x, y), (key, x, y)
-    # the points reached the first three blocks of grids, and only them
-    assert set(m.templates._grids) == {0, 1, 2}
     levels = [k - 1 for k in DEEP_LEVELS]
     _assert_find_matches_locate(_located(m, levels)
                                 + _located(invert(m), levels), _FIND_TOL,
                                 rng, 8)
 
 
-def test_one_evaluate_makes_the_locators_of_its_block_only():
+def test_one_evaluate_makes_one_locator_only():
     m = invert(theoremB_homeo(400))
     tracemalloc.start()
     try:
@@ -298,27 +287,24 @@ def test_one_evaluate_makes_the_locators_of_its_block_only():
     finally:
         tracemalloc.stop()
     t = m.templates
-    assert set(t._grids) == {0} and t._locators
-    assert all(k < _GRID_LEVELS for k, _ in t._locators)
+    # the locator of the level-1 template that holds the point
+    assert len(t._locators) == 1
     assert "levels" not in m.__dict__
-    # the descent table of 400 levels and one block of grids (about 1 MB);
-    # the grids of all 25 blocks would take more than 13 MB
+    # the descent table of 400 levels (about 1 MB) and one locator
     assert peak < 3e6, peak
 
 
 def _unread(*args):
-    raise AssertionError("a descent table, a locator or a bucket grid was "
-                         "made")
+    raise AssertionError("a descent table or a locator was made")
 
 
 def test_evaluation_and_curve_build_no_pieces(tmp_path):
     maps = _query_maps()
-    # building maps, profiles, reports and validate make no descent table,
-    # no locator and no bucket grid
+    # building maps, profiles, reports and validate make no descent table
+    # and no locator
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homeo.HierarchicalMap, "_descent", property(_unread))
         mp.setattr(qcmaps.TemplateStack, "locator", _unread)
-        mp.setattr(qcmaps, "_bucket_grids", _unread)
         for argv in (["report", "--case", "slow-to-fast", "--depth", "12"],
                      ["report", "--case", "theoremB", "--depth", "12"],
                      ["david", "--case", "theoremB", "--depth", "12",
@@ -336,7 +322,7 @@ def test_evaluation_and_curve_build_no_pieces(tmp_path):
                 validate(t, float(t.image_areas.sum()))
     for key, m in maps.items():
         assert "_descent" not in m.__dict__, key
-        assert not {"_locators", "_grids"} & m.templates.__dict__.keys(), key
+        assert "_locators" not in m.templates.__dict__, key
     rng = np.random.default_rng(20261020)
     for key, m in _query_maps().items():
         for x, y in _seeded_points(m, 200, rng):
