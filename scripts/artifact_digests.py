@@ -11,8 +11,9 @@ both formats, deep maps (theoremB reports at depths 64 and 200,
 slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
 box counts (`dims --box-depths`) on thin, thick and tiny-side gauges up
-to depth 9, large level and profile exports (`cantor --gauge geometric:1
---depth 8`, `sigma --depth 8`, a depth-150 inverse profile, and the
+to depth 9 and on the 8-adic row up to the row cap (depth 11), large
+level and profile exports (`cantor --gauge geometric:1 --depth 8`,
+`sigma --depth 8`, a depth-150 inverse profile, and the
 David check of that map at K0 = 100), annulus templates that fail
 validation (exit 2), a twist at a = 1e-12, and inputs that must exit 1
 (a traceback shows as exit code `raised`), among them `dims` requests
@@ -141,6 +142,7 @@ FIXED = (
        for argv in (("--gauge", "fast", "--box-depths", "1,5,9"),
                     ("--gauge", "sqrt", "--box-depths", "2,9"),
                     ("--family", "sigma", "--box-depths", "3,9"),
+                    ("--family", "sigma", "--box-depths", "9,10,11"),
                     ("--gauge", "geometric:0.05", "--box-depths", "3,9"),
                     ("--gauge", "geometric:5", "--box-depths", "2,9"),
                     ("--gauge", "slow", "--box-depths", "0,4"))]

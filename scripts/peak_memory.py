@@ -9,7 +9,8 @@ directory, removed at the end)
 peak_mb is the child's own peak resident set size (`ru_maxrss`, in MB of
 2^20 bytes), read just before it exits; bytes is the size of the artifact
 that `--out` wrote.  The commands are `cantor --gauge sqrt --depth 10` and
-`11` and `curve --depth 8` and `9`, each in both formats.  Each artifact
+`11` and `curve --depth 8` and `9`, each in both formats, and the box count
+`dims --family sigma --box-depths 10,11` of the 8-adic row.  Each artifact
 is deleted once measured, so at most one is on disk at a time.  The last
 build is the first `evaluate` on a depth-400 map, which makes the map's
 descent table and the point-location rows of the one template that holds
@@ -27,7 +28,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = [["cantor", "--gauge", "sqrt", "--depth", str(d), "--format", f]
             for d in (10, 11) for f in ("json", "csv")] + \
            [["curve", "--depth", str(d), "--format", f]
-            for d in (8, 9) for f in ("json", "csv")]
+            for d in (8, 9) for f in ("json", "csv")] + \
+           [["dims", "--family", "sigma", "--box-depths", "10,11"]]
 # the in-memory builds: the level centers, the map and its curve, and a
 # deep map with its first point
 BUILDS = [(f"build_level(sqrt, {d})",

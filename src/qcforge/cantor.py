@@ -11,12 +11,12 @@ Two families are built here:
 
 Dimension estimators: truncated limsup/liminf bounds from the covering /
 mass-distribution argument, grid box counting, and a Frostman-ratio probe.
-Box counting builds only a level's diagonal: a level is the product of its
-x and its y center coordinates, so the grid boxes it meets are the columns
-met times the rows met.  The probe builds no level: it walks the digit tree
-of the square nest from the root, counting whole subtrees that lie inside
-or outside a disk, and tests single level-n squares only near the disk's
-boundary.
+Box counting builds no level: a level is the product of its x and its y
+center coordinates, so the grid boxes it meets are the columns met times the
+rows met, each counted from its axis's coordinates in bounded blocks.  Nor
+does the probe: it walks the digit tree of the square nest from the root,
+counting whole subtrees that lie inside or outside a disk, and tests single
+level-n squares only near the disk's boundary.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ _ROW_GAUGE = GaugeSequence("geometric", nu=2.0)
 # 4^12 level centers peak at about 435 MB, and 3.7 M walk rows take about
 # 350 MB (deep levels of thin gauges keep that many nodes near disk edges)
 _MAX_ROWS = 2 ** 23
+_BLOCK_ROWS = 4096  # most rows of a block of `_path_sums`
 
 
 def _check_depth(n: int):
@@ -173,21 +174,38 @@ def _check_side(table: "LevelTable"):
                               "floating point")
 
 
-def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
-                 ) -> np.ndarray:
-    """Centers reached from the origin by adding one of the child offsets
-    per level, in digit-path order (shape (4^n, 2) for n levels of four
-    offsets); a level of more than `_MAX_ROWS` squares raises
-    `DepthLimitError` unbuilt, also when only some children are listed."""
+def _path_sums(offsets_per_level, origin, block_rows=_BLOCK_ROWS):
+    """The sums origin + offsets_per_level[0][d_1] + ... + [n - 1][d_n],
+    added left to right, of every digit path in digit-path order, in blocks
+    of at most `block_rows` rows.  A level of more than `_MAX_ROWS` squares
+    raises `DepthLimitError` at the call, also if not every child is listed."""
     n = len(offsets_per_level)
     if 4 ** n > _MAX_ROWS:
         raise DepthLimitError(f"level {n} has 4^{n} squares, more than the "
                               f"cap of {_MAX_ROWS} rows")
-    centers = np.zeros((1, 2))
-    for offs in offsets_per_level:
-        centers = (centers[:, None, :]
-                   + np.asarray(offs)[None, :, :]).reshape(-1, 2)
-    return centers
+    origin = np.asarray(origin, dtype=float)
+    offs = [np.asarray(o, dtype=float) for o in offsets_per_level]
+
+    def grow(sums, levels):
+        for o in levels:
+            sums = (sums[:, None] + o[None]).reshape(-1, *origin.shape)
+        return sums
+
+    # the last levels whose paths fit in one block, summed below each prefix
+    cut, rows = n, 1
+    while cut and rows * len(offs[cut - 1]) <= block_rows:
+        cut -= 1
+        rows *= len(offs[cut])
+    return (grow(prefix[None], offs[cut:])
+            for prefix in grow(origin[None], offs[:cut]))
+
+
+def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
+                 ) -> np.ndarray:
+    """Centers reached from the origin by adding one of the child offsets
+    per level, in digit-path order (shape (4^n, 2) for n levels of four
+    offsets): the one unbounded block of `_path_sums`."""
+    return next(_path_sums(offsets_per_level, (0.0, 0.0), math.inf))
 
 
 @dataclass(frozen=True)
@@ -255,17 +273,16 @@ class Construction:
         return LevelTable(d, sides, [dk ** 2 for dk in d], offsets.tolist())
 
     def level(self, n: int) -> CantorLevel:
-        return CantorLevel(self.family, n, *self._squares(n, (0, 1, 2, 3)))
+        table = self._checked_table(n)
+        return CantorLevel(self.family, n, table.sides[n],
+                           nest_centers(table.offsets))
 
-    def _squares(self, n: int, order: Sequence[int]
-                 ) -> tuple[float, np.ndarray]:
-        """The side of level n and the centers of its squares whose digits
-        all lie in `order`, after the checks of the whole level: the depth
-        guard, a side 0 in floating point, and the cap on its 4^n rows."""
+    def _checked_table(self, n: int) -> LevelTable:
+        """The table of levels 0..n, after the guard and a level-n side 0."""
         _check_depth(n)
-        table = self.table(n, order)
+        table = self.table(n)
         _check_side(table)
-        return table.sides[n], nest_centers(table.offsets)
+        return table
 
     def describe(self) -> str:
         if self.family == "sigma":
@@ -338,15 +355,17 @@ def _grid_ranges(centers: np.ndarray, half: float, box: float
     return lo, np.maximum(hi, lo)
 
 
-def _union_size(lo: np.ndarray, hi: np.ndarray) -> int:
-    """Number of integers in the union of the intervals [lo, hi]."""
+def _union_size(lo: np.ndarray, hi: np.ndarray, top: int = -2 ** 63) -> int:
+    """Number of integers above `top` in the union of the intervals [lo, hi]:
+    with `top` the highest hi before, the counts of blocks whose intervals
+    start no earlier than any before them add up to the whole count."""
     order = np.argsort(lo)
     lo, hi = lo[order], hi[order]
-    # the intervals before one in this order start no later than it does,
-    # so their union meets it in [its lo, the highest hi before it]
-    start = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1] + 1)
-    return int(hi[0] - lo[0]) + 1 + int(np.maximum(hi[1:] - start + 1,
-                                                   0).sum())
+    # the intervals before one in this order, those of earlier blocks
+    # included, start no later than it does, so their union meets it in
+    # [its lo, the highest hi before it]
+    before = np.maximum.accumulate(np.concatenate(([top], hi[:-1])))
+    return int(np.maximum(hi - np.maximum(lo, before + 1) + 1, 0).sum())
 
 
 def count_boxes(level: CantorLevel, box: float | None = None) -> int:
@@ -413,6 +432,23 @@ def count_segment_boxes(vertices: np.ndarray, box: float) -> int:
     return len(keys)
 
 
+def _axis_boxes(offsets: np.ndarray, side: float) -> int:
+    """Grid boxes of size `side` met on one axis by the segments of length
+    `side` about the path sums of `offsets`, each level's ascending, with
+    the columns that repeat their left neighbour on every level dropped."""
+    offsets = offsets[:, np.append(True, (np.diff(offsets) != 0).any(0))]
+    # a nest axis has 2^n <= 2^11 sums under the row cap, one block; the
+    # 8-adic row's x sums are dyadic of at most 3n + 1 <= 34 bits, so exact,
+    # its grid divides by a power of 2, and its squares lie 2 boxes apart:
+    # lo rises strictly across blocks, as the carried `top` needs
+    count, top = 0, -2 ** 63
+    for sums in _path_sums(offsets, 0.0):
+        lo, hi = _grid_ranges(sums, side / 2.0, side)
+        count += _union_size(lo, hi, top)
+        top = max(top, int(hi.max()))
+    return count
+
+
 def box_dimension(construction: Construction,
                   depths: Sequence[int]) -> DimensionEstimate:
     """Least-squares box-counting estimate over several depths, each level
@@ -420,28 +456,28 @@ def box_dimension(construction: Construction,
     `count_boxes`, with the count `count_boxes` gives on the built level.
 
     Each digit adds an x and a y offset on its own, so a level's centers
-    are the product of its x and its y coordinates (on the 8-adic row every
-    y is 0), and the boxes it meets are the columns met times the rows met.
-    Only the level's diagonal is built: the 2^n squares of SW and NE digits
-    on the square nest, whose offsets take both signs on both axes, and the
-    whole 4^n row on the 8-adic set.  Its centers are summed in the order
-    of `nest_centers`, so every coordinate has the bits of the built level,
-    and the checks of `Construction.level` run on it in the same order.
+    are the product of its x and its y coordinates, and the boxes it meets
+    are the columns met times the rows met.  No level is built: each axis
+    is counted from the path sums of its distinct offsets per level, 2 per
+    axis on the square nest, 4 in x and 1 in y on the 8-adic row.  They are
+    summed in the order of `nest_centers`, so every coordinate has the bits
+    of the built level, and the checks of `Construction.level` run in the
+    same order.
     """
     if len(depths) < 2:
         raise ValidationError("box counting needs at least two depths")
     if len(set(depths)) < len(depths):
         raise ValidationError(f"box counting needs distinct depths, got "
                               f"{','.join(map(str, depths))}")
-    order = (0, 1, 2, 3) if construction.family == "sigma" else (0, 2)
     logN = []
     logS = []
     scales = []
     for n in depths:
-        side, diagonal = construction._squares(n, order)
-        lo, hi = _grid_ranges(diagonal, side / 2.0, side)
-        logN.append(math.log(_union_size(lo[:, 0], hi[:, 0])
-                             * _union_size(lo[:, 1], hi[:, 1])))
+        table = construction._checked_table(n)
+        side = table.sides[n]
+        offs = np.sort(np.reshape(table.offsets, (n, 4, 2)), axis=1)
+        logN.append(math.log(_axis_boxes(offs[:, :, 0], side)
+                             * _axis_boxes(offs[:, :, 1], side)))
         logS.append(-math.log(side))
         scales.append(side)
     slope = float(np.polyfit(logS, logN, 1)[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -298,20 +299,17 @@ def test_box_dimension_builds_no_level(c, monkeypatch):
 
     for owner, name in ((Construction, "level"), (cantor, "build_level"),
                         (cantor, "build_sigma_level"),
-                        (cantor, "count_boxes")):
+                        (cantor, "count_boxes"), (cantor, "nest_centers")):
         monkeypatch.setattr(owner, name, refuse)
-    rows = []
-    nest_centers = cantor.nest_centers
-
-    def counted(offsets):
-        centers = nest_centers(offsets)
-        rows.append((len(offsets), len(centers)))
-        return centers
-
-    monkeypatch.setattr(cantor, "nest_centers", counted)
     box_dimension(c, [0, 3, 9])
-    per_digit = 4 if c.family == "sigma" else 2
-    assert rows == [(n, per_digit ** n) for n in (0, 3, 9)]
+    # the 4^10 squares of the 8-adic row's level 10 take 16 MB as centers
+    tracemalloc.start()
+    try:
+        box_dimension(c, [9, 10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 8)),
@@ -328,6 +326,43 @@ def test_union_size_counts_the_integers_covered(spans):
     hi = lo + np.array([n for _, n in spans], dtype=np.int64)
     want = {i for a, n in spans for i in range(a, a + n + 1)}
     assert cantor._union_size(lo, hi) == len(want)
+
+
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 8)),
+                min_size=1, max_size=40), st.lists(st.integers(1, 12),
+                                                   max_size=8))
+@example([(0, 2), (1, 0), (1, 5), (9, 0)], [1, 1, 1])  # reach across blocks
+@settings(max_examples=200, deadline=None)
+def test_union_size_adds_up_over_consecutive_blocks(spans, cuts):
+    spans.sort(key=lambda span: span[0])
+    lo = np.array([a for a, _ in spans], dtype=np.int64)
+    hi = lo + np.array([n for _, n in spans], dtype=np.int64)
+    ends = sorted({0, len(spans)} | {min(c, len(spans)) for c in
+                                     np.cumsum(cuts).tolist()})
+    count, top = 0, -2 ** 63
+    for a, b in zip(ends, ends[1:]):
+        # each block reversed: the blocks are ordered, not their rows
+        count += cantor._union_size(lo[a:b][::-1], hi[a:b][::-1], top)
+        top = max(top, int(hi[a:b].max()))
+    assert count == cantor._union_size(lo, hi)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_streamed_row_axis_counts_the_whole_axis(n):
+    # the 8-adic row's x axis up to the row cap: its 4^n sums come in 4^(n-6)
+    # blocks, and their count is that of the whole axis built as one array,
+    # each center's own sum in digit-path order, and the closed form 2 * 4^n
+    table = Construction("sigma").table(n)
+    x_offsets = np.reshape(table.offsets, (n, 4, 2))[:, :, 0]
+    side = table.sides[n]
+    streamed = cantor._axis_boxes(x_offsets, side)
+    xs = np.zeros(1)
+    for offs in x_offsets:
+        xs = (xs[:, None] + offs).ravel()
+    assert len(xs) == 4 ** n
+    lo, hi = cantor._grid_ranges(xs, side / 2.0, side)
+    del xs
+    assert cantor._union_size(lo, hi) == streamed == 2 * 4 ** n
 
 
 def test_count_segment_boxes():
