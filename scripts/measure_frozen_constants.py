@@ -10,12 +10,11 @@ import math
 
 import numpy as np
 
-from qcforge.analysis import (DavidParams, _closed_exceedances, check_david,
-                              dilatation_profile, fit_david, level_ratio,
-                              THEOREM_A_CASES)
+from qcforge.analysis import (CASES, DavidParams, _closed_exceedances,
+                              check_david, dilatation_profile, fit_david,
+                              level_ratio)
 from qcforge.cantor import frostman_profile, make_gauge
-from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
-                           theoremB_homeo)
+from qcforge.homeo import invert, max_dilatation_per_level, standard_homeo
 from qcforge.qcmaps import annulus_extension_any, twist_extension
 
 
@@ -50,23 +49,24 @@ def main():
           for a in np.arange(0.005, 0.2, 0.005)]
     print(f"TWIST_BAND measured:   [{min(ka):.4f}, {max(ka):.4f}]")
 
+    # every case at its default nu: the rate bands over levels 3..14 of a
+    # gauge pairing (THEOREM_A_RATE_BANDS) and 2..20 of theorem B's map
+    # (THEOREM_B_RATE_BAND), DIL_RATIO_BAND over levels 1..14 of the
+    # pairings, and the K0 of FROZEN_K0 per case and direction
+    levels = {"standard": range(3, 15), "theoremB": range(2, 21)}
     dil_ratios = []
-    for case, (gauges, _, rate) in THEOREM_A_CASES.items():
-        src, dst = gauges(1.0)
-        m = standard_homeo(src, dst, 14)
+    for case, row in CASES.items():
+        m = row.build(20, row.default)
         kl = max_dilatation_per_level(m)
-        rr = [K / rate(k) for k, K in kl if 3 <= k <= 14]
-        dil_ratios += [K / level_ratio(src, dst, k) for k, K in kl]
+        rr = [K / row.rate_of(k) for k, K in kl if k in levels[m.kind]]
+        if m.kind == "standard":
+            src, dst = m.source.gauge, m.target.gauge
+            dil_ratios += [K / level_ratio(src, dst, k)
+                           for k, K in kl if k <= 14]
         print(f"{case}: rate band [{min(rr):.4f}, {max(rr):.4f}]"
               f"  K0 fwd {min_k0(m):.4f}  inv {min_k0(invert(m)):.4f}")
     print(f"DIL_RATIO_BAND measured: [{min(dil_ratios):.4f}, "
           f"{max(dil_ratios):.4f}]")
-
-    tb = theoremB_homeo(20)
-    rr = [K / math.sqrt(k)
-          for k, K in max_dilatation_per_level(tb) if 2 <= k <= 20]
-    print(f"THEOREM_B_RATE_BAND measured: [{min(rr):.4f}, {max(rr):.4f}]"
-          f"  K0 fwd {min_k0(tb):.4f}  inv {min_k0(invert(tb)):.4f}")
 
     m = standard_homeo(make_gauge("slow"), make_gauge("geometric", 1.0), 12)
     fit = fit_david(dilatation_profile(m, "domain"))

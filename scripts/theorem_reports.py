@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Write the scenario reports and the midline curve as JSON/CSV files, one
-`qcforge report` or `qcforge curve` run each.
+`qcforge report` per case of `qcforge.analysis.CASES` and one
+`qcforge curve`.
 
 Usage: python3 scripts/theorem_reports.py [outdir]   (default: ./reports)
 
@@ -11,12 +12,11 @@ script stops only on exit code 1, an input error.
 import os
 import sys
 
-from qcforge import cli
+from qcforge import analysis, cli
 
-# (file name, CLI arguments)
+# (file name, CLI arguments): one report per case of `analysis.CASES`
 RUNS = ([(f"{case}.json", ("report", "--case", case, "--depth", "12"))
-         for case in ("slow_to_geometric", "geometric_to_fast",
-                      "slow_to_fast", "theoremB")]
+         for case in analysis.CASES]
         + [("curve_depth6.csv", ("curve", "--depth", "6", "--format", "csv"))])
 
 

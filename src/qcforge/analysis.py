@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +32,11 @@ __all__ = [
     "fit_david",
     "qc_dimension_bounds",
     "level_ratio",
+    "Case",
+    "CASES",
+    "report",
     "theoremA_report",
     "theoremB_report",
-    "THEOREM_A_CASES",
 ]
 
 
@@ -230,20 +233,6 @@ def level_ratio(src: GaugeSequence, dst: GaugeSequence, k: int) -> float:
     return max(r, 1.0 / r)
 
 
-# scenario name -> (source gauge, target gauge, rate description, rate fn)
-THEOREM_A_CASES = {
-    "slow_to_geometric": (
-        lambda nu: (make_gauge("slow"), make_gauge("geometric", nu)),
-        "log k", lambda k: math.log(k)),
-    "geometric_to_fast": (
-        lambda nu: (make_gauge("geometric", nu), make_gauge("fast")),
-        "k^log 2", lambda k: k ** math.log(2.0)),
-    "slow_to_fast": (
-        lambda nu: (make_gauge("slow"), make_gauge("fast")),
-        "k^log 2 * log k", lambda k: k ** math.log(2.0) * math.log(k)),
-}
-
-
 def _david_sweep(m: HierarchicalMap, K0: float):
     """(C, alpha) = (1, 1) checks of the domain profile at depths 3..depth,
     in one pass over the levels.
@@ -278,63 +267,82 @@ def _david_sweep(m: HierarchicalMap, K0: float):
     return out
 
 
-def _david(fwd: HierarchicalMap, case: str) -> dict:
-    """Checks at depths 3..depth of the map and of its inverse, each with
-    the frozen cutoff of its direction."""
-    out = {}
-    for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
-        k0 = FROZEN_K0[(case, direction)]
-        out[direction] = {"K0": k0, "checks": _david_sweep(m, k0)}
+@dataclass(frozen=True)
+class Case:
+    """A scenario of `report`, `david` and `profile --case`."""
+
+    build: Callable[[int, float | None], HierarchicalMap]  # (n, nu) -> map
+    default: float | None  # nu's default; None: no nu, `build` ignores it
+    rate: str  # the growth of K_k that `rate_of(k)` computes
+    rate_of: Callable[[int], float]
+    K0: dict[str, float]  # the frozen David cutoff per direction
+    level_params: tuple[tuple[str, str], ...] = ()  # (key, template param)
+    endpoints: bool = False  # whether the report gives dimension bounds
+    aliases: tuple[str, ...] = ()  # further names the CLI accepts
+
+
+def _frozen_k0(case: str) -> dict[str, float]:
+    return {d: FROZEN_K0[(case, d)] for d in ("forward", "inverse")}
+
+
+# the scenarios, in the order the CLI lists them: three gauge pairings of
+# theorem A (the endpoint dimension pairs) and theorem B's dimension-2 curve
+CASES = {
+    "slow_to_geometric": Case(
+        lambda n, nu: standard_homeo(make_gauge("slow"),
+                                     make_gauge("geometric", nu), n),
+        1.0, "log k", math.log, _frozen_k0("slow_to_geometric"),
+        endpoints=True),
+    "geometric_to_fast": Case(
+        lambda n, nu: standard_homeo(make_gauge("geometric", nu),
+                                     make_gauge("fast"), n),
+        1.0, "k^log 2", lambda k: k ** math.log(2.0),
+        _frozen_k0("geometric_to_fast"), endpoints=True),
+    "slow_to_fast": Case(
+        lambda n, nu: standard_homeo(make_gauge("slow"), make_gauge("fast"),
+                                     n),
+        None, "k^log 2 * log k", lambda k: k ** math.log(2.0) * math.log(k),
+        _frozen_k0("slow_to_fast"), endpoints=True),
+    "theoremB": Case(
+        lambda n, nu: theoremB_homeo(n), None, "sqrt k", math.sqrt,
+        _frozen_k0("theoremB"), (("twist_a", "a"),), aliases=("theorem_b",)),
+}
+
+
+def report(case: str, n_max: int, param: float | None = None) -> dict:
+    """Per-level K_k, template parameters and K_k / rate(k), endpoint
+    bounds if the case has them, and David checks in both directions of
+    `CASES[case]` with nu = `param` (None: the default; ignored if none)."""
+    row = CASES.get(case)
+    if row is None:
+        raise DomainError(f"unknown case {case!r}; "
+                          f"choose from {sorted(CASES)}")
+    if n_max < 3:
+        raise DomainError(f"n_max must be >= 3, got {n_max}")
+    nu = row.default if param is None else param
+    fwd = row.build(n_max, nu)
+    cols = [(f, fwd.templates.param(p).tolist()) for f, p in row.level_params]
+    levels = [{"level": k, "K": K, **{f: col[k - 1] for f, col in cols},
+               "ratio": K / row.rate_of(k) if row.rate_of(k) > 0 else None}
+              for k, K in max_dilatation_per_level(fwd)]
+    out = {"case": case, **({} if row.default is None else {"nu": nu}),
+           "rate": row.rate, "levels": levels}
+    if row.endpoints:
+        out["endpoints"] = {}
+        for side, c in (("source", fwd.source), ("target", fwd.target)):
+            b = dimension_bounds(c.gauge, 50)
+            out["endpoints"][side] = {"gauge": c.gauge.describe(),
+                                      "lower": b.lower, "upper": b.upper}
+    out["david"] = {d: {"K0": row.K0[d], "checks": _david_sweep(m, row.K0[d])}
+                    for d, m in (("forward", fwd), ("inverse", invert(fwd)))}
     return out
 
 
 def theoremA_report(case: str, n_max: int, nu: float = 1.0) -> dict:
-    """Growth-rate ratios, David checks in both directions, and endpoint
-    dimension bounds for one slow/geometric/fast gauge pairing."""
-    if case not in THEOREM_A_CASES:
-        raise DomainError(f"unknown case {case!r}; "
-                          f"choose from {sorted(THEOREM_A_CASES)}")
-    if n_max < 3:
-        raise DomainError(f"n_max must be >= 3, got {n_max}")
-    gauges, rate_desc, rate = THEOREM_A_CASES[case]
-    src, dst = gauges(nu)
-    fwd = standard_homeo(src, dst, n_max)
-    klist = max_dilatation_per_level(fwd)
-    sb = dimension_bounds(src, 50)
-    db = dimension_bounds(dst, 50)
-    # slow_to_fast builds the same map whatever nu is, so it has no "nu"
-    return {
-        "case": case,
-        **({} if case == "slow_to_fast" else {"nu": nu}),
-        "rate": rate_desc,
-        "levels": [
-            {"level": k, "K": K,
-             "ratio": K / rate(k) if rate(k) > 0 else None}
-            for k, K in klist
-        ],
-        "endpoints": {
-            "source": {"gauge": src.describe(), "lower": sb.lower,
-                       "upper": sb.upper},
-            "target": {"gauge": dst.describe(), "lower": db.lower,
-                       "upper": db.upper},
-        },
-        "david": _david(fwd, case),
-    }
+    """`report` of a theorem A gauge pairing."""
+    return report(case, n_max, nu)
 
 
 def theoremB_report(n_max: int) -> dict:
-    """Twist parameters, K_k / sqrt(k) ratios, and David checks for the
-    8-adic-to-square-nest map."""
-    if n_max < 3:
-        raise DomainError(f"n_max must be >= 3, got {n_max}")
-    fwd = theoremB_homeo(n_max)
-    return {
-        "case": "theoremB",
-        "rate": "sqrt k",
-        "levels": [
-            {"level": k, "K": K, "twist_a": a, "ratio": K / math.sqrt(k)}
-            for (k, K), a in zip(max_dilatation_per_level(fwd),
-                                 fwd.templates.param("a").tolist())
-        ],
-        "david": _david(fwd, "theoremB"),
-    }
+    """`report` of the 8-adic-to-square-nest map of theorem B."""
+    return report("theoremB", n_max)

@@ -459,7 +459,8 @@ def box_dimension(construction: Construction,
     are the product of its x and its y coordinates, and the boxes it meets
     are the columns met times the rows met.  No level is built: each axis
     is counted from the path sums of its distinct offsets per level, 2 per
-    axis on the square nest, 4 in x and 1 in y on the 8-adic row.  They are
+    axis on the square nest, 4 in x and 1 in y on the 8-adic row; a nest's
+    y axis has the bits of its x axis and is not counted again.  They are
     summed in the order of `nest_centers`, so every coordinate has the bits
     of the built level, and the checks of `Construction.level` run in the
     same order.
@@ -469,17 +470,17 @@ def box_dimension(construction: Construction,
     if len(set(depths)) < len(depths):
         raise ValidationError(f"box counting needs distinct depths, got "
                               f"{','.join(map(str, depths))}")
-    logN = []
-    logS = []
-    scales = []
+    logN, scales = [], []
     for n in depths:
         table = construction._checked_table(n)
         side = table.sides[n]
         offs = np.sort(np.reshape(table.offsets, (n, 4, 2)), axis=1)
-        logN.append(math.log(_axis_boxes(offs[:, :, 0], side)
-                             * _axis_boxes(offs[:, :, 1], side)))
-        logS.append(-math.log(side))
+        x, y = offs[:, :, 0], offs[:, :, 1]
+        columns = _axis_boxes(x, side)
+        rows = columns if x.tobytes() == y.tobytes() else _axis_boxes(y, side)
+        logN.append(math.log(columns * rows))
         scales.append(side)
+    logS = [-math.log(side) for side in scales]
     slope = float(np.polyfit(logS, logN, 1)[0])
     pair = [(b - a) / (d - c)
             for a, b, c, d in zip(logN, logN[1:], logS, logS[1:])]

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, cantor, export, frozen, homeo, qcmaps
+from . import analysis, cantor, export, homeo, qcmaps
 from .errors import QCForgeError
 
 
@@ -48,34 +48,38 @@ def _parse_depths(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_case(text: str) -> tuple[str, float]:
+def _case_choices() -> str:
+    """The `--case` names of `analysis.CASES`, '[:nu]' marking a parameter."""
+    names = [name.replace("_", "-") + ("" if c.default is None else "[:nu]")
+             for name, c in analysis.CASES.items()]
+    return ", ".join(names[:-1]) + ", or " + names[-1]
+
+
+def _parse_case(text: str) -> tuple[str, float | None]:
+    """`--case` text as (a name of `analysis.CASES`, its nu): the given
+    parameter, else the case's default (None for a case that takes none)."""
     given, colon, param = text.partition(":")
-    name = given.replace("-", "_")
-    if name == "theorem_b":
-        name = "theoremB"
-    if name != "theoremB" and name not in analysis.THEOREM_A_CASES:
-        raise QCForgeError(
-            f"unknown case {text!r}; choose slow-to-geometric[:nu], "
-            "geometric-to-fast[:nu], slow-to-fast, or theoremB")
+    key = given.replace("-", "_")
+    name = next((n for n, c in analysis.CASES.items()
+                 if key == n or key in c.aliases), None)
+    if name is None:
+        raise QCForgeError(f"unknown case {text!r}; choose {_case_choices()}")
+    case = analysis.CASES[name]
     try:
-        nu = float(param) if colon else 1.0
+        nu = float(param) if colon else case.default
     except ValueError:
         raise QCForgeError(f"case parameter {param!r} is not a number") \
             from None
-    # these two cases build the same map whatever nu is
-    if colon and name in ("theoremB", "slow_to_fast"):
+    if colon and case.default is None:
         raise QCForgeError(f"case {given!r} takes no parameter, got {param!r}")
     return name, nu
 
 
-def _case_map(case: str, nu: float, depth: int,
-              direction: str) -> homeo.HierarchicalMap:
-    if case == "theoremB":
-        m = homeo.theoremB_homeo(depth)
-    else:
-        src, dst = analysis.THEOREM_A_CASES[case][0](nu)
-        m = homeo.standard_homeo(src, dst, depth)
-    return homeo.invert(m) if direction == "inverse" else m
+def _case_map(args) -> tuple[str, homeo.HierarchicalMap]:
+    """The case of `--case` and its map at `--depth` in `--direction`."""
+    case, nu = _parse_case(args.case)
+    m = analysis.CASES[case].build(args.depth, nu)
+    return case, homeo.invert(m) if args.direction == "inverse" else m
 
 
 def _emit(parts, out: str | None):
@@ -100,24 +104,30 @@ def build_parser() -> argparse.ArgumentParser:
                             "homeomorphisms, and dilatation statistics.")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def add(name, help_, csv=False):
+    def add(name, help_, runner, csv=False, case=False):
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(runner=runner)
         sp.add_argument("--out", help="output path (default: stdout)")
         if csv:
             sp.add_argument("--format", choices=("json", "csv"),
                             default="json")
+        if case:
+            sp.add_argument("--case", required=True,
+                            help=f"the scenario: {_case_choices()}")
+            sp.add_argument("--depth", required=True, type=int)
         return sp
 
     sp = add("cantor", "materialize one level of a square-nest construction",
-             csv=True)
+             _run_cantor, csv=True)
     sp.add_argument("--gauge", required=True, type=_parse_gauge)
     sp.add_argument("--depth", required=True, type=int)
 
     sp = add("sigma", "materialize one level of the linear 8-adic set",
-             csv=True)
+             _run_cantor, csv=True)
     sp.add_argument("--depth", required=True, type=int)
 
-    sp = add("dims", "dimension bounds, box counting, and Frostman ratios")
+    sp = add("dims", "dimension bounds, box counting, and Frostman ratios",
+             _run_dims)
     sp.add_argument("--gauge", type=_parse_gauge)
     sp.add_argument("--family", choices=("lambda", "sigma"), default="lambda")
     sp.add_argument("--levels", type=int, default=50)
@@ -127,41 +137,39 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=32)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("annulus", "concentric-annulus extension template")
+    sp = add("annulus", "concentric-annulus extension template", _run_template)
     sp.add_argument("--a", required=True, type=float)
     sp.add_argument("--b", required=True, type=float)
 
-    sp = add("twist", "two-hole twist extension template")
+    sp = add("twist", "two-hole twist extension template", _run_template)
     sp.add_argument("--a", required=True, type=float)
 
-    sp = add("homeo", "hierarchical map summary")
+    sp = add("homeo", "hierarchical map summary", _run_homeo)
     sp.add_argument("--src", type=_parse_gauge)
     sp.add_argument("--dst", type=_parse_gauge)
     sp.add_argument("--depth", required=True, type=int)
     sp.add_argument("--theorem-b", action="store_true")
 
-    sp = add("profile", "dilatation exceedance profile", csv=True)
-    sp.add_argument("--case", required=True)
-    sp.add_argument("--depth", required=True, type=int)
+    sp = add("profile", "dilatation exceedance profile", _run_profile,
+             csv=True, case=True)
     sp.add_argument("--side", choices=("domain", "image"), default="domain")
     sp.add_argument("--direction", choices=("forward", "inverse"),
                     default="forward")
 
-    sp = add("david", "exponential exceedance-decay verdict")
-    sp.add_argument("--case", required=True)
-    sp.add_argument("--depth", required=True, type=int)
+    sp = add("david", "exponential exceedance-decay verdict", _run_david,
+             case=True)
     sp.add_argument("--direction", choices=("forward", "inverse"),
                     default="forward")
     sp.add_argument("--C", type=float, default=1.0)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--K0", type=float, help="override the frozen cutoff")
 
-    sp = add("curve", "image polyline of the horizontal midline", csv=True)
+    sp = add("curve", "image polyline of the horizontal midline", _run_curve,
+             csv=True)
     sp.add_argument("--depth", required=True, type=int)
 
-    sp = add("report", "scenario report: rates, exceedance checks, bounds")
-    sp.add_argument("--case", required=True)
-    sp.add_argument("--depth", required=True, type=int)
+    add("report", "scenario report: rates, exceedance checks, bounds",
+        _run_report, case=True)
 
     return p
 
@@ -211,11 +219,12 @@ def _run_dims(args) -> int:
 
 
 def _run_template(args) -> int:
+    # one-level stacks; an input they refuse gets the scalar builder's error
     if args.cmd == "annulus":
-        pmap = qcmaps.annulus_extension_any(args.a, args.b)
+        pmap = qcmaps.annulus_templates([args.a], [args.b]).template(0, 0)
         target = 1.0 - (1.0 - 2.0 * args.b) ** 2
     else:
-        pmap = qcmaps.twist_extension(args.a)
+        pmap = qcmaps.twist_templates([args.a]).template(0, 0)
         target = 0.5 - 2.0 * (0.5 - 2.0 * args.a) ** 2
     report = qcmaps.validate(pmap, target_area=target)
     obj = pmap.to_json_obj()
@@ -240,8 +249,7 @@ def _run_homeo(args) -> int:
 
 
 def _run_profile(args) -> int:
-    case, nu = _parse_case(args.case)
-    m = _case_map(case, nu, args.depth, args.direction)
+    _, m = _case_map(args)
     prof = analysis.dilatation_profile(m, args.side)
     # the bound column C e^(-alpha K) does not read K0
     params = analysis.DavidParams(1.0, 1.0, 1.0)
@@ -262,10 +270,9 @@ def _run_profile(args) -> int:
 
 
 def _run_david(args) -> int:
-    case, nu = _parse_case(args.case)
-    m = _case_map(case, nu, args.depth, args.direction)
+    case, m = _case_map(args)
     k0 = args.K0 if args.K0 is not None \
-        else frozen.FROZEN_K0[(case, args.direction)]
+        else analysis.CASES[case].K0[args.direction]
     params = analysis.DavidParams(args.C, args.alpha, k0)
     prof = analysis.dilatation_profile(m, "domain")
     passed, margin = analysis.check_david(prof, params)
@@ -299,35 +306,18 @@ def _run_curve(args) -> int:
 
 def _run_report(args) -> int:
     case, nu = _parse_case(args.case)
-    if case == "theoremB":
-        obj = analysis.theoremB_report(args.depth)
-    else:
-        obj = analysis.theoremA_report(case, args.depth, nu)
+    obj = analysis.report(case, args.depth, nu)
     _emit(export.json_parts(obj), args.out)
     ok = all(c["passed"]
              for d in obj["david"].values() for c in d["checks"])
     return 0 if ok else 2
 
 
-_RUNNERS = {
-    "cantor": _run_cantor,
-    "sigma": _run_cantor,
-    "dims": _run_dims,
-    "annulus": _run_template,
-    "twist": _run_template,
-    "homeo": _run_homeo,
-    "profile": _run_profile,
-    "david": _run_david,
-    "curve": _run_curve,
-    "report": _run_report,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _RUNNERS[args.cmd](args)
+        return args.runner(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     except QCForgeError as e:

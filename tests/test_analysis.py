@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcforge.analysis import (THEOREM_A_CASES, DavidParams,
+from qcforge.analysis import (CASES, DavidParams,
                               DilatationProfile, _david_sweep, check_david,
                               dilatation_profile, fit_david, level_ratio,
                               qc_dimension_bounds, theoremA_report,
@@ -253,12 +253,10 @@ def _resweep(m, K0):
 
 
 def _case_map(case, depth):
-    if case == "theoremB":
-        return theoremB_homeo(depth)
-    return standard_homeo(*THEOREM_A_CASES[case][0](1.0), depth)
+    return CASES[case].build(depth, CASES[case].default)
 
 
-@pytest.mark.parametrize("case", [*THEOREM_A_CASES, "theoremB"])
+@pytest.mark.parametrize("case", [*CASES])
 def test_incremental_sweep_matches_reprofiling(case):
     fwd = _case_map(case, 48)
     for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
@@ -271,7 +269,7 @@ def test_incremental_sweep_matches_reprofiling(case):
                     _cellwise_profile(m.truncate(n), side)
 
 
-@pytest.mark.parametrize("case", [*THEOREM_A_CASES, "theoremB"])
+@pytest.mark.parametrize("case", [*CASES])
 def test_sweep_matches_check_david_beyond_frozen_cutoffs(case):
     # the sweep keeps only the thresholds above K0; cover K0 = 1 (nearly
     # all of them), K0 on a threshold (the strict >: nothing lies above the

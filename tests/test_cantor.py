@@ -281,6 +281,36 @@ def test_box_dimension_equals_the_count_of_built_levels(c):
             assert box_dimension(c, [a, b]) == want
 
 
+@pytest.mark.parametrize("c, per_depth", [
+    (Construction("lambda", make_gauge("geometric", 1.0)), 1),
+    (Construction("lambda", make_gauge("slow")), 1),
+    (Construction("sigma"), 2)], ids=lambda v: getattr(v, "family", v))
+def test_box_dimension_counts_a_repeated_axis_once(c, per_depth,
+                                                    monkeypatch):
+    # the square nest's y offsets have the bits of its x offsets, so its
+    # row count is its column count; the 8-adic row counts both axes
+    calls = []
+    real = cantor._axis_boxes
+
+    def counting(offsets, side):
+        calls.append(offsets)
+        return real(offsets, side)
+
+    monkeypatch.setattr(cantor, "_axis_boxes", counting)
+    depths = [5, 7, 9]
+    got = box_dimension(c, depths)
+    assert len(calls) == per_depth * len(depths)
+    levels = [c.level(n) for n in depths]
+    logN = [math.log(count_boxes(lv)) for lv in levels]
+    logS = [-math.log(lv.side) for lv in levels]
+    value = min(max(float(np.polyfit(logS, logN, 1)[0]), 0.0), 2.0)
+    pair = [(n1 - n0) / (s1 - s0)
+            for n0, n1, s0, s1 in zip(logN, logN[1:], logS, logS[1:])]
+    assert got == DimensionEstimate(value, min(min(pair), value),
+                                    max(max(pair), value), "box_counting",
+                                    tuple(lv.side for lv in levels))
+
+
 @pytest.mark.parametrize("c", BOX_CONSTRUCTIONS, ids=Construction.describe)
 def test_level_is_the_product_of_its_diagonal_axes(c):
     for n in range(8):

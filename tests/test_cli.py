@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import qcforge
-from qcforge import cantor
+from qcforge import cantor, qcmaps
 from qcforge.cli import build_parser, run
 from qcforge.errors import DepthLimitError
 
@@ -90,6 +90,41 @@ def test_failed_template_verdict(capsys):
     assert code == 2
     assert json.loads(out)["valid"] is False
     assert '"valid":false' in out
+
+
+# (template arguments, exit code): valid templates, thin annuli that fail
+# validation, and inputs out of range
+TEMPLATE_RUNS = (
+    [(["annulus", "--a", a, "--b", b], code) for a, b, code in (
+        ("0.1", "0.3", 0), ("0.3", "0.1", 0), ("0.2", "0.2", 0),
+        ("0.0412", "0.4437", 0), ("0.4311", "0.0263", 0),
+        ("1e-12", "0.1", 2), ("0.1", "1e-12", 2), ("0.6", "0.1", 1),
+        ("0.1", "0.5", 1), ("0", "0.1", 1), ("nan", "0.1", 1))]
+    + [(["twist", "--a", a], code) for a, code in (
+        ("1e-12", 0), ("0.0213", 0), ("0.1", 0), ("0.1899", 0), ("0.2", 1),
+        ("0.6", 1), ("-0.1", 1), ("nan", 1))])
+
+
+@pytest.mark.parametrize("argv, code", TEMPLATE_RUNS,
+                         ids=[" ".join(argv) for argv, _ in TEMPLATE_RUNS])
+def test_templates_come_from_one_level_stacks(capsys, monkeypatch, argv,
+                                              code):
+    # `annulus` and `twist` build a one-level stack and call no scalar
+    # builder, unless the stack refuses the input and falls back to one for
+    # its error; JSON, exit code and error text are those of the scalar
+    # builders
+    calls = []
+    for name in ("annulus_extension_any", "twist_extension"):
+        real = getattr(qcmaps, name)
+        monkeypatch.setattr(qcmaps, name, lambda *a, real=real:
+                            calls.append(a) or real(*a))
+    got = run(argv), capsys.readouterr()
+    assert got[0] == code and len(calls) == (code == 1)
+    monkeypatch.setattr(qcmaps, "annulus_templates", lambda a, b: qcmaps.
+                        _stack_of([[qcmaps.annulus_extension_any(*a, *b)]]))
+    monkeypatch.setattr(qcmaps, "twist_templates", lambda a: qcmaps.
+                        _stack_of([[qcmaps.twist_extension(*a)]]))
+    assert got == (run(argv), capsys.readouterr())
 
 
 @pytest.mark.parametrize("argv", [

@@ -78,7 +78,8 @@ def _points(m, rng, count=300):
 ])
 def test_evaluate_keeps_its_bits_on_a_map_profiled_without_templates(
         case, direction, digest, made):
-    m = cli._case_map(case, 1.0, 12, direction)
+    m = analysis.CASES[case].build(12, 1.0)
+    m = invert(m) if direction == "inverse" else m
     profile = analysis.dilatation_profile(m, "image")
     analysis.check_david(analysis.dilatation_profile(m),
                          analysis.DavidParams(1.0, 1.0, 2.0))
