@@ -9,14 +9,20 @@ Each artifact is made as a stream of text parts (`json_parts`, `csv_parts`,
 `polyline_csv_parts`, `profile_csv_parts`) that `write_parts` and
 `stream_parts` write in order, so no artifact's text is held whole.
 Arrays (level centers, curve rows, profiles) are read in place, column by
-column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part.  A
-column with at most half as many distinct values as rows keeps only those
-values and their texts, and each block gathers its texts by index.  A
-float's %.17g text depends on its value alone, so the gathered text is the
-text the value would get on its own, and the bytes depend neither on which
-columns are gathered nor on where the blocks end.  `json_dumps`,
-`rows_to_csv`, `polyline_csv`, `profile_csv` and `write_text` are the same
-artifacts as whole strings.
+column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part, each
+finite block in one %-format call.  Each finite column takes one of three ways,
+decided once per column.  A column with at most half as many distinct
+values as rows keeps only those values and their %.17g texts, and each
+block gathers its texts by index.  Another column whose every value is 0
+or has 1e-4 <= |v| < 1 (the curve's parameters, say) takes the digit
+path: its 17 significant digits are computed in numpy as an exact integer
+(Dekker's two-product of |v| and a power of ten, rounded half to even as
+%.17g rounds) that %d prints after the sign, "0." and the leading zeros.
+The other columns print with %.17g.  Each way gives a value the text that
+%.17g gives it alone, so the bytes depend neither on the way a column
+takes nor on where the blocks end; the tests hold the digit path to %.17g
+itself.  `json_dumps`, `rows_to_csv`, `polyline_csv`, `profile_csv` and
+`write_text` are the same artifacts as whole strings.
 """
 
 from __future__ import annotations
@@ -63,19 +69,107 @@ _BLOCK_ROWS = 4096
 _CHUNK_CHARS = 1 << 16
 
 
-def _gather(c: np.ndarray):
-    """The sorted distinct values of a finite column, after + 0.0, and
-    their %.17g texts when it has at most half as many distinct values as
-    rows; else None."""
+# The digit path.  A finite column whose every value, after + 0.0, is 0 or
+# has 1e-4 <= |v| < 1 prints each v != 0 in fixed notation: its sign, "0."
+# and -e - 1 zeros, then the 17 significant digits N of |v| = N * 10**(e -
+# 16), e = floor(log10 |v|), without N's trailing zeros.  N is computed
+# exactly, so the text is %.17g's.  Each float(10**-k), k = 1..4, is the
+# least double >= 10**-k, so d, the number of `_DECADES` at or below |v|,
+# gives e = d - 5 exactly; the tables below are indexed by d (0 for 0).
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp: a double as the sum of two 26-bit halves
+
+
+def _split(a):
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# 10**p, p = 16 - e = 21 - d in [17, 20]; each is exact, and so are halves
+_SCALE = np.array([1.0] + [float(10 ** p) for p in (20, 19, 18, 17)])
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+_PREFIXES = ("", "0.", "0.0", "0.00", "0.000",
+             "-0.", "-0.0", "-0.00", "-0.000")
+_PREFIX_OF = np.array([0, 4, 3, 2, 1])  # prefix index of a v >= 0, by d
+
+
+def _two_product(a: np.ndarray, d: np.ndarray):
+    """(hi, lo) with hi = fl(a * _SCALE[d]) and hi + lo = a * _SCALE[d]
+    exactly: Dekker's two-product, exact where nothing overflows or
+    underflows, as for 0 <= a < 1."""
+    hi = a * _SCALE[d]
+    ah, al = _split(a)
+    sh, sl = _SCALE_HI[d], _SCALE_LO[d]
+    return hi, ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+
+
+def _digits(b: np.ndarray):
+    """For a block of the digit path: each value's %.17g text is
+    _PREFIXES[i] + str(N), as the integers N and the indices i.
+
+    |v| * 10**p = hi + lo lies in [1e16, 1e17), so hi is an even integer
+    (1e16 > 2**53) and hi + rint(lo) rounds it half to even, as dtoa does.
+    No double below 10**-z, z = 0..3, is within half a unit in the 17th
+    digit of 10**-z, so N never carries to 10**17."""
+    a = np.abs(b)
+    d = np.searchsorted(_DECADES, a, side="right")
+    hi, lo = _two_product(a, d)
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    for q in (10 ** 16, 10 ** 8, 10 ** 4, 100, 10):  # strip trailing zeros
+        r = n // q
+        n = np.where(r * q == n, r, n)
+    i = _PREFIX_OF[d]
+    i[b < 0] += 4
+    return n, i
+
+
+def _plan(c: np.ndarray):
+    """How a column prints in the one-call path, decided once per column,
+    as (spec, gather).  A finite column with at most half as many distinct
+    values as rows, after + 0.0, is gathered: ("%s", (its sorted distinct
+    values, their %.17g texts)).  Another finite column in the domain of
+    `_digits` is ("%d", None); every other column ("%.17g", None)."""
+    if not np.isfinite(c).all():
+        return "%.17g", None
     # the distinct values by sort, since np.unique imports numpy.ma on its
     # first call (about 1.7 MB of resident memory in numpy 2.4)
     u = np.sort(c)
     u += 0.0
     first = np.concatenate(([True], u[1:] != u[:-1]))
-    if 2 * np.count_nonzero(first) > len(c):
-        return None
-    u = u[first]
-    return u, np.array(["%.17g" % v for v in u.tolist()], dtype=object)
+    if 2 * np.count_nonzero(first) <= len(c):
+        u = u[first]
+        return "%s", (u, np.array(["%.17g" % v for v in u.tolist()],
+                                  dtype=object))
+    # no value <= -1 or >= 1, and only zeros strictly inside +-1e-4
+    below, n1 = np.searchsorted(u, (-1.0, -1e-4), side="right")
+    n2, above = np.searchsorted(u, (1e-4, 1.0))
+    if below == 0 and above == len(u) and not u[n1:n2].any():
+        return "%d", None
+    return "%.17g", None
+
+
+def _finite_block(block, plans, head, tables, lead: str, sep: str) -> str:
+    """The text of a block of finite rows, in one %-format call; its
+    template and cells are freed before the text is handed on."""
+    k, m, w = len(block[0]), len(block), len(tables) or 1
+    cells = [None] * (k * m)  # row-major
+    pieces = [head] * (k * w)  # w pieces per row
+    t = 0
+    for j, (b, (spec, g)) in enumerate(zip(block, plans)):
+        b = b + 0.0
+        if spec == "%d":
+            b, prefix = _digits(b)
+            pieces[t::w] = tables[t][prefix].tolist()
+            t += 1
+        elif g is not None:
+            b = g[1][np.searchsorted(g[0], b)]
+        cells[j::m] = b.tolist()
+    pieces[0] = lead + pieces[0][len(sep):]
+    template = "".join(pieces)
+    del pieces
+    return template % tuple(cells)
 
 
 def row_blocks(columns, row: str, sep: str, cell=format_float):
@@ -87,35 +181,44 @@ def row_blocks(columns, row: str, sep: str, cell=format_float):
     With the default `cell` the text is byte-identical to rendering every
     value with `format_float`.  A finite block takes one %-format call:
     adding 0.0 turns -0.0 into 0.0, which prints as "0" like int(-0.0), and
-    %.17g prints every integral |v| < 1e16 as its integer digits.  A finite
-    column with at most half as many distinct values as rows renders each
+    %.17g prints every integral |v| < 1e16 as its integer digits.  Each
+    column prints as `_plan` decides: a gathered column renders each
     distinct value once with %.17g and fills its %s by index in every
-    block; the other columns put %.17g in the row.  Every value still gets
-    its own %.17g text, and only equal floats share one (there is no -0.0
-    after the + 0.0), so the choice never changes the bytes.  A block with
-    a non-finite value is rendered value by value with `cell`.
+    block; a digit column puts its prefix in the row's template and its
+    digits, an exact integer, in a %d; the other columns put %.17g in the
+    row.  Each way gives a value its own %.17g text, and only equal floats
+    share one (there is no -0.0 after the + 0.0), so the choice never
+    changes the bytes.  A block with a non-finite value is rendered value
+    by value with `cell`.
     """
     fields = row.split("%s")
-    gathers = []
-    for j, c in enumerate(columns):
-        gathers.append(_gather(c) if np.isfinite(c).all() else None)
-        fields[j] += "%.17g" if gathers[j] is None else "%s"
-    fast = "".join(fields)
-    m, n = len(columns), len(columns[0])
-    for i in range(0, n, _BLOCK_ROWS):
-        k = min(_BLOCK_ROWS, n - i)
-        block = [c[i:i + k] for c in columns]
+    plans = [_plan(c) for c in columns]
+    # the fast row template cut before each digit cell: a row is cuts[0],
+    # then per digit column a prefix, "%d" and the next cut
+    cuts = [fields[0]]
+    for (spec, _), f in zip(plans, fields[1:]):
+        if spec == "%d":
+            cuts.append("")
+        else:
+            cuts[-1] += spec
+        cuts[-1] += f
+    # a block is a run of sep + row, cut into pieces at the digit cells: per
+    # digit column a table of its 9 pieces, the first also holding the
+    # row's head sep + cuts[0], which is the only piece of a row without
+    # digit columns
+    head = sep + cuts[0]
+    tables = [np.array([(head if t == 0 else "") + p + "%d" + cut
+                        for p in _PREFIXES], dtype=object)
+              for t, cut in enumerate(cuts[1:])]
+    for i in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[i:i + _BLOCK_ROWS] for c in columns]
         lead = sep if i else ""
         if all(np.isfinite(b).all() for b in block):
-            cells = [None] * (k * m)  # row-major
-            for j, (b, g) in enumerate(zip(block, gathers)):
-                b = b + 0.0
-                cells[j::m] = (b if g is None
-                               else g[1][np.searchsorted(g[0], b)]).tolist()
-            yield (lead + sep.join([fast] * k)) % tuple(cells)
+            yield _finite_block(block, plans, head, tables, lead, sep)
         else:
             values = np.stack(block, axis=1).ravel().tolist()
-            yield (lead + sep.join([row] * k)) % tuple(map(cell, values))
+            yield (lead + sep.join([row] * len(block[0]))) % tuple(
+                map(cell, values))
 
 
 def format_rows(a: np.ndarray, row: str, sep: str, cell=format_float) -> str:

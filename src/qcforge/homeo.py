@@ -215,8 +215,16 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
     zero = (d == 0.0).any(axis=0)
     top = int(np.argmax(zero)) - 1 if zero.any() else n
     alpha, beta = (1.0 - d[:, 1:top + 1] / d[:, :top]) / 2.0
+    # a level where d_k/d_{k-1} is 1 in floating point has no inset
+    flat = (alpha == 0.0) | (beta == 0.0)
+    stop = int(np.argmax(flat)) if flat.any() else top
     # the earlier levels raise their errors first
-    templates = annulus_templates(alpha, beta)
+    templates = annulus_templates(alpha[:stop], beta[:stop])
+    if stop < top:
+        k = stop + 1
+        g = src if alpha[stop] == 0.0 else dst
+        raise DomainError(f"gauge {g.describe()} is flat at level {k}: "
+                          f"d_{k}/d_{k - 1} is 1 in floating point")
     if top < n:
         k = top + 1
         g = src if d[0, k] == 0.0 else dst

@@ -1,0 +1,67 @@
+"""The verdict of `scripts/bench_pairs.py` on synthetic pairs."""
+
+import argparse
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+# ten parent runs: median 50.5, quartiles 49.25 and 51.75 (distance 2.5)
+PARENT = [48.0, 49.0, 50.0, 51.0, 52.0, 53.0, 47.0, 50.0, 51.0, 54.0]
+
+
+@pytest.mark.parametrize("change,lower,met", [
+    ([37.0] * 10, 10, True),
+    # one pair lost still meets 9 of 10
+    ([37.0] * 9 + [60.0], 9, True),
+    # two lost do not
+    ([37.0] * 8 + [60.0, 60.0], 8, False),
+    # a tie counts for neither side
+    ([37.0] * 8 + [60.0, 54.0], 8, False),
+    # every pair won, but the medians differ by less than the parent's
+    # quartile distance
+    ([v - 2.0 for v in PARENT], 10, False),
+    ([v - 2.6 for v in PARENT], 10, True),
+])
+def test_verdict_needs_nine_tenths_and_a_gap_wider_than_the_quartiles(
+        change, lower, met):
+    v = bench_pairs.verdict(PARENT, change)
+    assert v["change_lower_in_pairs"] == lower and v["of_pairs"] == 10
+    assert v["parent_quartile_distance"] == pytest.approx(2.5)
+    assert v["met"] is met
+
+
+def test_verdict_needs_ten_pairs():
+    assert not bench_pairs.verdict(PARENT[:9], [1.0] * 9)["met"]
+    assert bench_pairs.verdict(PARENT[:9] + [50.0], [1.0] * 10)["met"]
+
+
+def _result(**metrics):
+    return {"correct": True, "attempted": 10, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "ms"}
+                        for k, v in metrics.items()}}
+
+
+def test_report_has_the_layout_of_the_committed_files():
+    pairs = [{"pair": i, "first": ("parent", "change")[i % 2],
+              "parent": _result(job_p90_ms=p, wall_s=1.0),
+              "change": _result(job_p90_ms=c, wall_s=1.0)}
+             for i, (p, c) in enumerate(zip(PARENT, [37.0] * 10))]
+    args = argparse.Namespace(workload="queries", seed=3, claim="job_p90_ms")
+    obj = bench_pairs.report(args, pairs)
+    assert set(obj) == {"what", "command", "seed", "machine", "quartiles",
+                        "claim", "queries"}
+    assert obj["command"] == "python3 perfbench/run.py --workload queries " \
+                             "--seed 3 --seconds 20 --trace 0"
+    assert obj["claim"]["met"] and obj["claim"]["metric"] == "job_p90_ms"
+    s = obj["queries"]["summary"]
+    assert s["job_p90_ms"]["parent_median"] == 50.5
+    assert s["job_p90_ms"]["change_lower_in_pairs"] == 10
+    assert s["wall_s"]["change_lower_in_pairs"] == 0
+    assert obj["queries"]["pairs"] == pairs

@@ -253,6 +253,34 @@ def test_instance_count_overflow_is_a_depth_error(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,gauge,k", [
+    (["homeo", "--src", "slow", "--dst", "geometric:1e-17", "--depth", "3"],
+     "geometric:1e-17", 1),
+    (["homeo", "--src", "geometric:1e-17", "--dst", "slow", "--depth", "3"],
+     "geometric:1e-17", 1),
+    (["report", "--case", "slow-to-geometric:1e-300", "--depth", "4"],
+     "geometric:1e-300", 1),
+    (["profile", "--case", "geometric-to-fast:1e-300", "--depth", "2"],
+     "geometric:1e-300", 1),
+    # d_1 < d_0 = 1, but d_2 == d_1
+    (["homeo", "--src", "geometric:1e-16", "--dst", "slow", "--depth", "3"],
+     "geometric:1e-16", 2),
+])
+def test_a_flat_gauge_is_named(capsys, argv, gauge, k):
+    assert _one_line_error(capsys, argv) == (
+        f"error: gauge {gauge} is flat at level {k}: d_{k}/d_{k - 1} is 1 in "
+        "floating point\n")
+
+
+def test_an_earlier_level_raises_before_a_flat_one(capsys):
+    # geometric:1e-16 is flat at level 2, and geometric:50 makes level 1's
+    # template degenerate
+    argv = ["homeo", "--src", "geometric:1e-16", "--dst", "geometric:50"]
+    err = _one_line_error(capsys, argv + ["--depth", "1"])
+    assert "flat" not in err
+    assert _one_line_error(capsys, argv + ["--depth", "3"]) == err
+
+
 def test_frostman_needs_a_sample(capsys):
     for samples in ("-1", "0"):
         err = _one_line_error(capsys, ["dims", "--gauge", "geometric:1",

@@ -2,15 +2,19 @@ import json
 import os
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qcforge import export
 from qcforge.cantor import build_level, build_sigma_level, make_gauge
 from qcforge.cli import run
-from qcforge.export import Columns, _csv_cell, format_float, format_rows, \
-    json_dumps, row_blocks, rows_to_csv, write_parts
+from qcforge.export import _DECADES, _PREFIXES, _SCALE, _SCALE_HI, \
+    _SCALE_LO, Columns, _csv_cell, _digits, _plan, _two_product, \
+    format_float, format_rows, json_dumps, row_blocks, rows_to_csv, \
+    write_parts
 from qcforge.homeo import curve_polyline, theoremB_homeo
 
 EDGE_VALUES = [-0.0, 0.0, 1.0, -3.0, 1e15, 9999999999999998.0, 1e16,
@@ -214,3 +218,138 @@ def test_record_array_json_matches_per_value():
     assert json_dumps({"v": rec}) == '{"v":' + want + "}\n"
     assert json_dumps(np.array(cols).T) == \
         "[" + _per_value(np.array(cols).T, "[%s,%s,%s,%s]", ",") + "]\n"
+
+
+# the digit path, held to Python's own %.17g
+
+
+def _digit_texts(v):
+    n, i = _digits(np.asarray(v, dtype=np.float64) + 0.0)
+    return [_PREFIXES[j] + str(k) for j, k in zip(i.tolist(), n.tolist())]
+
+
+def _python_texts(v):
+    # what the path prints: v + 0.0, whose zeros are all +0.0
+    want = ["%.17g" % (x + 0.0) for x in v]
+    assert want == [format_float(x) for x in v]
+    return want
+
+
+def test_digits_match_python_on_a_million_values():
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        v = np.concatenate([rng.uniform(-1.0, 1.0, 50_000),
+                            rng.choice((-1.0, 1.0), 50_000)
+                            * 10.0 ** rng.uniform(-4.0, 0.0, 50_000)])
+        v = v[(np.abs(v) >= 1e-4) & (np.abs(v) < 1.0)].tolist()
+        assert len(v) > 99_000
+        assert _digit_texts(v) == _python_texts(v)
+
+
+@pytest.mark.parametrize("z", [0, 1, 2, 3])
+def test_digits_round_exact_ties_half_to_even(z):
+    # k / 2^(18+z) in [10^-(z+1), 10^-z) for odd k has 18 significant
+    # digits, the last a 5: each is a tie at the 17th digit
+    lo, hi = 2 ** (18 + z) / 10 ** (z + 1), 2 ** (18 + z) / 10 ** z
+    k = np.arange(int(lo) + 1, int(hi) + 1)
+    k = k[(k % 2 == 1) & (k < hi)]
+    v = k / 2.0 ** (18 + z)
+    assert 10.0 ** -(z + 1) <= v.min() and v.max() < 10.0 ** -z
+    scaled = [Fraction(x) * 10 ** (17 + z) for x in v[::97].tolist()]
+    assert all(x.denominator == 2 for x in scaled)
+    v = np.concatenate([v, -v]).tolist()
+    texts = _digit_texts(v)
+    assert texts == _python_texts(v)
+    # v * 10^(17+z) = k * 5^(17+z) / 2 ends in 12.5 or 37.5 (odd k times
+    # ...25, halved): half to even keeps ...2 and rounds up to ...8, and
+    # both occur
+    assert {t[-1] for t in texts} == {"2", "8"}
+
+
+@pytest.mark.parametrize("z", [0, 1, 2, 3])
+def test_digits_just_below_a_power_of_ten(z):
+    v = [float(f"1e-{z}")]
+    for _ in range(64):
+        v.append(float(np.nextafter(v[-1], 0.0)))
+    v = v[1:]
+    # no double below 10^-z rounds up to it at 17 digits: no carry
+    assert Fraction(v[0]) * 10 ** (17 + z) < 10 ** 17 - Fraction(1, 2)
+    assert _digit_texts(v) == _python_texts(v)
+    assert all(t.startswith("0." + "0" * z + "9") for t in _digit_texts(v))
+
+
+def test_digits_at_the_ends_of_the_domain():
+    v = [1e-4, -1e-4, float(np.nextafter(1.0, 0.0)), 0.0, -0.0]
+    assert _digit_texts(v) == ["0.0001", "-0.0001", "0.99999999999999989",
+                               "0", "0"]
+    below = float(np.nextafter(1e-4, 0.0))
+    assert format_float(below) == "9.9999999999999991e-05"
+    # distinct values, so no column is gathered
+    inside = [1e-4, 0.5, 0.25, -0.125, 0.0, float(np.nextafter(1.0, 0.0))]
+    assert _plan(np.array(inside))[0] == "%d"
+    for out in (below, -below, 1.0, -1.0, 5e-324, 2.0):
+        c = np.array(inside + [out])
+        assert _plan(c)[0] == "%.17g"
+        assert format_rows(c[:, None], "%s", ",") == \
+            ",".join(map(format_float, c.tolist()))
+
+
+def test_digit_premises_are_exact():
+    # each power of ten and each of its Veltkamp halves is exact
+    for d in range(1, 5):
+        assert _SCALE[d] == 10 ** (21 - d)
+        assert Fraction(_SCALE_HI[d]) + Fraction(_SCALE_LO[d]) == \
+            10 ** (21 - d)
+    # float(10^-k) is the least double >= 10^-k, so d counts decades
+    for k, x in zip((4, 3, 2, 1), _DECADES.tolist()):
+        assert Fraction(float(np.nextafter(x, 0.0))) < Fraction(1, 10 ** k) \
+            <= Fraction(x)
+    rng = np.random.default_rng(271)
+    a = np.concatenate([10.0 ** rng.uniform(-4.0, 0.0, 2000),
+                        rng.uniform(0.0, 1.0, 2000), [1e-4, 0.1, 0.0]])
+    a = a[(a == 0.0) | ((a >= 1e-4) & (a < 1.0))]
+    d = np.searchsorted(_DECADES, a, side="right")
+    hi, lo = _two_product(a, d)
+    for x, k, h, l in zip(a.tolist(), d.tolist(), hi.tolist(), lo.tolist()):
+        exact = Fraction(x) * Fraction(10 ** (21 - k))
+        assert Fraction(h) + Fraction(l) == exact
+        assert x == 0.0 or 10 ** 16 <= exact < 10 ** 17
+
+
+@given(st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats()), min_size=1,
+                max_size=40))
+def test_columns_biased_to_the_digit_domain_match_per_value(values):
+    a = np.array(values)[:, None]
+    assert format_rows(a, "%s", ",") == ",".join(map(format_float, values))
+    inside = [v for v in values if v == 0.0 or 1e-4 <= abs(v) < 1.0]
+    assert _digit_texts(inside) == _python_texts(inside)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8])
+def test_digit_columns_at_block_boundaries(monkeypatch, n):
+    # a digit column; one whose only value out of the domain falls in the
+    # last block, so it takes %.17g in every block; and one with non-finite
+    # values in the second and third block
+    monkeypatch.setattr(export, "_BLOCK_ROWS", 3)
+    digit = [(-1) ** i * (0.9 - 0.11 * i) / 10 ** (i % 4) for i in range(n)]
+    mixed = [0.3 + 0.01 * i for i in range(n)]
+    if n:
+        mixed[-1] = 1.5e-5
+    rough = [_NAN if i == 4 else -_INF if i == 6 else 0.5 - 0.01 * i
+             for i in range(n)]
+    a = np.array([digit, mixed, rough]).T.reshape(n, 3)
+    if n:
+        assert [_plan(c)[0] for c in a.T] == \
+            ["%d", "%.17g", "%d" if n <= 4 else "%.17g"]
+    for b in (a[:, :2], a, a[:, ::-1]):
+        row = "{" + ",".join(["%s"] * b.shape[1]) + "}"
+        for sep, cell in (("\n", format_float), (";", _csv_cell)):
+            parts = list(row_blocks(list(b.T), row, sep, cell))
+            assert len(parts) == -(-n // 3)
+            assert "".join(parts) == _per_value(b, row, sep, cell)
+
+
+def test_the_curve_parameters_take_the_digit_path():
+    pl = curve_polyline(theoremB_homeo(4))
+    assert [_plan(c)[0] for c in (pl.params, *pl.vertices.T)] == \
+        ["%d", "%s", "%s"]
