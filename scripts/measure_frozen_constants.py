@@ -11,10 +11,9 @@ import math
 import numpy as np
 
 from qcforge.analysis import (CASES, DavidParams, _closed_exceedances,
-                              check_david, dilatation_profile, fit_david,
-                              level_ratio)
+                              check_david, dilatation_profile, level_ratio)
 from qcforge.cantor import frostman_profile, make_gauge
-from qcforge.homeo import invert, max_dilatation_per_level, standard_homeo
+from qcforge.homeo import invert, max_dilatation_per_level
 from qcforge.qcmaps import annulus_extension_any, twist_extension
 
 
@@ -67,11 +66,6 @@ def main():
               f"  K0 fwd {min_k0(m):.4f}  inv {min_k0(invert(m)):.4f}")
     print(f"DIL_RATIO_BAND measured: [{min(dil_ratios):.4f}, "
           f"{max(dil_ratios):.4f}]")
-
-    m = standard_homeo(make_gauge("slow"), make_gauge("geometric", 1.0), 12)
-    fit = fit_david(dilatation_profile(m, "domain"))
-    print(f"case-1 depth-12 fit: alpha={fit.alpha:.4f} C={fit.C:.4f} "
-          f"K0={fit.K0:.4f}")
 
     prof = frostman_profile(make_gauge("geometric", 1.0), 8, 0.9,
                             samples=32, seed=12345)

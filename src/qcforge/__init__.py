@@ -2,16 +2,15 @@
 correspondences, and exact dilatation statistics of the resulting maps."""
 
 from .analysis import (DavidParams, DilatationProfile, check_david,
-                       dilatation_profile, fit_david, level_ratio,
-                       qc_dimension_bounds, theoremA_report, theoremB_report)
+                       dilatation_profile, level_ratio, qc_dimension_bounds,
+                       theoremA_report, theoremB_report)
 from .cantor import (CantorLevel, Construction, DimensionEstimate,
                      GaugeSequence, box_dimension, build_level,
                      build_sigma_level, count_boxes, count_segment_boxes,
                      depth_guard, dimension_bounds, frostman_profile,
                      make_gauge)
-from .errors import (DegenerateFitError, DepthLimitError, DomainError,
-                     GeometryError, OrientationError, QCForgeError,
-                     ValidationError)
+from .errors import (DepthLimitError, DomainError, GeometryError,
+                     OrientationError, QCForgeError, ValidationError)
 from .geometry import (AffineMap, Point, Triangle, affine_three_point,
                        dilatation, invert_affine)
 from .homeo import (EvalResult, HierarchicalMap, Polyline, curve_box_dimension,

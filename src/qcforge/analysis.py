@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .cantor import GaugeSequence, dimension_bounds, make_gauge
-from .errors import DegenerateFitError, DepthLimitError, DomainError
+from .errors import DepthLimitError, DomainError
 from .frozen import FROZEN_K0
 from .homeo import HierarchicalMap, invert, max_dilatation_per_level, \
     standard_homeo, theoremB_homeo
@@ -29,7 +29,6 @@ __all__ = [
     "DavidParams",
     "dilatation_profile",
     "check_david",
-    "fit_david",
     "qc_dimension_bounds",
     "level_ratio",
     "Case",
@@ -170,40 +169,6 @@ def _verdict(checks) -> tuple[bool, float]:
             if q < margin:
                 margin = q
     return ok, margin
-
-
-def fit_david(profile: DilatationProfile) -> DavidParams:
-    """Least-squares (alpha, C) on the exponential tail, then the smallest
-    threshold K0 making `check_david` pass.
-
-    The regression uses log(area >= K) against K over thresholds above the
-    median, unweighted.  Falls back to K0 at the top threshold (a vacuous
-    tail) when no finite K0 works.
-    """
-    closed = [(k, a + profile.truncation_bound)
-              for k, a in _closed_exceedances(profile)]
-    pts = [(k, a) for k, a in closed if a > 0]
-    if len(pts) < 3:
-        raise DegenerateFitError(
-            f"need >= 3 thresholds with positive area, got {len(pts)}")
-    ks = [k for k, _ in pts]
-    tail = [(k, a) for k, a in pts if k >= float(np.median(ks))]
-    if len(tail) < 2:
-        tail = pts[-2:]
-    x = np.array([k for k, _ in tail])
-    y = np.log([a for _, a in tail])
-    slope, intercept = np.polyfit(x, y, 1)
-    if slope >= 0:
-        raise DegenerateFitError(
-            f"exceedance tail is not decaying (slope {slope:.3g})")
-    alpha = -float(slope)
-    C = float(math.exp(intercept))
-    for k, _ in closed:
-        candidate = DavidParams(C, alpha, max(1.0, k))
-        if check_david(profile, candidate)[0]:
-            return candidate
-    top = max(1.0, closed[-1][0]) if closed else 1.0
-    return DavidParams(C, alpha, top)
 
 
 def qc_dimension_bounds(K: float, alpha: float) -> tuple[float, float]:

@@ -90,7 +90,7 @@ def _emit(parts, out: str | None):
         except OSError as e:
             raise QCForgeError(f"cannot write {out!r}: {e.strerror or e}")
     else:
-        export.stream_parts(sys.stdout, parts)
+        sys.stdout.writelines(parts)
 
 
 @functools.cache

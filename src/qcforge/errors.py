@@ -23,7 +23,3 @@ class ValidationError(QCForgeError, ValueError):
 
 class DepthLimitError(QCForgeError):
     """Requested construction depth exceeds the materialization guard."""
-
-
-class DegenerateFitError(QCForgeError):
-    """A regression has no usable data (e.g. all-zero exceedance areas)."""

@@ -6,8 +6,8 @@ with LF, and files are written atomically — so identical inputs produce
 byte-identical artifacts.
 
 Each artifact is made as a stream of text parts (`json_parts`, `csv_parts`,
-`polyline_csv_parts`, `profile_csv_parts`) that `write_parts` and
-`stream_parts` write in order, so no artifact's text is held whole.
+`polyline_csv_parts`, `profile_csv_parts`) that `write_parts` and the
+CLI write in order, so no artifact's text is held whole.
 Arrays (level centers, curve rows, profiles) are read in place, column by
 column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part, each
 finite block in one %-format call.  Each finite column takes one of three ways,
@@ -46,7 +46,6 @@ __all__ = [
     "polyline_csv",
     "profile_csv_parts",
     "profile_csv",
-    "stream_parts",
     "write_parts",
     "write_text",
 ]
@@ -65,8 +64,6 @@ def format_float(v: float) -> str:
 # rows per formatted block: bounds the text, the cells and the gathered
 # indices held at once to a few hundred kB however long the array
 _BLOCK_ROWS = 4096
-# text written at once: adjacent parts are joined up to about this size
-_CHUNK_CHARS = 1 << 16
 
 
 # The digit path.  A finite column whose every value, after + 0.0, is 0 or
@@ -342,20 +339,6 @@ def profile_csv(profile, params) -> str:
     return "".join(profile_csv_parts(profile, params))
 
 
-def stream_parts(fh, parts):
-    """Write text parts to an open text file in order, joining adjacent
-    small parts into writes of about `_CHUNK_CHARS` characters."""
-    run, size = [], 0
-    for part in parts:
-        run.append(part)
-        size += len(part)
-        if size >= _CHUNK_CHARS:
-            fh.write("".join(run))
-            run, size = [], 0
-    if run:
-        fh.write("".join(run))
-
-
 def write_parts(path: str, parts):
     """Atomic write of text parts with LF endings: the parts go to a temp
     file in order, which replaces `path` once all are written; a failed
@@ -364,7 +347,7 @@ def write_parts(path: str, parts):
     fh = open(tmp, "w", newline="\n")
     try:
         with fh:
-            stream_parts(fh, parts)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

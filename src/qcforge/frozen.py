@@ -49,10 +49,6 @@ FROZEN_K0 = {
     ("theoremB", "inverse"): 1223.0,
 }
 
-# Fitted exponential decay rate of the slow -> geometric(1) depth-12
-# exceedance profile.  Measured alpha = 0.720.
-DAVID_FIT_ALPHA_BAND = (0.5, 1.2)
-
 # Max Frostman ratio mu(D(x, eps)) / eps^s for geometric(1) at level 8
 # with s = 0.9 (0.1 below the dimension), seed 12345.  Measured 1.22.
 FROSTMAN_BOUND = 1.5

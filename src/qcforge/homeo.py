@@ -406,28 +406,20 @@ def _splice(m: HierarchicalMap, lv: _Level, plan, block: np.ndarray
     sc, dc = m.corresponding_centers(lv.k - 1)
     base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
     children = block.reshape(len(base), 4, -1, 3)
-    rows = children.shape[2]  # per child
     sp, dp = m.src.sides[lv.k - 1], m.dst.sides[lv.k - 1]
-    seg_pos, seg_rows, spans, pos = [], [], [], 0
+    parts = []
     for i, (start, tag, payload) in enumerate(plan):
         skip = int(i > 0)
         if tag == "child":
-            spans.append((pos, payload, skip))
-            pos += rows - skip
+            parts.append(children[:, payload, skip:])
             continue
         x1, ti, idx = payload
         m11, m12, m21, m22, tx, ty = m.templates.locator(lv.k - 1, ti)[1][idx]
-        for x in (start, x1)[skip:]:
-            # the cell's map at (x, 0.0), as `AffineMap.apply` computes it
-            seg_pos.append(pos)
-            seg_rows.append((x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
-                             (m21 * x + m22 * 0.0 + ty) * dp))
-            pos += 1
-    out = np.empty((len(base), pos, 3))
-    out[:, seg_pos] = base + np.array(seg_rows)
-    for at, j, skip in spans:
-        out[:, at:at + rows - skip] = children[:, j, skip:]
-    return out
+        # the cell's map at (x, 0.0), as `AffineMap.apply` computes it
+        parts.append(base + np.array([(x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
+                                       (m21 * x + m22 * 0.0 + ty) * dp)
+                                      for x in (start, x1)[skip:]]))
+    return np.concatenate(parts, axis=1)
 
 
 def curve_polyline(m: HierarchicalMap) -> Polyline:

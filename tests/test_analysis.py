@@ -5,12 +5,12 @@ import pytest
 
 from qcforge.analysis import (CASES, DavidParams,
                               DilatationProfile, _david_sweep, check_david,
-                              dilatation_profile, fit_david, level_ratio,
+                              dilatation_profile, level_ratio,
                               qc_dimension_bounds, theoremA_report,
                               theoremB_report)
 from qcforge.cantor import make_gauge
-from qcforge.errors import DegenerateFitError, DomainError
-from qcforge.frozen import (DAVID_FIT_ALPHA_BAND, DIL_RATIO_BAND, FROZEN_K0)
+from qcforge.errors import DomainError
+from qcforge.frozen import DIL_RATIO_BAND, FROZEN_K0
 from qcforge.geometry import Triangle
 from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
                            theoremB_homeo)
@@ -89,48 +89,23 @@ def test_exceedance_monotone():
     assert vals[-1] == 0.0
 
 
-def _synthetic_profile(alpha=1.0, C=1.0):
-    """Closed exceedance exactly C e^{-alpha K} at K = 2..9."""
+def _synthetic_profile():
+    """Closed exceedance exactly e^{-K} at K = 2..9."""
     ks = list(range(2, 10))
-    closed = [C * math.exp(-alpha * k) for k in ks]
+    closed = [math.exp(-k) for k in ks]
     entries = tuple((k, closed[i + 1] if i + 1 < len(ks) else 0.0)
                     for i, k in enumerate(ks))
     return DilatationProfile(entries, closed[0], 0.0, "domain")
 
 
-def test_fit_recovers_exact_exponential():
-    fit = fit_david(_synthetic_profile())
-    assert fit.alpha == pytest.approx(1.0, abs=1e-6)
-    assert fit.C == pytest.approx(1.0, abs=1e-6)
-    assert check_david(_synthetic_profile(), fit)[0]
-
-
-def test_fit_needs_data():
-    p = DilatationProfile(((1.0, 0.0),), 0.5, 0.0, "domain")
-    with pytest.raises(DegenerateFitError):
-        fit_david(p)
-
-
-def test_fit_case1_alpha_in_band():
-    m = standard_homeo(SLOW, GEO1, 12)
-    fit = fit_david(dilatation_profile(m))
-    assert DAVID_FIT_ALPHA_BAND[0] <= fit.alpha <= DAVID_FIT_ALPHA_BAND[1]
-    assert check_david(dilatation_profile(m), fit)[0]
-
-
-def test_fit_rejects_constant_K_profile():
-    # geometric-to-geometric: one dilatation value past level 1, so there
-    # is no tail to regress on
-    m = standard_homeo(GEO1, make_gauge("geometric", 1.5), 10)
-    with pytest.raises(DegenerateFitError):
-        fit_david(dilatation_profile(m))
-
-
-def test_fit_passes_own_check_on_slow_growth():
-    m = standard_homeo(make_gauge("sqrt"), GEO1, 10)
-    p = dilatation_profile(m)
-    fit = fit_david(p)
-    assert check_david(p, fit)[0]
+def test_check_david_on_exact_exponential_tail():
+    # area{K >= k} = e^-k exactly: (1, 1) holds at every threshold with
+    # margin at most rounding, and any faster decay fails
+    p = _synthetic_profile()
+    ok, margin = check_david(p, DavidParams(1.0, 1.0, 1.0))
+    assert ok and margin == pytest.approx(0.0, abs=1e-12)
+    assert check_david(p, DavidParams(1.0, 1.01, 1.0))[0] is False
+    assert check_david(p, DavidParams(0.99, 1.0, 1.0))[0] is False
 
 
 def test_check_david_constant_K_fails_nonvacuously():

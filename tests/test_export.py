@@ -198,7 +198,7 @@ def test_write_parts_that_raise_leave_no_temp_file(tmp_path, before):
         path.write_text(before)
 
     def parts():
-        yield "x" * (export._CHUNK_CHARS + 1)  # written before the raise
+        yield "x" * (1 << 17)  # written before the raise
         raise RuntimeError("no second part")
 
     with pytest.raises(RuntimeError, match="no second part"):
