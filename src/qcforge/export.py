@@ -9,19 +9,19 @@ Each artifact is made as a stream of text parts (`json_parts`, `csv_parts`,
 `polyline_csv_parts`, `profile_csv_parts`) that `write_parts` and the
 CLI write in order, so no artifact's text is held whole.
 Arrays (level centers, curve rows, profiles) are read in place, column by
-column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part, each
-finite block in one %-format call.  Each finite column takes one of three ways,
-decided once per column.  A column with at most half as many distinct
-values as rows keeps only those values and their %.17g texts, and each
-block gathers its texts by index.  Another column whose every value is 0
-or has 1e-4 <= |v| < 1 (the curve's parameters, say) takes the digit
-path: its 17 significant digits are computed in numpy as an exact integer
-(Dekker's two-product of |v| and a power of ten, rounded half to even as
-%.17g rounds) that %d prints after the sign, "0." and the leading zeros.
-The other columns print with %.17g.  Each way gives a value the text that
-%.17g gives it alone, so the bytes depend neither on the way a column
-takes nor on where the blocks end; the tests hold the digit path to %.17g
-itself.  `json_dumps`, `rows_to_csv`, `polyline_csv`, `profile_csv` and
+column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part.  Each
+finite column takes one of three ways, decided once by `_plan`.  A column
+with at most half as many distinct values as rows is gathered: the %.17g
+text of each distinct value is made once, and blocks join the texts of
+their rows.  Another column whose every value is 0 or has 1e-4 <= |v| < 1
+(the curve's parameters, say) takes the digit path: numpy computes its 17
+significant digits as an exact integer (Dekker's two-product of |v| and a
+power of ten, rounded half to even as %.17g rounds), which %d prints after
+the sign, "0." and the leading zeros.  The other columns print with %.17g.
+Only the digit and %.17g cells go through a block's %-format call.  Each
+way gives a value the text %.17g gives it alone, which holds no %, so the
+bytes depend neither on the way nor on where the blocks end.
+`json_dumps`, `rows_to_csv`, `polyline_csv`, `profile_csv` and
 `write_text` are the same artifacts as whole strings.
 """
 
@@ -123,11 +123,12 @@ def _digits(b: np.ndarray):
 
 
 def _plan(c: np.ndarray):
-    """How a column prints in the one-call path, decided once per column,
-    as (spec, gather).  A finite column with at most half as many distinct
-    values as rows, after + 0.0, is gathered: ("%s", (its sorted distinct
-    values, their %.17g texts)).  Another finite column in the domain of
-    `_digits` is ("%d", None); every other column ("%.17g", None)."""
+    """How a column prints in a finite block, decided once per column, as
+    (spec, gather).  A finite column with at most half as many distinct
+    values as rows, after + 0.0, is gathered, and joined without %-format:
+    ("%s", (its sorted distinct values, their %.17g texts)).  Another
+    finite column in the domain of `_digits` is ("%d", None), any other
+    ("%.17g", None); both are %-formatted."""
     if not np.isfinite(c).all():
         return "%.17g", None
     # the distinct values by sort, since np.unique imports numpy.ma on its
@@ -147,26 +148,28 @@ def _plan(c: np.ndarray):
     return "%.17g", None
 
 
-def _finite_block(block, plans, head, tables, lead: str, sep: str) -> str:
-    """The text of a block of finite rows, in one %-format call; its
-    template and cells are freed before the text is handed on."""
-    k, m, w = len(block[0]), len(block), len(tables) or 1
-    cells = [None] * (k * m)  # row-major
-    pieces = [head] * (k * w)  # w pieces per row
-    t = 0
-    for j, (b, (spec, g)) in enumerate(zip(block, plans)):
-        b = b + 0.0
-        if spec == "%d":
-            b, prefix = _digits(b)
-            pieces[t::w] = tables[t][prefix].tolist()
-            t += 1
-        elif g is not None:
-            b = g[1][np.searchsorted(g[0], b)]
-        cells[j::m] = b.tolist()
+def _finite_block(block, plans, tables, lead: str, sep: str) -> str:
+    """The text of a block of finite rows: the pieces of its cells joined,
+    then one %-format call on its digit and %.17g cells, if it has any."""
+    k, m = len(block[0]), len(block)
+    pieces = [None] * (k * m)  # row-major
+    computed = []
+    for j, (b, (spec, g), table) in enumerate(zip(block, plans, tables)):
+        if g is not None:
+            pieces[j::m] = table[np.searchsorted(g[0], b)].tolist()
+        elif spec == "%d":
+            n, prefix = _digits(b + 0.0)
+            pieces[j::m] = table[prefix].tolist()
+            computed.append(n.tolist())
+        else:
+            pieces[j::m] = [table[0]] * k
+            computed.append((b + 0.0).tolist())
     pieces[0] = lead + pieces[0][len(sep):]
-    template = "".join(pieces)
-    del pieces
-    return template % tuple(cells)
+    text, c = "".join(pieces), len(computed)
+    cells = [None] * (k * c)  # row-major
+    for t, col in enumerate(computed):
+        cells[t::c] = col
+    return text % tuple(cells) if c else text
 
 
 def row_blocks(columns, row: str, sep: str, cell=format_float):
@@ -176,42 +179,37 @@ def row_blocks(columns, row: str, sep: str, cell=format_float):
     first starts with `sep`.
 
     With the default `cell` the text is byte-identical to rendering every
-    value with `format_float`.  A finite block takes one %-format call:
-    adding 0.0 turns -0.0 into 0.0, which prints as "0" like int(-0.0), and
-    %.17g prints every integral |v| < 1e16 as its integer digits.  Each
-    column prints as `_plan` decides: a gathered column renders each
-    distinct value once with %.17g and fills its %s by index in every
-    block; a digit column puts its prefix in the row's template and its
-    digits, an exact integer, in a %d; the other columns put %.17g in the
-    row.  Each way gives a value its own %.17g text, and only equal floats
-    share one (there is no -0.0 after the + 0.0), so the choice never
-    changes the bytes.  A block with a non-finite value is rendered value
-    by value with `cell`.
+    value with `format_float`.  Each column prints as `_plan` decides, from
+    one table of pieces, each a cell and the row's literal after it (the
+    first column's also start with `sep` and the literal before).  A
+    gathered column's pieces hold its distinct values' %.17g texts, which
+    a finite block joins as they are; a digit column's nine hold a sign
+    and zeros before %d and any other column's one %.17g, which the
+    block's %-format call fills.  Adding 0.0 turns -0.0 into 0.0, which
+    prints as "0" like int(-0.0), and %.17g prints every integral
+    |v| < 1e16 as its integer digits.  Each way gives a value its own
+    %.17g text, which holds no %, so the choice never changes the bytes;
+    with no call, the literals are taken as a call would print them.  A
+    block with a non-finite value is rendered value by value with `cell`.
     """
     fields = row.split("%s")
     plans = [_plan(c) for c in columns]
-    # the fast row template cut before each digit cell: a row is cuts[0],
-    # then per digit column a prefix, "%d" and the next cut
-    cuts = [fields[0]]
-    for (spec, _), f in zip(plans, fields[1:]):
-        if spec == "%d":
-            cuts.append("")
-        else:
-            cuts[-1] += spec
-        cuts[-1] += f
-    # a block is a run of sep + row, cut into pieces at the digit cells: per
-    # digit column a table of its 9 pieces, the first also holding the
-    # row's head sep + cuts[0], which is the only piece of a row without
-    # digit columns
-    head = sep + cuts[0]
-    tables = [np.array([(head if t == 0 else "") + p + "%d" + cut
-                        for p in _PREFIXES], dtype=object)
-              for t, cut in enumerate(cuts[1:])]
+    if all(g is not None for _, g in plans):
+        fields = [f % () for f in fields]
+    tables = []
+    for j, ((spec, g), after) in enumerate(zip(plans, fields[1:])):
+        # a gathered column's texts are completed in place, so held once
+        table = g[1] if g is not None else np.array(
+            [p + "%d" for p in _PREFIXES] if spec == "%d" else ["%.17g"],
+            dtype=object)
+        np.add("" if j else sep + fields[0], table, out=table)
+        table += after
+        tables.append(table)
     for i in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [c[i:i + _BLOCK_ROWS] for c in columns]
         lead = sep if i else ""
         if all(np.isfinite(b).all() for b in block):
-            yield _finite_block(block, plans, head, tables, lead, sep)
+            yield _finite_block(block, plans, tables, lead, sep)
         else:
             values = np.stack(block, axis=1).ravel().tolist()
             yield (lead + sep.join([row] * len(block[0]))) % tuple(

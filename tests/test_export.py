@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcforge import export
 from qcforge.cantor import build_level, build_sigma_level, make_gauge
@@ -218,6 +219,94 @@ def test_record_array_json_matches_per_value():
     assert json_dumps({"v": rec}) == '{"v":' + want + "}\n"
     assert json_dumps(np.array(cols).T) == \
         "[" + _per_value(np.array(cols).T, "[%s,%s,%s,%s]", ",") + "]\n"
+
+
+# the piece tables: gathered columns joined, the others %-formatted
+
+_GATHERED_POOL = [-0.0, 0.0, 3.0, -7.0, 1e16, 0.1, -2.5e-7]
+_IN_DIGIT_DOMAIN = st.one_of(st.sampled_from([0.0, -0.0]),
+                             st.floats(1e-4, 1.0, exclude_max=True),
+                             st.floats(-1.0, -1e-4, exclude_min=True))
+_OTHER = st.one_of(st.floats(1.0, 1e308), st.floats(-1e308, -1.0),
+                   st.floats(5e-324, 1e-5), st.floats(-1e-5, -5e-324),
+                   st.just(-0.0))
+_SPECS = {"gathered": "%s", "digit": "%d", "other": "%.17g"}
+
+
+@st.composite
+def _column(draw, kind, n):
+    if kind == "gathered":
+        # at most n // 2 distinct values, so n >= 2 rows are gathered
+        pool = draw(st.lists(st.sampled_from(_GATHERED_POOL), min_size=1,
+                             max_size=max(1, n // 2), unique=True))
+        return [pool[i % len(pool)] for i in range(n)]
+    # distinct values, so the column is never gathered
+    return draw(st.lists(_IN_DIGIT_DOMAIN if kind == "digit" else _OTHER,
+                         min_size=n, max_size=n, unique=True))
+
+
+@pytest.mark.parametrize("kinds", [
+    *itertools.permutations(("gathered", "digit", "other")),
+    ("gathered",), ("gathered", "gathered"), ("digit", "gathered"),
+    ("other", "gathered")])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mixed_columns_match_per_value_in_every_block(kinds, data):
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 7, 10]), "n")
+    cols = [data.draw(_column(kind, n), kind) for kind in kinds]
+    if n >= 7 and "other" in kinds and data.draw(st.booleans(), "rough"):
+        # a non-finite block between finite ones
+        cols[kinds.index("other")][4] = data.draw(
+            st.sampled_from([_NAN, _INF, -_INF]))
+    elif n >= 2:
+        assert [_plan(np.array(c))[0] for c in cols] == \
+            [_SPECS[kind] for kind in kinds]
+    a = np.array(cols, dtype=np.float64).T.reshape(n, len(kinds))
+    for c in a.T:
+        spec, g = _plan(c)
+        assert g is None or not any("%" in t for t in g[1].tolist())
+    keys = ",".join(f'"c{j}":%s' for j in range(len(kinds)))
+    templates = [(",".join(["%s"] * len(kinds)) + "\n", "", _csv_cell),
+                 ("{" + keys + "}", ",", format_float)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(export, "_BLOCK_ROWS", 3)
+        for row, sep, cell in templates:
+            parts = list(row_blocks(list(a.T), row, sep, cell))
+            assert len(parts) == -(-n // 3)
+            for i, part in enumerate(parts):
+                assert part == (sep if i else "") + _per_value(
+                    a[3 * i:3 * i + 3], row, sep, cell)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[0.5, 3.0], [0.5, 3.0], [-0.0, 3.0], [0.5, 3.0]]),
+    np.array([[0.5, 3.0], [0.25, 4.0], [0.125, 3.0], [0.0625, 4.0]])],
+    ids=["all-gathered", "digit-and-gathered"])
+def test_escaped_percent_in_the_row_prints_once(a):
+    # with no %-format call, the literals are still printed as `row %
+    # cells` prints them
+    row = "%s%%;%s%%"
+    assert format_rows(a, row, ",") == _per_value(a, row, ",")
+    assert "%%" not in format_rows(a, row, ",")
+
+
+def test_gathered_square_level_export_is_joined_per_block(tmp_path):
+    # both columns of a square nest are gathered; the text of 65,536 rows
+    # is about 2.7 MB, and each block is joined and written on its own
+    centers = build_level(make_gauge("sqrt"), 8).centers
+    assert len(centers) == 65_536
+    assert [_plan(c)[0] for c in centers.T] == ["%s", "%s"]
+    path = str(tmp_path / "level.csv")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_parts(path, export.csv_parts(("x", "y"), centers.T))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 2_500_000
+    assert peak < 1.5e6
 
 
 # the digit path, held to Python's own %.17g

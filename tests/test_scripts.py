@@ -1,10 +1,13 @@
 """The maintenance scripts still run: `scripts/measure_frozen_constants.py`
 prints its bands, and `scripts/theorem_reports.py` writes every report and
-the curve."""
+the curve; `scripts/peak_memory.py` checks its streaming budget."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import pytest
 
 import qcforge
 from qcforge import analysis
@@ -41,3 +44,38 @@ def test_theorem_reports_writes_every_report_and_the_curve(tmp_path):
     for name in names:
         assert (tmp_path / name).stat().st_size > 0
         assert f"wrote {name} (exit code " in proc.stdout
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name[:-3], os.path.join(ROOT, "scripts", name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("excess,rc", [(32.0, 0), (32.5, 1)])
+def test_peak_memory_checks_the_streaming_budget(capsys, tmp_path, excess,
+                                                 rc):
+    # every build peaks at 100 MB and every export 1 MB above it, except
+    # the depth-9 curve CSV, which peaks `excess` MB above it
+    script = _load("peak_memory.py")
+
+    def measure(statement, argv=()):
+        if "curve --depth 9 --format csv" in " ".join(argv):
+            return 0, 100.0 + excess
+        return (0, 101.0) if argv else (None, 100.0)
+
+    script._measure = measure
+    assert script.main([str(tmp_path)]) == rc
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == len(script.BUILDS) + len(script.COMMANDS)
+    assert lines[0] == "build_level(sqrt, 10) - - 100.0 -"
+    assert "cantor --gauge sqrt --depth 11 --format json 0 0 101.0 1.0" \
+        in lines
+    assert f"curve --depth 9 --format csv 0 0 {100 + excess:.1f} " \
+        f"{excess:.1f}" in lines
+    assert lines[-1] == "dims --family sigma --box-depths 10,11 0 0 101.0 -"
+    assert ("over the 32 MB budget: curve --depth 9 --format csv: 32.5 MB "
+            "over curve_polyline(theoremB_homeo(9))" in err) == bool(rc)
