@@ -16,8 +16,14 @@ metric each side's median and quartiles and the number of pairs in which
 the change reads lower.  With `--claim METRIC` it adds the verdict on that
 metric: the change must read lower in at least nine tenths of at least ten
 pairs (a tie counts for neither side), and its median must lie below the
-parent's by more than the distance between the parent's quartiles.  Every
-end-to-end metric of this benchmark is better when lower.
+parent's by more than the distance between the parent's quartiles.
+Without it, it adds a no-regression verdict per end-to-end metric instead:
+"held" if the change's median is at most the parent's median times
+(1 + bound), the bound taken from BENCHMARK.json, and "regressed" if it
+is more; "unresolved" if the parent's quartile distance is wider than the
+bound times its median, unless every change run reads lower than every
+parent run ("held").  Every end-to-end metric of this benchmark is better
+when lower.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
     BENCHMARK = json.load(_fh)
 MIN_PAIRS = 10
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 QUARTILES = "statistics.quantiles(n=4, method='inclusive') over each " \
             "side's runs"
 
@@ -58,6 +65,25 @@ def verdict(parent: list[float], change: list[float]) -> dict:
         "met": (len(parent) >= MIN_PAIRS and 10 * lower >= 9 * len(parent)
                 and diff > q3 - q1),
     }
+
+
+def no_regression(parent: list[float], change: list[float],
+                  bound: float) -> dict:
+    """Whether a lower-is-better metric stayed within its relative bound,
+    from each side's runs."""
+    median = statistics.median(parent)
+    q1, q3 = quartiles(parent)
+    limit = median * (1.0 + bound)
+    if max(change) < min(parent):
+        result = "held"
+    elif q3 - q1 > bound * median:
+        result = "unresolved"
+    else:
+        result = "held" if statistics.median(change) <= limit else \
+            "regressed"
+    return {"bound": bound, "limit": limit,
+            "parent_quartile_distance": q3 - q1,
+            "change_median": statistics.median(change), "verdict": result}
 
 
 def summary(pairs: list[dict]) -> dict:
@@ -102,11 +128,18 @@ def report(args, pairs: list[dict]) -> dict:
                    f"{metadata.version('numpy')}",
         "quartiles": QUARTILES,
     }
+
+    def values(name):
+        return ([p[s]["metrics"][name]["value"] for p in pairs]
+                for s in ("parent", "change"))
+
     if args.claim:
         obj["claim"] = {"metric": args.claim, "workload": args.workload,
-                        **verdict(*([p[s]["metrics"][args.claim]["value"]
-                                     for p in pairs]
-                                    for s in ("parent", "change")))}
+                        **verdict(*values(args.claim))}
+    else:
+        obj["no_regression"] = {
+            name: no_regression(*values(name), BOUNDS[name])
+            for name in pairs[0]["parent"]["metrics"] if name in BOUNDS}
     obj[args.workload] = {"pairs": pairs, "summary": summary(pairs)}
     return obj
 

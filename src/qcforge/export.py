@@ -10,11 +10,12 @@ Each artifact is made as a stream of text parts (`json_parts`, `csv_parts`,
 CLI write in order, so no artifact's text is held whole.
 Arrays (level centers, curve rows, profiles) are read in place, column by
 column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part.  Each
-finite column takes one of three ways, decided once by `_plan`.  A column
-with at most half as many distinct values as rows is gathered: the %.17g
-text of each distinct value is made once, and blocks join the texts of
-their rows.  Another column whose every value is 0 or has 1e-4 <= |v| < 1
-(the curve's parameters, say) takes the digit path: numpy computes its 17
+finite column takes one of three ways, decided once by `_plan`, block by
+block.  A column with at most half as many distinct values as rows, and
+no block with more than half a block's, is gathered: the %.17g text of
+each distinct value is made once, and blocks join the texts of their
+rows.  Another column whose every value is 0 or has 1e-4 <= |v| < 1 (the
+curve's parameters, say) takes the digit path: numpy computes its 17
 significant digits as an exact integer (Dekker's two-product of |v| and a
 power of ten, rounded half to even as %.17g rounds), which %d prints after
 the sign, "0." and the leading zeros.  The other columns print with %.17g.
@@ -27,6 +28,7 @@ bytes depend neither on the way nor on where the blocks end.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -122,30 +124,40 @@ def _digits(b: np.ndarray):
     return n, i
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, sorted in place: by sort, since np.unique
+    imports numpy.ma on its first call (about 1.7 MB of resident memory in
+    numpy 2.4)."""
+    a.sort()
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _plan(c: np.ndarray):
-    """How a column prints in a finite block, decided once per column, as
-    (spec, gather).  A finite column with at most half as many distinct
-    values as rows, after + 0.0, is gathered, and joined without %-format:
-    ("%s", (its sorted distinct values, their %.17g texts)).  Another
-    finite column in the domain of `_digits` is ("%d", None), any other
-    ("%.17g", None); both are %-formatted."""
-    if not np.isfinite(c).all():
-        return "%.17g", None
-    # the distinct values by sort, since np.unique imports numpy.ma on its
-    # first call (about 1.7 MB of resident memory in numpy 2.4)
-    u = np.sort(c)
-    u += 0.0
-    first = np.concatenate(([True], u[1:] != u[:-1]))
-    if 2 * np.count_nonzero(first) <= len(c):
-        u = u[first]
-        return "%s", (u, np.array(["%.17g" % v for v in u.tolist()],
-                                  dtype=object))
-    # no value <= -1 or >= 1, and only zeros strictly inside +-1e-4
-    below, n1 = np.searchsorted(u, (-1.0, -1e-4), side="right")
-    n2, above = np.searchsorted(u, (1e-4, 1.0))
-    if below == 0 and above == len(u) and not u[n1:n2].any():
-        return "%d", None
-    return "%.17g", None
+    """How a column prints in a finite block, decided once per column from
+    its blocks after + 0.0, as (spec, gather).  A finite column with at
+    most half as many distinct values as rows, and no block with more than
+    half as many as `_BLOCK_ROWS` (where the count stops), is gathered, and
+    joined without %-format: ("%s", (its sorted distinct values, their
+    %.17g texts)).  Another finite column in the domain of `_digits` is
+    ("%d", None), any other ("%.17g", None); both are %-formatted."""
+    blocks = (c[i:i + _BLOCK_ROWS] + 0.0
+              for i in range(0, len(c), _BLOCK_ROWS))
+    seen = []  # each block's distinct values, until one has too many
+    for b in blocks:
+        seen.append(_distinct(b))
+        if 2 * len(seen[-1]) > _BLOCK_ROWS:
+            break
+    else:
+        u = _distinct(np.concatenate(seen)) if seen else c
+        if 0 < 2 * len(u) <= len(c) and np.isfinite(u).all():
+            return "%s", (u, np.array(["%.17g" % v for v in u.tolist()],
+                                      dtype=object))
+    # every value is 0 or has 1e-4 <= |v| < 1, which no non-finite one has
+    for b in itertools.chain(seen, blocks):
+        a = np.abs(b)
+        if not ((a == 0.0) | ((1e-4 <= a) & (a < 1.0))).all():
+            return "%.17g", None
+    return "%d", None
 
 
 def _finite_block(block, plans, tables, lead: str, sep: str) -> str:

@@ -10,11 +10,12 @@ sides, areas, child offsets), which the template parameters, evaluation,
 the curve, the square centers and the masses read.  A level-k instance is
 its template scaled by `sides[k - 1]` times `template_scale`.  The
 per-level K, the masses and `invert` read the stack whole; `levels` makes
-every level's templates and placements on first read, for the curve and
-the oracles.  `evaluate` descends the map's descent table, made on its
-first call: per level, the cuts between the child centres name the one
-child that can hold a point, and a gasket point is looked up in the stack's
-`locator` of its template, with no template object.
+every level's templates and placements on first read, for the oracles.
+`evaluate` descends the map's descent table, made on its first call: per
+level, the cuts between the child centres name the one child that can
+hold a point, and a gasket point is looked up in the stack's `locator` of
+its template.  `curve_polyline` reads the same locators; neither makes a
+template object.
 
 Two builders, each making the templates of all its levels in one batched
 pass:
@@ -116,7 +117,7 @@ class HierarchicalMap:
     @cached_property
     def levels(self) -> tuple[_Level, ...]:
         """Levels 1..depth with their templates and placements, made on
-        first read, for the curve and the oracles."""
+        first read, for the oracles; no command reads them."""
         t = self.templates
         kinds = range(len(t.kinds))
         return tuple(_Level(k + 1, tuple(t.template(k, j) for j in kinds),
@@ -137,11 +138,11 @@ class HierarchicalMap:
         (ix, iy), in child order: one child, unless widened children
         overlap.  `gasket` is (level index, source scale, target scale,
         placements), a placement being (template index, source offset,
-        target offset, its template's bbox widened by 2 `_TOL`: past the
+        target offset, its template's cell box widened by 2 `_TOL`: past the
         child test, which widens a square by up to its gasket's template
         scale times `_TOL`, so that rounding decides no point between them)."""
         src, dst, t, table = self.src, self.dst, self.templates, []
-        # (x0, x1, y0, y1) per template, as each one's `bbox`, widened
+        # (x0, x1, y0, y1) per template: the box of its cells, widened
         lo, hi = t.cells.min(axis=(2, 3)), t.cells.max(axis=(2, 3))
         w = 2.0 * _TOL
         boxes = np.stack([lo[..., 0] - w, hi[..., 0] + w, lo[..., 1] - w,
@@ -342,71 +343,58 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     return EvalResult(w, dst.sides[-1] * math.sqrt(2.0))
 
 
-def _midline_segments(locator: tuple, x_lo: float, x_hi: float,
-                      holes: tuple[tuple[float, float], ...]):
-    """Split the segment y = 0, x in [x_lo, x_hi] minus `holes` at every cell
-    boundary crossing of a template's locator; return (x0, x1, cell_index)
-    triples in ascending order."""
-    cuts = {x_lo, x_hi}
-    for lo, hi in holes:
-        cuts.add(lo)
-        cuts.add(hi)
-    for ux, uy, _, _, _, vx, vy, _, _, _, wx, wy, _, _, _ in locator[0]:
-        for (ax, ay), (bx, by) in (((ux, uy), (vx, vy)), ((vx, vy), (wx, wy)),
-                                   ((wx, wy), (ux, uy))):
-            if ay == 0.0 and by == 0.0:
-                cuts.add(ax)
-                cuts.add(bx)
-            elif (ay <= 0.0 <= by) or (by <= 0.0 <= ay):
-                if ay != by:
-                    cuts.add(ax + (bx - ax) * (ay / (ay - by)))
-    xs = sorted(x for x in cuts if x_lo - 1e-12 <= x <= x_hi + 1e-12)
-    merged = [xs[0]]
-    for x in xs[1:]:
-        if x - merged[-1] > 1e-12:
-            merged.append(x)
-    segs = []
-    for x0, x1 in zip(merged, merged[1:]):
-        mid = 0.5 * (x0 + x1)
-        if any(lo < mid < hi for lo, hi in holes):
-            continue
-        idx = find(locator, mid, 0.0)
-        segs.append((x0, x1, idx))
-    return segs
-
-
-def _curve_plan(m: HierarchicalMap, lv: _Level):
-    """Ordered left-to-right walk of a parent's midline in normalized
-    coordinates: gasket segments interleaved with child squares."""
-    sp = m.src.sides[lv.k - 1]
-    child_half = m.src.sides[lv.k] / (2.0 * sp)
-    centers = [ox / sp for ox, _ in m.src.offsets[lv.k - 1]]
-    holes = tuple((c - child_half, c + child_half) for c in centers)
+def _curve_plan(m: HierarchicalMap, k: int):
+    """Ordered left-to-right walk of a level-k parent's midline in
+    normalized coordinates: items (x0, "child", child index) and gasket
+    segments (x0, "seg", (x1, template index, cell index)), sorted by x0.
+    A template's segments cover the x-range of its cells, cut at the child
+    holes in it and at its locator's edges, cuts within 1e-12 merged; each
+    gets the cell that `find` gives its midpoint."""
+    sp = m.src.sides[k - 1]
+    child_half = m.src.sides[k] / (2.0 * sp)
+    centers = [ox / sp for ox, _ in m.src.offsets[k - 1]]
+    all_holes = [(c - child_half, c + child_half) for c in centers]
     items = []
-    # each placement's template covers its x-range of the midline
-    for ti, _, _ in lv.placements:
-        lo, hi = lv.templates[ti].bbox[:2]
-        in_range = tuple(h for h in holes if h[0] >= lo - 1e-12
-                         and h[1] <= hi + 1e-12)
-        items += [(x0, "seg", (x1, ti, idx)) for x0, x1, idx in
-                  _midline_segments(m.templates.locator(lv.k - 1, ti), lo, hi,
-                                    in_range)]
+    for ti in range(len(m.templates.kinds)):
+        # in the cells' order, so that of equal zeros the first sign is kept
+        xs = m.templates.cells[k - 1, ti, ..., 0].ravel().tolist()
+        lo, hi = min(xs), max(xs)
+        holes = [(a, b) for a, b in all_holes
+                 if a >= lo - 1e-12 and b <= hi + 1e-12]
+        cuts = {lo, hi, *(x for h in holes for x in h)}
+        locator = m.templates.locator(k - 1, ti)
+        for row in locator[0]:  # its vertices at 0, 5 and 10 (`_edge_rows`)
+            u, v, w = row[0:2], row[5:7], row[10:12]
+            for (ax, ay), (bx, by) in ((u, v), (v, w), (w, u)):
+                if ay == 0.0 and by == 0.0:
+                    cuts.update((ax, bx))
+                elif (ay <= 0.0 <= by or by <= 0.0 <= ay) and ay != by:
+                    cuts.add(ax + (bx - ax) * (ay / (ay - by)))
+        xs = sorted(x for x in cuts if lo - 1e-12 <= x <= hi + 1e-12)
+        merged = [xs[0]]
+        for x in xs[1:]:
+            if x - merged[-1] > 1e-12:
+                merged.append(x)
+        for x0, x1 in zip(merged, merged[1:]):
+            mid = 0.5 * (x0 + x1)
+            if not any(a < mid < b for a, b in holes):
+                items.append((x0, "seg", (x1, ti, find(locator, mid, 0.0))))
     items += [(c - child_half, "child", j) for j, c in enumerate(centers)]
     items.sort(key=lambda it: it[0])
     return items
 
 
-def _splice(m: HierarchicalMap, lv: _Level, plan, block: np.ndarray
+def _splice(m: HierarchicalMap, k: int, plan, block: np.ndarray
             ) -> np.ndarray:
     """Level k's (t, x, y) rows for all its parents, from its plan and the
     level-(k + 1) rows `block` (4 children per parent, in order).  Each
     plan item after the first starts on the row the item before it ends
     on, so it adds only the rows after that one: a gasket segment its end,
     a child block all its rows but the first."""
-    sc, dc = m.corresponding_centers(lv.k - 1)
+    sc, dc = m.corresponding_centers(k - 1)
     base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
     children = block.reshape(len(base), 4, -1, 3)
-    sp, dp = m.src.sides[lv.k - 1], m.dst.sides[lv.k - 1]
+    sp, dp = m.src.sides[k - 1], m.dst.sides[k - 1]
     parts = []
     for i, (start, tag, payload) in enumerate(plan):
         skip = int(i > 0)
@@ -414,7 +402,7 @@ def _splice(m: HierarchicalMap, lv: _Level, plan, block: np.ndarray
             parts.append(children[:, payload, skip:])
             continue
         x1, ti, idx = payload
-        m11, m12, m21, m22, tx, ty = m.templates.locator(lv.k - 1, ti)[1][idx]
+        m11, m12, m21, m22, tx, ty = m.templates.locator(k - 1, ti)[1][idx]
         # the cell's map at (x, 0.0), as `AffineMap.apply` computes it
         parts.append(base + np.array([(x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
                                        (m21 * x + m22 * 0.0 + ty) * dp)
@@ -428,21 +416,23 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
 
     Parameters are the source x-coordinates in [-1/2, 1/2], so adjacent
     vertices always bound one affine (or deepest-similarity) piece.  The
-    walk is built bottom up by `_splice`: each level's (t, x, y) rows for
-    all its parents at once, one row per vertex.  Segment cuts, segment
-    cells and segment-end images come from the templates' locators and
-    `find`, as `evaluate`'s do, not from `pieces`.  A curve whose segments
-    and deepest squares have more than `cantor._MAX_ROWS` ends, shared
-    ends counted twice, raises `DepthLimitError` before its rows are built.
+    walk is built bottom up, level n to level 1, by `_splice`: each level's
+    (t, x, y) rows for all its parents at once, one row per vertex.  It
+    reads what `evaluate` reads: the level tables, and the template stack's
+    cells and locators, with `find` naming each segment's cell; it makes
+    no template object.  A curve whose segments and deepest squares have
+    more than `cantor._MAX_ROWS` ends, shared ends counted twice, raises
+    `DepthLimitError` before its rows are built.
     """
     if m.kind != "theoremB" or m.direction != "forward":
         raise DomainError("midline tracing needs the forward 8-adic map")
     n, src, dst = m.depth, m.src, m.dst
     # both ends of every deepest square's midline, mapped by its similarity
     sc, dc = m.corresponding_centers(n)
-    plans = [_curve_plan(m, lv) for lv in m.levels]
+    levels = range(n, 0, -1)
+    plans = [_curve_plan(m, k) for k in levels]
     count = 2  # rows per parent, bottom up: child blocks and segment ends
-    for plan in reversed(plans):
+    for plan in plans:
         count = sum(count if tag == "child" else 2 for _, tag, _ in plan)
     if count > cantor._MAX_ROWS:
         raise DepthLimitError(f"curve of depth {n} has {count} rows, more "
@@ -453,8 +443,8 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
         np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
         np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
     ], axis=1)  # (parents, rows per parent, (t, x, y))
-    for lv, plan in zip(reversed(m.levels), reversed(plans)):
-        block = _splice(m, lv, plan, block)
+    for k, plan in zip(levels, plans):
+        block = _splice(m, k, plan, block)
     rows = block.reshape(-1, 3)
     return Polyline(rows[:, 1:].copy(), rows[:, 0].copy())
 

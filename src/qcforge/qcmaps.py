@@ -109,13 +109,6 @@ class PiecewiseAffineMap:
                 return v
         raise KeyError(name)
 
-    @cached_property
-    def bbox(self) -> tuple[float, float, float, float]:
-        """(x_min, x_max, y_min, y_max) of the domain."""
-        xs = self.cells[..., 0].ravel().tolist()
-        ys = self.cells[..., 1].ravel().tolist()
-        return (min(xs), max(xs), min(ys), max(ys))
-
     def locate(self, p: Point, tol: float = 1e-12) -> int:
         """Index of a cell containing p (first match); -1 if none."""
         for i, (cell, _) in enumerate(self.pieces):

@@ -65,3 +65,38 @@ def test_report_has_the_layout_of_the_committed_files():
     assert s["job_p90_ms"]["change_lower_in_pairs"] == 10
     assert s["wall_s"]["change_lower_in_pairs"] == 0
     assert obj["queries"]["pairs"] == pairs
+
+
+# PARENT's quartile distance over its median is 2.5 / 50.5 = 0.0495
+@pytest.mark.parametrize("change,bound,result", [
+    # the median 63.0 against a limit of 50.5 * 1.25 = 63.125
+    ([63.0] * 10, 0.25, "held"),
+    ([63.2] * 10, 0.25, "regressed"),
+    # a bound narrower than the parent's spread decides nothing ...
+    ([50.5] * 10, 0.04, "unresolved"),
+    ([80.0] * 10, 0.04, "unresolved"),
+    # ... unless every change run reads lower than every parent run
+    ([46.9] * 10, 0.04, "held"),
+    ([46.9] * 9 + [47.0], 0.04, "unresolved"),
+])
+def test_no_regression_holds_the_median_to_its_bound(change, bound, result):
+    v = bench_pairs.no_regression(PARENT, change, bound)
+    assert v["verdict"] == result
+    assert v["limit"] == pytest.approx(50.5 * (1 + bound))
+    assert v["parent_quartile_distance"] == pytest.approx(2.5)
+
+
+def test_report_without_a_claim_has_a_verdict_per_bounded_metric():
+    pairs = [{"pair": i, "first": ("parent", "change")[i % 2],
+              "parent": _result(job_p90_ms=p, wall_s=1.0, extra=1.0),
+              "change": _result(job_p90_ms=p * 1.3, wall_s=1.0, extra=9.0)}
+             for i, p in enumerate(PARENT)]
+    args = argparse.Namespace(workload="queries", seed=3, claim=None)
+    obj = bench_pairs.report(args, pairs)
+    assert "claim" not in obj
+    verdicts = obj["no_regression"]
+    # `extra` has no bound in BENCHMARK.json
+    assert set(verdicts) == {"job_p90_ms", "wall_s"}
+    assert verdicts["job_p90_ms"]["bound"] == 0.25
+    assert verdicts["job_p90_ms"]["verdict"] == "regressed"
+    assert verdicts["wall_s"]["verdict"] == "held"

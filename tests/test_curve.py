@@ -19,8 +19,40 @@ import pytest
 
 from qcforge.cli import run
 from qcforge.geometry import Point
-from qcforge.homeo import (_curve_plan, _midline_segments, curve_polyline,
+from qcforge.homeo import (HierarchicalMap, _curve_plan, curve_polyline,
                            theoremB_homeo)
+from qcforge.qcmaps import TemplateStack
+
+
+def _midline_segments(template, x_lo, x_hi, holes):
+    """Split the segment y = 0, x in [x_lo, x_hi] minus `holes` at every
+    crossing of a cell edge of a template's `pieces`; return (x0, x1, cell
+    index) triples in ascending order, the cell from `locate` at each
+    segment's midpoint."""
+    cuts = {x_lo, x_hi}
+    for lo, hi in holes:
+        cuts.add(lo)
+        cuts.add(hi)
+    for t, _ in template.pieces:
+        for a, b in ((t.v1, t.v2), (t.v2, t.v3), (t.v3, t.v1)):
+            if a.y == 0.0 and b.y == 0.0:
+                cuts.add(a.x)
+                cuts.add(b.x)
+            elif (a.y <= 0.0 <= b.y) or (b.y <= 0.0 <= a.y):
+                if a.y != b.y:
+                    cuts.add(a.x + (b.x - a.x) * (a.y / (a.y - b.y)))
+    xs = sorted(x for x in cuts if x_lo - 1e-12 <= x <= x_hi + 1e-12)
+    merged = [xs[0]]
+    for x in xs[1:]:
+        if x - merged[-1] > 1e-12:
+            merged.append(x)
+    segs = []
+    for x0, x1 in zip(merged, merged[1:]):
+        mid = 0.5 * (x0 + x1)
+        if any(lo < mid < hi for lo, hi in holes):
+            continue
+        segs.append((x0, x1, template.locate(Point(mid, 0.0), 1e-9)))
+    return segs
 
 
 def _reference_plan(m, lv):
@@ -32,8 +64,8 @@ def _reference_plan(m, lv):
     for ti, (lo, hi) in ((1, (-0.5, 0.0)), (0, (0.0, 0.5))):
         in_range = tuple(h for h in holes if h[0] >= lo - 1e-12
                          and h[1] <= hi + 1e-12)
-        for x0, x1, idx in _midline_segments(
-                m.templates.locator(lv.k - 1, ti), lo, hi, in_range):
+        for x0, x1, idx in _midline_segments(lv.templates[ti], lo, hi,
+                                             in_range):
             items.append((x0, "seg", (x1, ti, idx)))
     for j, c in enumerate(centers):
         items.append((c - child_half, "child", j))
@@ -131,19 +163,18 @@ def _merged_polyline(m, tol=1e-12):
         np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
         np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
     ], axis=1)
-    for lv in reversed(m.levels):
-        sc, dc = m.corresponding_centers(lv.k - 1)
+    for k in range(n, 0, -1):
+        sc, dc = m.corresponding_centers(k - 1)
         base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
         children = block.reshape(len(base), 4, -1, 3)
-        sp, dp = src.sides[lv.k - 1], dst.sides[lv.k - 1]
+        sp, dp = src.sides[k - 1], dst.sides[k - 1]
         parts = []
-        for start, tag, payload in _curve_plan(m, lv):
+        for start, tag, payload in _curve_plan(m, k):
             if tag == "child":
                 parts.append(children[:, payload])
                 continue
             x1, ti, idx = payload
-            m11, m12, m21, m22, tx, ty = \
-                m.templates.locator(lv.k - 1, ti)[1][idx]
+            m11, m12, m21, m22, tx, ty = m.templates.locator(k - 1, ti)[1][idx]
             ends = [(x * sp, (m11 * x + m12 * 0.0 + tx) * dp,
                      (m21 * x + m22 * 0.0 + ty) * dp) for x in (start, x1)]
             parts.append(base + np.array(ends)[None])
@@ -163,6 +194,23 @@ def test_curve_matches_concatenate_then_merge_bit_for_bit(depth):
     pl = curve_polyline(m)
     assert np.array_equal(_bits(pl.params), _bits(rows[:, 0]))
     assert np.array_equal(_bits(pl.vertices), _bits(rows[:, 1:]))
+
+
+def _unread(*args):
+    raise AssertionError("a level or a template object was made")
+
+
+def test_curve_makes_no_level_and_no_template_object():
+    # the curve reads the stack's cells and locators and the level tables,
+    # as `evaluate` does
+    m = theoremB_homeo(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HierarchicalMap, "levels", property(_unread))
+        mp.setattr(TemplateStack, "template", _unread)
+        pl = curve_polyline(m)
+    ref = _reference_polyline(m)
+    assert np.array_equal(_bits(pl.params), _bits(ref[:, 0]))
+    assert np.array_equal(_bits(pl.vertices), _bits(ref[:, 1:]))
 
 
 def test_curve_peak_memory_is_a_small_multiple_of_its_output():

@@ -309,6 +309,36 @@ def test_gathered_square_level_export_is_joined_per_block(tmp_path):
     assert peak < 1.5e6
 
 
+def test_plan_reads_a_level_block_by_block():
+    # `_plan` counts distinct values per block, so the export of a million
+    # rows holds no copy of a whole column (8 MB each)
+    centers = build_level(make_gauge("sqrt"), 10).centers
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        size = sum(map(len, export.csv_parts(("x", "y"), centers.T)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert size > 40_000_000
+    assert peak < 2e6
+
+
+def test_plan_stops_counting_at_a_block_of_mostly_distinct_values(
+        monkeypatch):
+    # a column of one repeated value after a block of distinct ones has at
+    # most half as many distinct values as rows, but is not gathered; one
+    # whose blocks each repeat a value is
+    monkeypatch.setattr(export, "_BLOCK_ROWS", 4)
+    distinct_first = np.array([0.5, 0.25, 0.125, 0.0625] + [0.5] * 12)
+    assert _plan(distinct_first)[0] == "%d"
+    repeats = np.repeat([0.5, 0.25, 0.125, 0.0625], 4)
+    spec, (values, texts) = _plan(repeats)
+    assert spec == "%s" and values.tolist() == [0.0625, 0.125, 0.25, 0.5]
+    assert texts.tolist() == ["0.0625", "0.125", "0.25", "0.5"]
+
+
 # the digit path, held to Python's own %.17g
 
 

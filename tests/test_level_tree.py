@@ -160,7 +160,7 @@ def _placement_images(m, z):
     for ti, (ox, oy), (dox, doy) in lv.placements:
         t = lv.templates[ti]
         u = Point((z.x - ox) / sscale, (z.y - oy) / sscale)
-        x0, x1, y0, y1 = t.bbox
+        (x0, y0), (x1, y1) = t.cells.min(axis=(0, 1)), t.cells.max(axis=(0, 1))
         if x0 - 1e-12 <= u.x <= x1 + 1e-12 and y0 - 1e-12 <= u.y <= y1 + 1e-12:
             v = t.apply(u, tol=1e-9)
             out.append(Point(dox + v.x * dscale, doy + v.y * dscale))

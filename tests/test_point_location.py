@@ -33,6 +33,12 @@ def _templates(m):
     return [t for lv in m.levels for t in lv.templates]
 
 
+def _box(t):
+    """(x0, x1, y0, y1) of a template's cells."""
+    (x0, y0), (x1, y1) = t.cells.min(axis=(0, 1)), t.cells.max(axis=(0, 1))
+    return float(x0), float(x1), float(y0), float(y1)
+
+
 def _located(m, levels=None):
     """(template, locator) of the templates of a map's levels (by default
     all of them)."""
@@ -50,8 +56,8 @@ def _ulps(v):
 def _probe_points(t, tol, rng, seeded=40):
     """Cell vertices, edge midpoints, midpoints moved 2 tol off each edge
     along its normal, points on each edge's line 2, 11 and 1000 edge
-    lengths past its ends, centroids, and seeded points over the bbox
-    widened by 10% on each side."""
+    lengths past its ends, centroids, and seeded points over the box of
+    the cells widened by 10% on each side."""
     pts = set()
     for cell in t.cells.tolist():
         for j in range(3):
@@ -65,7 +71,7 @@ def _probe_points(t, tol, rng, seeded=40):
             pts.update((ax + s * (bx - ax), ay + s * (by - ay))
                        for s in (-1e3, -11.0, -2.0, 3.0, 12.0, 1001.0))
         pts.add((sum(v[0] for v in cell) / 3.0, sum(v[1] for v in cell) / 3.0))
-    x0, x1, y0, y1 = t.bbox
+    x0, x1, y0, y1 = _box(t)
     wx, wy = 0.1 * (x1 - x0), 0.1 * (y1 - y0)
     xs = rng.uniform(x0 - wx, x1 + wx, seeded)
     ys = rng.uniform(y0 - wy, y1 + wy, seeded)
@@ -140,7 +146,7 @@ def _evaluate_by_objects(m, z):
             dscale = dst.sides[k] * m.template_scale
             for ti, (ox, oy), (dox, doy) in lv.placements:
                 u = Point((rx - ox) / sscale, (ry - oy) / sscale)
-                x0, x1, y0, y1 = lv.templates[ti].bbox
+                x0, x1, y0, y1 = _box(lv.templates[ti])
                 if (x0 - 2e-12 <= u.x <= x1 + 2e-12
                         and y0 - 2e-12 <= u.y <= y1 + 2e-12):
                     break
