@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from qcforge.analysis import (CASES, DavidParams, _closed_exceedances,
-                              check_david, dilatation_profile, level_ratio)
+from qcforge.analysis import (CASES, DavidParams, check_david,
+                              dilatation_profile, level_ratio)
 from qcforge.cantor import frostman_profile, make_gauge
 from qcforge.homeo import invert, max_dilatation_per_level
 from qcforge.qcmaps import annulus_extension_any, twist_extension
@@ -22,7 +22,7 @@ def min_k0(m, depths=range(6, 13)):
     need = 1.0
     for n in depths:
         prof = dilatation_profile(m.truncate(n), "domain")
-        for K0 in [1.0] + [k for k, _ in _closed_exceedances(prof)]:
+        for K0 in [1.0, *prof.thresholds]:
             if check_david(prof, DavidParams(1.0, 1.0, max(1.0, K0)))[0]:
                 need = max(need, max(1.0, K0))
                 break

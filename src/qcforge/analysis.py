@@ -131,16 +131,6 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
                              float(above[-1]), table.areas[m.depth], side)
 
 
-def _closed_exceedances(profile: DilatationProfile):
-    """(K, area with dilatation >= K) at each threshold."""
-    closed = []
-    above = profile.classified_area
-    for k, strict in profile.entries:
-        closed.append((k, above))
-        above = strict
-    return closed
-
-
 def check_david(profile: DilatationProfile, params: DavidParams
                 ) -> tuple[bool, float]:
     """Verify area{K_phi >= K} + truncation <= C exp(-alpha K) at every
@@ -150,25 +140,38 @@ def check_david(profile: DilatationProfile, params: DavidParams
     the checked thresholds, +inf when no threshold exceeds K0 (a vacuous
     pass: nothing above K0 has positive area yet).
     """
-    return _verdict((closed + profile.truncation_bound, params.bound(k))
-                    for k, closed in _closed_exceedances(profile)
-                    if k > params.K0)
+    ks = profile.thresholds
+    # the closed exceedance at a threshold is the strict one below it
+    closed = np.array([profile.classified_area,
+                       *(area for _, area in profile.entries)])[:-1]
+    (flag,), (margin,) = _verdicts(
+        (closed + profile.truncation_bound)[None],
+        np.array([params.bound(k) for k in ks])[None],
+        np.greater(ks, params.K0)[None])
+    return flag, margin
 
 
-def _verdict(checks) -> tuple[bool, float]:
-    """(flag, margin) of the (area, bound) pairs of one David check: whether
-    every area is within its bound, and the minimum of log(bound / area)
-    over the positive areas (+inf when there is none)."""
-    ok, margin = True, math.inf
-    for area, b in checks:
-        if area > b:
-            ok = False
-        if area > 0:
-            # the bound can underflow to 0 for huge K; that is a definite fail
-            q = math.log(b / area) if b > 0 else -math.inf
-            if q < margin:
-                margin = q
-    return ok, margin
+def _verdicts(areas, bounds, mask):
+    """Per row of (area, bound) pairs, counting the pairs where `mask`
+    holds: whether every area is within its bound, and the minimum of
+    log(bound / area) over the positive areas (+inf when there is none,
+    -inf where such a bound is 0).
+
+    `math.log` is taken only of the ratios within a relative 1e-12 of the
+    row's least, and the least log kept, so margins are those of a loop of
+    `math.log`s bit for bit."""
+    flags = ~(mask & (areas > bounds)).any(axis=1)
+    ratios = np.full(areas.shape, math.inf)
+    np.divide(bounds, areas, out=ratios, where=mask & (areas > 0))
+    least = ratios.min(axis=1, initial=math.inf)
+    # a least ratio of 0 (an underflowed bound) or +inf (no positive area)
+    # is the margin's own log; a row takes no candidate then
+    margins = np.where(least > 0, math.inf, -math.inf)
+    cut = np.where((least > 0) & (least < math.inf), least * (1 + 1e-12), -1)
+    rows, cols = np.nonzero(ratios <= cut[:, None])
+    np.minimum.at(margins, rows,
+                  [math.log(q) for q in ratios[rows, cols].tolist()])
+    return flags.tolist(), margins.tolist()
 
 
 def qc_dimension_bounds(K: float, alpha: float) -> tuple[float, float]:
@@ -198,6 +201,10 @@ def level_ratio(src: GaugeSequence, dst: GaugeSequence, k: int) -> float:
     return max(r, 1.0 / r)
 
 
+# (depth, threshold) cells per block of `_david_sweep`: 2 MB per float array
+_SWEEP_CELLS = 1 << 18
+
+
 def _david_sweep(m: HierarchicalMap, K0: float):
     """(C, alpha) = (1, 1) checks of the domain profile at depths 3..depth,
     in one pass over the levels.
@@ -205,30 +212,39 @@ def _david_sweep(m: HierarchicalMap, K0: float):
     `check_david` of the depth-n profile skips every threshold <= K0, and
     the closed exceedance at a threshold is the suffix sum of the masses
     from the top down to it.  So each level's masses are added into the
-    profile's sums in the profile's order, and each depth sums the
-    thresholds above K0 seen so far from the top: flags and margins are
-    those of `check_david` bit for bit.
+    profile's sums in the profile's order, and a block of depths takes a
+    row each of those sums above K0, top down, with the thresholds not yet
+    seen at its depth adding an exact 0.0 and left out of its verdict:
+    flags and margins are those of `check_david` bit for bit.
     """
     params = DavidParams(1.0, 1.0, K0)
     ks, which, mass = _level_masses(m, "domain")
+    # the level at which each threshold is first seen, and the thresholds
+    # above K0 from the top down
+    born = np.full(len(ks), m.depth)
+    np.minimum.at(born, which, np.arange(1, m.depth + 1)[:, None])
+    tail = np.flatnonzero(ks > K0)[::-1]
+    bounds = np.array([params.bound(k) for k in ks[tail].tolist()])
     sums = np.zeros(len(ks))
-    seen = np.zeros(len(ks), bool)
-    # the thresholds above K0, as views that follow the updates below
-    first = int(np.searchsorted(ks, K0, side="right"))
-    tail_sums, tail_seen = sums[first:], seen[first:]
-    bounds = np.array([params.bound(k) for k in ks[first:].tolist()])
+    levels = zip(which, mass)
     out = []
-    for n, (row, ms, truncation) in enumerate(
-            zip(which, mass, m.src.areas[1:]), 1):
-        np.add.at(sums, row, ms)
-        seen[row] = True
-        if n < 3:
-            continue
-        top_down = np.flatnonzero(tail_seen)[::-1]
-        areas = np.cumsum(tail_sums[top_down]) + truncation
-        flag, margin = _verdict(zip(areas.tolist(),
-                                    bounds[top_down].tolist()))
-        out.append({"depth": n, "passed": flag, "margin": margin})
+    step = max(1, _SWEEP_CELLS // max(1, len(tail)))
+    for lo in range(1, m.depth + 1, step):
+        hi = min(lo + step, m.depth + 1)
+        depths = np.arange(lo, hi)
+        seen = born[tail] <= depths[-1]
+        cols = tail[seen]
+        block = np.empty((len(depths), len(cols)))
+        for snapshot, (row, ms) in zip(block, levels):
+            np.add.at(sums, row, ms)
+            np.take(sums, cols, out=snapshot)
+        areas = np.cumsum(block, axis=1, out=block)
+        areas += np.array(m.src.areas[lo:hi])[:, None]
+        flags, margins = _verdicts(areas, bounds[seen],
+                                   born[cols] <= depths[:, None])
+        out += [{"depth": n, "passed": flag, "margin": margin}
+                for n, flag, margin in zip(depths.tolist(), flags, margins)
+                if n >= 3]
     return out
 
 

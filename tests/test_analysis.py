@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qcforge import analysis
 from qcforge.analysis import (CASES, DavidParams,
                               DilatationProfile, _david_sweep, check_david,
                               dilatation_profile, level_ratio,
@@ -217,12 +219,72 @@ def _cellwise_profile(m, side):
                              construction.level_area(m.depth), side)
 
 
+def _reference_verdict(checks):
+    """(flag, margin) of a David check's (area, bound) pairs, one pair at a
+    time: whether every area is within its bound, and the minimum of
+    log(bound / area) over the positive areas (+inf when there is none)."""
+    ok, margin = True, math.inf
+    for area, b in checks:
+        if area > b:
+            ok = False
+        if area > 0:
+            # the bound can underflow to 0 for huge K; that is a definite fail
+            q = math.log(b / area) if b > 0 else -math.inf
+            if q < margin:
+                margin = q
+    return ok, margin
+
+
+def _reference_check(profile, params):
+    """`check_david` as a loop over the thresholds above K0."""
+    closed, above = [], profile.classified_area
+    for k, strict in profile.entries:
+        closed.append((k, above))
+        above = strict
+    return _reference_verdict((area + profile.truncation_bound,
+                               params.bound(k))
+                              for k, area in closed if k > params.K0)
+
+
+def _reference_sweep(m, K0):
+    """`_david_sweep` as a loop over the depths: each level's masses added
+    into the profile's sums, then the seen thresholds above K0 summed from
+    the top down and checked one at a time."""
+    params = DavidParams(1.0, 1.0, K0)
+    ks, which, mass = analysis._level_masses(m, "domain")
+    sums = np.zeros(len(ks))
+    seen = np.zeros(len(ks), bool)
+    first = int(np.searchsorted(ks, K0, side="right"))
+    tail_sums, tail_seen = sums[first:], seen[first:]
+    bounds = np.array([params.bound(k) for k in ks[first:].tolist()])
+    out = []
+    for n, (row, ms, truncation) in enumerate(
+            zip(which, mass, m.src.areas[1:]), 1):
+        np.add.at(sums, row, ms)
+        seen[row] = True
+        if n < 3:
+            continue
+        top_down = np.flatnonzero(tail_seen)[::-1]
+        areas = np.cumsum(tail_sums[top_down]) + truncation
+        flag, margin = _reference_verdict(zip(areas.tolist(),
+                                              bounds[top_down].tolist()))
+        out.append({"depth": n, "passed": flag, "margin": margin})
+    return out
+
+
+def _bits(checks):
+    return [(c["depth"], c["passed"], float.hex(c["margin"]))
+            for c in checks]
+
+
 def _resweep(m, K0):
-    """The sweep's checks recomputed from the full profile at each depth."""
+    """The sweep's checks recomputed by the reference loop from the full
+    profile at each depth."""
     params = DavidParams(1.0, 1.0, K0)
     out = []
     for n in range(3, m.depth + 1):
-        passed, margin = check_david(dilatation_profile(m.truncate(n)), params)
+        passed, margin = _reference_check(dilatation_profile(m.truncate(n)),
+                                          params)
         out.append({"depth": n, "passed": passed, "margin": margin})
     return out
 
@@ -236,7 +298,7 @@ def test_incremental_sweep_matches_reprofiling(case):
     fwd = _case_map(case, 48)
     for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
         K0 = FROZEN_K0[(case, direction)]
-        assert _david_sweep(m, K0) == _resweep(m, K0)
+        assert _bits(_david_sweep(m, K0)) == _bits(_resweep(m, K0))
         # from n = 32 on, a level's 4^(n-1) instances pass 2^63
         for n in (1, 31, 32, 48):
             for side in ("domain", "image"):
@@ -249,12 +311,13 @@ def test_sweep_matches_check_david_beyond_frozen_cutoffs(case):
     # the sweep keeps only the thresholds above K0; cover K0 = 1 (nearly
     # all of them), K0 on a threshold (the strict >: nothing lies above the
     # top one at full depth), and K0 above all of them (vacuous at every
-    # depth), at depth 64 for theorem B
+    # depth), at depth 64 for theorem B, against the reference check of
+    # each depth's profile
     fwd = _case_map(case, 64 if case == "theoremB" else 48)
     for m in (fwd, invert(fwd)):
         ks = dilatation_profile(m).thresholds
         for K0 in (1.0, ks[len(ks) // 2], ks[-1], 2.0 * ks[-1]):
-            assert _david_sweep(m, K0) == _resweep(m, K0)
+            assert _bits(_david_sweep(m, K0)) == _bits(_resweep(m, K0))
         assert _david_sweep(m, ks[-1])[-1]["margin"] == math.inf
         assert all(c["passed"] and c["margin"] == math.inf
                    for c in _david_sweep(m, 2.0 * ks[-1]))
@@ -265,10 +328,117 @@ def test_sweep_matches_check_david_beyond_frozen_cutoffs(case):
 def test_deep_sweep_matches_check_david(case):
     # at depth 200 masses, truncation areas and bounds reach 0 in floating
     # point (at theorem B's frozen K0 most margins are -inf): the sweep must
-    # still read what `check_david` of each profile reads
+    # still read what the reference check of each profile reads
     fwd = _case_map(case, 200)
     for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
         for K0 in (FROZEN_K0[(case, direction)], 1.0):
-            assert _david_sweep(m, K0) == _resweep(m, K0)
+            assert _bits(_david_sweep(m, K0)) == _bits(_resweep(m, K0))
 
 
+@pytest.mark.parametrize("cells", [analysis._SWEEP_CELLS, 5000])
+@pytest.mark.parametrize("case", [*CASES])
+def test_sweep_matches_the_reference_loop_to_depth_200(monkeypatch, case,
+                                                       cells):
+    # every depth 3..200, in blocks of the default size and in blocks of a
+    # few depths (one depth where a block row holds more than 5000 cells)
+    monkeypatch.setattr(analysis, "_SWEEP_CELLS", cells)
+    fwd = _case_map(case, 200)
+    for direction, m in (("forward", fwd), ("inverse", invert(fwd))):
+        for K0 in (FROZEN_K0[(case, direction)], 1.0):
+            assert _bits(_david_sweep(m, K0)) == \
+                _bits(_reference_sweep(m, K0))
+
+
+def _tied_profiles(rng):
+    """Profiles whose ratios bound / area tie exactly or to a few ulps,
+    some with zero areas at the top and some with positive areas at
+    thresholds where the bound underflows to 0, with the (C, alpha) they
+    were made for."""
+    for i in range(200):
+        n = int(rng.integers(1, 10))
+        ks = 1.0 + np.cumsum(rng.uniform(0.0, 3.0, n) + 1e-9)
+        if i % 4 == 3:
+            ks *= 200.0
+        C, alpha = [(1.0, 1.0), (3.0, 0.5), (1e-16, 2.0)][i % 3]
+        bounds = np.array([C * math.exp(-alpha * k) for k in ks.tolist()])
+        # ratio 2 exactly, or 1.5 off by up to two ulps
+        scale = 0.5 if i % 2 else \
+            (1 + rng.integers(-2, 3, n) * 2.0 ** -52) / 1.5
+        closed = bounds * scale
+        if i % 4 == 3:
+            # positive areas where bounds underflow
+            closed = np.maximum(closed, np.linspace(0.5, 0.1, n))
+        closed[n - int(rng.integers(0, 3)):] = 0.0
+        truncation = 0.0 if i % 5 else float(closed[-1]) / 4
+        yield DilatationProfile(
+            tuple(zip(ks.tolist(), [*closed[1:].tolist(), 0.0])),
+            float(closed[0]), truncation, "domain"), C, alpha
+
+
+def test_check_david_matches_the_reference_loop(rng):
+    margins = set()
+    for p, C, alpha in _tied_profiles(rng):
+        ks = p.thresholds
+        # K0 below, on and above every threshold
+        for K0 in (1.0, *ks, 2.0 * ks[-1]):
+            params = DavidParams(C, alpha, K0)
+            got = check_david(p, params)
+            want = _reference_check(p, params)
+            assert (got[0], float.hex(got[1])) == \
+                (want[0], float.hex(want[1])), (p, params)
+            margins.add(got[1])
+    assert {math.inf, -math.inf} <= margins
+    assert any(math.isfinite(q) for q in margins)
+
+
+def test_verdicts_take_bounds_from_math_exp_and_margins_from_math_log(
+        monkeypatch):
+    # on this profile np.exp differs from math.exp in the last bit at some
+    # thresholds (161 of 3,684 at (C, alpha) = (2, 0.01) on x86-64 with
+    # numpy 2.4)
+    p = dilatation_profile(invert(theoremB_homeo(200)))
+    ks = p.thresholds
+    calls = []
+    kernel = analysis._verdicts
+
+    def spy(areas, bounds, mask):
+        calls.append((areas[0].tolist(), bounds[0].tolist()))
+        return kernel(areas, bounds, mask)
+
+    def checked(params, exp, log):
+        """Whether the kernel's bounds were C exp(-alpha K) and its margin
+        the log of the least ratio, with `exp` and `log` the functions it
+        is to use."""
+        _, margin = check_david(p, params)
+        areas, bounds = calls.pop()
+        want = [params.C * exp(-params.alpha * k) for k in ks]
+        least = min(b / a for k, a, b in zip(ks, areas, want)
+                    if k > params.K0 and a > 0)
+        return bounds == want, margin == log(least)
+
+    monkeypatch.setattr(analysis, "_verdicts", spy)
+    for params in (DavidParams(1.0, 0.1, 1.0), DavidParams(2.0, 0.01, 1.0),
+                   DavidParams(1.0, 0.1, ks[len(ks) // 2])):
+        assert checked(params, math.exp, math.log) == (True, True)
+    # a kernel that took its functions from anywhere but `math` would not
+    # see them moved by an ulp
+    nudged = type(math)("math")
+    nudged.__dict__.update(vars(math))
+    nudged.exp = lambda x: math.nextafter(math.exp(x), math.inf)
+    nudged.log = lambda x: math.nextafter(math.log(x), math.inf)
+    monkeypatch.setattr(analysis, "math", nudged)
+    assert checked(DavidParams(2.0, 0.01, 1.0), nudged.exp, nudged.log) == \
+        (True, True)
+
+
+def test_sweep_peak_memory_is_bounded_by_its_blocks():
+    # one unblocked array of the depth-400 theorem B inverse sweep is
+    # 400 x 2,978 thresholds above K0 x 8 bytes, 9.5 MB
+    m = invert(theoremB_homeo(400))
+    tracemalloc.start()
+    try:
+        _david_sweep(m, FROZEN_K0[("theoremB", "inverse")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
