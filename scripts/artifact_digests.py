@@ -7,7 +7,7 @@ Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
 
 The jobs are every CLI job of the three benchmark workloads at each seed
 (from perfbench/inputs.py), `curve --depth 0..8`, the depth-0 profile in
-both formats, deep maps (theoremB reports at depths 64 and 200,
+both formats and its vacuous David check, deep maps (theoremB reports at depths 64 and 200,
 slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
 box counts (`dims --box-depths`) on thin, thick and tiny-side gauges up
@@ -17,8 +17,9 @@ level and profile exports (`cantor --gauge geometric:1 --depth 8`,
 David check of that map at K0 = 100), annulus templates that fail
 validation (exit 2), a twist at a = 1e-12, and inputs that must exit 1
 (a traceback shows as exit code `raised`), among them `dims` requests
-with no result: overflowing gauge exponents and 8-adic inputs that name
-another gauge or no estimate.
+with no result: overflowing gauge exponents, a parameter given to a gauge
+that takes none, and 8-adic inputs that name another gauge or no
+estimate.
 Each runs in process through `qcforge.cli.run`, writing into a temporary
 directory; a job that writes no artifact is digested by its stderr text
 instead.  The lines after them digest the float64 bytes of `evaluate`
@@ -67,6 +68,7 @@ FIXED = (
     + [(f"profile-0.{fmt}", ("profile", "--case", "slow-to-fast",
                              "--depth", "0", "--format", fmt), {})
        for fmt in ("csv", "json")]
+    + [("david-0", ("david", "--case", "slow-to-fast", "--depth", "0"), {})]
     # deep and mixed-orientation maps: templates inverted at some levels
     # only, instance counts past 2^63
     + [("report-theoremB-64", ("report", "--case", "theoremB",
@@ -111,6 +113,8 @@ FIXED = (
          "--depth", "30"), {}),
        ("exit1-case-parameter",
         ("profile", "--case", "slow-to-geometric:abc", "--depth", "3"), {}),
+       ("exit1-gauge-parameter",
+        ("dims", "--gauge", "slow:7", "--levels", "3"), {}),
        ("exit1-curve-depth-guard", ("curve", "--depth", "4"),
         {"QCFORGE_DEPTH_GUARD": "3"})]
     # Frostman walks past the workloads' levels 5-7: a thick gauge, tiny

@@ -22,7 +22,7 @@ def min_k0(m, depths=range(6, 13)):
     need = 1.0
     for n in depths:
         prof = dilatation_profile(m.truncate(n), "domain")
-        for K0 in [1.0, *prof.thresholds]:
+        for K0 in [1.0, *prof.thresholds.tolist()]:
             if check_david(prof, DavidParams(1.0, 1.0, max(1.0, K0)))[0]:
                 need = max(need, max(1.0, K0))
                 break

@@ -39,33 +39,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilatationProfile:
-    """Exact exceedance areas of a hierarchical map.
+    """Exact exceedance areas of a hierarchical map as float64 columns:
+    `thresholds`, the distinct cell dilatations K ascending, and
+    `exceedances`, the area strictly above each.  `classified_area` is the
+    total gasket area accounted for; `truncation_bound` is the area still
+    unclassified at the build depth (the deepest-level squares)."""
 
-    `entries` lists (K, area strictly above K) at each distinct cell
-    dilatation, ascending in K; `classified_area` is the total gasket area
-    accounted for; `truncation_bound` is the area still unclassified at the
-    build depth (the deepest-level squares).
-    """
-
-    entries: tuple[tuple[float, float], ...]
+    thresholds: np.ndarray
+    exceedances: np.ndarray
     classified_area: float
     truncation_bound: float
     side: str  # "domain" or "image"
-
-    @property
-    def thresholds(self) -> tuple[float, ...]:
-        return tuple(k for k, _ in self.entries)
-
-    def exceedance(self, K: float) -> float:
-        """Area with dilatation strictly above K (truncation excluded)."""
-        strict = self.classified_area
-        for k, area in self.entries:
-            if k > K:
-                break
-            strict = area
-        return strict
 
 
 @dataclass(frozen=True)
@@ -75,15 +61,17 @@ class DavidParams:
     K0: float
 
     def __post_init__(self):
-        finite = map(math.isfinite, (self.C, self.alpha, self.K0))
-        if not (self.C > 0 and self.alpha > 0 and self.K0 >= 1
-                and all(finite)):
-            raise DomainError(
-                f"need finite C > 0, alpha > 0, K0 >= 1; got ({self.C}, "
-                f"{self.alpha}, {self.K0})")
+        if not (0 < self.C < math.inf and 0 < self.alpha < math.inf
+                and 1 <= self.K0 < math.inf):
+            raise DomainError(f"need finite C > 0, alpha > 0, K0 >= 1; got "
+                              f"({self.C}, {self.alpha}, {self.K0})")
 
     def bound(self, K: float) -> float:
         return self.C * math.exp(-self.alpha * K)
+
+    def bounds(self, ks: np.ndarray) -> np.ndarray:
+        """`bound` per threshold, by `math.exp`: `np.exp` rounds some apart."""
+        return np.array([self.bound(k) for k in ks.tolist()], float)
 
 
 def _level_masses(m: HierarchicalMap, side: str):
@@ -127,8 +115,8 @@ def dilatation_profile(m: HierarchicalMap, side: str = "domain"
     np.add.at(sums, which.ravel(), mass.ravel())
     above = np.cumsum(np.concatenate([[0.0], sums[::-1]]))
     table = m.src if side == "domain" else m.dst
-    return DilatationProfile(tuple(zip(ks.tolist(), above[-2::-1].tolist())),
-                             float(above[-1]), table.areas[m.depth], side)
+    return DilatationProfile(ks, above[-2::-1], float(above[-1]),
+                             table.areas[m.depth], side)
 
 
 def check_david(profile: DilatationProfile, params: DavidParams
@@ -142,12 +130,10 @@ def check_david(profile: DilatationProfile, params: DavidParams
     """
     ks = profile.thresholds
     # the closed exceedance at a threshold is the strict one below it
-    closed = np.array([profile.classified_area,
-                       *(area for _, area in profile.entries)])[:-1]
+    closed = np.append(profile.classified_area, profile.exceedances)[:-1]
     (flag,), (margin,) = _verdicts(
-        (closed + profile.truncation_bound)[None],
-        np.array([params.bound(k) for k in ks])[None],
-        np.greater(ks, params.K0)[None])
+        (closed + profile.truncation_bound)[None], params.bounds(ks)[None],
+        (ks > params.K0)[None])
     return flag, margin
 
 
@@ -217,14 +203,13 @@ def _david_sweep(m: HierarchicalMap, K0: float):
     seen at its depth adding an exact 0.0 and left out of its verdict:
     flags and margins are those of `check_david` bit for bit.
     """
-    params = DavidParams(1.0, 1.0, K0)
     ks, which, mass = _level_masses(m, "domain")
     # the level at which each threshold is first seen, and the thresholds
     # above K0 from the top down
     born = np.full(len(ks), m.depth)
     np.minimum.at(born, which, np.arange(1, m.depth + 1)[:, None])
     tail = np.flatnonzero(ks > K0)[::-1]
-    bounds = np.array([params.bound(k) for k in ks[tail].tolist()])
+    bounds = DavidParams(1.0, 1.0, K0).bounds(ks[tail])
     sums = np.zeros(len(ks))
     levels = zip(which, mass)
     out = []

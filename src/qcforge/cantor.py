@@ -103,10 +103,11 @@ def make_gauge(kind: str, nu: float | None = None) -> GaugeSequence:
     if kind == "geometric":
         if nu is None or not math.isfinite(nu) or nu <= 0:
             raise ValidationError("geometric gauge needs a finite nu > 0")
-        return GaugeSequence("geometric", nu=float(nu))
-    if kind in ("slow", "fast", "sqrt"):
-        return GaugeSequence(kind)
-    raise ValidationError(f"unknown gauge kind {kind!r}")
+    elif kind not in ("slow", "fast", "sqrt"):
+        raise ValidationError(f"unknown gauge kind {kind!r}")
+    elif nu is not None:
+        raise ValidationError(f"{kind} gauge takes no parameter, got {nu:g}")
+    return GaugeSequence(kind, None if nu is None else float(nu))
 
 
 @dataclass(frozen=True)

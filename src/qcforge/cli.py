@@ -2,16 +2,15 @@
 
 Every subcommand writes a deterministic JSON or CSV artifact (stdout by
 default, `--out` for a file).  Exit codes: 0 on success, 2 when a verdict
-subcommand fails its check, 1 on usage errors.
+subcommand fails its check, 1 on usage errors and a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-
-import numpy as np
 
 from . import analysis, cantor, export, homeo, qcmaps
 from .errors import QCForgeError
@@ -256,14 +255,14 @@ def _run_profile(args) -> int:
     if args.format == "csv":
         parts = export.profile_csv_parts(prof, params)
     else:
-        rows = np.array([(k, a, params.bound(k)) for k, a in prof.entries],
-                        float).reshape(-1, 3)
+        ks = prof.thresholds
         parts = export.json_parts({
             "side": prof.side,
             "classified_area": prof.classified_area,
             "truncation_bound": prof.truncation_bound,
-            "entries": export.Columns(tuple(rows.T),
-                                      ("K", "exceedance_area", "bound")),
+            "entries": export.Columns(
+                (ks, prof.exceedances, params.bounds(ks)),
+                ("K", "exceedance_area", "bound")),
         })
     _emit(parts, args.out)
     return 0
@@ -326,7 +325,14 @@ def run(argv=None) -> int:
 
 
 def main():  # console-script entry point
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed: the exit's flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: stdout closed before the artifact ended\n")
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -339,10 +339,10 @@ def polyline_csv(polyline) -> str:
 
 def profile_csv_parts(profile, params):
     """Columns (K, exceedance_area, bound_C_alpha, truncation)."""
-    rows = np.array([(k, area, params.bound(k), profile.truncation_bound)
-                     for k, area in profile.entries], dtype=np.float64)
+    ks = profile.thresholds
     return csv_parts(("K", "exceedance_area", "bound_C_alpha", "truncation"),
-                     list(rows.reshape(-1, 4).T))
+                     (ks, profile.exceedances, params.bounds(ks),
+                      np.full(len(ks), profile.truncation_bound)))
 
 
 def profile_csv(profile, params) -> str:

@@ -104,10 +104,7 @@ class PiecewiseAffineMap:
                                         self.maps.tolist()))
 
     def param(self, name: str) -> float:
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
+        return dict(self.params)[name]
 
     def locate(self, p: Point, tol: float = 1e-12) -> int:
         """Index of a cell containing p (first match); -1 if none."""

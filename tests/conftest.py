@@ -59,6 +59,14 @@ class TableGauge:
         return "custom"
 
 
+def profile_bits(p):
+    """A `DilatationProfile` as bytes and hex floats, for comparing two
+    profiles bit for bit: its columns, its areas and its side."""
+    return (p.thresholds.tobytes(), p.exceedances.tobytes(),
+            float.hex(p.classified_area), float.hex(p.truncation_bound),
+            p.side)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

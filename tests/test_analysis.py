@@ -17,24 +17,32 @@ from qcforge.geometry import Triangle
 from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
                            theoremB_homeo)
 
+from conftest import profile_bits
+
 SLOW = make_gauge("slow")
 GEO1 = make_gauge("geometric", 1.0)
 FAST = make_gauge("fast")
 
 
+def _profile(ks, exceedances, classified, truncation=0.0):
+    """A domain profile of the given columns and areas."""
+    return DilatationProfile(np.array(ks, float), np.array(exceedances, float),
+                             classified, truncation, "domain")
+
+
 def test_identity_profile_is_flat():
     m = standard_homeo(GEO1, GEO1, 6)
     p = dilatation_profile(m)
-    assert p.thresholds == (1.0,)
-    assert p.entries[0][1] == 0.0
-    assert p.exceedance(1.0) == 0.0
+    assert p.thresholds.dtype == p.exceedances.dtype == np.float64
+    assert p.thresholds.tolist() == [1.0]
+    assert p.exceedances.tolist() == [0.0]
     assert check_david(p, DavidParams(1.0, 1.0, 1.0)) == (True, math.inf)
 
 
 def test_underflowed_bound_gives_minus_infinite_margin():
     # e^-K is 0 in floating point for K above about 745: positive area
     # there is a definite fail, with margin -inf, in both verdict paths
-    p = DilatationProfile(((1.0, 0.5), (800.0, 0.0)), 1.0, 0.0, "domain")
+    p = _profile([1.0, 800.0], [0.5, 0.0], 1.0)
     assert check_david(p, DavidParams(1.0, 1.0, 1.0)) == (False, -math.inf)
     checks = _david_sweep(theoremB_homeo(16), FROZEN_K0[("theoremB",
                                                           "forward")])
@@ -55,22 +63,25 @@ def test_image_profile_equals_inverse_domain_profile():
     m = standard_homeo(SLOW, GEO1, 7)
     img = dilatation_profile(m, "image")
     dom_inv = dilatation_profile(invert(m), "domain")
-    assert img.entries == dom_inv.entries
-    assert img.truncation_bound == dom_inv.truncation_bound
+    # every bit but the side's name
+    assert profile_bits(img)[:-1] == profile_bits(dom_inv)[:-1]
 
 
 def test_deeper_profiles_refine():
-    """Depth n+1 adds thresholds but leaves the exceedance above any level
-    <= n threshold unchanged."""
+    """Depth n+1 keeps every depth-n threshold and adds more, and the
+    exceedance above a depth-n threshold grows by at most the depth-n
+    truncation area."""
     m = standard_homeo(SLOW, GEO1, 10)
     p9 = dilatation_profile(m.truncate(9))
     p10 = dilatation_profile(m)
-    for k in p9.thresholds:
-        assert p10.exceedance(k) >= p9.exceedance(k)
-        # the refinement only adds area at *larger* K, so the strict
-        # exceedance grows by at most the level-10 gasket + truncation
-        assert p10.exceedance(k) - p9.exceedance(k) \
-            <= p9.truncation_bound + 1e-12
+    at = np.searchsorted(p10.thresholds, p9.thresholds)
+    assert p10.thresholds[at].tolist() == p9.thresholds.tolist()
+    assert len(p10.thresholds) > len(p9.thresholds)
+    # the refinement only adds area at *larger* K, so the strict
+    # exceedance grows by at most the level-10 gasket + truncation
+    growth = p10.exceedances[at] - p9.exceedances
+    assert (growth >= 0).all()
+    assert (growth <= p9.truncation_bound + 1e-12).all()
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -79,14 +90,15 @@ def test_theoremB_profile_has_one_threshold_per_right_template_K(n):
     # they add no threshold of their own
     m = theoremB_homeo(n)
     right = np.concatenate([lv.templates[0].dilatations for lv in m.levels])
-    assert len(dilatation_profile(m).entries) == \
+    assert len(dilatation_profile(m).thresholds) == \
         len(np.unique(right.view(np.int64)))
 
 
 def test_exceedance_monotone():
     p = dilatation_profile(standard_homeo(SLOW, GEO1, 8))
-    ks = [0.5] + list(p.thresholds) + [1e9]
-    vals = [p.exceedance(k) for k in ks]
+    assert (np.diff(p.thresholds) > 0).all()
+    # the area above nothing, then above each threshold in turn
+    vals = [p.classified_area, *p.exceedances.tolist()]
     assert vals == sorted(vals, reverse=True)
     assert vals[-1] == 0.0
 
@@ -95,9 +107,7 @@ def _synthetic_profile():
     """Closed exceedance exactly e^{-K} at K = 2..9."""
     ks = list(range(2, 10))
     closed = [math.exp(-k) for k in ks]
-    entries = tuple((k, closed[i + 1] if i + 1 < len(ks) else 0.0)
-                    for i, k in enumerate(ks))
-    return DilatationProfile(entries, closed[0], 0.0, "domain")
+    return _profile(ks, closed[1:] + [0.0], closed[0])
 
 
 def test_check_david_on_exact_exponential_tail():
@@ -112,7 +122,7 @@ def test_check_david_on_exact_exponential_tail():
 
 def test_check_david_constant_K_fails_nonvacuously():
     # positive area pinned at K = 10 beats any decaying bound past K0 < 10
-    p = DilatationProfile(((5.0, 0.25), (10.0, 0.0)), 0.5, 0.0, "domain")
+    p = _profile([5.0, 10.0], [0.25, 0.0], 0.5)
     ok, margin = check_david(p, DavidParams(1.0, 5.0, 2.0))
     assert not ok
     assert margin < 0
@@ -211,12 +221,12 @@ def _cellwise_profile(m, side):
                 area = cell.area if side == "domain" else \
                     Triangle(*(amap(v) for v in cell.vertices)).area
                 masses[K] = masses.get(K, 0.0) + area * scale2 * per_template
-    entries, suffix = [], 0.0
-    for k in sorted(masses, reverse=True):
-        entries.append((k, suffix))
+    ks, strict, suffix = sorted(masses), [], 0.0
+    for k in reversed(ks):
+        strict.append(suffix)
         suffix += masses[k]
-    return DilatationProfile(tuple(reversed(entries)), suffix,
-                             construction.level_area(m.depth), side)
+    return DilatationProfile(np.array(ks, float), np.array(strict[::-1]),
+                             suffix, construction.level_area(m.depth), side)
 
 
 def _reference_verdict(checks):
@@ -238,7 +248,8 @@ def _reference_verdict(checks):
 def _reference_check(profile, params):
     """`check_david` as a loop over the thresholds above K0."""
     closed, above = [], profile.classified_area
-    for k, strict in profile.entries:
+    for k, strict in zip(profile.thresholds.tolist(),
+                         profile.exceedances.tolist()):
         closed.append((k, above))
         above = strict
     return _reference_verdict((area + profile.truncation_bound,
@@ -302,8 +313,8 @@ def test_incremental_sweep_matches_reprofiling(case):
         # from n = 32 on, a level's 4^(n-1) instances pass 2^63
         for n in (1, 31, 32, 48):
             for side in ("domain", "image"):
-                assert dilatation_profile(m.truncate(n), side) == \
-                    _cellwise_profile(m.truncate(n), side)
+                assert profile_bits(dilatation_profile(m.truncate(n), side)) \
+                    == profile_bits(_cellwise_profile(m.truncate(n), side))
 
 
 @pytest.mark.parametrize("case", [*CASES])
@@ -315,7 +326,7 @@ def test_sweep_matches_check_david_beyond_frozen_cutoffs(case):
     # each depth's profile
     fwd = _case_map(case, 64 if case == "theoremB" else 48)
     for m in (fwd, invert(fwd)):
-        ks = dilatation_profile(m).thresholds
+        ks = dilatation_profile(m).thresholds.tolist()
         for K0 in (1.0, ks[len(ks) // 2], ks[-1], 2.0 * ks[-1]):
             assert _bits(_david_sweep(m, K0)) == _bits(_resweep(m, K0))
         assert _david_sweep(m, ks[-1])[-1]["margin"] == math.inf
@@ -370,15 +381,14 @@ def _tied_profiles(rng):
             closed = np.maximum(closed, np.linspace(0.5, 0.1, n))
         closed[n - int(rng.integers(0, 3)):] = 0.0
         truncation = 0.0 if i % 5 else float(closed[-1]) / 4
-        yield DilatationProfile(
-            tuple(zip(ks.tolist(), [*closed[1:].tolist(), 0.0])),
-            float(closed[0]), truncation, "domain"), C, alpha
+        yield _profile(ks, np.append(closed[1:], 0.0), float(closed[0]),
+                       truncation), C, alpha
 
 
 def test_check_david_matches_the_reference_loop(rng):
     margins = set()
     for p, C, alpha in _tied_profiles(rng):
-        ks = p.thresholds
+        ks = p.thresholds.tolist()
         # K0 below, on and above every threshold
         for K0 in (1.0, *ks, 2.0 * ks[-1]):
             params = DavidParams(C, alpha, K0)
@@ -397,7 +407,7 @@ def test_verdicts_take_bounds_from_math_exp_and_margins_from_math_log(
     # thresholds (161 of 3,684 at (C, alpha) = (2, 0.01) on x86-64 with
     # numpy 2.4)
     p = dilatation_profile(invert(theoremB_homeo(200)))
-    ks = p.thresholds
+    ks = p.thresholds.tolist()
     calls = []
     kernel = analysis._verdicts
 

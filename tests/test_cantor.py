@@ -77,6 +77,15 @@ def test_custom_gauge_validation():
         make_gauge("nope")
 
 
+@pytest.mark.parametrize("kind, nu", [("slow", 7.0), ("fast", 0.5),
+                                      ("sqrt", 2.0)])
+def test_a_parameterless_gauge_refuses_a_parameter(kind, nu):
+    with pytest.raises(ValidationError) as e:
+        make_gauge(kind, nu)
+    assert str(e.value) == f"{kind} gauge takes no parameter, got {nu:g}"
+    assert make_gauge(kind) == make_gauge(kind, None)
+
+
 def test_level_count_and_exact_area():
     for g in ALL_GAUGES:
         for n in (0, 1, 4, 7):

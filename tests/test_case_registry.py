@@ -144,7 +144,7 @@ def test_a_new_row_is_a_new_case(capsys, monkeypatch):
                                        "--direction", direction])
         assert code == 0
         assert [(e["K"], e["exceedance_area"]) for e in pro["entries"]] \
-            == list(prof.entries)
+            == list(zip(prof.thresholds.tolist(), prof.exceedances.tolist()))
 
     # the unknown-case text lists it
     choices = _error(capsys, ["report", "--case", "nope", "--depth", "3"])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import qcforge
-from qcforge import cantor, qcmaps
+from qcforge import analysis, cantor, qcmaps
 from qcforge.cli import build_parser, run
 from qcforge.errors import DepthLimitError
 
@@ -25,6 +26,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_bad_gauge_is_usage_error(capsys):
     assert run(["cantor", "--gauge", "nope", "--depth", "2"]) == 1
     assert run(["cantor", "--gauge", "geometric", "--depth", "2"]) == 1
+
+
+@pytest.mark.parametrize("gauge", ["slow:7", "fast:0.5", "sqrt:2"])
+def test_a_parameterless_gauge_with_a_parameter_is_usage_error(capsys, gauge):
+    code = run(["dims", "--gauge", gauge, "--levels", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    kind, _, param = gauge.partition(":")
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: argument --gauge: {kind} gauge takes no "
+                      f"parameter, got {param}"]
+    assert captured.err.endswith(errors[0] + "\n")
 
 
 def test_cantor_json(capsys):
@@ -197,6 +211,46 @@ def test_profile_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "K,exceedance_area,bound_C_alpha,truncation"
     assert len(lines) > 3
+
+
+@pytest.mark.parametrize("case", [*analysis.CASES])
+def test_profile_json_and_csv_carry_the_same_columns(capsys, case):
+    def hexes(values):
+        return [float.hex(float(v)) for v in values]
+
+    for direction in ("forward", "inverse"):
+        for side in ("domain", "image"):
+            argv = ["profile", "--case", case, "--depth", "12",
+                    "--direction", direction, "--side", side]
+            code, out = _capture(capsys, argv + ["--format", "json"])
+            assert code == 0
+            obj = json.loads(out)
+            code, out = _capture(capsys, argv + ["--format", "csv"])
+            assert code == 0
+            header, *lines = out.splitlines()
+            assert header == "K,exceedance_area,bound_C_alpha,truncation"
+            k, area, bound, truncation = zip(*(x.split(",") for x in lines))
+            entries = obj["entries"]
+            assert len(entries) > 12
+            assert hexes(k) == hexes(e["K"] for e in entries)
+            assert hexes(area) == hexes(e["exceedance_area"]
+                                        for e in entries)
+            assert hexes(bound) == hexes(e["bound"] for e in entries)
+            assert set(hexes(truncation)) == \
+                set(hexes([obj["truncation_bound"]]))
+
+
+def test_david_on_an_empty_profile_passes_vacuously(capsys):
+    # depth 0 has no threshold, so nothing above K0 has positive area
+    m = analysis.CASES["slow_to_fast"].build(0, None)
+    p = analysis.dilatation_profile(m)
+    assert len(p.thresholds) == len(p.exceedances) == 0
+    assert analysis.check_david(p, analysis.DavidParams(1.0, 1.0, 1.0)) \
+        == (True, math.inf)
+    code, out = _capture(capsys, ["david", "--case", "slow-to-fast",
+                                  "--depth", "0"])
+    assert code == 0
+    assert '"passed":true' in out and '"margin":"inf"' in out
 
 
 def test_profile_depth_zero_has_no_entries(capsys):
@@ -502,15 +556,35 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def _fresh_env(**extra):
+    """The environment of a new process that imports this qcforge."""
+    src = os.path.dirname(os.path.dirname(qcforge.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def _fresh_run(argv, columns):
     """argv run by `python -m qcforge.cli` in a new process."""
-    src = os.path.dirname(os.path.dirname(qcforge.__file__))
-    env = dict(os.environ, COLUMNS=columns,
-               PYTHONPATH=os.pathsep.join(
-                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-m", "qcforge.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=_fresh_env(COLUMNS=columns))
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_closed_stdout_exits_1_with_one_error_line():
+    # the depth-6 curve's CSV is 2.24 MB, more than a pipe holds: the
+    # writer is still writing when the reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcforge.cli", "curve", "--depth", "6",
+         "--format", "csv"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_fresh_env())
+    assert proc.stdout.readline() == b"t,x,y\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: stdout closed before the artifact ended\n"
 
 
 def test_shared_parser_matches_a_fresh_process(capsys, monkeypatch):

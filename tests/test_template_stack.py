@@ -83,7 +83,7 @@ def test_evaluate_keeps_its_bits_on_a_map_profiled_without_templates(
     profile = analysis.dilatation_profile(m, "image")
     analysis.check_david(analysis.dilatation_profile(m),
                          analysis.DavidParams(1.0, 1.0, 2.0))
-    assert m.depth == 12 and len(profile.entries) > 12
+    assert m.depth == 12 and len(profile.thresholds) > 12
     assert made[0] == 0
     rng = np.random.default_rng([20261019, len(case)])
     rows = [(r.point.x, r.point.y, r.error_bound) for r in
