@@ -23,7 +23,10 @@ Without it, it adds a no-regression verdict per end-to-end metric instead:
 is more; "unresolved" if the parent's quartile distance is wider than the
 bound times its median, unless every change run reads lower than every
 parent run ("held").  Every end-to-end metric of this benchmark is better
-when lower.
+when lower.  Either verdict needs sound runs: every run on both sides
+reported `correct: true`, and the change failed no larger share of its
+attempted operations than the parent.  Otherwise no claim is met and every
+metric reads "incorrect"; the report's "runs" entry says which held.
 """
 
 from __future__ import annotations
@@ -51,9 +54,22 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def verdict(parent: list[float], change: list[float]) -> dict:
+def soundness(pairs: list[dict]) -> dict:
+    """Whether the runs admit a verdict: every run on both sides correct,
+    and the change's share of failed operations at most the parent's."""
+    runs = {s: [p[s] for p in pairs] for s in ("parent", "change")}
+    share = {s: sum(r["failed"] for r in rs)
+             / max(1, sum(r["attempted"] for r in rs))
+             for s, rs in runs.items()}
+    correct = all(r["correct"] for rs in runs.values() for r in rs)
+    return {"all_correct": correct, "failed_share": share,
+            "sound": correct and share["change"] <= share["parent"]}
+
+
+def verdict(parent: list[float], change: list[float],
+            sound: bool = True) -> dict:
     """The claim that a lower-is-better metric dropped, from its values in
-    pairs (parent[i], change[i])."""
+    pairs (parent[i], change[i]) of runs that are `sound`."""
     lower = sum(c < p for p, c in zip(parent, change))
     q1, q3 = quartiles(parent)
     diff = statistics.median(parent) - statistics.median(change)
@@ -62,19 +78,21 @@ def verdict(parent: list[float], change: list[float]) -> dict:
         "of_pairs": len(parent),
         "median_difference": diff,
         "parent_quartile_distance": q3 - q1,
-        "met": (len(parent) >= MIN_PAIRS and 10 * lower >= 9 * len(parent)
-                and diff > q3 - q1),
+        "met": (sound and len(parent) >= MIN_PAIRS
+                and 10 * lower >= 9 * len(parent) and diff > q3 - q1),
     }
 
 
 def no_regression(parent: list[float], change: list[float],
-                  bound: float) -> dict:
+                  bound: float, sound: bool = True) -> dict:
     """Whether a lower-is-better metric stayed within its relative bound,
-    from each side's runs."""
+    from each side's runs, which must be `sound`."""
     median = statistics.median(parent)
     q1, q3 = quartiles(parent)
     limit = median * (1.0 + bound)
-    if max(change) < min(parent):
+    if not sound:
+        result = "incorrect"
+    elif max(change) < min(parent):
         result = "held"
     elif q3 - q1 > bound * median:
         result = "unresolved"
@@ -133,12 +151,14 @@ def report(args, pairs: list[dict]) -> dict:
         return ([p[s]["metrics"][name]["value"] for p in pairs]
                 for s in ("parent", "change"))
 
+    obj["runs"] = soundness(pairs)
+    sound = obj["runs"]["sound"]
     if args.claim:
         obj["claim"] = {"metric": args.claim, "workload": args.workload,
-                        **verdict(*values(args.claim))}
+                        **verdict(*values(args.claim), sound)}
     else:
         obj["no_regression"] = {
-            name: no_regression(*values(name), BOUNDS[name])
+            name: no_regression(*values(name), BOUNDS[name], sound)
             for name in pairs[0]["parent"]["metrics"] if name in BOUNDS}
     obj[args.workload] = {"pairs": pairs, "summary": summary(pairs)}
     return obj

@@ -2,7 +2,7 @@
 
 Every subcommand writes a deterministic JSON or CSV artifact (stdout by
 default, `--out` for a file).  Exit codes: 0 on success, 2 when a verdict
-subcommand fails its check, 1 on usage errors and a closed stdout.
+subcommand fails its check, 1 on usage errors and an unwritable stdout.
 """
 
 from __future__ import annotations
@@ -328,9 +328,11 @@ def main():  # console-script entry point
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:  # stdout closed: the exit's flush goes nowhere
+    except OSError as e:  # stdout closed or full: its exit flush goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write("error: stdout closed before the artifact ended\n")
+        sys.stderr.write("error: stdout closed before the artifact ended\n"
+                         if isinstance(e, BrokenPipeError) else
+                         f"error: cannot write stdout: {e.strerror or e}\n")
         code = 1
     raise SystemExit(code)
 

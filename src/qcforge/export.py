@@ -13,8 +13,8 @@ column, and `row_blocks` formats at most `_BLOCK_ROWS` rows per part.  Each
 finite column takes one of three ways, decided once by `_plan`, block by
 block.  A column with at most half as many distinct values as rows, and
 no block with more than half a block's, is gathered: the %.17g text of
-each distinct value is made once, and blocks join the texts of their
-rows.  Another column whose every value is 0 or has 1e-4 <= |v| < 1 (the
+each distinct value is made once, by the digit path if it can, and blocks
+join them.  Another column whose every value is 0 or has 1e-4 <= |v| < 1 (the
 curve's parameters, say) takes the digit path: numpy computes its 17
 significant digits as an exact integer (Dekker's two-product of |v| and a
 power of ten, rounded half to even as %.17g rounds), which %d prints after
@@ -124,6 +124,12 @@ def _digits(b: np.ndarray):
     return n, i
 
 
+def _in_digit_domain(b: np.ndarray) -> bool:
+    # every value is 0 or has 1e-4 <= |v| < 1, which no non-finite one has
+    a = np.abs(b)
+    return bool(((a == 0.0) | ((1e-4 <= a) & (a < 1.0))).all())
+
+
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct values of a, sorted in place: by sort, since np.unique
     imports numpy.ma on its first call (about 1.7 MB of resident memory in
@@ -138,8 +144,9 @@ def _plan(c: np.ndarray):
     most half as many distinct values as rows, and no block with more than
     half as many as `_BLOCK_ROWS` (where the count stops), is gathered, and
     joined without %-format: ("%s", (its sorted distinct values, their
-    %.17g texts)).  Another finite column in the domain of `_digits` is
-    ("%d", None), any other ("%.17g", None); both are %-formatted."""
+    %.17g texts, from `_digits` in its domain)).  Another finite column in
+    the domain of `_digits` is ("%d", None), any other ("%.17g", None);
+    both are %-formatted."""
     blocks = (c[i:i + _BLOCK_ROWS] + 0.0
               for i in range(0, len(c), _BLOCK_ROWS))
     seen = []  # each block's distinct values, until one has too many
@@ -150,14 +157,15 @@ def _plan(c: np.ndarray):
     else:
         u = _distinct(np.concatenate(seen)) if seen else c
         if 0 < 2 * len(u) <= len(c) and np.isfinite(u).all():
-            return "%s", (u, np.array(["%.17g" % v for v in u.tolist()],
-                                      dtype=object))
-    # every value is 0 or has 1e-4 <= |v| < 1, which no non-finite one has
-    for b in itertools.chain(seen, blocks):
-        a = np.abs(b)
-        if not ((a == 0.0) | ((1e-4 <= a) & (a < 1.0))).all():
-            return "%.17g", None
-    return "%d", None
+            if _in_digit_domain(u):
+                n, i = _digits(u)
+                texts = [_PREFIXES[j] + str(v)
+                         for j, v in zip(i.tolist(), n.tolist())]
+            else:
+                texts = ["%.17g" % v for v in u.tolist()]
+            return "%s", (u, np.array(texts, dtype=object))
+    digit = all(map(_in_digit_domain, itertools.chain(seen, blocks)))
+    return "%d" if digit else "%.17g", None
 
 
 def _finite_block(block, plans, tables, lead: str, sep: str) -> str:

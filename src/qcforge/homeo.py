@@ -419,10 +419,11 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     walk is built bottom up, level n to level 1, by `_splice`: each level's
     (t, x, y) rows for all its parents at once, one row per vertex.  It
     reads what `evaluate` reads: the level tables, and the template stack's
-    cells and locators, with `find` naming each segment's cell; it makes
-    no template object.  A curve whose segments and deepest squares have
-    more than `cantor._MAX_ROWS` ends, shared ends counted twice, raises
-    `DepthLimitError` before its rows are built.
+    cells and locators, with `find` naming each segment's cell; it makes no
+    template object.  Levels with equal normalized children and cells share
+    one `_curve_plan`, as all of theorem B's do.  A curve whose segments and
+    deepest squares have more than `cantor._MAX_ROWS` ends, shared ends
+    counted twice, raises `DepthLimitError` before its rows are built.
     """
     if m.kind != "theoremB" or m.direction != "forward":
         raise DomainError("midline tracing needs the forward 8-adic map")
@@ -430,9 +431,14 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     # both ends of every deepest square's midline, mapped by its similarity
     sc, dc = m.corresponding_centers(n)
     levels = range(n, 0, -1)
-    plans = [_curve_plan(m, k) for k in levels]
+    memo, plans = {}, []  # one plan per key of what `_curve_plan` reads
     count = 2  # rows per parent, bottom up: child blocks and segment ends
-    for plan in plans:
+    for k in levels:
+        sp = src.sides[k - 1]
+        key = (src.sides[k] / (2.0 * sp), *(ox / sp for ox, _ in
+               src.offsets[k - 1]), m.templates.cells[k - 1].tobytes())
+        plan = memo[key] = memo.get(key) or _curve_plan(m, k)
+        plans.append(plan)
         count = sum(count if tag == "child" else 2 for _, tag, _ in plan)
     if count > cantor._MAX_ROWS:
         raise DepthLimitError(f"curve of depth {n} has {count} rows, more "

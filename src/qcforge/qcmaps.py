@@ -437,11 +437,11 @@ _G_X0, _G_X1, _G_H = 1.0 / 24, 11.0 / 24, 3.0 / 16
 def _twist_geometry(a: np.ndarray):
     """Cells (L, 24, 3, 2) of the twist templates, one per row of a, and the
     rows with a quad without a valid diagonal, resp. a flat turned cell."""
-    L = len(a)
-
     def ring(*corners):  # (L, 4, 2) from four (x, y) pairs of scalars/rows
-        xy = np.broadcast_arrays(*(c for corner in corners for c in corner), a)
-        return np.stack(xy[:-1], axis=-1).reshape(L, 4, 2)
+        xy = np.empty((len(a), 8))
+        for i, v in enumerate(v for corner in corners for v in corner):
+            xy[:, i] = v
+        return xy.reshape(-1, 4, 2)
 
     # rectangle corners and the domain intermediate box (ccw)
     P = ring((0.0, -0.5), (0.5, -0.5), (0.5, 0.5), (0.0, 0.5))
@@ -456,8 +456,7 @@ def _twist_geometry(a: np.ndarray):
     # half of the image box minus the top hole
     leg_src = ring((_G_X0, -_G_H), (0.25, -_G_H), (0.25, _G_H), (_G_X0, _G_H))
     leg_dst = ring((p0, q1), (p0, 0.0), (p1, 0.0), (p1, q1))
-    hole_src = np.broadcast_to(
-        _square_corners(0.125, 0.0, _TWIST_HOLE_SIDE), (L, 4, 2))
+    hole_src = ring(*_square_corners(0.125, 0.0, _TWIST_HOLE_SIDE))
     hole_dst = _square_corners(0.25, 0.25, 0.5 - 2 * a)
     left_src, left_dst, no_leg = _annulus_cells(leg_src, hole_src,
                                                 leg_dst, hole_dst)

@@ -56,7 +56,7 @@ def test_report_has_the_layout_of_the_committed_files():
     args = argparse.Namespace(workload="queries", seed=3, claim="job_p90_ms")
     obj = bench_pairs.report(args, pairs)
     assert set(obj) == {"what", "command", "seed", "machine", "quartiles",
-                        "claim", "queries"}
+                        "runs", "claim", "queries"}
     assert obj["command"] == "python3 perfbench/run.py --workload queries " \
                              "--seed 3 --seconds 20 --trace 0"
     assert obj["claim"]["met"] and obj["claim"]["metric"] == "job_p90_ms"
@@ -100,3 +100,39 @@ def test_report_without_a_claim_has_a_verdict_per_bounded_metric():
     assert verdicts["job_p90_ms"]["bound"] == 0.25
     assert verdicts["job_p90_ms"]["verdict"] == "regressed"
     assert verdicts["wall_s"]["verdict"] == "held"
+
+
+@pytest.mark.parametrize("changed,sound", [
+    ({}, True),
+    # one incorrect change run
+    ({"change": {"correct": False}}, False),
+    # one incorrect parent run
+    ({"parent": {"correct": False}}, False),
+    # one failed operation of the change's 100
+    ({"change": {"failed": 1}}, False),
+    # the same share failed on both sides
+    ({"change": {"failed": 1}, "parent": {"failed": 1}}, True),
+])
+def test_verdicts_need_correct_runs_and_no_larger_failed_share(changed,
+                                                                sound):
+    # the change wins every pair by far, so only its runs' soundness
+    # decides the claim and the no-regression verdicts
+    pairs = [{"pair": i, "first": ("parent", "change")[i % 2],
+              "parent": _result(job_p90_ms=p, wall_s=1.0),
+              "change": _result(job_p90_ms=37.0, wall_s=1.0)}
+             for i, p in enumerate(PARENT)]
+    for side, fields in changed.items():
+        pairs[3][side].update(fields)
+    args = argparse.Namespace(workload="queries", seed=3, claim="job_p90_ms")
+    obj = bench_pairs.report(args, pairs)
+    assert obj["runs"]["sound"] is sound
+    assert obj["runs"]["all_correct"] is not any(
+        f.get("correct") is False for f in changed.values())
+    assert obj["runs"]["failed_share"] == {
+        s: changed.get(s, {}).get("failed", 0) / 100 for s in
+        ("parent", "change")}
+    assert obj["claim"]["met"] is sound
+    args.claim = None
+    verdicts = bench_pairs.report(args, pairs)["no_regression"]
+    assert {v["verdict"] for v in verdicts.values()} == \
+        {"held" if sound else "incorrect"}

@@ -587,6 +587,23 @@ def test_a_closed_stdout_exits_1_with_one_error_line():
     assert err == "error: stdout closed before the artifact ended\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    # a write fails while the artifact is written; a short one fails only
+    # in the flush at exit
+    ["curve", "--depth", "3", "--format", "csv"],
+    ["dims", "--gauge", "slow", "--levels", "3"]])
+def test_a_full_stdout_exits_1_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qcforge.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_fresh_env())
+    assert proc.returncode == 1
+    assert proc.stderr == \
+        "error: cannot write stdout: No space left on device\n"
+
+
 def test_shared_parser_matches_a_fresh_process(capsys, monkeypatch):
     # a usage error first, then artifacts and a failed verdict from the
     # same parser: bytes and exit codes as in a new process each

@@ -13,14 +13,16 @@ import csv
 import io
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qcforge import homeo
 from qcforge.cli import run
 from qcforge.geometry import Point
-from qcforge.homeo import (HierarchicalMap, _curve_plan, curve_polyline,
-                           theoremB_homeo)
+from qcforge.homeo import (HierarchicalMap, _curve_plan, _splice,
+                           curve_polyline, theoremB_homeo)
 from qcforge.qcmaps import TemplateStack
 
 
@@ -151,18 +153,25 @@ def _merge_mask(rows, eps):
     return keep
 
 
+def _deepest_block(m):
+    """Both ends of every deepest square's midline and their images, as
+    (squares, 2, (t, x, y))."""
+    n, src, dst = m.depth, m.src, m.dst
+    sc, dc = m.corresponding_centers(n)
+    s = src.sides[n] / 2.0
+    ratio = dst.sides[n] / src.sides[n]
+    return np.stack([
+        np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
+        np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
+    ], axis=1)
+
+
 def _merged_polyline(m, tol=1e-12):
     """(t, x, y) rows of the curve: every level's blocks concatenated with
     both ends of each segment, then merged with `_merge_mask`."""
     n = m.depth
     src, dst = m.src, m.dst
-    sc, dc = m.corresponding_centers(n)
-    s = src.sides[n] / 2.0
-    ratio = dst.sides[n] / src.sides[n]
-    block = np.stack([
-        np.stack([sc[:, 0] - s, dc[:, 0] - s * ratio, dc[:, 1]], axis=1),
-        np.stack([sc[:, 0] + s, dc[:, 0] + s * ratio, dc[:, 1]], axis=1),
-    ], axis=1)
+    block = _deepest_block(m)
     for k in range(n, 0, -1):
         sc, dc = m.corresponding_centers(k - 1)
         base = np.stack([sc[:, 0], dc[:, 0], dc[:, 1]], axis=1)[:, None, :]
@@ -194,6 +203,62 @@ def test_curve_matches_concatenate_then_merge_bit_for_bit(depth):
     pl = curve_polyline(m)
     assert np.array_equal(_bits(pl.params), _bits(rows[:, 0]))
     assert np.array_equal(_bits(pl.vertices), _bits(rows[:, 1:]))
+
+
+def _per_level_walk(m):
+    """(t, x, y) rows of the curve spliced from `_curve_plan(m, k)` made
+    anew for every level k."""
+    block = _deepest_block(m)
+    for k in range(m.depth, 0, -1):
+        block = _splice(m, k, _curve_plan(m, k), block)
+    return block.reshape(-1, 3)
+
+
+def _counted_plans(monkeypatch):
+    """The levels for which `curve_polyline` makes a plan, as it makes
+    them."""
+    made = []
+
+    def plan(m, k):
+        made.append(k)
+        return _curve_plan(m, k)
+
+    monkeypatch.setattr(homeo, "_curve_plan", plan)
+    return made
+
+
+def _same_bytes(pl, rows):
+    return (pl.params.tobytes() == rows[:, 0].copy().tobytes()
+            and pl.vertices.tobytes() == rows[:, 1:].copy().tobytes())
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_one_plan_serves_every_level_of_theorem_b(monkeypatch, depth):
+    # the 8-adic source is self-similar and the twist's cells have the same
+    # bits at every level, so the deepest level's plan is every level's
+    m = theoremB_homeo(depth)
+    rows = _per_level_walk(m)
+    made = _counted_plans(monkeypatch)
+    assert _same_bytes(curve_polyline(m), rows)
+    assert made == [depth]
+
+
+def test_a_level_whose_cells_differ_by_one_ulp_gets_its_own_plan(
+        monkeypatch):
+    # the level-3 right twist's cut at x = 1/24 moves by one ulp, and so do
+    # the ends of the segments next to it
+    m = theoremB_homeo(5)
+    cells = m.templates.cells.copy()
+    x = cells[2, 0, ..., 0]
+    assert (x == 1.0 / 24).sum() == 12
+    x[x == 1.0 / 24] = np.nextafter(1.0 / 24, 1.0)
+    m = replace(m, templates=replace(m.templates, cells=cells))
+    plans = [_curve_plan(m, k) for k in range(1, 6)]
+    assert [p == plans[0] for p in plans] == [True, True, False, True, True]
+    rows = _per_level_walk(m)
+    made = _counted_plans(monkeypatch)
+    assert _same_bytes(curve_polyline(m), rows)
+    assert made == [5, 3]
 
 
 def _unread(*args):

@@ -278,6 +278,36 @@ def test_mixed_columns_match_per_value_in_every_block(kinds, data):
                     a[3 * i:3 * i + 3], row, sep, cell)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gathered_texts_match_per_value_in_and_out_of_the_digit_domain(
+        data):
+    # a gathered column of values in the domain of `_digits` gets its texts
+    # from it; the same column with one value moved out of the domain gets
+    # them from %.17g
+    n = data.draw(st.integers(2, 12), "n")
+    pool = data.draw(st.lists(_IN_DIGIT_DOMAIN, min_size=1,
+                              max_size=n // 2), "pool")
+    # every value of the pool is in at least two of the n rows
+    rows = data.draw(st.permutations([i % len(pool) for i in range(n)]),
+                     "rows")
+    outside = pool.copy()
+    outside[data.draw(st.integers(0, len(pool) - 1), "moved")] = \
+        data.draw(st.sampled_from([1.5, -1.5, 5e-5, -5e-5]), "to")
+    a = np.array([[pool[i] for i in rows], [outside[i] for i in rows]]).T
+    for c, digit in zip(a.T, (True, False)):
+        assert export._in_digit_domain(c) is digit
+        spec, (values, texts) = _plan(c)
+        assert spec == "%s"
+        assert texts.tolist() == [format_float(v) for v in values.tolist()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(export, "_BLOCK_ROWS", 3)
+        for row, sep, cell in (("%s,%s\n", "", _csv_cell),
+                               ('{"c0":%s,"c1":%s}', ",", format_float)):
+            text = "".join(row_blocks(list(a.T), row, sep, cell))
+            assert text == _per_value(a, row, sep, cell)
+
+
 @pytest.mark.parametrize("a", [
     np.array([[0.5, 3.0], [0.5, 3.0], [-0.0, 3.0], [0.5, 3.0]]),
     np.array([[0.5, 3.0], [0.25, 4.0], [0.125, 3.0], [0.0625, 4.0]])],
