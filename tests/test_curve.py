@@ -228,8 +228,8 @@ def _counted_plans(monkeypatch):
 
 
 def _same_bytes(pl, rows):
-    return (pl.params.tobytes() == rows[:, 0].copy().tobytes()
-            and pl.vertices.tobytes() == rows[:, 1:].copy().tobytes())
+    return (pl.params.tobytes() == rows[:, 0].tobytes()
+            and pl.vertices.tobytes() == rows[:, 1:].tobytes())
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
