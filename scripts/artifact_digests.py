@@ -11,7 +11,9 @@ both formats and its vacuous David check, deep maps (theoremB reports at depths 
 slow-to-fast at 200, depth-100 reports and profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
 box counts (`dims --box-depths`) on thin, thick and tiny-side gauges up
-to depth 9 and on the 8-adic row up to the row cap (depth 11), large
+to depth 9 and on the 8-adic row up to the row cap (depth 11), dimension
+bounds deep enough that the sides underflow to 0 (`dims --levels 300` on
+fast, 896 on geometric:1), large
 level and profile exports (`cantor --gauge geometric:1 --depth 8`,
 `sigma --depth 8`, a depth-150 inverse profile, and the
 David check of that map at K0 = 100), annulus templates that fail
@@ -196,6 +198,11 @@ FIXED = (
         ("dims", "--family", "sigma", "--gauge", "slow",
          "--box-depths", "1,2"), {}),
        ("exit1-dims-sigma-nothing", ("dims", "--family", "sigma"), {})]
+    # bounds past the levels where the sides underflow to 0 (fast from
+    # level 175, geometric:1 from level 538)
+    + [(f"dims-{gauge}-{levels}", ("dims", "--gauge", gauge,
+                                   "--levels", levels), {})
+       for gauge, levels in (("fast", "300"), ("geometric:1", "896"))]
     # a deep check whose masses, truncation area and bounds are 0 in
     # floating point (the depth-150 profile of this map is pinned above)
     + [("david-150-geometric-to-fast-inverse",

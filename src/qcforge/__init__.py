@@ -15,8 +15,7 @@ from .geometry import (AffineMap, Point, Triangle, affine_three_point,
                        dilatation, invert_affine)
 from .homeo import (EvalResult, HierarchicalMap, Polyline, curve_box_dimension,
                     curve_polyline, evaluate, invert,
-                    max_dilatation_per_level, standard_homeo, theoremB_homeo,
-                    twist_parameter)
+                    max_dilatation_per_level, standard_homeo, theoremB_homeo)
 from .qcmaps import (PiecewiseAffineMap, ValidationReport, annulus_extension,
                      annulus_extension_any, invert_piecewise, twist_extension,
                      validate)

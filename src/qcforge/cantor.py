@@ -82,10 +82,6 @@ class GaugeSequence:
     def d(self, n: int) -> float:
         return 2.0 ** -self._exponent(n)
 
-    def neg_log_d(self, n: int) -> float:
-        """-log d_n, computed from the exponent (no underflow at large n)."""
-        return self._exponent(n) * math.log(2.0)
-
     def describe(self) -> str:
         if self.kind == "geometric":
             return f"geometric:{self.nu:g}"
@@ -211,11 +207,13 @@ def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Levels 0..n of a construction in Python floats: the gauge value d_k,
-    side 2^-k d_k and total area d_k^2 of level k, and `offsets[k - 1][j]`,
-    child j's center minus its level-k parent's, a direction times
-    `sides[k - 1]`."""
+    """Levels 0..n of a construction in Python floats: the gauge exponent
+    e_k and value d_k = 2^-e_k, side 2^-k d_k and total area d_k^2 of level
+    k, and `offsets[k - 1][j]`, child j's center minus its level-k parent's,
+    a direction times `sides[k - 1]`.  The exponent stays finite where d_k,
+    the side or the area underflows to 0."""
 
+    e: list[float]
     d: list[float]
     sides: list[float]
     areas: list[float]
@@ -223,7 +221,7 @@ class LevelTable:
 
     def truncate(self, n: int) -> "LevelTable":
         """The table of levels 0..n."""
-        return LevelTable(self.d[:n + 1], self.sides[:n + 1],
+        return LevelTable(self.e[:n + 1], self.d[:n + 1], self.sides[:n + 1],
                           self.areas[:n + 1], self.offsets[:n])
 
 
@@ -254,24 +252,20 @@ class Construction:
         elif self.gauge is None:
             raise DomainError("the square nest needs a gauge")
 
-    def side(self, n: int) -> float:
-        return 2.0 ** (-n) * self.gauge.d(n)
-
-    def level_area(self, n: int) -> float:
-        return self.gauge.d(n) ** 2
-
     def table(self, n: int, order: Sequence[int] = (0, 1, 2, 3)
               ) -> LevelTable:
-        """Gauge values, sides and areas of levels 0..n, bit for bit those
-        of `side` and `level_area`, and child offsets of levels 1..n, the
-        children of each parent listed in `order` (indices into the digit
-        order)."""
+        """Gauge exponents, gauge values, sides and areas of levels 0..n,
+        and child offsets of levels 1..n, the children of each parent listed
+        in `order` (indices into the digit order).  The one producer of a
+        level's scale: every side, area and -log d_k is read from here."""
+        e = [self.gauge._exponent(k) for k in range(n + 1)]
         d = [self.gauge.d(k) for k in range(n + 1)]
         sides = [2.0 ** (-k) * dk for k, dk in enumerate(d)]
         dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
         offsets = np.asarray(dirs)[list(order)] * np.reshape(sides[:-1],
                                                              (-1, 1, 1))
-        return LevelTable(d, sides, [dk ** 2 for dk in d], offsets.tolist())
+        return LevelTable(e, d, sides, [dk ** 2 for dk in d],
+                          offsets.tolist())
 
     def level(self, n: int) -> CantorLevel:
         table = self._checked_table(n)
@@ -319,13 +313,16 @@ def dimension_bounds(gauge: GaugeSequence, N: int) -> DimensionEstimate:
     lower = 2 - max over the tail of (-2 log d_{n+1}) / (-log d_n + n log 2),
     upper = 2 - min over the tail of (-2 log d_n)   / (-log d_n + n log 2),
     with the tail taken as n in [ceil(2N/3), N] to approximate the
-    limsup/liminf at truncation N.  N has the bound of map depths.
+    limsup/liminf at truncation N.  -log d_n is e_n log 2, with e_n and
+    the scales used (the tail's sides) read from the square nest's
+    `LevelTable`.  N has the bound of map depths.
     """
     if N < 3:
         raise DomainError(f"N must be >= 3, got {N}")
     _check_table_depth(N)
     tail = range(max(1, math.ceil(2 * N / 3)), N + 1)
-    logs = [gauge.neg_log_d(n) for n in range(tail.start, N + 2)]
+    table = Construction("lambda", gauge).table(N + 1)
+    logs = [e * math.log(2.0) for e in table.e[tail.start:]]
     for n, v in zip(tail, logs):
         if not math.isfinite(v):
             raise DomainError(f"-log d_{n} of gauge {gauge.describe()} is "
@@ -336,9 +333,8 @@ def dimension_bounds(gauge: GaugeSequence, N: int) -> DimensionEstimate:
     lower = min(max(2.0 - max(r_low), 0.0), 2.0)
     upper = min(max(2.0 - min(r_up), 0.0), 2.0)
     lower = min(lower, upper)
-    scales = tuple(map(Construction("lambda", gauge).side, tail))
     return DimensionEstimate(0.5 * (lower + upper), lower, upper,
-                             "lemma_bounds", scales)
+                             "lemma_bounds", tuple(table.sides[tail.start:-1]))
 
 
 def _grid_ranges(centers: np.ndarray, half: float, box: float

@@ -5,12 +5,14 @@ constructions: a similarity on every deepest-level square, and per level a
 few piecewise-affine gasket templates placed in every parent.  All level-k
 gaskets are congruent, so a map stores each level's templates once, all
 levels in one `qcmaps.TemplateStack` (arrays with leading axes (level,
-template)), and its geometry once: one `LevelTable` per side (gauge values,
-sides, areas, child offsets), which the template parameters, evaluation,
-the curve, the square centers and the masses read.  A level-k instance is
-its template scaled by `sides[k - 1]` times `template_scale`.  The
-per-level K, the masses and `invert` read the stack whole; `levels` makes
-every level's templates and placements on first read, for the oracles.
+template)), and its geometry once: one `LevelTable` per side (gauge
+exponents and values, sides, areas, child offsets), which the template
+parameters, evaluation, the curve and its box dimension, the square
+centers and the masses read; nothing here forms a level's scale from a
+gauge.  A level-k instance is its template scaled by `sides[k - 1]` times
+`template_scale`.  The per-level K, the masses and `invert` read the
+stack whole; `levels` makes every level's templates and placements on
+first read, for the oracles.
 `evaluate` descends the map's descent table, made on its first call: per
 level, the cuts between the child centres name the one child that can
 hold a point, and a gasket point is looked up in the stack's `locator` of
@@ -248,12 +250,6 @@ def _rotate_template(rights: TemplateStack) -> TemplateStack:
         for f in _ARRAYS})
 
 
-def twist_parameter(k: int) -> float:
-    """Level-k twist parameter (1 - d_k/d_{k-1}) / 4 of the sqrt gauge."""
-    gauge = make_gauge("sqrt")
-    return (1.0 - gauge.d(k) / gauge.d(k - 1)) / 4.0
-
-
 def theoremB_homeo(n: int) -> HierarchicalMap:
     """Depth-n approximant of the map taking the linear 8-adic set onto the
     square-nest set with gauge d_k = 2^{-sqrt k}."""
@@ -261,9 +257,9 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     source = Construction("sigma")
     target = Construction("lambda", make_gauge("sqrt"))
     dst = target.table(n, _NW_SW_NE_SE)
-    # `twist_parameter` of levels 1..n
     d = np.array(dst.d)
-    # two twists per parent, right and left half of it
+    # two twists per parent, right and left half of it, with the parameter
+    # (1 - d_k/d_{k-1}) / 4 of levels 1..n
     templates = _rotate_template(twist_templates((1.0 - d[1:] / d[:-1]) / 4.0))
     return HierarchicalMap(n, source, target, "forward", "theoremB", templates,
                            source.table(n), dst, 1.0)
@@ -456,12 +452,14 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
 
 
 def curve_box_dimension(m: HierarchicalMap, level: int | None = None) -> float:
-    """Pointwise box-dimension estimate of the image curve at one depth:
-    log(#level squares crossed) / -log(square side)."""
+    """Pointwise box-dimension estimate of the image curve at one level
+    1..depth of the map (default its depth): log(#level squares crossed) /
+    -log(square side), with -log d_n = e_n log 2 read from the image
+    table."""
     if m.kind != "theoremB":
         raise DomainError("curve dimension applies to the 8-adic map")
     n = m.depth if level is None else level
-    if n < 1:
-        raise DomainError("level must be >= 1")
-    g = m.target.gauge
-    return (n * math.log(4.0)) / (n * math.log(2.0) + g.neg_log_d(n))
+    if not 1 <= n <= m.depth:
+        raise DomainError(f"level must be in 1..{m.depth}, got {n}")
+    return (n * math.log(4.0)) / (n * math.log(2.0)
+                                  + m.dst.e[n] * math.log(2.0))

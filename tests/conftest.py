@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,14 @@ def random_affines(count: int, seed: int = 0):
 @dataclass(frozen=True)
 class TableGauge:
     """A gauge of chosen values d_0, d_1, ..., for tests that need squares
-    of given sizes: the `d` and `describe` of a gauge, read from a table."""
+    of given sizes: the `d` and `describe` of a gauge, read from a table.
+    Its `_exponent`, -log2 d_n, only fills a level table's exponent column;
+    the table's values, sides and areas come from `d`."""
 
     table: tuple[float, ...]
+
+    def _exponent(self, n: int) -> float:
+        return -math.log2(self.table[n])
 
     def d(self, n: int) -> float:
         return self.table[n]

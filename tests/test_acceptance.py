@@ -18,7 +18,7 @@ from qcforge.frozen import (ANNULUS_BAND, FROSTMAN_BOUND, FROZEN_K0,
 from qcforge.geometry import Point, Triangle, affine_three_point, dilatation
 from qcforge.homeo import (curve_box_dimension, evaluate, invert,
                            max_dilatation_per_level, standard_homeo,
-                           theoremB_homeo, twist_parameter)
+                           theoremB_homeo)
 from qcforge.qcmaps import (annulus_extension, annulus_extension_any,
                             twist_extension, validate)
 
@@ -163,7 +163,8 @@ def test_criterion_06_standard_homeo_contract():
                 done += 1
         # property (ii): corners of level-10 squares land on target corners
         src_c, dst_c = m.corresponding_centers(10)
-        hs, hd = m.source.side(10) / 2, m.target.side(10) / 2
+        hs = m.source.table(10).sides[10] / 2
+        hd = m.target.table(10).sides[10] / 2
         for i in rng.integers(0, len(src_c), 300):
             for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
                 z = Point(src_c[i][0] + sx * hs, src_c[i][1] + sy * hs)
@@ -223,9 +224,10 @@ def test_criterion_08_theoremA_david():
 
 def test_criterion_09_theoremB():
     t0 = time.perf_counter()
-    ok = all(twist_parameter(k) < 0.2 for k in range(1, 21))
+    b20 = theoremB_homeo(20)
+    ok = all(a < 0.2 for a in b20.templates.param("a").tolist())
     deep = theoremB_homeo(16)  # profile engine well past the list guard
-    for k, K in max_dilatation_per_level(theoremB_homeo(20)):
+    for k, K in max_dilatation_per_level(b20):
         if 2 <= k <= 20:
             ok &= THEOREM_B_RATE_BAND[0] <= K / math.sqrt(k) \
                 <= THEOREM_B_RATE_BAND[1]

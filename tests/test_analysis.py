@@ -209,10 +209,11 @@ def _cellwise_profile(m, side):
     scaled by the exact integer instance count."""
     masses = {}
     construction = m.source if side == "domain" else m.target
+    table = construction.table(m.depth)
     for lv in m.levels:
         # annulus templates are drawn at half their parent's side, twist
         # templates at its full side
-        parent = construction.side(lv.k - 1)
+        parent = table.sides[lv.k - 1]
         scale2 = (parent / 2.0 if m.kind == "standard" else parent) ** 2
         per_template = len(lv.placements) * 4 ** (lv.k - 1) \
             // len(lv.templates)
@@ -226,7 +227,7 @@ def _cellwise_profile(m, side):
         strict.append(suffix)
         suffix += masses[k]
     return DilatationProfile(np.array(ks, float), np.array(strict[::-1]),
-                             suffix, construction.level_area(m.depth), side)
+                             suffix, table.areas[m.depth], side)
 
 
 def _reference_verdict(checks):

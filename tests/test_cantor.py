@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qcforge.cantor import (CantorLevel, Construction, DimensionEstimate,
 from qcforge.errors import DepthLimitError, DomainError, ValidationError
 
 from conftest import TableGauge
+from exact_levels import exponent
 
 ALL_GAUGES = [
     make_gauge("geometric", 0.5),
@@ -56,16 +58,22 @@ def test_builtin_gauges_match_the_readme_formulas_bit_for_bit():
 
 
 def test_neg_log_d_matches_log():
+    # -log d_n read from the table's exponent column, where d_n > 0
     for g in ALL_GAUGES:
+        table = Construction("lambda", g).table(12)
         for n in (0, 1, 5, 12):
-            assert g.neg_log_d(n) == pytest.approx(-math.log(g.d(n)),
-                                                   abs=1e-12)
+            assert table.d[n] > 0.0
+            assert table.e[n] * math.log(2.0) == pytest.approx(
+                -math.log(table.d[n]), abs=1e-12)
 
 
 def test_neg_log_d_survives_underflow():
     g = make_gauge("fast")
-    assert g.d(400) == 0.0  # denormal floor
-    assert g.neg_log_d(400) == pytest.approx(400 * math.log(401) * math.log(2))
+    table = Construction("lambda", g).table(400)
+    assert table.d[400] == table.sides[400] == 0.0  # past the denormal floor
+    want = exponent(g, 400)
+    assert math.isfinite(table.e[400])
+    assert abs(Decimal(table.e[400]) - want) <= Decimal("1e-12") * want
 
 
 def test_custom_gauge_validation():

@@ -58,8 +58,9 @@ def _midline_segments(template, x_lo, x_hi, holes):
 
 
 def _reference_plan(m, lv):
-    sp = m.source.side(lv.k - 1)
-    child_half = m.source.side(lv.k) / (2.0 * sp)
+    sides = m.source.table(lv.k).sides
+    sp = sides[lv.k - 1]
+    child_half = sides[lv.k] / (2.0 * sp)
     centers = [ox / sp for ox, _ in m.src.offsets[lv.k - 1]]
     holes = tuple((c - child_half, c + child_half) for c in centers)
     items = []
@@ -77,8 +78,10 @@ def _reference_plan(m, lv):
 
 def _reference_polyline(m, tol=1e-12):
     plans = [_reference_plan(m, lv) for lv in m.levels]
+    src = m.source.table(m.depth).sides
+    dst = m.target.table(m.depth).sides
     out = []
-    eps = min(tol, m.source.side(m.depth) * 1e-3)
+    eps = min(tol, src[m.depth] * 1e-3)
 
     def emit(t, x, y):
         if out and abs(t - out[-1][0]) <= eps \
@@ -89,13 +92,13 @@ def _reference_polyline(m, tol=1e-12):
 
     def rec(k, sc, dc):
         if k == m.depth:
-            s = m.source.side(k) / 2.0
-            ratio = m.target.side(k) / m.source.side(k)
+            s = src[k] / 2.0
+            ratio = dst[k] / src[k]
             emit(sc.x - s, dc.x - s * ratio, dc.y)
             emit(sc.x + s, dc.x + s * ratio, dc.y)
             return
         lv = m.levels[k]
-        sp, dp = m.source.side(k), m.target.side(k)
+        sp, dp = src[k], dst[k]
         for start, tag, payload in plans[k]:
             if tag == "child":
                 ox, oy = m.src.offsets[k][payload]

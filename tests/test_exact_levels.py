@@ -16,10 +16,11 @@ import pytest
 
 from qcforge import analysis
 from qcforge.analysis import CASES, DavidParams, dilatation_profile
-from qcforge.cantor import make_gauge
+from qcforge.cantor import dimension_bounds, make_gauge
 from qcforge.homeo import invert, standard_homeo
 
-from exact_levels import CONTEXT, exact_bound, exact_levels, exact_profile
+from exact_levels import CONTEXT, exact_bound, exact_levels, \
+    exact_profile, exponent
 
 MIN_NORMAL = Decimal(sys.float_info.min)
 
@@ -90,6 +91,13 @@ def test_the_oracle_holds_what_floats_lose():
     assert all(w > 0 for w in deep.exceedances[:-1])
     assert Decimal("1e-532") < exact_bound(1.0, 1.0, 1223.0) \
         < Decimal("1e-531")
+    # the sides behind `dims --gauge fast --levels 300`'s scales, levels
+    # 200..300: about 2^-1261 to 2^-2012
+    fast = make_gauge("fast")
+    with decimal.localcontext(CONTEXT):
+        sides = [Decimal(2) ** -(k + exponent(fast, k))
+                 for k in range(200, 301)]
+    assert all(Decimal(2) ** -2013 < w < Decimal(2) ** -1260 for w in sides)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -118,3 +126,12 @@ def test_theorem_b_bound_at_its_cutoff_is_not_zero():
     # e^-1223 is about 7.2e-532, below float range
     assert _agree(DavidParams(1.0, 1.0, 1223.0).bound(1223.0),
                   exact_bound(1.0, 1.0, 1223.0))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1")
+def test_dims_scales_of_a_fast_gauge_at_level_300_are_not_zero():
+    # all 101 sides of the tail lie below float range and print as 0 today
+    scales = dimension_bounds(make_gauge("fast"), 300).scales_used
+    assert len(scales) == 101
+    assert all(w > 0 for w in scales)

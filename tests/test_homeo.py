@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from qcforge.frozen import THEOREM_B_RATE_BAND
 from qcforge.geometry import Point
 from qcforge.homeo import (curve_box_dimension, curve_polyline, evaluate,
                            invert, max_dilatation_per_level, standard_homeo,
-                           theoremB_homeo, twist_parameter)
+                           theoremB_homeo)
+
+from exact_levels import CONTEXT, exponent
 
 SQRT = make_gauge("sqrt")
 GEO1 = make_gauge("geometric", 1.0)
@@ -83,8 +87,8 @@ def test_property_ii_corner_images():
     n = 5
     m = standard_homeo(SQRT, GEO1, n)
     src, dst = m.corresponding_centers(n)
-    hs = m.source.side(n) / 2.0
-    hd = m.target.side(n) / 2.0
+    hs = m.source.table(n).sides[n] / 2.0
+    hd = m.target.table(n).sides[n] / 2.0
     for i in range(0, len(src), 37):
         for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
             z = Point(src[i][0] + sx * hs, src[i][1] + sy * hs)
@@ -152,9 +156,16 @@ def test_theoremB_level_one_correspondence():
 
 
 def test_theoremB_twist_parameters():
-    assert twist_parameter(1) == pytest.approx(0.125)
-    for k in range(1, 21):
-        assert 0 < twist_parameter(k) < 0.2
+    a = theoremB_homeo(20).templates.param("a").tolist()
+    assert len(a) == 20
+    assert a[0] == pytest.approx(0.125)
+    assert all(0 < x < 0.2 for x in a)
+    # (1 - d_k/d_{k-1}) / 4 from the exact exponents of the sqrt gauge
+    with decimal.localcontext(CONTEXT):
+        for k, got in enumerate(a, 1):
+            ratio = Decimal(2) ** (exponent(SQRT, k - 1) - exponent(SQRT, k))
+            want = (1 - ratio) / 4
+            assert abs(Decimal(got) - want) <= Decimal("1e-12") * want, k
 
 
 def test_theoremB_gasket_region_count():
@@ -239,8 +250,8 @@ def test_curve_visits_target_squares_in_order():
     m = theoremB_homeo(n)
     pl = curve_polyline(m)
     src, dst = m.corresponding_centers(n)
-    half_s = m.source.side(n) / 2.0
-    half_d = m.target.side(n) / 2.0
+    half_s = m.source.table(n).sides[n] / 2.0
+    half_d = m.target.table(n).sides[n] / 2.0
     ts = np.array(pl.params)
     V = pl.vertices
     order = np.argsort(src[:, 0])  # source squares left to right = t order
@@ -253,12 +264,17 @@ def test_curve_visits_target_squares_in_order():
 
 
 def test_curve_box_dimension_values():
-    m = theoremB_homeo(4)
-    for n in (4, 9, 16):
+    m = theoremB_homeo(16)
+    for n in range(1, 17):
         assert curve_box_dimension(m, n) == pytest.approx(
             2.0 / (1.0 + n ** -0.5), abs=1e-12)
+    assert curve_box_dimension(m) == curve_box_dimension(m, 16)
+    # the levels of the map only, not the gauge past it
+    for n in (0, 17):
+        with pytest.raises(DomainError, match="level must be in 1..16"):
+            curve_box_dimension(m, n)
     with pytest.raises(DomainError):
-        curve_box_dimension(m, 0)
+        curve_box_dimension(theoremB_homeo(3), 4000)
 
 
 def test_summary_json_shape():

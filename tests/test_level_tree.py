@@ -1,8 +1,12 @@
 """Level geometry shared by both map kinds, placements, and the numeric
 edges of the command line."""
 
+import decimal
+import functools
 import math
 import struct
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from qcforge.homeo import _NW_SW_NE_SE, evaluate, invert, standard_homeo, \
     theoremB_homeo
 
 from conftest import TableGauge, profile_bits
+from exact_levels import CONTEXT, exponent
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
@@ -104,31 +109,61 @@ TABLE_GAUGES = [make_gauge("geometric", 0.7), make_gauge("slow"),
                 TableGauge(tuple(1.0 / (k + 1) for k in range(897))), None]
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_table(gauge, n=896):
+    """(e_k, d_k, side 2^-k d_k, area d_k^2) of levels 0..n in `Decimal`:
+    e_k from the gauge's closed form, or from the chosen value d_k of a
+    table gauge."""
+    rows = []
+    with decimal.localcontext(CONTEXT):
+        for k in range(n + 1):
+            if isinstance(gauge, TableGauge):
+                d = Decimal(gauge.table[k])
+                e = -d.ln() / Decimal(2).ln()
+            else:
+                e = exponent(gauge, k)
+                d = Decimal(2) ** -e
+            rows.append((e, d, d / Decimal(2) ** k, d * d))
+    return rows
+
+
+def _close(got, want):
+    with decimal.localcontext(CONTEXT):
+        return abs(Decimal(got) - want) <= Decimal("1e-12") * abs(want)
+
+
 @pytest.mark.parametrize("gauge", TABLE_GAUGES,
                          ids=lambda g: "sigma" if g is None else g.describe())
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), _NW_SW_NE_SE])
 def test_level_table_matches_the_scalar_definitions(gauge, order):
+    # each level against the exact oracle; d, sides and areas where the
+    # oracle's value is a normal float
     c = Construction("sigma") if gauge is None else \
         Construction("lambda", gauge)
     dirs = _ROW_DIRECTIONS if gauge is None else _NEST_DIRECTIONS
+    exact = _exact_table(c.gauge)
+    normal = Decimal(sys.float_info.min)
     # up to the table-depth bound at the default guard, where the 8-adic
     # sides are subnormal from level 341 and 0 from level 359
     for n in (0, 1, 48, 200, 896):
         table = c.table(n, order)
-        assert len(table.d) == len(table.sides) == len(table.areas) == n + 1
+        assert len(table.e) == len(table.d) == len(table.sides) \
+            == len(table.areas) == n + 1
         assert len(table.offsets) == n
         for k in range(n + 1):
-            d = 4.0 ** (-k) if gauge is None else gauge.d(k)
-            assert _bits(table.d[k]) == _bits(d)
-            assert _bits(table.sides[k]) == _bits(c.side(k))
-            assert _bits(table.areas[k]) == _bits(c.level_area(k))
+            want = exact[k]
+            assert _close(table.e[k], want[0]), k
+            for got, w in zip((table.d[k], table.sides[k], table.areas[k]),
+                              want[1:]):
+                assert w < normal or _close(got, w), k
             if gauge is None:
                 # the row's closed forms, apart from its gauge's formula
+                assert _bits(table.d[k]) == _bits(4.0 ** (-k))
                 assert _bits(table.sides[k]) == _bits(8.0 ** (-k))
                 assert _bits(table.areas[k]) == _bits(16.0 ** (-k))
         for k in range(1, n + 1):
-            want = [[dirs[j][0] * c.side(k - 1), dirs[j][1] * c.side(k - 1)]
-                    for j in order]
+            side = table.sides[k - 1]
+            want = [[dirs[j][0] * side, dirs[j][1] * side] for j in order]
             assert [[_bits(x) for x in row] for row in table.offsets[k - 1]] \
                 == [[_bits(x) for x in row] for row in want]
 

@@ -17,8 +17,7 @@ from qcforge.errors import DepthLimitError, DomainError, GeometryError, \
     OrientationError, QCForgeError
 from qcforge.geometry import AffineMap, Point, Triangle, \
     affine_three_point, dilatation, invert_affine
-from qcforge.homeo import invert, standard_homeo, theoremB_homeo, \
-    twist_parameter
+from qcforge.homeo import invert, standard_homeo, theoremB_homeo
 from qcforge.qcmaps import annulus_extension_any, annulus_templates, \
     _stack_of, invert_piecewise, invert_templates, twist_extension, \
     twist_templates
@@ -172,10 +171,11 @@ def _assert_half_turn(t, right):
 
 
 def test_theoremB_templates_match_the_scalar_path():
-    m = theoremB_homeo(DEPTH)
+    m, sqrt = theoremB_homeo(DEPTH), make_gauge("sqrt")
     for k, (lv, lvi) in enumerate(zip(m.levels, invert(m).levels), 1):
-        right = _twist(twist_parameter(k))
-        single = twist_extension(twist_parameter(k))
+        a = (1.0 - sqrt.d(k) / sqrt.d(k - 1)) / 4.0
+        right = _twist(a)
+        single = twist_extension(a)
         _assert_same(single, right)
         _assert_same(lv.templates[0], right)
         _assert_same(lvi.templates[0], _inverted(right))

@@ -14,8 +14,7 @@ import pytest
 from qcforge import analysis, cli
 from qcforge.cantor import make_gauge
 from qcforge.geometry import Point
-from qcforge.homeo import evaluate, invert, standard_homeo, theoremB_homeo, \
-    twist_parameter
+from qcforge.homeo import evaluate, invert, standard_homeo, theoremB_homeo
 from qcforge.qcmaps import PiecewiseAffineMap, annulus_extension_any, \
     invert_piecewise, twist_extension
 
@@ -120,7 +119,10 @@ def _standard_singles(g, h, k):
 
 
 def _theoremB_singles(k):
-    right = twist_extension(twist_parameter(k))
+    """Level k's two twists of theorem B's map and of its inverse, each
+    from the single-template builders."""
+    sqrt = make_gauge("sqrt")
+    right = twist_extension((1.0 - sqrt.d(k) / sqrt.d(k - 1)) / 4.0)
     left = _half_turn(right)
     # the inverse's left half is inverted itself, not the right inverse
     # turned: a sum that cancels to +0.0 would turn into -0.0
