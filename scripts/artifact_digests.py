@@ -7,8 +7,10 @@ Usage: python3 scripts/artifact_digests.py SEED [SEED ...]
 
 The jobs are every CLI job of the three benchmark workloads at each seed
 (from perfbench/inputs.py), `curve --depth 0..8`, the depth-0 profile in
-both formats and its vacuous David check, deep maps (theoremB reports at depths 64 and 200,
-slow-to-fast at 200, depth-100 reports and profiles), maps that invert
+both formats and its vacuous David check, deep maps (theoremB reports at
+depths 64, 200 and 896, the table bound, and its profile at 600;
+slow-to-fast at 200, slow-to-geometric:1 at 100 and 600, depth-100
+profiles), maps that invert
 their templates at some levels only, Frostman profiles at levels 0 and 9,
 box counts (`dims --box-depths`) on thin, thick and tiny-side gauges up
 to depth 9 and on the 8-adic row up to the row cap (depth 11), dimension
@@ -72,7 +74,7 @@ FIXED = (
        for fmt in ("csv", "json")]
     + [("david-0", ("david", "--case", "slow-to-fast", "--depth", "0"), {})]
     # deep and mixed-orientation maps: templates inverted at some levels
-    # only, instance counts past 2^63
+    # only, masses and areas past float range, theorem B at the table depth
     + [("report-theoremB-64", ("report", "--case", "theoremB",
                                "--depth", "64"), {}),
        ("report-slow-to-geometric-100", ("report", "--case",
@@ -81,7 +83,14 @@ FIXED = (
        ("report-theoremB-200", ("report", "--case", "theoremB",
                                 "--depth", "200"), {}),
        ("report-slow-to-fast-200", ("report", "--case", "slow-to-fast",
-                                    "--depth", "200"), {})]
+                                    "--depth", "200"), {}),
+       ("profile-theoremB-600", ("profile", "--case", "theoremB",
+                                 "--depth", "600"), {}),
+       ("report-theoremB-896", ("report", "--case", "theoremB",
+                                "--depth", "896"), {}),
+       ("report-slow-to-geometric-600", ("report", "--case",
+                                         "slow-to-geometric:1",
+                                         "--depth", "600"), {})]
     + [(f"profile-100-inverse-image.{fmt}",
         ("profile", "--case", "slow-to-fast", "--depth", "100", "--direction",
          "inverse", "--side", "image", "--format", fmt), {})
@@ -101,8 +110,6 @@ FIXED = (
         ("david", "--case", "slow-to-geometric:50", "--depth", "10"), {}),
        ("exit1-flat-annulus",
         ("annulus", "--a", "0.1", "--b", "0.4999999999999999"), {}),
-       ("exit1-instance-overflow",
-        ("profile", "--case", "theoremB", "--depth", "600"), {}),
        ("exit1-negative-samples",
         ("dims", "--gauge", "geometric:1", "--frostman-s", "0.5",
          "--samples", "-1"), {}),

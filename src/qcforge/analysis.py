@@ -2,12 +2,13 @@
 
 A profile records, exactly, how much area a hierarchical map distorts by at
 least each dilatation threshold.  Because all level-k gasket cells are
-congruent, the profile is a per-level aggregation — cell area times placement
-scale squared times instance count — and stays cheap at depths far beyond
-anything a flattened mesh could reach.  `check_david` then tests the
-exponential exceedance bound area{K > K0} <= C exp(-alpha K), always adding
-the still-unclassified deepest-level area so a pass is a statement about the
-limit map, not just the finite approximant.
+congruent, the profile is a per-level aggregation — cell area times the
+area of the level's parents, which their templates cover once (four annuli
+at half a parent's side, or each twist at its full side) — and stays cheap
+at depths far beyond anything a flattened mesh could reach.  `check_david`
+then tests the exponential exceedance bound area{K > K0} <= C exp(-alpha K),
+always adding the still-unclassified deepest-level area so a pass is a
+statement about the limit map, not just the finite approximant.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .cantor import GaugeSequence, dimension_bounds, make_gauge
-from .errors import DepthLimitError, DomainError
+from .errors import DomainError
 from .frozen import FROZEN_K0
 from .homeo import HierarchicalMap, invert, max_dilatation_per_level, \
     standard_homeo, theoremB_homeo
@@ -75,28 +76,17 @@ class DavidParams:
 
 
 def _level_masses(m: HierarchicalMap, side: str):
-    """The distinct cell dilatations, ascending, and per level (rows) each
-    cell's index into them and its mass (area times placement scale squared
-    times instance count), in the order profiles and sweeps add them."""
+    """The distinct cell dilatations, ascending, and per level k (rows) each
+    cell's index into them and its mass, cell area times `areas[k - 1]`,
+    in the order profiles and sweeps add them."""
     table = m.src if side == "domain" else m.dst
-    factors = []
-    # an annulus sits around each of a parent's four children, a twist once
-    copies = 4 if m.kind == "standard" else 1
-    for k, parent_side in enumerate(table.sides[:m.depth], 1):
-        try:
-            count = float(copies * 4 ** (k - 1))
-        except OverflowError:
-            raise DepthLimitError(
-                f"instance count overflows at level {k}: it is not "
-                "finite in floating point") from None
-        factors.append(((parent_side * m.template_scale) ** 2, count))
     t = m.templates
     area = t.domain_areas if side == "domain" else t.image_areas
-    scale2, count = np.reshape(factors, (-1, 2, 1, 1)).transpose(1, 0, 2, 3)
     ks, which = np.unique(t.dilatations, return_inverse=True)
     # not reshape(depth, -1), which raises at depth 0
     shape = m.depth, math.prod(t.dilatations.shape[1:])
-    return ks, which.reshape(shape), (area * scale2 * count).reshape(shape)
+    mass = area * np.reshape(table.areas[:m.depth], (-1, 1, 1))
+    return ks, which.reshape(shape), mass.reshape(shape)
 
 
 def dilatation_profile(m: HierarchicalMap, side: str = "domain"
@@ -140,39 +130,40 @@ def check_david(profile: DilatationProfile, params: DavidParams
 def _verdicts(areas, bounds, mask):
     """Per row of (area, bound) pairs, counting the pairs where `mask`
     holds: whether every area is within its bound, and the minimum of
-    log(bound / area) over the positive areas (+inf when there is none,
-    -inf where such a bound is 0).
+    log(bound / area), or log(bound) - log(area) past float range, over the
+    positive areas (+inf when there is none, -inf where such a bound is 0).
 
     `math.log` is taken only of the ratios within a relative 1e-12 of the
     row's least, and the least log kept, so margins are those of a loop of
     `math.log`s bit for bit."""
     flags = ~(mask & (areas > bounds)).any(axis=1)
+    counted = mask & (areas > 0)
     ratios = np.full(areas.shape, math.inf)
-    np.divide(bounds, areas, out=ratios, where=mask & (areas > 0))
-    least = ratios.min(axis=1, initial=math.inf)
-    # a least ratio of 0 (an underflowed bound) or +inf (no positive area)
-    # is the margin's own log; a row takes no candidate then
+    with np.errstate(over="ignore"):  # a ratio past float range is inf
+        np.divide(bounds, areas, out=ratios, where=counted)
+        least = ratios.min(axis=1, initial=math.inf)
+        cut = np.where(least > 0, least * (1 + 1e-12), -1)
+    # no candidate in a row of least ratio 0 (-inf) or no positive area
     margins = np.where(least > 0, math.inf, -math.inf)
-    cut = np.where((least > 0) & (least < math.inf), least * (1 + 1e-12), -1)
-    rows, cols = np.nonzero(ratios <= cut[:, None])
-    np.minimum.at(margins, rows,
-                  [math.log(q) for q in ratios[rows, cols].tolist()])
+    rows, cols = np.nonzero(counted & (ratios <= cut[:, None]))
+    bs = np.broadcast_to(bounds, areas.shape)[rows, cols].tolist()
+    np.minimum.at(margins, rows, [
+        math.log(q) if q < math.inf else math.log(b) - math.log(a) for q, b, a
+        in zip(ratios[rows, cols].tolist(), bs, areas[rows, cols].tolist())])
     return flags.tolist(), margins.tolist()
 
 
 def qc_dimension_bounds(K: float, alpha: float) -> tuple[float, float]:
     """Dimension-distortion interval for a K-quasiconformal image of a set
     of dimension alpha: (1/K)(1/a - 1/2) <= 1/b - 1/2 <= K(1/a - 1/2)."""
-    if K < 1:
+    if not K >= 1:
         raise DomainError(f"need K >= 1, got {K}")
     if not (0 <= alpha <= 2):
         raise DomainError(f"need alpha in [0, 2], got {alpha}")
     if alpha == 0.0:
         return (0.0, 0.0)
     t = 1.0 / alpha - 0.5
-    lo = 2.0 / (2.0 * K * t + 1.0)
-    hi = 2.0 / (2.0 * t / K + 1.0)
-    return (lo, hi)
+    return (2.0 / (2.0 * K * t + 1.0), 2.0 / (2.0 * t / K + 1.0))
 
 
 def level_ratio(src: GaugeSequence, dst: GaugeSequence, k: int) -> float:
@@ -181,9 +172,17 @@ def level_ratio(src: GaugeSequence, dst: GaugeSequence, k: int) -> float:
     standard map is comparable to this quantity."""
     if k < 1:
         raise DomainError(f"level must be >= 1, got {k}")
-    a = src.d(k - 1) - src.d(k)
-    ap = dst.d(k - 1) - dst.d(k)
-    r = (ap * src.d(k)) / (a * dst.d(k))
+    for g in (src, dst):
+        if g.d(k) == 0.0:
+            raise DomainError(f"gauge {g.describe()} underflows at level "
+                              f"{k}: d_{k} is 0 in floating point")
+        if g.d(k - 1) == g.d(k):
+            raise DomainError(f"gauge {g.describe()} is flat at level {k}: "
+                              f"d_{k}/d_{k - 1} is 1 in floating point")
+    a, ap = src.d(k - 1) - src.d(k), dst.d(k - 1) - dst.d(k)
+    num, den = ap * src.d(k), a * dst.d(k)
+    # the products can underflow where the two relative insets cannot
+    r = num / den if num and den else ap / dst.d(k) * (src.d(k) / a)
     return max(r, 1.0 / r)
 
 

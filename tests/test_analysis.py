@@ -1,5 +1,7 @@
+import decimal
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
                            theoremB_homeo)
 
 from conftest import profile_bits
+from exact_levels import CONTEXT, exponent
 
 SLOW = make_gauge("slow")
 GEO1 = make_gauge("geometric", 1.0)
@@ -154,6 +157,12 @@ def test_qc_dimension_bounds_nest():
         qc_dimension_bounds(0.5, 1.0)
 
 
+def test_qc_dimension_bounds_reject_a_nan_K():
+    with pytest.raises(DomainError, match="need K >= 1, got nan"):
+        qc_dimension_bounds(math.nan, 1.0)
+    assert qc_dimension_bounds(math.inf, 1.0) == (0.0, 2.0)
+
+
 def test_david_params_are_finite():
     for bad in ((math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
                 (1.0, 1.0, math.inf), (math.nan, 1.0, 1.0)):
@@ -167,6 +176,29 @@ def test_level_ratio_bounds_dilatation():
         for k, K in max_dilatation_per_level(m):
             r = K / level_ratio(src, dst, k)
             assert DIL_RATIO_BAND[0] <= r <= DIL_RATIO_BAND[1], (k, r)
+
+
+def test_level_ratio_names_a_flat_or_underflowed_gauge():
+    with pytest.raises(DomainError, match="gauge geometric:1e-300 is flat "
+                       "at level 3: d_3/d_2 is 1 in floating point"):
+        level_ratio(make_gauge("geometric", 1e-300), SLOW, 3)
+    with pytest.raises(DomainError, match="gauge fast underflows at level "
+                       "250: d_250 is 0 in floating point"):
+        level_ratio(SLOW, FAST, 250)
+
+
+def test_level_ratio_past_the_float_range_of_its_products():
+    # a_k d'_k underflows to 0 from level 196, while d'_196 is about 2e-312
+    with decimal.localcontext(CONTEXT):
+        d = [[Decimal(2) ** -exponent(g, k) for k in (195, 196)]
+             for g in (SLOW, FAST)]
+        (s0, s1), (t0, t1) = d
+        r = (t0 - t1) * s1 / ((s0 - s1) * t1)
+        want = max(r, 1 / r)
+    assert SLOW.d(195) - SLOW.d(196) > 0 and FAST.d(196) > 0
+    assert (SLOW.d(195) - SLOW.d(196)) * FAST.d(196) == 0.0
+    got = level_ratio(SLOW, FAST, 196)
+    assert abs(Decimal(got) - want) <= Decimal("1e-9") * want
 
 
 def test_geometric_pair_ratio_constant():
@@ -233,7 +265,8 @@ def _cellwise_profile(m, side):
 def _reference_verdict(checks):
     """(flag, margin) of a David check's (area, bound) pairs, one pair at a
     time: whether every area is within its bound, and the minimum of
-    log(bound / area) over the positive areas (+inf when there is none)."""
+    log(bound / area) over the positive areas (+inf when there is none),
+    taken as log(bound) - log(area) where the ratio overflows."""
     ok, margin = True, math.inf
     for area, b in checks:
         if area > b:
@@ -241,6 +274,8 @@ def _reference_verdict(checks):
         if area > 0:
             # the bound can underflow to 0 for huge K; that is a definite fail
             q = math.log(b / area) if b > 0 else -math.inf
+            if q == math.inf:
+                q = math.log(b) - math.log(area)
             if q < margin:
                 margin = q
     return ok, margin
@@ -400,6 +435,21 @@ def test_check_david_matches_the_reference_loop(rng):
             margins.add(got[1])
     assert {math.inf, -math.inf} <= margins
     assert any(math.isfinite(q) for q in margins)
+
+
+def test_verdicts_take_a_log_difference_where_every_ratio_overflows():
+    def verdict(areas, bounds):
+        return analysis._verdicts(np.array([areas]), np.array([bounds]),
+                                  np.array([[True] * len(areas)]))
+
+    # 1 / 1e-310 is past float range; log 1 - log 1e-310 is about 713.8
+    flags, (margin,) = verdict([1e-310], [1.0])
+    assert flags == [True]
+    assert margin == -math.log(1e-310)
+    assert margin == _reference_verdict([(1e-310, 1.0)])[1]
+    # a finite ratio in the row is the least, bit for bit as before
+    assert verdict([1e-310, 0.25], [1.0, 0.5]) == ([True], [math.log(2.0)])
+    assert verdict([1e-310, 0.0], [0.0, 1.0]) == ([False], [-math.inf])
 
 
 def test_verdicts_take_bounds_from_math_exp_and_margins_from_math_log(

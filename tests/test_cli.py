@@ -204,6 +204,23 @@ def test_david_verdict_exit_codes(capsys):
     assert json.loads(out)["passed"] is False
 
 
+def test_david_margin_past_float_range_of_its_ratios(capsys):
+    # every bound / area ratio overflows at C = 1e308; at C = 1e280 they do
+    # not, and the margin is 28 ln 10 less
+    argv = ["david", "--case", "slow-to-fast", "--depth", "40",
+            "--alpha", "1e-300"]
+    assert run(argv + ["--C", "1e280"]) == 0
+    low = json.loads(capsys.readouterr().out)["margin"]
+    code = run(argv + ["--C", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    margin = json.loads(captured.out)["margin"]
+    assert margin == pytest.approx(low + 28 * math.log(10), rel=1e-12)
+    assert margin == pytest.approx(651.69233920909562 + 28 * math.log(10),
+                                   rel=1e-12)
+
+
 def test_profile_csv(capsys):
     code, out = _capture(capsys, ["profile", "--case", "slow-to-fast",
                                   "--depth", "6", "--format", "csv"])
@@ -293,18 +310,27 @@ def _one_line_error(capsys, argv):
     return captured.err
 
 
-def test_instance_count_overflow_is_a_depth_error(capsys):
-    # level 513 of theorem B has 4^512 instances per template, more than a
-    # float holds; the standard maps reach 4^512 at level 512
-    err = _one_line_error(capsys, ["profile", "--case", "theoremB",
-                                   "--depth", "600"])
-    assert "level 513" in err
-    err = _one_line_error(capsys, ["report", "--case", "slow-to-geometric:1",
-                                   "--depth", "600"])
-    assert "level 512" in err
+def test_theorem_b_runs_to_the_table_depth(capsys, monkeypatch):
+    # masses read the level areas, so no level count stands between a
+    # profile or report and the table bound, 64 x the default guard
+    monkeypatch.delenv("QCFORGE_DEPTH_GUARD", raising=False)
     code, _ = _capture(capsys, ["profile", "--case", "theoremB",
-                                "--depth", "512"])
+                                "--depth", "896"])
     assert code == 0
+    code = run(["report", "--case", "theoremB", "--depth", "896"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    assert [e["level"] for e in rep["levels"]] == list(range(1, 897))
+    for direction in ("forward", "inverse"):
+        checks = rep["david"][direction]["checks"]
+        assert [c["depth"] for c in checks] == list(range(3, 897))
+    code = run(["report", "--case", "slow-to-geometric:1", "--depth", "600"])
+    assert (code, capsys.readouterr().err) == (2, "")
+    err = _one_line_error(capsys, ["report", "--case", "theoremB",
+                                   "--depth", "897"])
+    assert err == "error: depth 897 is unreasonably large\n"
 
 
 @pytest.mark.parametrize("argv,gauge,k", [
