@@ -248,16 +248,15 @@ def digest(argv, env, path) -> tuple[int | str, bytes]:
 def edge_points(m, k) -> np.ndarray:
     """Vertices and edge midpoints of the level-k template cells, placed in
     every level-k parent of the source: an (n, 2) array."""
-    lv = m.levels[k - 1]
-    sscale = m.src.sides[k - 1] * m.template_scale
+    lv, side = m.levels[k - 1], m.src.sides[k - 1]
     centers = m.corresponding_centers(k - 1)[0]
     out = []
-    for ti, offset, _ in lv.placements:
+    for ti, x, y, scale in m.slots:
         cells = lv.templates[ti].cells
         mids = (cells + np.roll(cells, -1, axis=1)) / 2.0
         u = np.concatenate([cells, mids]).reshape(-1, 2)
-        out.append((centers[:, None, :] + offset + u[None] * sscale)
-                   .reshape(-1, 2))
+        out.append((centers[:, None, :] + (x * side, y * side)
+                    + u[None] * (side * scale)).reshape(-1, 2))
     return np.concatenate(out)
 
 
@@ -267,18 +266,17 @@ def deep_points(m, levels, parents, rng) -> np.ndarray:
     along random digit paths: an (n, 2) array."""
     out = []
     for k in levels:
-        lv = m.levels[k - 1]
-        sscale = m.src.sides[k - 1] * m.template_scale
+        lv, side = m.levels[k - 1], m.src.sides[k - 1]
         centers = np.zeros((parents, 2))
         for offsets in m.src.offsets[:k - 1]:
             centers += np.array(offsets)[rng.integers(0, 4, parents)]
-        for ti, offset, _ in lv.placements:
+        for ti, x, y, scale in m.slots:
             cells = lv.templates[ti].cells
             u = np.concatenate([cells, (cells + np.roll(cells, -1, axis=1))
                                 / 2.0, cells.mean(axis=1, keepdims=True)],
                                axis=1).reshape(-1, 2)
-            out.append((centers[:, None, :] + offset + u[None] * sscale)
-                       .reshape(-1, 2))
+            out.append((centers[:, None, :] + (x * side, y * side)
+                        + u[None] * (side * scale)).reshape(-1, 2))
     return np.concatenate(out)
 
 

@@ -52,13 +52,14 @@ def main():
     # gauge pairing (THEOREM_A_RATE_BANDS) and 2..20 of theorem B's map
     # (THEOREM_B_RATE_BAND), DIL_RATIO_BAND over levels 1..14 of the
     # pairings, and the K0 of FROZEN_K0 per case and direction
-    levels = {"standard": range(3, 15), "theoremB": range(2, 21)}
+    levels = {"lambda": range(3, 15), "sigma": range(2, 21)}
     dil_ratios = []
     for case, row in CASES.items():
         m = row.build(20, row.default)
         kl = max_dilatation_per_level(m)
-        rr = [K / row.rate_of(k) for k, K in kl if k in levels[m.kind]]
-        if m.kind == "standard":
+        rr = [K / row.rate_of(k) for k, K in kl
+              if k in levels[m.source.family]]
+        if m.source.family == "lambda":
             src, dst = m.source.gauge, m.target.gauge
             dil_ratios += [K / level_ratio(src, dst, k)
                            for k, K in kl if k <= 14]

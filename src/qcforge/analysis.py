@@ -3,9 +3,13 @@
 A profile records, exactly, how much area a hierarchical map distorts by at
 least each dilatation threshold.  Because all level-k gasket cells are
 congruent, the profile is a per-level aggregation — cell area times the
-area of the level's parents, which their templates cover once (four annuli
-at half a parent's side, or each twist at its full side) — and stays cheap
-at depths far beyond anything a flattened mesh could reach.  `check_david`
+area of the level's parents — and stays cheap at depths far beyond
+anything a flattened mesh could reach.  That product rests on one premise
+of the maps' `slots`: a parent's instances of each template cover one
+parent area, their scales' squares summing to 1 (four annuli at half a
+parent's side, or each twist once at its full side), which
+`tests/test_level_tree.py::test_the_slots_of_each_template_cover_one_parent`
+checks on every case in both directions.  `check_david`
 then tests the exponential exceedance bound area{K > K0} <= C exp(-alpha K),
 always adding the still-unclassified deepest-level area so a pass is a
 statement about the limit map, not just the finite approximant.
@@ -22,8 +26,8 @@ import numpy as np
 from .cantor import GaugeSequence, dimension_bounds, make_gauge
 from .errors import DomainError
 from .frozen import FROZEN_K0
-from .homeo import HierarchicalMap, invert, max_dilatation_per_level, \
-    standard_homeo, theoremB_homeo
+from .homeo import HierarchicalMap, _gauge_error, invert, \
+    max_dilatation_per_level, standard_homeo, theoremB_homeo
 
 __all__ = [
     "DilatationProfile",
@@ -173,12 +177,8 @@ def level_ratio(src: GaugeSequence, dst: GaugeSequence, k: int) -> float:
     if k < 1:
         raise DomainError(f"level must be >= 1, got {k}")
     for g in (src, dst):
-        if g.d(k) == 0.0:
-            raise DomainError(f"gauge {g.describe()} underflows at level "
-                              f"{k}: d_{k} is 0 in floating point")
-        if g.d(k - 1) == g.d(k):
-            raise DomainError(f"gauge {g.describe()} is flat at level {k}: "
-                              f"d_{k}/d_{k - 1} is 1 in floating point")
+        if g.d(k) == 0.0 or g.d(k - 1) == g.d(k):
+            raise _gauge_error(g, k, g.d(k) != 0.0)
     a, ap = src.d(k - 1) - src.d(k), dst.d(k - 1) - dst.d(k)
     num, den = ap * src.d(k), a * dst.d(k)
     # the products can underflow where the two relative insets cannot

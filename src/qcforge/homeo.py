@@ -9,9 +9,12 @@ template)), and its geometry once: one `LevelTable` per side (gauge
 exponents and values, sides, areas, child offsets), which the template
 parameters, evaluation, the curve and its box dimension, the square
 centers and the masses read; nothing here forms a level's scale from a
-gauge.  A level-k instance is its template scaled by `sides[k - 1]` times
-`template_scale`.  The per-level K, the masses and `invert` read the
-stack whole; `levels` makes every level's templates and placements on
+gauge.  Where the templates sit is data too: a map's `slots` list one
+(template index, offset x, offset y, scale) row per template instance in
+a parent, in units of the parent side, the same at every level and on
+both sides, so a level-k instance is its template scaled by
+`sides[k - 1]` times its slot's scale.  The per-level K, the masses and
+`invert` read the stack whole; `levels` makes every level's templates on
 first read, for the oracles.
 `evaluate` descends the map's descent table, made on its first call: per
 level, the cuts between the child centres name the one child that can
@@ -72,7 +75,10 @@ __all__ = [
 # target children of an 8-adic parent, left to right: NW, SW, NE, SE, as
 # indices into the square nest's digit order (SW, SE, NE, NW)
 _NW_SW_NE_SE = (3, 0, 2, 1)
-_ORIGIN = (0.0, 0.0)
+# a parent's template instances as slots: one annulus around each child of
+# a square nest; the right, then the left twist over a whole 8-adic parent
+_ANNULUS_SLOTS = tuple((0, x, y, 0.5) for x, y in cantor._NEST_DIRECTIONS)
+_TWIST_SLOTS = ((0, 0.0, 0.0, 1.0), (1, 0.0, 0.0, 1.0))
 # relative widening of child squares and absolute widening of template boxes
 # in point location
 _TOL = 1e-12
@@ -80,28 +86,10 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class _Level:
-    """Level k of a map: its templates, and where each template instance of
-    a parent's gasket sits.
-
-    `placements` lists (template index, source offset, target offset): the
-    instance covers parent center + offset + scale * template domain on
-    each side, the scale being the side's parent side times the map's
-    `template_scale`.
-    """
+    """Level k of a map and its templates, placed by the map's `slots`."""
 
     k: int
     templates: tuple[PiecewiseAffineMap, ...]
-    placements: tuple[tuple[int, tuple[float, float], tuple[float, float]],
-                      ...]
-
-
-def _placements(kind: str, src_offsets, dst_offsets):
-    """A level's placements, from its children's source and target
-    offsets."""
-    if kind == "standard":  # one annulus around each child
-        return tuple((0, tuple(so), tuple(to))
-                     for so, to in zip(src_offsets, dst_offsets))
-    return ((0, _ORIGIN, _ORIGIN), (1, _ORIGIN, _ORIGIN))  # right, left twist
 
 
 @dataclass(frozen=True)
@@ -109,23 +97,22 @@ class HierarchicalMap:
     depth: int
     source: Construction
     target: Construction
-    direction: str  # "forward" or "inverse"
-    kind: str  # "standard" or "theoremB"
     templates: TemplateStack  # levels 1..depth
     src: LevelTable  # the source's levels 0..depth
     dst: LevelTable  # the target's, children in correspondence order
-    template_scale: float  # template size over its parent's side
+    # per template instance in a parent, (template index, offset x, offset
+    # y, scale) in units of the parent side: the instance covers parent
+    # center + side * (offset + scale * template domain) on either side
+    slots: tuple[tuple[int, float, float, float], ...]
 
     @cached_property
     def levels(self) -> tuple[_Level, ...]:
-        """Levels 1..depth with their templates and placements, made on
-        first read, for the oracles; no command reads them."""
+        """Levels 1..depth with their templates, made on first read, for
+        the oracles; no command reads them."""
         t = self.templates
         kinds = range(len(t.kinds))
-        return tuple(_Level(k + 1, tuple(t.template(k, j) for j in kinds),
-                            _placements(self.kind, *offsets))
-                     for k, offsets in enumerate(zip(self.src.offsets,
-                                                     self.dst.offsets)))
+        return tuple(_Level(k + 1, tuple(t.template(k, j) for j in kinds))
+                     for k in range(self.depth))
 
     @cached_property
     def _descent(self) -> tuple:
@@ -138,11 +125,12 @@ class HierarchicalMap:
         of side s), and `children[iy][ix]` lists, as (source offset, target
         offset), the children whose widened square reaches the cut cell
         (ix, iy), in child order: one child, unless widened children
-        overlap.  `gasket` is (level index, source scale, target scale,
-        placements), a placement being (template index, source offset,
-        target offset, its template's cell box widened by 2 `_TOL`: past the
-        child test, which widens a square by up to its gasket's template
-        scale times `_TOL`, so that rounding decides no point between them)."""
+        overlap.  `gasket` is (level index, placements), a placement being
+        one slot's (template index, source offset, source scale, target
+        offset, target scale, its template's cell box widened by 2 `_TOL`:
+        past the child test, which widens a square by up to its slot's
+        scale times `_TOL`, so that rounding decides no point between
+        them), each offset and scale the slot's times the parent side."""
         src, dst, t, table = self.src, self.dst, self.templates, []
         # (x0, x1, y0, y1) per template: the box of its cells, widened
         lo, hi = t.cells.min(axis=(2, 3)), t.cells.max(axis=(2, 3))
@@ -163,12 +151,11 @@ class HierarchicalMap:
                       if ox - reach <= x1 and ox + reach >= x0
                       and oy - reach <= y1 and oy + reach >= y0)
                 for x0, x1 in cells[0]) for y0, y1 in cells[1])
-            placements = tuple(
-                (ti, ox, oy, dox, doy, *boxes[k][ti]) for ti, (ox, oy),
-                (dox, doy) in _placements(self.kind, offsets, dst_offsets))
-            table.append((half, *cuts, children, (
-                k, src.sides[k] * self.template_scale,
-                dst.sides[k] * self.template_scale, placements)))
+            s, d = src.sides[k], dst.sides[k]
+            placements = tuple((ti, x * s, y * s, s * scale, x * d, y * d,
+                                d * scale, *boxes[k][ti])
+                               for ti, x, y, scale in self.slots)
+            table.append((half, *cuts, children, (k, placements)))
         return tuple(table)
 
     def truncate(self, n: int) -> "HierarchicalMap":
@@ -206,6 +193,16 @@ class Polyline:
     params: np.ndarray  # shape (n,): source x-coordinates in [-1/2, 1/2]
 
 
+def _gauge_error(g: GaugeSequence, k: int, flat: bool):
+    """The error of a gauge flat at level k (`DomainError`), or whose d_k
+    underflows to 0 (`DepthLimitError`)."""
+    if flat:
+        return DomainError(f"gauge {g.describe()} is flat at level {k}: "
+                           f"d_{k}/d_{k - 1} is 1 in floating point")
+    return DepthLimitError(f"gauge {g.describe()} underflows at level {k}: "
+                           f"d_{k} is 0 in floating point")
+
+
 def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
                    n: int) -> HierarchicalMap:
     """Depth-n approximant of the standard homeomorphism between the
@@ -224,17 +221,12 @@ def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
     # the earlier levels raise their errors first
     templates = annulus_templates(alpha[:stop], beta[:stop])
     if stop < top:
-        k = stop + 1
-        g = src if alpha[stop] == 0.0 else dst
-        raise DomainError(f"gauge {g.describe()} is flat at level {k}: "
-                          f"d_{k}/d_{k - 1} is 1 in floating point")
+        raise _gauge_error(src if alpha[stop] == 0.0 else dst, stop + 1, True)
     if top < n:
-        k = top + 1
-        g = src if d[0, k] == 0.0 else dst
-        raise DepthLimitError(f"gauge {g.describe()} underflows at level {k}: "
-                              f"d_{k} is 0 in floating point")
-    return HierarchicalMap(n, source, target, "forward", "standard", templates,
-                           *tables, 0.5)
+        raise _gauge_error(src if d[0, top + 1] == 0.0 else dst, top + 1,
+                           False)
+    return HierarchicalMap(n, source, target, templates, *tables,
+                           _ANNULUS_SLOTS)
 
 
 def _rotate_template(rights: TemplateStack) -> TemplateStack:
@@ -261,16 +253,15 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     # two twists per parent, right and left half of it, with the parameter
     # (1 - d_k/d_{k-1}) / 4 of levels 1..n
     templates = _rotate_template(twist_templates((1.0 - d[1:] / d[:-1]) / 4.0))
-    return HierarchicalMap(n, source, target, "forward", "theoremB", templates,
-                           source.table(n), dst, 1.0)
+    return HierarchicalMap(n, source, target, templates, source.table(n), dst,
+                           _TWIST_SLOTS)
 
 
 def invert(m: HierarchicalMap) -> HierarchicalMap:
     """Cell-wise affine inverse; per-level dilatations are preserved."""
     return HierarchicalMap(m.depth, m.target, m.source,
-                           "inverse" if m.direction == "forward" else "forward",
-                           m.kind, invert_templates(m.templates), m.dst, m.src,
-                           m.template_scale)
+                           invert_templates(m.templates), m.dst, m.src,
+                           m.slots)
 
 
 def max_dilatation_per_level(m: HierarchicalMap) -> list[tuple[int, float]]:
@@ -314,8 +305,9 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
         else:
             # the first placement whose template box holds the point; its
             # locator is made when the first point reaches it
-            k, sscale, dscale, placements = gasket
-            for ti, ox, oy, dox, doy, x0, x1, y0, y1 in placements:
+            k, placements = gasket
+            for ti, ox, oy, sscale, dox, doy, dscale, x0, x1, y0, y1 in \
+                    placements:
                 ux, uy = (rx - ox) / sscale, (ry - oy) / sscale
                 if x0 <= ux <= x1 and y0 <= uy <= y1:
                     break
@@ -421,7 +413,7 @@ def curve_polyline(m: HierarchicalMap) -> Polyline:
     deepest squares have more than `cantor._MAX_ROWS` ends, shared ends
     counted twice, raises `DepthLimitError` before its rows are built.
     """
-    if m.kind != "theoremB" or m.direction != "forward":
+    if m.source.family != "sigma":
         raise DomainError("midline tracing needs the forward 8-adic map")
     n, src, dst = m.depth, m.src, m.dst
     # both ends of every deepest square's midline, mapped by its similarity
@@ -456,8 +448,8 @@ def curve_box_dimension(m: HierarchicalMap, level: int | None = None) -> float:
     1..depth of the map (default its depth): log(#level squares crossed) /
     -log(square side), with -log d_n = e_n log 2 read from the image
     table."""
-    if m.kind != "theoremB":
-        raise DomainError("curve dimension applies to the 8-adic map")
+    if m.source.family != "sigma":
+        raise DomainError("curve dimension applies to the forward 8-adic map")
     n = m.depth if level is None else level
     if not 1 <= n <= m.depth:
         raise DomainError(f"level must be in 1..{m.depth}, got {n}")

@@ -4,9 +4,12 @@ At 40 significant digits and with the least exponent `decimal.MIN_EMIN`, a
 `Decimal` holds every side 2^(-k) d_k, instance count and mass of a level a
 map can have, where a float underflows to 0 or overflows.  The oracle takes
 a map's float inputs as they are, since each is representable: the cell
-dilatations K, the cell areas of the unit-frame templates, the template
-scale and the gauges' kinds and parameters.  Everything computed from them
-is computed here again, one `Decimal` operation at a time: the gauge
+dilatations K, the cell areas of the unit-frame templates and the gauges'
+kinds and parameters.  The template scale and the instance count per
+template it takes from the constructions' families, not from the map's
+slots: 1/2 and four per parent between two square nests, 1 and one per
+parent where the 8-adic row is a side.  Everything else is computed here
+again, one `Decimal` operation at a time: the gauge
 exponents e_k of d_k = 2^(-e_k), the sides, the instance counts, the
 masses (cell area times (parent side times template scale)^2 times count),
 the truncation area d_n^2, the suffix sums of the masses above each
@@ -54,13 +57,14 @@ def exact_levels(m, side: str) -> ExactLevels:
     construction = m.source if side == "domain" else m.target
     t = m.templates
     areas = t.domain_areas if side == "domain" else t.image_areas
-    # an annulus sits around each of a parent's four children, a twist once
-    copies = 4 if m.kind == "standard" else 1
+    # an annulus sits at half side around each of a parent's four children;
+    # a twist, on a map to or from the 8-adic row, once at full side
+    twist = "sigma" in (m.source.family, m.target.family)
+    copies, scale = (1, Decimal(1)) if twist else (4, Decimal("0.5"))
     with decimal.localcontext(CONTEXT):
         d = [Decimal(2) ** -exponent(construction.gauge, k)
              for k in range(m.depth + 1)]
         sides = [dk / Decimal(2) ** k for k, dk in enumerate(d)]
-        scale = Decimal(m.template_scale)
         counts = [copies * 4 ** (k - 1) for k in range(1, m.depth + 1)]
         masses = [[Decimal(a) * (sides[k - 1] * scale) ** 2 * count
                    for a in areas[k - 1].ravel().tolist()]

@@ -13,7 +13,7 @@ from qcforge.analysis import (CASES, DavidParams,
                               qc_dimension_bounds, theoremA_report,
                               theoremB_report)
 from qcforge.cantor import make_gauge
-from qcforge.errors import DomainError
+from qcforge.errors import DepthLimitError, DomainError
 from qcforge.frozen import DIL_RATIO_BAND, FROZEN_K0
 from qcforge.geometry import Triangle
 from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
@@ -182,7 +182,7 @@ def test_level_ratio_names_a_flat_or_underflowed_gauge():
     with pytest.raises(DomainError, match="gauge geometric:1e-300 is flat "
                        "at level 3: d_3/d_2 is 1 in floating point"):
         level_ratio(make_gauge("geometric", 1e-300), SLOW, 3)
-    with pytest.raises(DomainError, match="gauge fast underflows at level "
+    with pytest.raises(DepthLimitError, match="gauge fast underflows at level "
                        "250: d_250 is 0 in floating point"):
         level_ratio(SLOW, FAST, 250)
 
@@ -242,13 +242,13 @@ def _cellwise_profile(m, side):
     masses = {}
     construction = m.source if side == "domain" else m.target
     table = construction.table(m.depth)
+    # an annulus is drawn at half its parent's side around each of the four
+    # children, a twist (to or from the 8-adic row) once at the full side
+    twist = "sigma" in (m.source.family, m.target.family)
     for lv in m.levels:
-        # annulus templates are drawn at half their parent's side, twist
-        # templates at its full side
         parent = table.sides[lv.k - 1]
-        scale2 = (parent / 2.0 if m.kind == "standard" else parent) ** 2
-        per_template = len(lv.placements) * 4 ** (lv.k - 1) \
-            // len(lv.templates)
+        scale2 = (parent if twist else parent / 2.0) ** 2
+        per_template = (1 if twist else 4) * 4 ** (lv.k - 1)
         for t in lv.templates:
             for (cell, amap), K in zip(t.pieces, t.dilatations.tolist()):
                 area = cell.area if side == "domain" else \

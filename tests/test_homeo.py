@@ -122,7 +122,7 @@ def test_inverse_levels_exact():
     m = standard_homeo(SQRT, make_gauge("geometric", 2.0), 7)
     mi = invert(m)
     assert max_dilatation_per_level(mi) == max_dilatation_per_level(m)
-    assert invert(mi).direction == "forward"
+    assert (invert(mi).source, invert(mi).target) == (m.source, m.target)
 
 
 def test_inverse_matches_swapped_construction():
@@ -171,7 +171,7 @@ def test_theoremB_twist_parameters():
 def test_theoremB_gasket_region_count():
     m = theoremB_homeo(8)
     for lv in m.levels:
-        assert len(lv.placements) * 4 ** (lv.k - 1) == 2 ** (2 * lv.k - 1)
+        assert len(m.slots) * 4 ** (lv.k - 1) == 2 ** (2 * lv.k - 1)
 
 
 def test_theoremB_rate_band():
@@ -275,6 +275,14 @@ def test_curve_box_dimension_values():
             curve_box_dimension(m, n)
     with pytest.raises(DomainError):
         curve_box_dimension(theoremB_homeo(3), 4000)
+    # the inverse map's source is the square nest: its midline is no curve
+    # of this dimension, and `curve_polyline` refuses it too
+    with pytest.raises(DomainError, match="curve dimension applies to the "
+                       "forward 8-adic map"):
+        curve_box_dimension(invert(m))
+    with pytest.raises(DomainError, match="midline tracing needs the "
+                       "forward 8-adic map"):
+        curve_polyline(invert(m))
 
 
 def test_summary_json_shape():

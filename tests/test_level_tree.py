@@ -1,6 +1,7 @@
 """Level geometry shared by both map kinds, placements, and the numeric
 edges of the command line."""
 
+import dataclasses
 import decimal
 import functools
 import math
@@ -11,7 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from qcforge.analysis import dilatation_profile
+from qcforge.analysis import CASES, dilatation_profile
 from qcforge.cantor import _NEST_DIRECTIONS, _ROW_DIRECTIONS, Construction, \
     box_dimension, depth_guard, make_gauge
 from qcforge.cli import run
@@ -178,7 +179,43 @@ def test_maps_read_the_tables_of_their_constructions():
     assert b.dst == Construction("lambda", make_gauge("sqrt")).table(
         6, _NW_SW_NE_SE)
     assert invert(b).src == b.dst and invert(b).dst == b.src
-    assert (m.template_scale, b.template_scale) == (0.5, 1.0)
+    # one annulus at half side around each child; the right, then the left
+    # twist over the whole parent; the same slots on either side
+    assert m.slots == tuple((0, x, y, 0.5) for x, y in _NEST_DIRECTIONS)
+    assert b.slots == ((0, 0.0, 0.0, 1.0), (1, 0.0, 0.0, 1.0))
+    assert invert(m).slots == m.slots and invert(b).slots == b.slots
+
+
+def _slot_faults(m):
+    """Where the slots break the premise of the level masses: a slot that
+    names no template, a template without a slot, or a template whose
+    slots' squared scales do not sum to exactly 1 (one parent area)."""
+    count = len(m.templates.kinds)
+    faults = [f"slot {i} names template {ti}" for i, (ti, *_) in
+              enumerate(m.slots) if ti not in range(count)]
+    for j in range(count):
+        scales = [scale for ti, _, _, scale in m.slots if ti == j]
+        if not scales:
+            faults.append(f"template {j} has no slot")
+        elif math.fsum(scale ** 2 for scale in scales) != 1.0:
+            faults.append(f"template {j} covers {scales} of a parent")
+    return faults
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_the_slots_of_each_template_cover_one_parent(case):
+    # `_level_masses` weighs a level's cells by the area of its parents,
+    # which holds only if each template's instances cover one parent area
+    row = CASES[case]
+    fwd = row.build(4, row.default)
+    for m in (fwd, invert(fwd)):
+        assert _slot_faults(m) == [], case
+    # a wrong scale in one slot, which the masses would not see
+    ti, x, y, scale = fwd.slots[-1]
+    bad = dataclasses.replace(fwd, slots=fwd.slots[:-1] + (
+        (ti, x, y, scale * 1.5),))
+    faults = _slot_faults(bad)
+    assert len(faults) == 1 and faults[0].startswith(f"template {ti} covers")
 
 
 def _bits(x):
@@ -188,17 +225,15 @@ def _bits(x):
 def _placement_images(m, z):
     """Images of a level-1 gasket point through every placement whose
     template box holds it."""
-    lv = m.levels[0]
-    sscale, dscale = m.src.sides[0] * m.template_scale, \
-        m.dst.sides[0] * m.template_scale
+    lv, s, d = m.levels[0], m.src.sides[0], m.dst.sides[0]
     out = []
-    for ti, (ox, oy), (dox, doy) in lv.placements:
-        t = lv.templates[ti]
-        u = Point((z.x - ox) / sscale, (z.y - oy) / sscale)
+    for ti, x, y, scale in m.slots:
+        t, sscale, dscale = lv.templates[ti], s * scale, d * scale
+        u = Point((z.x - x * s) / sscale, (z.y - y * s) / sscale)
         (x0, y0), (x1, y1) = t.cells.min(axis=(0, 1)), t.cells.max(axis=(0, 1))
         if x0 - 1e-12 <= u.x <= x1 + 1e-12 and y0 - 1e-12 <= u.y <= y1 + 1e-12:
             v = t.apply(u, tol=1e-9)
-            out.append(Point(dox + v.x * dscale, doy + v.y * dscale))
+            out.append(Point(x * d + v.x * dscale, y * d + v.y * dscale))
     return out
 
 

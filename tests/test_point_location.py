@@ -142,9 +142,10 @@ def _evaluate_by_objects(m, z):
             if max(abs(rx - ox), abs(ry - oy)) <= half:
                 break
         else:
-            sscale = src.sides[k] * m.template_scale
-            dscale = dst.sides[k] * m.template_scale
-            for ti, (ox, oy), (dox, doy) in lv.placements:
+            s, d = src.sides[k], dst.sides[k]
+            for ti, x, y, scale in m.slots:
+                ox, oy, sscale = x * s, y * s, s * scale
+                dox, doy, dscale = x * d, y * d, d * scale
                 u = Point((rx - ox) / sscale, (ry - oy) / sscale)
                 x0, x1, y0, y1 = _box(lv.templates[ti])
                 if (x0 - 2e-12 <= u.x <= x1 + 2e-12
@@ -248,18 +249,17 @@ def _placed_cell_points(m, levels, parents, rng):
     along random digit paths: the centroids resolve at level k."""
     pts = []
     for k in levels:
-        lv = m.levels[k - 1]
-        sscale = m.src.sides[k - 1] * m.template_scale
+        lv, side = m.levels[k - 1], m.src.sides[k - 1]
         centers = np.zeros((parents, 2))
         for offsets in m.src.offsets[:k - 1]:
             centers += np.array(offsets)[rng.integers(0, 4, parents)]
-        for ti, offset, _ in lv.placements:
+        for ti, x, y, scale in m.slots:
             cells = lv.templates[ti].cells
             u = np.concatenate([cells, (cells + np.roll(cells, -1, axis=1))
                                 / 2.0, cells.mean(axis=1, keepdims=True)],
                                axis=1).reshape(-1, 2)
-            pts += (centers[:, None] + offset + u[None] * sscale
-                    ).reshape(-1, 2).tolist()
+            pts += (centers[:, None] + (x * side, y * side)
+                    + u[None] * (side * scale)).reshape(-1, 2).tolist()
     return pts
 
 
