@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cantor import GaugeSequence, dimension_bounds, make_gauge
+from .cantor import Construction, GaugeSequence, _check_table_depth, \
+    dimension_bounds, make_gauge
 from .errors import DomainError
 from .frozen import FROZEN_K0
 from .homeo import HierarchicalMap, _gauge_error, invert, \
@@ -173,16 +174,18 @@ def qc_dimension_bounds(K: float, alpha: float) -> tuple[float, float]:
 def level_ratio(src: GaugeSequence, dst: GaugeSequence, k: int) -> float:
     """Level-k annulus modulus mismatch max{a'd/(ad'), ad'/(a'd)} with
     a_k = 2^{-(k+1)}(d_{k-1} - d_k); the per-level dilatation of the
-    standard map is comparable to this quantity."""
+    standard map is comparable to this quantity.  It is the relative
+    (1/rho' - 1)/(1/rho - 1) of the ratios rho = d_k/d_{k-1}, with 1/rho - 1
+    = 2^(e_k - e_{k-1}) - 1 read from the gauges' level tables."""
     if k < 1:
         raise DomainError(f"level must be >= 1, got {k}")
-    for g in (src, dst):
-        if g.d(k) == 0.0 or g.d(k - 1) == g.d(k):
-            raise _gauge_error(g, k, g.d(k) != 0.0)
-    a, ap = src.d(k - 1) - src.d(k), dst.d(k - 1) - dst.d(k)
-    num, den = ap * src.d(k), a * dst.d(k)
-    # the products can underflow where the two relative insets cannot
-    r = num / den if num and den else ap / dst.d(k) * (src.d(k) / a)
+    _check_table_depth(k)
+    tables = [Construction("lambda", g).table(k) for g in (src, dst)]
+    ratios = [t.ratio[-1] for t in tables]
+    if 0.0 in ratios or 1.0 in ratios:
+        raise _gauge_error((src, dst), ratios, k)
+    a, ap = (math.expm1((t.e[-1] - t.e[-2]) * math.log(2)) for t in tables)
+    r = ap / a
     return max(r, 1.0 / r)
 
 

@@ -59,7 +59,8 @@ def depth_guard() -> int:
 
 @dataclass(frozen=True)
 class GaugeSequence:
-    """Strictly decreasing side-length gauge d_n = 2^-e_n with d_0 = 1."""
+    """Strictly decreasing side-length gauge d_n = 2^-e_n with d_0 = 1, as
+    its exponent e_n: `Construction.table` forms d_n."""
 
     kind: str
     nu: float | None = None
@@ -78,9 +79,6 @@ class GaugeSequence:
         if k == "sqrt":
             return math.sqrt(n)
         raise DomainError(f"unknown gauge kind {k!r}")
-
-    def d(self, n: int) -> float:
-        return 2.0 ** -self._exponent(n)
 
     def describe(self) -> str:
         if self.kind == "geometric":
@@ -208,20 +206,20 @@ def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
 @dataclass(frozen=True)
 class LevelTable:
     """Levels 0..n of a construction in Python floats: the gauge exponent
-    e_k and value d_k = 2^-e_k, side 2^-k d_k and total area d_k^2 of level
-    k, and `offsets[k - 1][j]`, child j's center minus its level-k parent's,
-    a direction times `sides[k - 1]`.  The exponent stays finite where d_k,
-    the side or the area underflows to 0."""
+    e_k of d_k = 2^-e_k, side 2^-k d_k and total area d_k^2 of level k,
+    `ratio[k - 1]` = d_k/d_{k-1} (0 where d_k is 0), and `offsets[k - 1][j]`,
+    child j's center minus its level-k parent's, a direction times
+    `sides[k - 1]`.  The exponent stays finite where d_k underflows to 0."""
 
     e: list[float]
-    d: list[float]
+    ratio: list[float]  # levels 1..n
     sides: list[float]
     areas: list[float]
     offsets: list[list[list[float]]]  # (n, children per parent, 2)
 
     def truncate(self, n: int) -> "LevelTable":
         """The table of levels 0..n."""
-        return LevelTable(self.e[:n + 1], self.d[:n + 1], self.sides[:n + 1],
+        return LevelTable(self.e[:n + 1], self.ratio[:n], self.sides[:n + 1],
                           self.areas[:n + 1], self.offsets[:n])
 
 
@@ -254,18 +252,19 @@ class Construction:
 
     def table(self, n: int, order: Sequence[int] = (0, 1, 2, 3)
               ) -> LevelTable:
-        """Gauge exponents, gauge values, sides and areas of levels 0..n,
+        """Gauge exponents, sides and areas of levels 0..n, and gauge ratios
         and child offsets of levels 1..n, the children of each parent listed
         in `order` (indices into the digit order).  The one producer of a
-        level's scale: every side, area and -log d_k is read from here."""
+        level's scale: each e_k is evaluated once, d_k = 2^-e_k formed from
+        it, and every side, area, d_k/d_{k-1} and -log d_k read from here."""
         e = [self.gauge._exponent(k) for k in range(n + 1)]
-        d = [self.gauge.d(k) for k in range(n + 1)]
+        d = [2.0 ** -ek for ek in e]
         sides = [2.0 ** (-k) * dk for k, dk in enumerate(d)]
         dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
         offsets = np.asarray(dirs)[list(order)] * np.reshape(sides[:-1],
                                                              (-1, 1, 1))
-        return LevelTable(e, d, sides, [dk ** 2 for dk in d],
-                          offsets.tolist())
+        return LevelTable(e, [b / a if b else 0.0 for a, b in zip(d, d[1:])],
+                          sides, [dk ** 2 for dk in d], offsets.tolist())
 
     def level(self, n: int) -> CantorLevel:
         table = self._checked_table(n)

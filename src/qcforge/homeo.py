@@ -6,12 +6,12 @@ few piecewise-affine gasket templates placed in every parent.  All level-k
 gaskets are congruent, so a map stores each level's templates once, all
 levels in one `qcmaps.TemplateStack` (arrays with leading axes (level,
 template)), and its geometry once: one `LevelTable` per side (gauge
-exponents and values, sides, areas, child offsets), which the template
-parameters, evaluation, the curve and its box dimension, the square
-centers and the masses read; nothing here forms a level's scale from a
-gauge.  Where the templates sit is data too: a map's `slots` list one
-(template index, offset x, offset y, scale) row per template instance in
-a parent, in units of the parent side, the same at every level and on
+exponents and ratios d_k/d_{k-1}, sides, areas, child offsets), which the
+template parameters, evaluation, the curve and its box dimension, the
+square centers and the masses read; nothing here forms a level's scale
+from a gauge.  Where the templates sit is data too: a map's `slots` list
+one (template index, offset x, offset y, scale) row per template instance
+in a parent, in units of the parent side, the same at every level and on
 both sides, so a level-k instance is its template scaled by
 `sides[k - 1]` times its slot's scale.  The per-level K, the masses and
 `invert` read the stack whole; `levels` makes every level's templates on
@@ -193,38 +193,35 @@ class Polyline:
     params: np.ndarray  # shape (n,): source x-coordinates in [-1/2, 1/2]
 
 
-def _gauge_error(g: GaugeSequence, k: int, flat: bool):
-    """The error of a gauge flat at level k (`DomainError`), or whose d_k
-    underflows to 0 (`DepthLimitError`)."""
-    if flat:
-        return DomainError(f"gauge {g.describe()} is flat at level {k}: "
-                           f"d_{k}/d_{k - 1} is 1 in floating point")
-    return DepthLimitError(f"gauge {g.describe()} underflows at level {k}: "
-                           f"d_{k} is 0 in floating point")
+def _gauge_error(gauges, ratios, k: int):
+    """The error of level k, where some gauge's d_k/d_{k-1} in `ratios` is
+    0 or 1: the first whose d_k underflows to 0 (`DepthLimitError`), else
+    the first flat one (`DomainError`)."""
+    if 0.0 in ratios:
+        g = gauges[ratios.index(0.0)]
+        return DepthLimitError(f"gauge {g.describe()} underflows at level "
+                               f"{k}: d_{k} is 0 in floating point")
+    g = gauges[ratios.index(1.0)]
+    return DomainError(f"gauge {g.describe()} is flat at level {k}: "
+                       f"d_{k}/d_{k - 1} is 1 in floating point")
 
 
 def standard_homeo(src: GaugeSequence, dst: GaugeSequence,
                    n: int) -> HierarchicalMap:
     """Depth-n approximant of the standard homeomorphism between the
-    square-nest constructions of two gauges."""
+    square-nest constructions of two gauges, with the insets (1 - ratio)/2
+    read from their tables."""
     _check_table_depth(n)
     source, target = Construction("lambda", src), Construction("lambda", dst)
     tables = source.table(n), target.table(n)
-    d = np.array([t.d for t in tables])
-    # levels 1..top have d_k > 0 on both sides; d_{top+1} is 0 on one side
-    zero = (d == 0.0).any(axis=0)
-    top = int(np.argmax(zero)) - 1 if zero.any() else n
-    alpha, beta = (1.0 - d[:, 1:top + 1] / d[:, :top]) / 2.0
-    # a level where d_k/d_{k-1} is 1 in floating point has no inset
-    flat = (alpha == 0.0) | (beta == 0.0)
-    stop = int(np.argmax(flat)) if flat.any() else top
+    ratio = np.array([t.ratio for t in tables])
+    # level stop + 1 is the first where a side's ratio is 0 or 1: no inset
+    bad = ((ratio == 0.0) | (ratio == 1.0)).any(axis=0)
+    stop = int(np.argmax(bad)) if bad.any() else n
     # the earlier levels raise their errors first
-    templates = annulus_templates(alpha[:stop], beta[:stop])
-    if stop < top:
-        raise _gauge_error(src if alpha[stop] == 0.0 else dst, stop + 1, True)
-    if top < n:
-        raise _gauge_error(src if d[0, top + 1] == 0.0 else dst, top + 1,
-                           False)
+    templates = annulus_templates(*(1.0 - ratio[:, :stop]) / 2.0)
+    if stop < n:
+        raise _gauge_error((src, dst), ratio[:, stop].tolist(), stop + 1)
     return HierarchicalMap(n, source, target, templates, *tables,
                            _ANNULUS_SLOTS)
 
@@ -249,10 +246,10 @@ def theoremB_homeo(n: int) -> HierarchicalMap:
     source = Construction("sigma")
     target = Construction("lambda", make_gauge("sqrt"))
     dst = target.table(n, _NW_SW_NE_SE)
-    d = np.array(dst.d)
     # two twists per parent, right and left half of it, with the parameter
     # (1 - d_k/d_{k-1}) / 4 of levels 1..n
-    templates = _rotate_template(twist_templates((1.0 - d[1:] / d[:-1]) / 4.0))
+    templates = _rotate_template(twist_templates(
+        (1.0 - np.array(dst.ratio)) / 4.0))
     return HierarchicalMap(n, source, target, templates, source.table(n), dst,
                            _TWIST_SLOTS)
 

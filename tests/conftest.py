@@ -49,20 +49,22 @@ def random_affines(count: int, seed: int = 0):
 @dataclass(frozen=True)
 class TableGauge:
     """A gauge of chosen values d_0, d_1, ..., for tests that need squares
-    of given sizes: the `d` and `describe` of a gauge, read from a table.
-    Its `_exponent`, -log2 d_n, only fills a level table's exponent column;
-    the table's values, sides and areas come from `d`."""
+    of given sizes: the `_exponent`, -log2 d_n, and `describe` of a gauge,
+    read from a table.  A level table forms its d_n as 2^-e_n, so the
+    sizes it builds are the chosen ones to within an ulp or so."""
 
     table: tuple[float, ...]
 
     def _exponent(self, n: int) -> float:
         return -math.log2(self.table[n])
 
-    def d(self, n: int) -> float:
-        return self.table[n]
-
     def describe(self) -> str:
         return "custom"
+
+
+def gauge_d(g, k: int) -> float:
+    """The gauge value d_k = 2^-e_k, formed as the level table forms it."""
+    return 2.0 ** -g._exponent(k)
 
 
 def profile_bits(p):

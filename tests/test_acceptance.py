@@ -22,7 +22,8 @@ from qcforge.homeo import (curve_box_dimension, evaluate, invert,
 from qcforge.qcmaps import (annulus_extension, annulus_extension_any,
                             twist_extension, validate)
 
-from conftest import dilatation_three_point, random_affines, svd_dilatation
+from conftest import dilatation_three_point, gauge_d, random_affines, \
+    svd_dilatation
 
 SLOW = make_gauge("slow")
 FAST = make_gauge("fast")
@@ -69,7 +70,7 @@ def test_criterion_02_exact_areas():
     for g in gauges:
         for n in range(0, 11):
             worst = max(worst, abs(build_level(g, n).total_area
-                                   - g.d(n) ** 2))
+                                   - gauge_d(g, n) ** 2))
     worst_s = max(abs(build_sigma_level(n).total_area - 16.0 ** (-n))
                   for n in range(0, 11))
     dt = time.perf_counter() - t0

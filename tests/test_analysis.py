@@ -1,4 +1,6 @@
 import decimal
+import functools
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal
@@ -12,14 +14,14 @@ from qcforge.analysis import (CASES, DavidParams,
                               dilatation_profile, level_ratio,
                               qc_dimension_bounds, theoremA_report,
                               theoremB_report)
-from qcforge.cantor import make_gauge
+from qcforge.cantor import Construction, make_gauge
 from qcforge.errors import DepthLimitError, DomainError
 from qcforge.frozen import DIL_RATIO_BAND, FROZEN_K0
 from qcforge.geometry import Triangle
 from qcforge.homeo import (invert, max_dilatation_per_level, standard_homeo,
                            theoremB_homeo)
 
-from conftest import profile_bits
+from conftest import gauge_d, profile_bits
 from exact_levels import CONTEXT, exponent
 
 SLOW = make_gauge("slow")
@@ -195,10 +197,58 @@ def test_level_ratio_past_the_float_range_of_its_products():
         (s0, s1), (t0, t1) = d
         r = (t0 - t1) * s1 / ((s0 - s1) * t1)
         want = max(r, 1 / r)
-    assert SLOW.d(195) - SLOW.d(196) > 0 and FAST.d(196) > 0
-    assert (SLOW.d(195) - SLOW.d(196)) * FAST.d(196) == 0.0
+    a = gauge_d(SLOW, 195) - gauge_d(SLOW, 196)
+    assert a > 0 and gauge_d(FAST, 196) > 0
+    assert a * gauge_d(FAST, 196) == 0.0
     got = level_ratio(SLOW, FAST, 196)
     assert abs(Decimal(got) - want) <= Decimal("1e-9") * want
+
+
+# every kind of gauge, and geometric ones from steep to nearly flat
+RATIO_GAUGES = [SLOW, FAST, make_gauge("sqrt"), GEO1] + \
+    [make_gauge("geometric", nu) for nu in (2.0, 0.01, 1e-6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_insets(g, n=896):
+    """(2^(e_k - e_{k-1}) - 1, whether d_k is normal) of levels 1..n, in
+    `Decimal`: a_k/(2^-(k+1) d_k) = d_{k-1}/d_k - 1 from the gauge's
+    closed form."""
+    with decimal.localcontext(CONTEXT):
+        e = [exponent(g, k) for k in range(n + 1)]
+        return [(Decimal(2) ** (b - a) - 1, b <= 1022)
+                for a, b in zip(e, e[1:])]
+
+
+@pytest.mark.parametrize("src, dst", itertools.permutations(RATIO_GAUGES, 2),
+                         ids=lambda g: g.describe())
+def test_level_ratio_matches_the_exact_mismatch(src, dst, monkeypatch):
+    # every level up to the table-depth bound where d_{k-1} and d_k are
+    # normal on both sides
+    want = []
+    for (a, normal), (ap, normal_p) in zip(_exact_insets(src),
+                                           _exact_insets(dst)):
+        if not (normal and normal_p):
+            break
+        with decimal.localcontext(CONTEXT):
+            want.append(max(ap / a, a / ap))
+    deepest = level_ratio(src, dst, len(want))
+    # the table of depth k is the first k levels of the depth-896 one, bit
+    # for bit (`test_truncate_matches_direct_build`): build that one once
+    full = functools.lru_cache(maxsize=None)(Construction.table)
+    monkeypatch.setattr(Construction, "table",
+                        lambda c, n: full(c, 896).truncate(n))
+    got = [level_ratio(src, dst, k) for k in range(1, len(want) + 1)]
+    assert got[-1] == deepest
+    for k, (g, w) in enumerate(zip(got, want), 1):
+        assert abs(Decimal(g) / w - 1) <= Decimal("1e-10"), k
+
+
+def test_level_ratio_has_the_table_depth_bound():
+    with pytest.raises(DepthLimitError,
+                       match="^depth 897 is unreasonably large$"):
+        level_ratio(SLOW, FAST, 897)
+    assert level_ratio(SLOW, GEO1, 896) > 1.0
 
 
 def test_geometric_pair_ratio_constant():

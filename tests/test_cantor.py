@@ -15,7 +15,7 @@ from qcforge.cantor import (CantorLevel, Construction, DimensionEstimate,
                             dimension_bounds, frostman_profile, make_gauge)
 from qcforge.errors import DepthLimitError, DomainError, ValidationError
 
-from conftest import TableGauge
+from conftest import TableGauge, gauge_d
 from exact_levels import exponent
 
 ALL_GAUGES = [
@@ -30,15 +30,15 @@ ALL_GAUGES = [
 
 def test_gauge_values():
     g = make_gauge("geometric", 1.0)
-    assert g.d(0) == 1.0
-    assert g.d(3) == 0.125
-    assert make_gauge("sqrt").d(4) == 0.25
-    assert make_gauge("slow").d(0) == 1.0
+    assert gauge_d(g, 0) == 1.0
+    assert gauge_d(g, 3) == 0.125
+    assert gauge_d(make_gauge("sqrt"), 4) == 0.25
+    assert gauge_d(make_gauge("slow"), 0) == 1.0
 
 
 def test_gauges_strictly_decreasing():
     for g in ALL_GAUGES:
-        vals = [g.d(n) for n in range(0, 20)]
+        vals = [gauge_d(g, n) for n in range(0, 20)]
         assert all(b < a for a, b in zip(vals, vals[1:])), g.describe()
 
 
@@ -54,23 +54,25 @@ def test_builtin_gauges_match_the_readme_formulas_bit_for_bit():
         kind, _, nu = name.partition(":")
         g = make_gauge(kind, float(nu) if nu else None)
         for n in range(201):
-            assert g.d(n) == formula(n), (name, n)
+            assert gauge_d(g, n) == formula(n), (name, n)
 
 
 def test_neg_log_d_matches_log():
-    # -log d_n read from the table's exponent column, where d_n > 0
+    # -log d_n read from the table's exponent column, where the side
+    # 2^-n d_n > 0
     for g in ALL_GAUGES:
         table = Construction("lambda", g).table(12)
         for n in (0, 1, 5, 12):
-            assert table.d[n] > 0.0
+            assert table.sides[n] > 0.0
             assert table.e[n] * math.log(2.0) == pytest.approx(
-                -math.log(table.d[n]), abs=1e-12)
+                -math.log(table.sides[n]) - n * math.log(2.0), abs=1e-12)
 
 
 def test_neg_log_d_survives_underflow():
     g = make_gauge("fast")
     table = Construction("lambda", g).table(400)
-    assert table.d[400] == table.sides[400] == 0.0  # past the denormal floor
+    # past the denormal floor
+    assert table.ratio[399] == table.sides[400] == table.areas[400] == 0.0
     want = exponent(g, 400)
     assert math.isfinite(table.e[400])
     assert abs(Decimal(table.e[400]) - want) <= Decimal("1e-12") * want
@@ -99,14 +101,14 @@ def test_level_count_and_exact_area():
         for n in (0, 1, 4, 7):
             lv = build_level(g, n)
             assert lv.count == 4 ** n
-            assert lv.total_area == g.d(n) ** 2  # exact in IEEE
+            assert lv.total_area == gauge_d(g, n) ** 2  # exact in IEEE
 
 
 def test_children_at_parent_quarter_points():
     g = make_gauge("sqrt")
     parent = build_level(g, 2)
     child = build_level(g, 3)
-    off = 2.0 ** (-4) * g.d(2)
+    off = 2.0 ** (-4) * gauge_d(g, 2)
     expected = (parent.centers[:, None, :]
                 + np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)])[None] * off)
     assert np.array_equal(child.centers, expected.reshape(-1, 2))
@@ -533,7 +535,7 @@ def test_frostman_level_14_builds_no_level(monkeypatch):
     monkeypatch.setattr(Construction, "level", refuse)
     g, n, s = make_gauge("sqrt"), 14, 1.5
     prof = frostman_profile(g, n, s, 32, 0)
-    side = 2.0 ** -n * g.d(n)
+    side = 2.0 ** -n * gauge_d(g, n)
     assert [eps for eps, _ in prof] == \
         [2.0 ** -k for k in range(math.ceil(-math.log2(side)) + 1)]
     # each disk holds its own square and at most all 4^n of them
@@ -555,7 +557,7 @@ def test_frostman_past_int64_indices_is_a_depth_error(monkeypatch):
 def test_area_is_gauge_squared(kind, n):
     g = make_gauge(kind, 1.0 if kind == "geometric" else None)
     lv = build_level(g, n)
-    assert lv.total_area == pytest.approx(g.d(n) ** 2, rel=1e-12)
+    assert lv.total_area == pytest.approx(gauge_d(g, n) ** 2, rel=1e-12)
 
 
 @given(st.integers(1, 7), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))

@@ -13,6 +13,7 @@ from qcforge.homeo import (curve_box_dimension, curve_polyline, evaluate,
                            invert, max_dilatation_per_level, standard_homeo,
                            theoremB_homeo)
 
+from conftest import gauge_d
 from exact_levels import CONTEXT, exponent
 
 SQRT = make_gauge("sqrt")
@@ -146,7 +147,7 @@ def test_running_max_nondecreasing():
 
 def test_theoremB_level_one_correspondence():
     m = theoremB_homeo(1)
-    d1 = SQRT.d(1)
+    d1 = gauge_d(SQRT, 1)
     # leftmost 8-adic square -> NW target square; rightmost -> SE
     r = evaluate(m, Point(-0.375, 0.0))
     assert r.point.dist(Point(-0.25, 0.25)) < 1e-12

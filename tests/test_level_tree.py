@@ -14,7 +14,7 @@ import pytest
 
 from qcforge.analysis import CASES, dilatation_profile
 from qcforge.cantor import _NEST_DIRECTIONS, _ROW_DIRECTIONS, Construction, \
-    box_dimension, depth_guard, make_gauge
+    GaugeSequence, box_dimension, depth_guard, make_gauge
 from qcforge.cli import run
 from qcforge.errors import ValidationError
 from qcforge.geometry import Point
@@ -137,8 +137,9 @@ def _close(got, want):
                          ids=lambda g: "sigma" if g is None else g.describe())
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), _NW_SW_NE_SE])
 def test_level_table_matches_the_scalar_definitions(gauge, order):
-    # each level against the exact oracle; d, sides and areas where the
-    # oracle's value is a normal float
+    # each level against the exact oracle; sides and areas where the
+    # oracle's value is a normal float, and d_k/d_{k-1} where d_k (and so
+    # d_{k-1}) is
     c = Construction("sigma") if gauge is None else \
         Construction("lambda", gauge)
     dirs = _ROW_DIRECTIONS if gauge is None else _NEST_DIRECTIONS
@@ -148,25 +149,48 @@ def test_level_table_matches_the_scalar_definitions(gauge, order):
     # sides are subnormal from level 341 and 0 from level 359
     for n in (0, 1, 48, 200, 896):
         table = c.table(n, order)
-        assert len(table.e) == len(table.d) == len(table.sides) \
-            == len(table.areas) == n + 1
-        assert len(table.offsets) == n
+        assert len(table.e) == len(table.sides) == len(table.areas) == n + 1
+        assert len(table.ratio) == len(table.offsets) == n
         for k in range(n + 1):
             want = exact[k]
             assert _close(table.e[k], want[0]), k
-            for got, w in zip((table.d[k], table.sides[k], table.areas[k]),
-                              want[1:]):
+            for got, w in zip((table.sides[k], table.areas[k]), want[2:]):
                 assert w < normal or _close(got, w), k
             if gauge is None:
                 # the row's closed forms, apart from its gauge's formula
-                assert _bits(table.d[k]) == _bits(4.0 ** (-k))
                 assert _bits(table.sides[k]) == _bits(8.0 ** (-k))
                 assert _bits(table.areas[k]) == _bits(16.0 ** (-k))
         for k in range(1, n + 1):
+            d0, d1 = exact[k - 1][1], exact[k][1]
+            if d1 >= normal:
+                with decimal.localcontext(CONTEXT):
+                    assert abs(Decimal(table.ratio[k - 1]) - d1 / d0) \
+                        <= Decimal("1e-12") * d1 / d0, k
+            if gauge is None:
+                # d_k = 4^-k is a float down to 2^-1074 at level 537
+                assert table.ratio[k - 1] == (0.25 if k <= 537 else 0.0), k
             side = table.sides[k - 1]
             want = [[dirs[j][0] * side, dirs[j][1] * side] for j in order]
             assert [[_bits(x) for x in row] for row in table.offsets[k - 1]] \
                 == [[_bits(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("family", ["lambda", "sigma"])
+def test_level_table_evaluates_each_gauge_exponent_once(family, monkeypatch):
+    calls = []
+    real = GaugeSequence._exponent
+
+    def counted(gauge, k):
+        calls.append(k)
+        return real(gauge, k)
+
+    monkeypatch.setattr(GaugeSequence, "_exponent", counted)
+    c = Construction(family, make_gauge("fast") if family == "lambda"
+                     else None)
+    for n in (0, 1, 50, 896):
+        calls.clear()
+        c.table(n)
+        assert calls == list(range(n + 1)), n
 
 
 def test_maps_read_the_tables_of_their_constructions():

@@ -22,6 +22,8 @@ from qcforge.qcmaps import annulus_extension_any, annulus_templates, \
     _stack_of, invert_piecewise, invert_templates, twist_extension, \
     twist_templates
 
+from conftest import gauge_d
+
 DEPTH = 64
 
 
@@ -134,8 +136,8 @@ def test_standard_templates_match_the_scalar_path(src, dst, flipped):
     m = standard_homeo(g, h, DEPTH)
     flips = 0
     for k, (lv, lvi) in enumerate(zip(m.levels, invert(m).levels), 1):
-        alpha = (1.0 - g.d(k) / g.d(k - 1)) / 2.0
-        beta = (1.0 - h.d(k) / h.d(k - 1)) / 2.0
+        alpha = (1.0 - gauge_d(g, k) / gauge_d(g, k - 1)) / 2.0
+        beta = (1.0 - gauge_d(h, k) / gauge_d(h, k - 1)) / 2.0
         flips += alpha > beta
         rows = _annulus(alpha, beta)
         _assert_same(lv.templates[0], rows)
@@ -173,7 +175,7 @@ def _assert_half_turn(t, right):
 def test_theoremB_templates_match_the_scalar_path():
     m, sqrt = theoremB_homeo(DEPTH), make_gauge("sqrt")
     for k, (lv, lvi) in enumerate(zip(m.levels, invert(m).levels), 1):
-        a = (1.0 - sqrt.d(k) / sqrt.d(k - 1)) / 4.0
+        a = (1.0 - gauge_d(sqrt, k) / gauge_d(sqrt, k - 1)) / 4.0
         right = _twist(a)
         single = twist_extension(a)
         _assert_same(single, right)
@@ -194,8 +196,8 @@ def _error(build, *args):
 def _standard_levels(g, h, n):
     """The scalar path level by level, as standard_homeo orders it."""
     for k in range(1, n + 1):
-        _annulus((1.0 - g.d(k) / g.d(k - 1)) / 2.0,
-                 (1.0 - h.d(k) / h.d(k - 1)) / 2.0)
+        _annulus((1.0 - gauge_d(g, k) / gauge_d(g, k - 1)) / 2.0,
+                 (1.0 - gauge_d(h, k) / gauge_d(h, k - 1)) / 2.0)
 
 
 def test_errors_match_the_scalar_path():
@@ -214,7 +216,7 @@ def test_errors_match_the_scalar_path():
     want = _error(_standard_levels, g, h, 10)
     assert _error(standard_homeo, g, h, 10) == want
     # ... which comes before its gauge underflows at level 22
-    assert h.d(22) == 0.0 < h.d(21)
+    assert gauge_d(h, 22) == 0.0 < gauge_d(h, 21)
     assert _error(standard_homeo, g, h, 30) == want
     want = _error(_twist, 0.25)
     assert want[0] is DomainError
@@ -224,7 +226,7 @@ def test_errors_match_the_scalar_path():
 
 def test_gauge_underflow_names_the_gauge_and_level():
     fast = make_gauge("fast")
-    assert fast.d(203) == 0.0 < fast.d(202)
+    assert gauge_d(fast, 203) == 0.0 < gauge_d(fast, 202)
     assert _error(standard_homeo, make_gauge("geometric", 1.0), fast,
                   205) == (DepthLimitError, "gauge fast underflows at "
                            "level 203: d_203 is 0 in floating point")

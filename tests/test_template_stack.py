@@ -18,6 +18,8 @@ from qcforge.homeo import evaluate, invert, standard_homeo, theoremB_homeo
 from qcforge.qcmaps import PiecewiseAffineMap, annulus_extension_any, \
     invert_piecewise, twist_extension
 
+from conftest import gauge_d
+
 ARRAYS = ("cells", "maps", "dilatations", "images", "domain_areas",
           "image_areas")
 
@@ -113,8 +115,9 @@ def _gauge(text):
 def _standard_singles(g, h, k):
     """Level k's template of the map g -> h and of its inverse, each from
     the single-template builders."""
-    t = annulus_extension_any((1.0 - g.d(k) / g.d(k - 1)) / 2.0,
-                              (1.0 - h.d(k) / h.d(k - 1)) / 2.0)
+    t = annulus_extension_any(
+        (1.0 - gauge_d(g, k) / gauge_d(g, k - 1)) / 2.0,
+        (1.0 - gauge_d(h, k) / gauge_d(h, k - 1)) / 2.0)
     return [t], [invert_piecewise(t)]
 
 
@@ -122,7 +125,8 @@ def _theoremB_singles(k):
     """Level k's two twists of theorem B's map and of its inverse, each
     from the single-template builders."""
     sqrt = make_gauge("sqrt")
-    right = twist_extension((1.0 - sqrt.d(k) / sqrt.d(k - 1)) / 4.0)
+    right = twist_extension(
+        (1.0 - gauge_d(sqrt, k) / gauge_d(sqrt, k - 1)) / 4.0)
     left = _half_turn(right)
     # the inverse's left half is inverted itself, not the right inverse
     # turned: a sum that cancels to +0.0 would turn into -0.0
