@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -207,20 +208,28 @@ def nest_centers(offsets_per_level: Sequence[Sequence[Sequence[float]]]
 class LevelTable:
     """Levels 0..n of a construction in Python floats: the gauge exponent
     e_k of d_k = 2^-e_k, side 2^-k d_k and total area d_k^2 of level k,
-    `ratio[k - 1]` = d_k/d_{k-1} (0 where d_k is 0), and `offsets[k - 1][j]`,
-    child j's center minus its level-k parent's, a direction times
-    `sides[k - 1]`.  The exponent stays finite where d_k underflows to 0."""
+    `ratio[k - 1]` = d_k/d_{k-1} (0 where d_k is 0), and the directions of
+    a parent's children in units of its side.  The exponent stays finite
+    where d_k underflows to 0.  `offsets` is formed on first read, so a
+    table read only for scales (a report's, a check's) never forms it."""
 
     e: list[float]
     ratio: list[float]  # levels 1..n
     sides: list[float]
     areas: list[float]
-    offsets: list[list[list[float]]]  # (n, children per parent, 2)
+    directions: tuple[tuple[float, float], ...]  # children per parent
+
+    @cached_property
+    def offsets(self) -> list[list[list[float]]]:
+        """`offsets[k - 1][j]`, child j's center minus its level-k
+        parent's: direction j times `sides[k - 1]`."""
+        return (np.asarray(self.directions)
+                * np.reshape(self.sides[:-1], (-1, 1, 1))).tolist()
 
     def truncate(self, n: int) -> "LevelTable":
-        """The table of levels 0..n."""
+        """The table of levels 0..n, its offsets not yet formed."""
         return LevelTable(self.e[:n + 1], self.ratio[:n], self.sides[:n + 1],
-                          self.areas[:n + 1], self.offsets[:n])
+                          self.areas[:n + 1], self.directions)
 
 
 @dataclass(frozen=True)
@@ -252,19 +261,18 @@ class Construction:
 
     def table(self, n: int, order: Sequence[int] = (0, 1, 2, 3)
               ) -> LevelTable:
-        """Gauge exponents, sides and areas of levels 0..n, and gauge ratios
-        and child offsets of levels 1..n, the children of each parent listed
-        in `order` (indices into the digit order).  The one producer of a
-        level's scale: each e_k is evaluated once, d_k = 2^-e_k formed from
-        it, and every side, area, d_k/d_{k-1} and -log d_k read from here."""
+        """Gauge exponents, sides and areas of levels 0..n, gauge ratios of
+        levels 1..n, and the child directions, the children of each parent
+        listed in `order` (indices into the digit order); the child offsets
+        are formed when first read.  The one producer of a level's scale:
+        each e_k is evaluated once, d_k = 2^-e_k formed from it, and every
+        side, area, d_k/d_{k-1} and -log d_k read from here."""
         e = [self.gauge._exponent(k) for k in range(n + 1)]
         d = [2.0 ** -ek for ek in e]
-        sides = [2.0 ** (-k) * dk for k, dk in enumerate(d)]
         dirs = _ROW_DIRECTIONS if self.family == "sigma" else _NEST_DIRECTIONS
-        offsets = np.asarray(dirs)[list(order)] * np.reshape(sides[:-1],
-                                                             (-1, 1, 1))
         return LevelTable(e, [b / a if b else 0.0 for a, b in zip(d, d[1:])],
-                          sides, [dk ** 2 for dk in d], offsets.tolist())
+                          [2.0 ** (-k) * dk for k, dk in enumerate(d)],
+                          [dk ** 2 for dk in d], tuple(dirs[j] for j in order))
 
     def level(self, n: int) -> CantorLevel:
         table = self._checked_table(n)

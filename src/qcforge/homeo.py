@@ -6,16 +6,20 @@ few piecewise-affine gasket templates placed in every parent.  All level-k
 gaskets are congruent, so a map stores each level's templates once, all
 levels in one `qcmaps.TemplateStack` (arrays with leading axes (level,
 template)), and its geometry once: one `LevelTable` per side (gauge
-exponents and ratios d_k/d_{k-1}, sides, areas, child offsets), which the
-template parameters, evaluation, the curve and its box dimension, the
+exponents and ratios d_k/d_{k-1}, sides, areas, child directions), which
+the template parameters, evaluation, the curve and its box dimension, the
 square centers and the masses read; nothing here forms a level's scale
-from a gauge.  Where the templates sit is data too: a map's `slots` list
-one (template index, offset x, offset y, scale) row per template instance
-in a parent, in units of the parent side, the same at every level and on
-both sides, so a level-k instance is its template scaled by
-`sides[k - 1]` times its slot's scale.  The per-level K, the masses and
-`invert` read the stack whole; `levels` makes every level's templates on
-first read, for the oracles.
+from a gauge.  Only the descent table, the curve and the square centers
+read a table's child offsets, which it forms on first read, so a map that
+is only built, profiled or checked never forms them; nor does a build copy
+a triangle array to orient it (`qcmaps._oriented`: no case has a
+clockwise cell or image).  Where the templates sit is data too: a map's
+`slots` list one (template index, offset x, offset y, scale) row per
+template instance in a parent, in units of the parent side, the same at
+every level and on both sides, so a level-k instance is its template
+scaled by `sides[k - 1]` times its slot's scale.  The per-level K, the
+masses and `invert` read the stack whole; `levels` makes every level's
+templates on first read, for the oracles.
 `evaluate` descends the map's descent table, made on its first call: per
 level, the cuts between the child centres name the one child that can
 hold a point, and a gasket point is looked up in the stack's `locator` of

@@ -244,9 +244,13 @@ def _signed_area2(t: np.ndarray) -> np.ndarray:
 def _oriented(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangles stored as `Triangle` stores them, the last two vertices
     swapped where the input is clockwise, and twice their signed areas: a
-    swap negates an area exactly, and -0.0 stays (`abs` would drop it)."""
+    swap negates an area exactly, and -0.0 stays (`abs` would drop it).
+    Without a clockwise triangle, the usual case (a valid template's cells
+    and images are ccw), both are returned as they are, uncopied."""
     s = _signed_area2(t)
     cw = s < 0
+    if not cw.any():
+        return t, s
     return np.where(cw[..., None, None], t[..., [0, 2, 1], :], t), \
         np.where(cw, -s, s)
 

@@ -12,9 +12,9 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from qcforge.analysis import CASES, dilatation_profile
+from qcforge.analysis import CASES, dilatation_profile, level_ratio
 from qcforge.cantor import _NEST_DIRECTIONS, _ROW_DIRECTIONS, Construction, \
-    GaugeSequence, box_dimension, depth_guard, make_gauge
+    GaugeSequence, LevelTable, box_dimension, depth_guard, make_gauge
 from qcforge.cli import run
 from qcforge.errors import ValidationError
 from qcforge.geometry import Point
@@ -191,6 +191,106 @@ def test_level_table_evaluates_each_gauge_exponent_once(family, monkeypatch):
         calls.clear()
         c.table(n)
         assert calls == list(range(n + 1)), n
+
+
+def _eager_offsets(table, dirs, order):
+    """The child offsets as one broadcast product of the ordered
+    directions and every side but the last: the reference of the offsets
+    a table forms on first read."""
+    return (np.asarray(dirs)[list(order)]
+            * np.reshape(table.sides[:-1], (-1, 1, 1))).tolist()
+
+
+@pytest.mark.parametrize("gauge", TABLE_GAUGES,
+                         ids=lambda g: "sigma" if g is None else g.describe())
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), _NW_SW_NE_SE])
+def test_level_table_forms_its_offsets_on_first_read(gauge, order):
+    c = Construction("sigma") if gauge is None else \
+        Construction("lambda", gauge)
+    dirs = _ROW_DIRECTIONS if gauge is None else _NEST_DIRECTIONS
+    for n in (0, 1, 48, 896):
+        table = c.table(n, order)
+        assert "offsets" not in vars(table), n
+        want = _eager_offsets(table, dirs, order)
+        got = table.offsets
+        assert table.offsets is got and len(got) == n, n
+        assert all(np.shape(row) == (4, 2) for row in got), n
+        assert np.array(got, float).tobytes() \
+            == np.array(want, float).tobytes(), n
+        # a truncated table forms its own, from its sides, also when the
+        # whole table has formed them
+        for cut in sorted({0, min(1, n), n // 2, n}):
+            short = table.truncate(cut)
+            assert "offsets" not in vars(short), (n, cut)
+            assert np.array(short.offsets, float).tobytes() \
+                == np.array(want[:cut], float).tobytes(), (n, cut)
+            assert short == c.table(cut, order), (n, cut)
+
+
+def _counting_offsets(monkeypatch):
+    """Record each table that forms its offsets."""
+    formed, real = [], LevelTable.__dict__["offsets"].func
+
+    def counted(table):
+        formed.append(table)
+        return real(table)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(LevelTable, "offsets")
+    monkeypatch.setattr(LevelTable, "offsets", prop)
+    return formed
+
+
+def _words(argv):
+    """A test id of a command line: its words, option dashes dropped."""
+    return " ".join(a.lstrip("-") for a in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--case", "slow-to-fast", "--depth", "12"],
+    ["report", "--case", "theoremB", "--depth", "12"],
+    ["david", "--case", "geometric-to-fast", "--depth", "12",
+     "--direction", "inverse"],
+    ["profile", "--case", "theoremB", "--depth", "12", "--side", "image",
+     "--format", "csv"],
+    ["homeo", "--src", "slow", "--dst", "fast", "--depth", "12"],
+    ["homeo", "--theorem-b", "--depth", "12"],
+    ["dims", "--gauge", "fast", "--levels", "300"],
+], ids=_words)
+def test_table_only_commands_form_no_offsets(argv, monkeypatch, tmp_path):
+    formed = _counting_offsets(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "out")]) in (0, 2)
+    assert (tmp_path / "out").exists() and formed == []
+    level_ratio(make_gauge("slow"), make_gauge("fast"), 196)
+    assert formed == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cantor", "--gauge", "slow", "--depth", "4"],
+    ["sigma", "--depth", "4"],
+    ["dims", "--family", "sigma", "--box-depths", "3,4"],
+    ["dims", "--gauge", "slow", "--box-depths", "3,4"],
+    ["dims", "--gauge", "slow", "--frostman-s", "1.0",
+     "--frostman-level", "4"],
+    ["curve", "--depth", "3"],
+], ids=_words)
+def test_commands_that_place_squares_form_offsets(argv, monkeypatch,
+                                                  tmp_path):
+    formed = _counting_offsets(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert formed
+
+
+def test_the_first_evaluate_forms_the_offsets_of_both_tables(monkeypatch):
+    formed = _counting_offsets(monkeypatch)
+    for m in (standard_homeo(make_gauge("slow"), make_gauge("fast"), 6),
+              invert(theoremB_homeo(6))):
+        formed.clear()
+        evaluate(m, Point(0.3, 0.2))
+        assert len(formed) == 2 and {id(t) for t in formed} \
+            == {id(m.src), id(m.dst)}
+        evaluate(m, Point(-0.2, 0.1))
+        assert len(formed) == 2
 
 
 def test_maps_read_the_tables_of_their_constructions():

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcforge import qcmaps
+from qcforge.analysis import CASES
 from qcforge.errors import DomainError
 from qcforge.frozen import ANNULUS_BAND, TWIST_BAND
 from qcforge.geometry import Point
-from qcforge.qcmaps import (ValidationReport, annulus_extension,
-                            annulus_extension_any, invert_piecewise,
-                            twist_extension, validate)
+from qcforge.homeo import invert
+from qcforge.qcmaps import (ValidationReport, _signed_area2,
+                            annulus_extension, annulus_extension_any,
+                            annulus_templates, invert_piecewise,
+                            twist_extension, twist_templates, validate)
 
 GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
 
@@ -283,3 +287,86 @@ def test_twist_always_oriented(a):
     t = twist_extension(a)
     rep = validate(t, target_area=0.5 - 2 * (0.5 - 2 * a) ** 2)
     assert rep.continuous and rep.oriented and rep.boundary_ok
+
+
+def _swapped(t):
+    """The swap formula `_oriented` gives where some triangle is
+    clockwise, applied to every input."""
+    s = _signed_area2(t)
+    cw = s < 0
+    return (np.where(cw[..., None, None], t[..., [0, 2, 1], :], t),
+            np.where(cw, -s, s))
+
+
+def test_oriented_gives_the_bits_of_the_swap_formula():
+    ccw = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cw = ccw[[0, 2, 1]]
+    # twice the signed areas 0.0 and -0.0: (b - a) * (c - a) terms that
+    # are 0 and -0 (-0.0 - 0.0 is -0.0)
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    neg_flat = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, 1.0]])
+    assert _signed_area2(flat) == 0.0 and not np.signbit(_signed_area2(flat))
+    assert np.signbit(_signed_area2(neg_flat))
+    for rows in ([ccw, flat, neg_flat], [ccw, cw, flat, neg_flat],
+                 [cw, cw], [cw], [ccw]):
+        t = np.array(rows)
+        for shape in ((len(rows), 3, 2), (1, len(rows), 1, 3, 2)):
+            t = t.reshape(shape)
+            got, want = qcmaps._oriented(t), _swapped(t)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes(), rows
+            # without a clockwise triangle, the input itself
+            if not (_signed_area2(t) < 0).any():
+                assert got[0] is t
+
+
+def _counting_oriented(monkeypatch):
+    """Record, per call of `qcmaps._oriented`, how many of its triangles
+    are clockwise."""
+    seen, real = [], qcmaps._oriented
+
+    def counted(t):
+        seen.append(int((_signed_area2(t) < 0).sum()))
+        return real(t)
+
+    monkeypatch.setattr(qcmaps, "_oriented", counted)
+    return seen
+
+
+def test_templates_of_every_case_have_no_clockwise_triangle(monkeypatch):
+    # the premise of `_oriented`'s path without a copy: no map of a case
+    # gives it a clockwise cell or image, in either direction; nu at its
+    # default and at the ends of perfbench's `reports` ranges
+    seen = _counting_oriented(monkeypatch)
+    for name, row in CASES.items():
+        for nu in [row.default] + ([0.75, 0.8, 1.45, 1.6]
+                                   if row.default is not None else []):
+            fwd = row.build(12, nu)
+            for m in (fwd, invert(fwd)):
+                t = m.templates
+                assert (_signed_area2(t.cells) > 0).all(), (name, nu)
+                assert (_signed_area2(t.images) > 0).all(), (name, nu)
+                for k in range(m.depth):
+                    for j in range(len(t.kinds)):
+                        t.locator(k, j)
+    assert seen and not any(seen)
+
+
+def test_cli_templates_have_no_clockwise_triangle(monkeypatch):
+    # annulus templates over perfbench's `reports` range [0.02, 0.45] in
+    # both orders, twists over [0.02, 0.19], validated as the CLI does
+    seen = _counting_oriented(monkeypatch)
+    grid = np.linspace(0.02, 0.45, 12)
+    a, b = (g.ravel() for g in np.meshgrid(grid, grid))
+    twists = np.linspace(0.02, 0.19, 12)
+    for stack in (annulus_templates(a, b), twist_templates(twists)):
+        assert (_signed_area2(stack.cells) > 0).all()
+        assert (_signed_area2(stack.images) > 0).all()
+    for x, y in zip(a.tolist(), b.tolist()):
+        t = annulus_templates([x], [y]).template(0, 0)
+        assert validate(t, 1.0 - (1.0 - 2.0 * y) ** 2).ok, (x, y)
+    for x in twists.tolist():
+        t = twist_templates([x]).template(0, 0)
+        assert validate(t, 0.5 - 2.0 * (0.5 - 2.0 * x) ** 2).ok, x
+    assert seen and not any(seen)
