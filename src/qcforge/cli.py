@@ -129,12 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
              _run_dims)
     sp.add_argument("--gauge", type=_parse_gauge)
     sp.add_argument("--family", choices=("lambda", "sigma"), default="lambda")
-    sp.add_argument("--levels", type=int, default=50)
+    # these four default to None: `_run_dims` fills in `_DIMS_DEFAULTS`
+    sp.add_argument("--levels", type=int)
     sp.add_argument("--box-depths", type=_parse_depths)
     sp.add_argument("--frostman-s", type=float)
-    sp.add_argument("--frostman-level", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=32)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--frostman-level", type=int)
+    sp.add_argument("--samples", type=int)
+    sp.add_argument("--seed", type=int)
 
     sp = add("annulus", "concentric-annulus extension template", _run_template)
     sp.add_argument("--a", required=True, type=float)
@@ -186,7 +187,22 @@ def _run_cantor(args) -> int:
     return 0
 
 
+# `dims` options that are None where not given, and their defaults
+_DIMS_DEFAULTS = {"frostman_level": 8, "samples": 32, "seed": 0,
+                  "levels": 50}
+
+
 def _run_dims(args) -> int:
+    # an option that would change nothing is a usage error
+    given = [f"--{name.replace('_', '-')}" for name in _DIMS_DEFAULTS
+             if name != "levels" and getattr(args, name) is not None]
+    if given and args.frostman_s is None:
+        raise QCForgeError(f"{', '.join(given)} given without --frostman-s")
+    if args.family == "sigma" and args.levels is not None:
+        raise QCForgeError("--levels does not apply to --family sigma")
+    for name, default in _DIMS_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     obj = {}
     if args.family == "lambda":
         if args.gauge is None:

@@ -22,14 +22,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# a module-level binding: `Point.__init__` runs once per query
+_isfinite = math.isfinite
+
+
+@dataclass(frozen=True, init=False)
 class Point:
+    """A finite point.  Every query makes one, so its `__init__` is
+    hand-written: a finiteness check and two stores into `__dict__`, in
+    place of the generated `object.__setattr__` calls and `__post_init__`.
+    """
+
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"non-finite point ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (_isfinite(x) and _isfinite(y)):
+            raise GeometryError(f"non-finite point ({x}, {y})")
+        d = self.__dict__
+        d["x"] = x
+        d["y"] = y
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)

@@ -185,10 +185,18 @@ class HierarchicalMap:
                               for k, K in max_dilatation_per_level(self)]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalResult:
+    """`evaluate`'s image of a point and its distance bound to the limit
+    map, with a hand-written `__init__` as `Point` has."""
+
     point: Point
     error_bound: float
+
+    def __init__(self, point: Point, error_bound: float):
+        d = self.__dict__
+        d["point"] = point
+        d["error_bound"] = error_bound
 
 
 @dataclass(frozen=True)
@@ -281,14 +289,18 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     per level, the cuts between child centres name the one child whose
     widened square can hold the point (each such child, in child order,
     where widened children overlap), and one containment test decides
-    between that child and the gasket.  In the gasket, the first placement
-    whose widened template box holds the point picks the template; its
-    cell comes from `qcmaps.find` on the stack's `locator` of that
-    template, and its map row is applied here as `AffineMap.apply` applies
-    it: the image of `PiecewiseAffineMap.apply`, bit for bit, without
-    making the template or its `pieces`.
+    between that child and the gasket, written as -half <= d <= half per
+    axis, which agrees with abs(d) <= half for every float, NaN included.
+    In the gasket, the first placement whose widened template box holds
+    the point picks the template; its cell comes from `qcmaps.find` on the
+    stack's `locator` of that template, whose edge rows hold each edge's
+    widening, made once per locator, and its map row is applied here as
+    `AffineMap.apply` applies it: the image of `PiecewiseAffineMap.apply`,
+    bit for bit, without making the template or its `pieces`.
     """
     src, dst = m.src, m.dst
+    # max(abs(...)), not chained comparisons: a point with a NaN x must not
+    # be fixed as outside, but raise `GeometryError` in a gasket
     if max(abs(z.x), abs(z.y)) > src.sides[0] / 2.0:
         return EvalResult(z, 0.0)
     if m.depth == 0:
@@ -301,7 +313,7 @@ def evaluate(m: HierarchicalMap, z: Point) -> EvalResult:
     for half, xcuts, ycuts, children, gasket in m._descent:
         for ox, oy, dox, doy in children[cell(ycuts, ry)][cell(xcuts, rx)]:
             dx, dy = rx - ox, ry - oy
-            if abs(dx) <= half and abs(dy) <= half:
+            if -half <= dx <= half and -half <= dy <= half:
                 break
         else:
             # the first placement whose template box holds the point; its

@@ -191,25 +191,27 @@ class TemplateStack:
 
 # -- point location -----------------------------------------------------------
 
+# the widening of `find`'s edge tests, as `Triangle.contains`' tol
+_FIND_TOL = 1e-9
+
+
 def _edge_rows(cells: np.ndarray) -> tuple[tuple[float, ...], ...]:
     """One row per (n, 3, 2) cell: its edges v1v2, v2v3, v3v1, its
-    vertices in `pieces`' order, as ax, ay, bx - ax, by - ay,
-    max(1.0, |b - a|) each.  Equal nonzero floats are one object: the
-    cells share most of their vertices and edges (a zero keeps its own
-    object, as the signs of zeros differ)."""
+    vertices in `pieces`' order, as ax, ay, bx - ax, by - ay and the
+    edge's widening -_FIND_TOL * max(1.0, |b - a|) each: the bound that
+    `Triangle.contains` forms per test, made here once per locator.
+    Equal nonzero floats are one object: the cells share most of their
+    vertices and edges (a zero keeps its own object, as the signs of zeros
+    differ)."""
     same = {}
     rows = []
     for p, q, r in _oriented(cells)[0].tolist():
         row = []
         for (ax, ay), (bx, by) in ((p, q), (q, r), (r, p)):
             row += (ax, ay, bx - ax, by - ay,
-                    max(1.0, math.hypot(ax - bx, ay - by)))
+                    -_FIND_TOL * max(1.0, math.hypot(ax - bx, ay - by)))
         rows.append(tuple([same.setdefault(v, v) if v else v for v in row]))
     return tuple(rows)
-
-
-# the widening of `find`'s edge tests, as `Triangle.contains`' tol
-_FIND_TOL = 1e-9
 
 
 def find(locator: tuple, x: float, y: float) -> int:
@@ -218,13 +220,13 @@ def find(locator: tuple, x: float, y: float) -> int:
     each edge, holds (x, y); -1 if none.
 
     The cells are tested in index order, each edge with `Triangle.contains`'
-    expression, so the index is the same."""
-    tol = _FIND_TOL
+    expression against the widening its edge row holds, the same product
+    `Triangle.contains` forms, so the index is the same."""
     for i, (ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy,
             lw) in enumerate(locator[0]):
-        if (ux * (y - ay) - uy * (x - ax) < -tol * lu
-                or vx * (y - by) - vy * (x - bx) < -tol * lv
-                or wx * (y - cy) - wy * (x - cx) < -tol * lw):
+        if (ux * (y - ay) - uy * (x - ax) < lu
+                or vx * (y - by) - vy * (x - bx) < lv
+                or wx * (y - cy) - wy * (x - cx) < lw):
             continue
         return i
     return -1

@@ -56,7 +56,10 @@ def test_report_has_the_layout_of_the_committed_files():
     args = argparse.Namespace(workload="queries", seed=3, claim="job_p90_ms")
     obj = bench_pairs.report(args, pairs)
     assert set(obj) == {"what", "command", "seed", "machine", "quartiles",
-                        "runs", "claim", "queries"}
+                        "runs", "claim", "no_regression", "queries"}
+    # every bounded metric but the claimed one gets a no-regression verdict
+    assert set(obj["no_regression"]) == {"wall_s"}
+    assert obj["no_regression"]["wall_s"]["verdict"] == "held"
     assert obj["command"] == "python3 perfbench/run.py --workload queries " \
                              "--seed 3 --seconds 20 --trace 0"
     assert obj["claim"]["met"] and obj["claim"]["metric"] == "job_p90_ms"

@@ -427,11 +427,37 @@ def test_parameters_that_change_nothing_are_usage_errors(capsys):
         assert _one_line_error(
             capsys, ["homeo", "--theorem-b", "--depth", "3"] + gauges) == \
             "error: --src and --dst do not apply to --theorem-b\n"
+    # the Frostman options without --frostman-s, and --levels on the
+    # 8-adic row, which has no dimension bounds
+    for argv, want in (
+            (["--gauge", "slow", "--levels", "5", "--frostman-level", "5",
+              "--samples", "3", "--seed", "9"],
+             "--frostman-level, --samples, --seed given without "
+             "--frostman-s"),
+            (["--gauge", "slow", "--seed", "0"],
+             "--seed given without --frostman-s"),
+            (["--gauge", "sqrt", "--box-depths", "2,3", "--samples", "4"],
+             "--samples given without --frostman-s"),
+            (["--family", "sigma", "--box-depths", "2,3", "--frostman-level",
+              "3"], "--frostman-level given without --frostman-s"),
+            (["--family", "sigma", "--levels", "5", "--box-depths", "2,3"],
+             "--levels does not apply to --family sigma"),
+            (["--family", "sigma", "--levels", "50"],
+             "--levels does not apply to --family sigma")):
+        assert _one_line_error(capsys, ["dims"] + argv) == f"error: {want}\n"
     # without a parameter, or with one where it counts, both still run
     for argv in (["report", "--case", "slow-to-fast"],
                  ["report", "--case", "theoremB"],
                  ["profile", "--case", "geometric-to-fast:1.5"]):
         assert _capture(capsys, argv + ["--depth", "3"])[0] in (0, 2)
+    # given where they count, each of them runs, and the defaults they
+    # leave out are the ones written in the artifact
+    code, out = _capture(capsys, ["dims", "--gauge", "slow", "--levels", "5",
+                                  "--frostman-s", "0.5", "--samples", "2"])
+    frostman = json.loads(out)["frostman"]
+    assert code == 0 and (frostman["level"], frostman["seed"]) == (8, 0)
+    assert _capture(capsys, ["dims", "--family", "sigma",
+                             "--box-depths", "2,3"])[0] == 0
 
 
 def test_curve_obeys_the_depth_guard(capsys, monkeypatch):

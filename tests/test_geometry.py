@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -91,6 +93,49 @@ def test_triangle_contains():
 def test_point_rejects_nonfinite():
     with pytest.raises(GeometryError):
         Point(float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("v,text", [(math.nan, "nan"), (math.inf, "inf"),
+                                    (-math.inf, "-inf")])
+def test_point_names_its_nonfinite_coordinates(v, text):
+    for (x, y), want in (((v, 0.0), f"({text}, 0.0)"),
+                         ((0.0, v), f"(0.0, {text})"),
+                         ((v, v), f"({text}, {text})")):
+        with pytest.raises(GeometryError) as e:
+            Point(x, y)
+        assert str(e.value) == f"non-finite point {want}"
+    with pytest.raises(GeometryError):
+        dataclasses.replace(Point(0.5, 0.5), y=v)
+
+
+def test_point_has_the_value_semantics_of_a_frozen_dataclass():
+    p = Point(0.5, -0.25)
+    assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
+    assert (p.x, p.y) == (0.5, -0.25) and dataclasses.astuple(p) == (0.5,
+                                                                      -0.25)
+    # equality and hash by value, of the fields in order
+    assert p == Point(0.5, -0.25) and hash(p) == hash(Point(0.5, -0.25))
+    assert p != Point(-0.25, 0.5) and p != (0.5, -0.25)
+    assert Point(0.0, 1.0) == Point(-0.0, 1.0)
+    assert len({p, Point(0.5, -0.25), Point(0.5, 0.25)}) == 2
+    assert repr(p) == "Point(x=0.5, y=-0.25)"
+    assert Point(x=0.5, y=-0.25) == p and Point(0.5, y=-0.25) == p
+    # the fields keep the objects given, as the generated init kept them
+    q = dataclasses.replace(p, y=3)
+    assert type(q) is Point and (q.x, q.y) == (0.5, 3) and type(q.y) is int
+    with pytest.raises(TypeError):
+        Point(0.5)
+    for attr in ("x", "y", "z"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, attr, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.x
+    assert (p.x, p.y) == (0.5, -0.25)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        r = pickle.loads(pickle.dumps(p, protocol))
+        assert type(r) is Point and r == p
+        assert math.copysign(1.0, pickle.loads(pickle.dumps(
+            Point(-0.0, 1e-300), protocol)).x) == -1.0
 
 
 @given(st.floats(0.05, 2.0), st.floats(-2.0, 2.0), st.floats(0.05, 2.0))

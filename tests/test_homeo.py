@@ -1,5 +1,7 @@
+import dataclasses
 import decimal
 import math
+import pickle
 from decimal import Decimal
 
 import numpy as np
@@ -9,9 +11,9 @@ from qcforge.cantor import build_level, build_sigma_level, make_gauge
 from qcforge.errors import DomainError
 from qcforge.frozen import THEOREM_B_RATE_BAND
 from qcforge.geometry import Point
-from qcforge.homeo import (curve_box_dimension, curve_polyline, evaluate,
-                           invert, max_dilatation_per_level, standard_homeo,
-                           theoremB_homeo)
+from qcforge.homeo import (EvalResult, curve_box_dimension, curve_polyline,
+                           evaluate, invert, max_dilatation_per_level,
+                           standard_homeo, theoremB_homeo)
 
 from conftest import gauge_d
 from exact_levels import CONTEXT, exponent
@@ -28,6 +30,36 @@ def test_identity_gauge_pair():
         z = Point(*rng.uniform(-0.5, 0.5, 2))
         r = evaluate(m, z)
         assert r.point.dist(z) < 1e-12
+
+
+def test_eval_result_has_the_value_semantics_of_a_frozen_dataclass():
+    m = theoremB_homeo(3)
+    deep = Point(*m.corresponding_centers(3)[0][5].tolist())
+    # a gasket image and a deepest-square image with its bound
+    for z in (Point(0.45, 0.4), deep):
+        r = evaluate(m, z)
+        assert type(r) is EvalResult and type(r.point) is Point
+        assert [f.name for f in dataclasses.fields(EvalResult)] == \
+            ["point", "error_bound"]
+        same = EvalResult(Point(r.point.x, r.point.y), r.error_bound)
+        assert r == same and hash(r) == hash(same)
+        assert r == EvalResult(point=r.point, error_bound=r.error_bound)
+        assert r != EvalResult(r.point, r.error_bound + 1.0)
+        assert repr(r) == (f"EvalResult(point=Point(x={r.point.x!r}, "
+                           f"y={r.point.y!r}), error_bound={r.error_bound!r})")
+        assert dataclasses.replace(r, error_bound=2.0) == \
+            EvalResult(r.point, 2.0)
+        for attr in ("point", "error_bound"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, attr, None)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(r, protocol))
+            assert type(back) is EvalResult and back == r
+    assert evaluate(m, deep).error_bound > 0.0
+    assert repr(EvalResult(Point(0.5, 0.25), 0.0)) == \
+        "EvalResult(point=Point(x=0.5, y=0.25), error_bound=0.0)"
+    with pytest.raises(TypeError):
+        EvalResult(Point(0.5, 0.25))
 
 
 def test_identity_outside_unit_square():

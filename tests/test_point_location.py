@@ -17,7 +17,7 @@ from qcforge.errors import DomainError, GeometryError
 from qcforge.geometry import Point
 from qcforge.homeo import (curve_polyline, evaluate, invert, standard_homeo,
                            theoremB_homeo)
-from qcforge.qcmaps import _FIND_TOL, _stack_of, \
+from qcforge.qcmaps import _FIND_TOL, _oriented, _stack_of, \
     annulus_extension_any, find, invert_piecewise, twist_extension, validate
 
 SLOW, FAST = make_gauge("slow"), make_gauge("fast")
@@ -118,6 +118,67 @@ def test_find_matches_locate(name, tol):
         located, tol, np.random.default_rng([20261018, len(located)]))
     # the widened boxes reach outside every template, and a later cell than
     # the first is picked somewhere
+    assert -1 in found and max(found) > 0
+
+
+def _per_test_edge_rows(cells):
+    """The edge rows `find` read before they held each edge's widening:
+    ax, ay, bx - ax, by - ay, max(1.0, |b - a|) per edge."""
+    rows = []
+    for p, q, r in _oriented(cells)[0].tolist():
+        row = []
+        for (ax, ay), (bx, by) in ((p, q), (q, r), (r, p)):
+            row += (ax, ay, bx - ax, by - ay,
+                    max(1.0, math.hypot(ax - bx, ay - by)))
+        rows.append(tuple(row))
+    return rows
+
+
+def _find_per_test(rows, x, y):
+    """`find` as it was before its edge rows held the widenings: the
+    widening -tol * l of each edge formed per test."""
+    tol = _FIND_TOL
+    for i, (ax, ay, ux, uy, lu, bx, by, vx, vy, lv, cx, cy, wx, wy,
+            lw) in enumerate(rows):
+        if (ux * (y - ay) - uy * (x - ax) < -tol * lu
+                or vx * (y - by) - vy * (x - bx) < -tol * lv
+                or wx * (y - cy) - wy * (x - cx) < -tol * lw):
+            continue
+        return i
+    return -1
+
+
+def test_find_matches_its_per_test_widening():
+    rng = np.random.default_rng(20261022)
+    found = []
+    for name, row in analysis.CASES.items():
+        fwd = row.build(12, row.default)
+        for m in (fwd, invert(fwd)):
+            t = m.templates
+            for k in range(m.depth):
+                for j in range(len(t.kinds)):
+                    loc = t.locator(k, j)
+                    ref = _per_test_edge_rows(t.cells[k, j])
+                    assert len(loc[0]) == len(ref)
+                    for got, want in zip(loc[0], ref):
+                        # the vertices and edge vectors keep their bits,
+                        # and the widening is the product, bit for bit
+                        for e in range(0, 15, 5):
+                            (ax, ay), (bx, by) = got[e:e + 2], \
+                                got[(e + 5) % 15:(e + 5) % 15 + 2]
+                            widening = -_FIND_TOL * max(
+                                1.0, math.hypot(bx - ax, by - ay))
+                            assert got[e + 4].hex() == widening.hex() == \
+                                (-_FIND_TOL * want[e + 4]).hex()
+                            assert [v.hex() for v in got[e:e + 4]] == \
+                                [v.hex() for v in want[e:e + 4]]
+                    for x, y in _probe_points(t.template(k, j), _FIND_TOL,
+                                              rng, 8):
+                        i = find(loc, x, y)
+                        assert i == _find_per_test(ref, x, y), \
+                            (name, k, j, x, y)
+                        found.append(i)
+    # points outside every cell, and later cells than the first
     assert -1 in found and max(found) > 0
 
 

@@ -1,8 +1,10 @@
 """The maintenance scripts still run: `scripts/measure_frozen_constants.py`
 prints its bands, and `scripts/theorem_reports.py` writes every report and
-the curve; `scripts/peak_memory.py` checks its streaming budget."""
+the curve; `scripts/peak_memory.py` checks its streaming budget, and
+`scripts/evaluate_cost.py` prints the cost of `evaluate` per point."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -79,3 +81,18 @@ def test_peak_memory_checks_the_streaming_budget(capsys, tmp_path, excess,
     assert lines[-1] == "dims --family sigma --box-depths 10,11 0 0 101.0 -"
     assert ("over the 32 MB budget: curve --depth 9 --format csv: 32.5 MB "
             "over curve_polyline(theoremB_homeo(9))" in err) == bool(rc)
+
+
+def test_evaluate_cost_prints_one_json_line():
+    proc = _script("evaluate_cost.py", "--seed", "3", "--points", "6",
+                   "--repeats", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert (out["seed"], out["points"], out["repeats"]) == (3, 6, 2)
+    for kind in ("deep_us", "uniform_us"):
+        assert sorted(out[kind]) == ["B", "B-inv", "S", "S-inv", "all"]
+        assert all(0.0 < us < 1e5 for us in out[kind].values())
+    assert 0.0 < out["point_us"] < 1e5
+    assert _script("evaluate_cost.py", "--points", "1").returncode == 2
